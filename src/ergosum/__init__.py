@@ -8,6 +8,4 @@ counting), regvar (regular-variation diagnostics), cli (experiment runner).
 
 __version__ = "0.1.0"
 
-from ergosum.kernels import BACKEND
-
-__all__ = ["BACKEND", "__version__"]
+__all__ = ["__version__"]

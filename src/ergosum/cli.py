@@ -3,7 +3,7 @@
 Every experiment is described by a config (kind, parameters, master seed,
 trial count); outputs are CSV files whose data rows are byte-identical
 across reruns and thread counts, with '#'-prefixed provenance headers
-(tool version, kernel backend, config hash, seed, generator).  A JSON
+(tool version, config hash, seed, generator).  A JSON
 mirror of each table is written with --json.
 
 Exit codes: 0 success, 2 config error, 3 resource/horizon error,
@@ -30,7 +30,6 @@ from .errors import (
     InvariantViolationError,
     ResourceLimitError,
 )
-from .kernels import BACKEND
 from .streams import GENERATOR_NAME, spawn
 
 EXIT_OK = 0
@@ -259,10 +258,9 @@ def run_translate(cfg: ExperimentConfig):
         horizons = parse_checkpoints(cfg.params["grid"])
     else:
         horizons = (int(cfg.params["N"]),)
-    method = "exact" if cfg.params.get("exact") else "auto"
     rows = []
     for n_box in horizons:
-        res = lattice.translate_counts(action, n_box, method=method)
+        res = lattice.translate_counts(action, n_box)
         rows.append((n_box, res.count, res.ratio))
     return [("translate", ("N", "count", "ratio"), rows)]
 
@@ -324,7 +322,6 @@ def provenance_lines(cfg: ExperimentConfig) -> list[str]:
     lines = [
         f"tool: ergosum {__version__}",
         f"experiment: {cfg.kind}",
-        f"backend: {BACKEND}",
         f"config-sha256: {cfg.config_hash()}",
         f"seed: {cfg.seed}",
         f"trials: {cfg.trials}",
@@ -432,8 +429,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--x", type=float, default=0.0)
     p.add_argument("--N", type=int)
     p.add_argument("--grid", help="dyadic:LO:HI of box radii")
+    # kept so saved configs and their hashes stay valid
     p.add_argument("--exact", action="store_true",
-                   help="force exact rational counting")
+                   help="no effect: counts are always exact")
 
     p = subs.add_parser("walk", help="random-walk skew-product orbit counts")
     _add_common(p, trials_flag="--seeds")

@@ -1,15 +1,17 @@
 """Two planar group actions: translations of the line and a random-walk
 skew product over an integer fiber.
 
-Translation orbits are counted exactly in O(N): for each first generator
-power k, the admissible second powers form an integer interval, so no 2-D
-scan happens.  Walk orbits are counted by binary search over the monotone
-partial sums of the sampled steps.
+Translation orbits are counted exactly in O(log N) big-integer steps: over
+the common binary denominator of the inputs the window condition is an
+integer inequality, the admissible second generator powers for each first
+power k form an integer interval whose clamped ends are floor terms linear
+in k, and a floor sum adds them up with no loop over k.  Walk orbits are
+counted by binary search over the monotone partial sums of the sampled
+steps.
 """
 
 from __future__ import annotations
 
-import math
 import warnings
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -17,14 +19,10 @@ from typing import NamedTuple
 
 import numpy as np
 
-from . import kernels
 from .errors import ConfigError, CoverageError, PrecisionWarning
-from .renewal import LifetimeDistribution, RenewalSequence, renewal_sequence
+from .renewal import (INT64_SUM_LIMIT, LifetimeDistribution, RenewalSequence,
+                      renewal_sequence)
 from .streams import normalize
-
-# beyond this magnitude the float64 grid spacing gets within ~2**-7 of the
-# unit window resolution and counting switches to exact rationals
-FLOAT_PRECISION_LIMIT = 2.0 ** 45
 
 # a ratio within _RATIONAL_PRECISION of a rational with denominator at most
 # _RATIONAL_MAX_DEN is treated as that rational; badly approximable
@@ -96,52 +94,81 @@ class TranslateCount(NamedTuple):
     ratio: float
 
 
-def _translate_count_exact(alpha, beta, x, n_box: int) -> int:
-    a, b, x0 = Fraction(alpha), Fraction(beta), Fraction(x)
-    count = 0
-    for k in range(-n_box, n_box + 1):
-        t = x0 + k * a
-        if b > 0:
-            lo = math.ceil(-t / b)
-            hi = math.ceil((1 - t) / b) - 1
-        else:
-            lo = math.floor((1 - t) / b) + 1
-            hi = math.floor(-t / b)
-        lo = max(lo, -n_box)
-        hi = min(hi, n_box)
-        if hi >= lo:
-            count += hi - lo + 1
-    return count
+def _floor_sum(n: int, m: int, a: int, b: int) -> int:
+    """sum_{i=0}^{n-1} floor((a*i + b) / m) for n >= 0, m >= 1, in O(log m) steps.
+
+    The Euclid-like reduction of Graham, Knuth and Patashnik (Concrete
+    Mathematics, section 3.5) as in the AtCoder Library's ``floor_sum``;
+    divmod reduces negative a and b as well.
+    """
+    total = 0
+    while n > 0:
+        q, a = divmod(a, m)
+        total += q * (n * (n - 1) // 2)
+        q, b = divmod(b, m)
+        total += q * n
+        # what is left counts lattice points under a line of slope a/m < 1;
+        # swapping the axes turns it into slope m/a
+        y_max = a * n + b
+        if y_max < m:
+            break
+        n, b = divmod(y_max, m)
+        m, a = a, m
+    return total
 
 
-def translate_counts(action: TranslationAction, n_box: int,
-                     method: str = "auto") -> TranslateCount:
+def _clamped_floor_sum(n: int, m: int, a: int, b: int, lo: int, hi: int) -> int:
+    """sum_{i=0}^{n-1} min(max(floor((a*i + b) / m), lo), hi) for a, m >= 1.
+
+    The terms are nondecreasing in i, so they sit at ``lo`` up to one
+    breakpoint and at ``hi`` from another; a floor sum covers the middle.
+    """
+    def first(t):
+        # least i in [0, n] with floor((a*i + b) / m) >= t, i.e. a*i >= t*m - b
+        return min(max(-((b - t * m) // a), 0), n)
+
+    i_lo, i_hi = first(lo), first(hi + 1)
+    return lo * i_lo + _floor_sum(i_hi - i_lo, m, a, b + a * i_lo) + hi * (n - i_hi)
+
+
+def _translate_count(alpha: float, beta: float, x: float, n_box: int) -> int:
+    """#{(k, l) in [-N, N]^2 : 0 <= x + k*alpha + l*beta < 1}, exactly.
+
+    Floats are dyadic rationals, so over their common denominator D the
+    condition reads 0 <= X + k*A + l*B < D with integers X, A, B.  The
+    substitutions k -> -k and l -> -l map the box onto itself, so take
+    A = -|alpha| D and B = |beta| D; the admissible l then form
+    [ceil((k|A| - X)/B), ceil((k|A| + D - X)/B)).  Clamping both ends to
+    [-N, N + 1] keeps their difference equal to the number of admissible l
+    in the box, and each clamped end is a floor term nondecreasing in k.
+    """
+    if alpha == 0.0 or beta == 0.0:
+        raise ValueError("alpha and beta must be nonzero")
+    n_box = int(n_box)
+    ratios = [float(v).as_integer_ratio() for v in (alpha, beta, x)]
+    den = max(d for _, d in ratios)  # all powers of two
+    a, b, x0 = (num * (den // d) for num, d in ratios)
+    a, b = abs(a), abs(b)
+
+    def clamped_end_sum(c):
+        # sum over k of clamp(ceil((k*a + c) / b)), with i = k + N and
+        # ceil(p / b) = floor((p + b - 1) / b)
+        return _clamped_floor_sum(2 * n_box + 1, b, a, c - n_box * a + b - 1,
+                                  -n_box, n_box + 1)
+
+    return clamped_end_sum(den - x0) - clamped_end_sum(-x0)
+
+
+def translate_counts(action: TranslationAction, n_box: int) -> TranslateCount:
     """Orbit points of the (2N+1)^2 box landing in [0, 1), and count/(2N+1).
 
-    method "float" uses the compiled/NumPy kernel; "exact" counts with
-    rational arithmetic on the exact binary values of the inputs; "auto"
-    picks float until N * max translation magnitude crosses
-    FLOAT_PRECISION_LIMIT, then warns and goes exact.
+    The count is exact on the binary values of alpha, beta and x at every
+    N, and takes O(log N) big-integer steps.
     """
     if n_box < 0:
         raise ValueError("box radius must be >= 0")
-    scale = max(abs(action.alpha), abs(action.beta), abs(action.x))
-    if method == "auto":
-        if n_box * scale >= FLOAT_PRECISION_LIMIT:
-            warnings.warn(
-                f"N*|alpha| = {n_box * scale:.3g} approaches float64 "
-                "resolution of the unit window; switching to exact rational "
-                "counting", PrecisionWarning, stacklevel=2)
-            method = "exact"
-        else:
-            method = "float"
-    if method == "float":
-        count = kernels.translate_count(action.alpha, action.beta, action.x, n_box)
-    elif method == "exact":
-        count = _translate_count_exact(action.alpha, action.beta, action.x, n_box)
-    else:
-        raise ValueError(f"unknown method {method!r}")
-    return TranslateCount(int(count), count / (2 * n_box + 1))
+    count = _translate_count(action.alpha, action.beta, action.x, n_box)
+    return TranslateCount(count, count / (2 * n_box + 1))
 
 
 @dataclass(frozen=True)
@@ -195,7 +222,7 @@ def walk_sample(f: LifetimeDistribution, seed, J: int) -> WalkSample:
     fwd = f.sample(rng, J)
     bwd = f.sample(rng, J)
     for block in (fwd, bwd):
-        if float(block.astype(np.float64).sum()) >= 4.0e18:
+        if float(block.astype(np.float64).sum()) >= INT64_SUM_LIMIT:
             raise CoverageError("walk partial sums would overflow int64")
     return WalkSample(f, J, fwd, bwd, np.cumsum(fwd), np.cumsum(bwd))
 

@@ -81,11 +81,6 @@ def invert_scaling(a: ScalingSequence, y, horizon: int = 2 ** 62) -> int:
     return hi
 
 
-def _ratio(num, den):
-    # int/int division handles values beyond float range correctly
-    return num / den
-
-
 @dataclass(frozen=True)
 class ERRow:
     p: int
@@ -149,7 +144,8 @@ def er_diagnostic(a: ScalingSequence, p_values: Sequence[int],
             a_pn = a(p * n)
             if a_n <= 0 or a_pn <= 0:
                 raise ValueError(f"{a.name}: nonpositive value in table at n={n}")
-            r = _ratio(a_pn, p * a_n)
+            # int/int division handles values beyond float range correctly
+            r = a_pn / (p * a_n)
             rows.append(ERRow(p, n, float(a_n), float(a_pn), r))
             dev = max(r, 1.0 / r)
             devs.append(dev)

@@ -11,27 +11,51 @@ trimmed-sum Monte Carlo.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
+from fractions import Fraction
 from typing import Sequence
 
 import numpy as np
-from scipy import fft as sfft
-from scipy.special import digamma
 
-from .errors import ConfigError, SamplingHorizonError, ScalingHorizonError
-from .regvar import ScalingSequence
+from .errors import ConfigError, SamplingHorizonError
+from .regvar import ScalingSequence, invert_scaling
 from .streams import normalize, spawn
 
 EULER_GAMMA = float(np.euler_gamma)
 
 # Direct O(n^2) recursion up to here; spectral inversion beyond (see
-# renewal_sequence).  2**15 keeps the direct path under a second even on
-# the pure-Python kernel backend.
+# renewal_sequence).  At 2**15 the direct NumPy recursion takes 0.5-0.7 s.
 DIRECT_RECURSION_LIMIT = 2 ** 15
 
 _INT64_VALUE_LIMIT = 2 ** 62
-_INT64_SUM_LIMIT = 4.0e18
+# a float sum of int64 draws at or above this may overflow its int64 cumsum
+INT64_SUM_LIMIT = 4.0e18
+
+
+# -- harmonic numbers -------------------------------------------------------
+
+_HARMONIC_EXACT = 64
+_HARMONIC_TABLE = tuple(float(h) for h in itertools.accumulate(
+    (Fraction(1, k) for k in range(1, _HARMONIC_EXACT + 1)), initial=Fraction(0)))
+# B_2k / (2k) for k = 1..4; beyond n = 64 the next term is below 1e-19
+_HARMONIC_SERIES = (1.0 / 12.0, -1.0 / 120.0, 1.0 / 252.0, -1.0 / 240.0)
+
+
+def _harmonic_number(n: int) -> float:
+    """H_n = 1 + 1/2 + ... + 1/n, within about one ulp for 0 <= n <= 2**62.
+
+    Exact rational sums, rounded once, up to n = 64; beyond, the asymptotic
+    series ln n + gamma + 1/(2n) - sum_k B_2k / (2k n^2k).
+    """
+    if n <= _HARMONIC_EXACT:
+        return _HARMONIC_TABLE[n]
+    x = float(n)
+    r = 1.0 / (x * x)
+    c1, c2, c3, c4 = _HARMONIC_SERIES
+    tail = r * (c1 + r * (c2 + r * (c3 + r * c4)))
+    return math.log(x) + (EULER_GAMMA + (0.5 / x - tail))
 
 
 class LifetimeDistribution:
@@ -161,7 +185,7 @@ class Harmonic(LifetimeDistribution):
         return 1.0 / n
 
     def truncated_mean(self, n: int) -> float:
-        return float(digamma(float(n) + 1.0)) + EULER_GAMMA
+        return _harmonic_number(n)
 
     @property
     def mean(self) -> float:
@@ -214,7 +238,7 @@ class PowerTail(LifetimeDistribution):
 
     def truncated_mean(self, n: int) -> float:
         if self.gamma == 1.0:
-            return float(digamma(float(n) + 1.0)) + EULER_GAMMA
+            return _harmonic_number(n)
         self._ensure_table()
         if n <= self._TABLE_SIZE:
             return float(self._table[n - 1])
@@ -333,11 +357,39 @@ class RenewalSequence:
                                domain_max=self.n_max)
 
 
+def _renewal_direct(mass: np.ndarray, n_max: int) -> np.ndarray:
+    """Renewal recursion u_0 = 1, u_n = sum_{k=1..n} mass[k] u_{n-k}.
+
+    ``mass[0]`` is ignored and ``mass`` must reach index n_max.
+    """
+    if mass.shape[0] < n_max + 1:
+        raise ValueError("mass array shorter than n_max + 1")
+    u = np.empty(n_max + 1, dtype=np.float64)
+    u[0] = 1.0
+    for n in range(1, n_max + 1):
+        u[n] = np.dot(mass[1:n + 1], u[n - 1::-1])
+    return u
+
+
+def _next_fast_len(n: int) -> int:
+    """Least 2^i 3^j 5^k >= n, a fast real FFT length (n >= 1)."""
+    best = 1 << (n - 1).bit_length()
+    p5 = 1
+    while p5 < best:
+        p35 = p5
+        while p35 < best:
+            # p35 times the least power of two that reaches n
+            best = min(best, p35 << max(-(-n // p35) - 1, 0).bit_length())
+            p35 *= 3
+        p5 *= 5
+    return best
+
+
 def _poly_mul_trunc(a: np.ndarray, b: np.ndarray, n: int) -> np.ndarray:
-    size = sfft.next_fast_len(len(a) + len(b) - 1, real=True)
-    fa = sfft.rfft(a, size)
-    fb = sfft.rfft(b, size)
-    return sfft.irfft(fa * fb, size)[:n]
+    size = _next_fast_len(len(a) + len(b) - 1)
+    fa = np.fft.rfft(a, size)
+    fb = np.fft.rfft(b, size)
+    return np.fft.irfft(fa * fb, size)[:n]
 
 
 def _renewal_fft(mass: np.ndarray, n_max: int) -> np.ndarray:
@@ -363,8 +415,10 @@ def renewal_sequence(f: LifetimeDistribution, n_max: int,
 
     method "direct" runs the convolution recursion (the reference path,
     quadratic); "fft" inverts the mass generating function spectrally,
-    O(n log n), accurate to ~1e-13 and cross-checked against the direct
-    path in the tests; "auto" picks direct up to DIRECT_RECURSION_LIMIT.
+    O(n log n), and is cross-checked against the direct path in the tests:
+    for geometric:0.7 its largest |u_n - 0.7| is 7.6e-12 at n = 2**18 and
+    4.4e-11 at n = 2**20.  "auto" picks direct up to DIRECT_RECURSION_LIMIT.
+    Both paths accumulate a_u in long double.
     """
     if n_max < 0:
         raise ValueError("n_max must be >= 0")
@@ -372,16 +426,15 @@ def renewal_sequence(f: LifetimeDistribution, n_max: int,
         method = "direct" if n_max <= DIRECT_RECURSION_LIMIT else "fft"
     mass = f.masses(n_max)
     if method == "direct":
-        from .kernels import renewal_convolve
-        u, a_u = renewal_convolve(mass, n_max)
+        u = _renewal_direct(mass, n_max)
     elif method == "fft":
         u = _renewal_fft(mass, n_max)
-        a_u = np.empty(n_max + 1)
-        a_u[0] = 0.0
-        if n_max:
-            a_u[1:] = np.cumsum(u[1:], dtype=np.longdouble).astype(np.float64)
     else:
         raise ValueError(f"unknown method {method!r}")
+    a_u = np.empty(n_max + 1)
+    a_u[0] = 0.0
+    if n_max:
+        a_u[1:] = np.cumsum(u[1:], dtype=np.longdouble).astype(np.float64)
     return RenewalSequence(f, u, a_u, method)
 
 
@@ -393,8 +446,8 @@ class TruncatedMeanScaling:
 
     All three take integer arguments; a is nondecreasing because L(n)/n
     averages the nonincreasing tail.  b(y) is the least integer t with
-    a(t) >= y, found by exponential search plus bisection, and errors if y
-    is not reached by the horizon.
+    a(t) >= y (regvar.invert_scaling), and errors if y is not reached by
+    the horizon.
     """
 
     f: LifetimeDistribution
@@ -409,29 +462,10 @@ class TruncatedMeanScaling:
         return n / self.L(n)
 
     def b(self, y) -> int:
-        if self.a(1) >= y:
-            return 1
-        hi = 1
-        while self.a(hi) < y:
-            if hi >= self.horizon:
-                raise ScalingHorizonError(
-                    f"a({hi}) = {self.a(hi)} < {y} at the search horizon "
-                    f"for {self.f.label}")
-            hi = min(hi * 2, self.horizon)
-        lo = hi // 2
-        while lo + 1 < hi:
-            mid = (lo + hi) // 2
-            if self.a(mid) >= y:
-                hi = mid
-            else:
-                lo = mid
-        return hi
+        return invert_scaling(self.as_scaling(), y, self.horizon)
 
     def as_scaling(self) -> ScalingSequence:
         return ScalingSequence(self.a, name=f"tm[{self.f.label}]")
-
-    def length_scaling(self) -> ScalingSequence:
-        return ScalingSequence(self.L, name=f"L[{self.f.label}]")
 
 
 def truncated_mean_scaling(f: LifetimeDistribution,
@@ -510,7 +544,6 @@ def dyadic_tail_series(f: LifetimeDistribution, scaling: ScalingSequence,
     b is the generalized inverse of the scaling (n/L(n) based or an
     empirical renewal prefix sum); horizon errors propagate.
     """
-    from .regvar import invert_scaling
     if t <= 0:
         raise ValueError("t must be positive")
     if n_max < 1:
@@ -543,7 +576,7 @@ class InterarrivalSample:
     @classmethod
     def draw(cls, f: LifetimeDistribution, n: int, rng) -> "InterarrivalSample":
         nu = f.sample(normalize(rng), n)
-        if float(nu.astype(np.float64).sum()) >= _INT64_SUM_LIMIT:
+        if float(nu.astype(np.float64).sum()) >= INT64_SUM_LIMIT:
             raise SamplingHorizonError(
                 "partial sums would overflow int64; reduce n or lighten the tail")
         return cls(nu, np.cumsum(nu), np.maximum.accumulate(nu))

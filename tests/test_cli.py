@@ -54,6 +54,18 @@ def test_translate_golden_example(tmp_path):
     assert rows[0]["count"] == "1"
 
 
+def test_translate_exact_flag_is_noop(tmp_path):
+    # a float strip count misses orbit points on the window edge here
+    args = ["translate", "--alpha=-2.2", "--beta=-0.3", "--x", "0.1",
+            "--grid", "dyadic:0:3"]
+    assert run_cli(args, tmp_path, "plain")[0] == 0
+    assert run_cli([*args, "--exact"], tmp_path, "exact")[0] == 0
+    _, plain = read_table(tmp_path / "plain" / "translate.csv")
+    _, exact = read_table(tmp_path / "exact" / "translate.csv")
+    assert plain == exact
+    assert [r["count"] for r in plain] == ["2", "3", "4", "8"]
+
+
 # -- other subcommands -----------------------------------------------------------
 
 

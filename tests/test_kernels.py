@@ -1,59 +1,32 @@
-"""Compiled kernels against their pure-Python twins."""
+"""Numeric kernels: exact floor-sum orbit counting, harmonic numbers, FFT lengths."""
+
+import itertools
+import math
+import os
+import subprocess
+import sys
+from decimal import Decimal, localcontext
+from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from ergosum import _pykernels
-from ergosum import kernels
+import ergosum
+from ergosum import lattice as lt
+from ergosum import renewal as rn
 
 
-def _has_compiled():
-    return kernels.BACKEND == "compiled"
+# -- floor-sum orbit counting ----------------------------------------------------
 
 
-def test_backend_importable():
-    assert kernels.BACKEND in ("compiled", "python")
-
-
-def test_renewal_convolve_matches_fallback():
-    rng = np.random.default_rng(0)
-    masses = rng.dirichlet(np.ones(40))
-    mass = np.zeros(41)
-    mass[1:] = masses
-    u1, a1 = kernels.renewal_convolve(mass, 40)
-    u2, a2 = _pykernels.renewal_convolve(mass, 40)
-    np.testing.assert_allclose(u1, u2, rtol=0, atol=1e-13)
-    np.testing.assert_allclose(a1, a2, rtol=0, atol=1e-12)
-
-
-def test_renewal_convolve_geometric_exact_half():
-    n = 4096
-    mass = np.zeros(n + 1)
-    mass[1:] = 0.5 ** np.arange(1, n + 1)
-    for impl in ({kernels, _pykernels} if _has_compiled() else {_pykernels}):
-        u, a_u = impl.renewal_convolve(mass, n)
-        assert u[0] == 1.0
-        assert np.all(u[1:] == 0.5)
-        assert a_u[n] == pytest.approx(n / 2, abs=1e-9)
-
-
-def test_renewal_convolve_rejects_short_mass():
-    with pytest.raises(ValueError):
-        kernels.renewal_convolve(np.zeros(3), 10)
-
-
-@pytest.mark.skipif(not _has_compiled(), reason="compiled backend not built")
-def test_translate_count_exact_agreement():
-    from ergosum import _ext
-
-    rng = np.random.default_rng(7)
-    for _ in range(60):
-        alpha = rng.uniform(-4, 4)
-        beta = rng.choice([-1.0, 1.0]) * rng.uniform(0.2, 3.0)
-        x = rng.uniform(-1, 2)
-        n_box = int(rng.integers(0, 400))
-        assert _ext.translate_count(alpha, beta, x, n_box) == \
-            _pykernels.translate_count(alpha, beta, x, n_box)
+def test_floor_sum_matches_naive_sum():
+    rng = np.random.default_rng(11)
+    for _ in range(500):
+        n = int(rng.integers(0, 40))
+        m = int(rng.integers(1, 30))
+        a, b = (int(v) for v in rng.integers(-100, 100, size=2))
+        assert lt._floor_sum(n, m, a, b) == sum((a * i + b) // m for i in range(n))
 
 
 def test_translate_count_brute_force():
@@ -66,9 +39,78 @@ def test_translate_count_brute_force():
         ks = np.arange(-n_box, n_box + 1, dtype=np.float64)
         vals = (x + ks[:, None] * alpha) + ks[None, :] * beta
         brute = int(np.count_nonzero((vals >= 0.0) & (vals < 1.0)))
-        assert kernels.translate_count(alpha, beta, x, n_box) == brute
+        assert lt._translate_count(alpha, beta, x, n_box) == brute
 
 
 def test_translate_count_rejects_zero_beta():
     with pytest.raises(ValueError):
-        kernels.translate_count(1.0, 0.0, 0.0, 5)
+        lt._translate_count(1.0, 0.0, 0.0, 5)
+
+
+# -- harmonic numbers --------------------------------------------------------------
+
+# Euler's constant to 50 digits
+_GAMMA = Decimal("0.57721566490153286060651209008240243104215933593992")
+# Bernoulli numbers B_2 .. B_14
+_BERNOULLI = (Fraction(1, 6), Fraction(-1, 30), Fraction(1, 42), Fraction(-1, 30),
+              Fraction(5, 66), Fraction(-691, 2730), Fraction(7, 6))
+
+
+def _harmonic_oracle(n):
+    """H_n to 40 digits from the asymptotic series (n > 2000: error < 1e-80)."""
+    with localcontext() as ctx:
+        ctx.prec = 40
+        d = Decimal(n)
+        total = d.ln() + _GAMMA + 1 / (2 * d)
+        for k, b in enumerate(_BERNOULLI, start=1):
+            total -= Decimal(b.numerator) / (Decimal(b.denominator) * 2 * k * d ** (2 * k))
+        return Fraction(total)
+
+
+def _ulps(value, exact):
+    return abs(Fraction(value) - exact) / Fraction(math.ulp(float(exact)))
+
+
+def test_harmonic_exact_sums():
+    harmonic, power_one = rn.Harmonic(), rn.PowerTail(1.0)
+    exact = Fraction(0)
+    for n in range(1, 2001):
+        exact += Fraction(1, n)
+        value = harmonic.truncated_mean(n)
+        assert _ulps(value, exact) <= 2, n
+        assert power_one.truncated_mean(n) == value
+
+
+def test_harmonic_decimal_oracle():
+    harmonic, power_one = rn.Harmonic(), rn.PowerTail(1.0)
+    rng = np.random.default_rng(13)
+    ns = [2001, 2 ** 62] + [int(2 ** e) for e in rng.uniform(11, 62, size=400)]
+    for n in ns:
+        value = harmonic.truncated_mean(n)
+        assert _ulps(value, _harmonic_oracle(n)) <= 2, n
+        assert power_one.truncated_mean(n) == value
+
+
+# -- FFT lengths and dependencies ------------------------------------------------------
+
+
+def test_next_fast_len_is_least_5_smooth():
+    def smooth(m):
+        for p in (2, 3, 5):
+            while m % p == 0:
+                m //= p
+        return m == 1
+
+    for n in range(1, 3001):
+        assert rn._next_fast_len(n) == next(m for m in itertools.count(n) if smooth(m))
+
+
+def test_cli_import_leaves_scipy_unloaded():
+    src = str(Path(ergosum.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    code = ("import sys, ergosum.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True, timeout=120)
+    assert out.stdout.strip() == "[]"

@@ -2,6 +2,7 @@
 
 import math
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -18,6 +19,25 @@ def _action(alpha, beta=1.0, x=0.0):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", PrecisionWarning)
         return lt.TranslationAction(alpha=alpha, beta=beta, x=x)
+
+
+def _translate_count_oracle(alpha, beta, x, n_box):
+    """O(N) strip count in exact rationals on the binary values of the inputs."""
+    a, b, x0 = Fraction(alpha), Fraction(beta), Fraction(x)
+    count = 0
+    for k in range(-n_box, n_box + 1):
+        t = x0 + k * a
+        if b > 0:
+            lo = math.ceil(-t / b)
+            hi = math.ceil((1 - t) / b) - 1
+        else:
+            lo = math.floor((1 - t) / b) + 1
+            hi = math.floor(-t / b)
+        lo = max(lo, -n_box)
+        hi = min(hi, n_box)
+        if hi >= lo:
+            count += hi - lo + 1
+    return count
 
 
 # -- translation action ---------------------------------------------------------
@@ -72,27 +92,26 @@ def test_translate_per_k_at_most_one():
 
 def test_translate_golden_density():
     act = _action(PHI, x=0.3)
-    res = lt.translate_counts(act, 10 ** 5)
-    assert abs(res.ratio - 1 / PHI) <= 0.01
+    for n_box, tol in ((10 ** 5, 0.01), (2 ** 40, 1e-9), (2 ** 62, 1e-9)):
+        res = lt.translate_counts(act, n_box)
+        assert abs(res.ratio - 1 / PHI) <= tol, n_box
 
 
 def test_translate_exact_path_agrees():
-    rng = np.random.default_rng(8)
-    for _ in range(10):
-        act = _action(rng.uniform(-3, 3), beta=float(rng.choice([-1.0, 1.0])),
-                      x=rng.uniform(0, 1))
-        n_box = int(rng.integers(1, 120))
-        fast = lt.translate_counts(act, n_box, method="float").count
-        exact = lt.translate_counts(act, n_box, method="exact").count
-        assert fast == exact
-
-
-def test_translate_precision_switch_warns(monkeypatch):
-    monkeypatch.setattr(lt, "FLOAT_PRECISION_LIMIT", 10.0)
-    act = _action(PHI, x=0.3)
-    with pytest.warns(PrecisionWarning):
-        res = lt.translate_counts(act, 50)
-    assert res.count == lt.translate_counts(act, 50, method="exact").count
+    rng = np.random.default_rng(12)
+    # dyadic and short decimal parameters put orbit points on the window
+    # edges, where only exact arithmetic decides
+    alphas = (1.5, -0.5, 2.0, 0.1, -2.2, 0.75)
+    betas = (1.0, -1.0, 0.5, -0.25, 0.3, -0.3)
+    for case in range(1200):
+        alpha = alphas[case % 6] if case % 3 == 0 else rng.uniform(-4, 4)
+        beta = betas[case % 6] if case % 4 == 0 else \
+            float(rng.choice([-1.0, 1.0])) * rng.uniform(0.05, 3.0)
+        x = rng.choice([0.0, 0.5, 0.1]) if case % 5 == 0 else rng.uniform(-2, 2)
+        n_box = 0 if case % 10 == 0 else int(rng.integers(1, 40))
+        count = lt.translate_counts(_action(alpha, beta, x), n_box).count
+        assert count == _translate_count_oracle(alpha, beta, x, n_box), \
+            (alpha, beta, x, n_box)
 
 
 def test_translate_validation():
@@ -101,8 +120,6 @@ def test_translate_validation():
     act = _action(PHI)
     with pytest.raises(ValueError):
         lt.translate_counts(act, -1)
-    with pytest.raises(ValueError):
-        lt.translate_counts(act, 5, method="mystery")
 
 
 # -- walk samples -----------------------------------------------------------------

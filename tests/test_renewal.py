@@ -118,6 +118,19 @@ def test_renewal_geometric_exact():
     assert seq.a_u[10 ** 4] == pytest.approx(5000.0, abs=1e-9)
 
 
+def test_direct_recursion_geometric_exact_half():
+    n = 4096
+    seq = rn.renewal_sequence(rn.Geometric(0.5), n, method="direct")
+    assert seq.u[0] == 1.0
+    assert np.all(seq.u[1:] == 0.5)
+    assert seq.a_u[n] == pytest.approx(n / 2, abs=1e-9)
+
+
+def test_direct_recursion_rejects_short_mass():
+    with pytest.raises(ValueError):
+        rn._renewal_direct(np.zeros(3), 10)
+
+
 def test_renewal_half_half_prefix():
     seq = rn.renewal_sequence(rn.FiniteSupport([(1, 0.5), (2, 0.5)]), 30)
     np.testing.assert_allclose(seq.u[:5], [1.0, 0.5, 0.75, 0.625, 0.6875],
