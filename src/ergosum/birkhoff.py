@@ -22,7 +22,7 @@ from typing import Sequence
 
 from .errors import InvariantViolationError
 from .lattice import WalkSample, walk_visits
-from .rankone import NameSampler, window_counts
+from .rankone import DEFAULT_DEPTH_CAP, NameSampler, window_counts
 from .regvar import ScalingSequence
 
 CENTER_CONVENTION = "center counted once, shared by s_plus and s_minus"
@@ -64,13 +64,12 @@ class BirkhoffSeries:
 
 
 def series_from_name(sampler: NameSampler, checkpoints: Sequence[int],
-                     depth_cap: int | None = None) -> BirkhoffSeries:
+                     depth_cap: int = DEFAULT_DEPTH_CAP) -> BirkhoffSeries:
     """Counts from a symbolic name at each checkpoint radius."""
     cps = tuple(int(n) for n in checkpoints)
-    kwargs = {} if depth_cap is None else {"depth_cap": depth_cap}
     s_plus, s_minus, sigma = [], [], []
     for n in cps:
-        w = window_counts(sampler, n, **kwargs)
+        w = window_counts(sampler, n, depth_cap)
         s_plus.append(w.s_plus)
         s_minus.append(w.s_minus)
         sigma.append(w.sigma)

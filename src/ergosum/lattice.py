@@ -72,7 +72,7 @@ class TranslationAction:
                    f"rational {ratio}; orbit-density limits do not apply")
             if self.strict:
                 raise ConfigError(msg)
-            warnings.warn(msg, PrecisionWarning, stacklevel=2)
+            warnings.warn(msg, PrecisionWarning, stacklevel=3)
 
     @property
     def alpha_normalized(self) -> float:

@@ -9,15 +9,18 @@ B_n, then S_{n,c_n} spacers.
 
 Occupation counts over windows of astronomical radius never materialize a
 word: they come from per-level prefix counts computed down the block
-structure, O(levels * max c) per query with arbitrary-precision offsets.
+structure, one bisection over a stage's block starts per level, with
+arbitrary-precision offsets.
 """
 
 from __future__ import annotations
 
 import json
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from importlib import resources
+from itertools import accumulate
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -150,121 +153,73 @@ def load_preset(name: str) -> ConstructionData:
 class Tower:
     """Lazily extended tower bookkeeping for one construction.
 
-    Maintains exact heights q_n, cut products C_n, resolved spacer rows,
-    spacer mass partial sums, and memoized per-level prefix counts.  Safe
-    to share between samplers of the same construction: everything here is
-    append-only and derived deterministically from the data.
+    Each stage is resolved once into plain lists: exact heights q_n, cut
+    products C_n, resolved spacer rows, spacer mass partial sums, and the
+    block starts of the stage.  Prefix counts descend one level per step
+    by bisection over those starts.  Samplers extend their tower lazily,
+    so each sampler owns one.
     """
 
     _SMALL_WORD_LIMIT = 4096
 
     def __init__(self, data: ConstructionData):
         self.data = data
-        self._c: list[int] = []            # c_n, stage n = index + 1
-        self._spacers: list[tuple[int, ...]] = []
-        self._q: list[int] = [1]           # q_n, level n = index + 1
-        self._cut_product: list[int] = []  # C_n
-        self._mass: list[Fraction] = []    # sum_{m<=n} (1/C_m) sum_k S_{m,k}
-        self._prefix_memo: dict[tuple[int, int], int] = {}
+        self._q: list[int] = [1]            # q_n, level n = index + 1
+        self._cut_product: list[int] = [1]  # C_n, n = index: base count of level n + 1
+        self._mass: list[Fraction] = [Fraction(0)]  # sum_{m<=n} (1/C_m) sum_k S_{m,k}
+        self._spacers: list[tuple[int, ...]] = []   # stage n = index + 1
+        self._starts: list[tuple[int, ...]] = []    # k*q_n + S_{n,1} + ... + S_{n,k}
         self._small_words: dict[int, np.ndarray] = {}
 
     # -- stage/height access (1-based) --------------------------------
 
     def ensure_stage(self, n: int) -> None:
         """Resolve stages 1..n (and heights q_1..q_{n+1})."""
-        while len(self._c) < n:
-            m = len(self._c) + 1
-            stage = self.data.stage(m)
-            q_m = self._q[m - 1]
-            resolved = tuple(2 * q_m if s == SPACER_TOKEN else s for s in stage.spacers)
-            self._c.append(stage.c)
-            self._spacers.append(resolved)
-            self._q.append(stage.c * q_m + sum(resolved))
-            prev_cut = self._cut_product[-1] if self._cut_product else 1
-            self._cut_product.append(prev_cut * stage.c)
-            prev_mass = self._mass[-1] if self._mass else Fraction(0)
-            self._mass.append(
-                prev_mass + Fraction(sum(resolved), self._cut_product[-1]))
-
-    def ensure_level(self, level: int) -> None:
-        """Resolve enough stages that q_1..q_level exist."""
-        if level >= 2:
-            self.ensure_stage(level - 1)
+        while len(self._spacers) < n:
+            stage = self.data.stage(len(self._spacers) + 1)
+            q_m = self._q[-1]
+            row = tuple(2 * q_m if s == SPACER_TOKEN else s for s in stage.spacers)
+            starts = tuple(accumulate((q_m + s for s in row[:-1]), initial=0))
+            self._spacers.append(row)
+            self._starts.append(starts)
+            self._q.append(starts[-1] + q_m + row[-1])
+            self._cut_product.append(self._cut_product[-1] * stage.c)
+            self._mass.append(self._mass[-1] + Fraction(sum(row), self._cut_product[-1]))
 
     def q(self, level: int) -> int:
-        self.ensure_level(level)
+        self.ensure_stage(level - 1)
         return self._q[level - 1]
-
-    def c(self, stage: int) -> int:
-        self.ensure_stage(stage)
-        return self._c[stage - 1]
 
     def spacers(self, stage: int) -> tuple[int, ...]:
         self.ensure_stage(stage)
         return self._spacers[stage - 1]
 
-    def cut_product(self, stage: int) -> int:
+    def starts(self, stage: int) -> tuple[int, ...]:
+        """Offsets of the c_n copies of B_n inside B_{n+1}."""
         self.ensure_stage(stage)
-        return self._cut_product[stage - 1]
-
-    def spacer_mass(self, stage: int) -> Fraction:
-        self.ensure_stage(stage)
-        return self._mass[stage - 1]
-
-    def base_count(self, level: int) -> int:
-        """Number of base symbols in the level word (C_{level-1}, C_0 = 1)."""
-        return 1 if level == 1 else self.cut_product(level - 1)
+        return self._starts[stage - 1]
 
     # -- hierarchical prefix counting ----------------------------------
 
     def prefix_base_count(self, level: int, j) -> int:
         """Base symbols among the first j positions of the level word.
 
-        Descends one level per iteration; at most c segment steps per
-        level, never materializing anything.
+        Descends one level per step: a bisection over the stage's block
+        starts finds the copy of the lower word that holds position j.
         """
         j = int(j)
         if j < 0 or j > self.q(level):
             raise ValueError(f"prefix index {j} outside level {level} word")
-        key = (level, j)
-        cached = self._prefix_memo.get(key)
-        if cached is not None:
-            return cached
+        q, bases, starts = self._q, self._cut_product, self._starts
         total = 0
-        lev, pos_j = level, j
-        while True:
-            if pos_j <= 0:
-                break
-            if pos_j >= self.q(lev):
-                total += self.base_count(lev)
-                break
-            if lev == 1:
-                # q_1 = 1 and 0 < j < 1 cannot happen; guarded above
-                raise InvariantViolationError("prefix descent reached level 1 interior")
-            stage = lev - 1
-            q_sub = self.q(lev - 1)
-            bases_sub = self.base_count(lev - 1)
-            spacer_row = self.spacers(stage)
-            pos = 0
-            descended = False
-            for k in range(self.c(stage)):
-                nxt = pos + q_sub
-                if pos_j < nxt:
-                    total += k * bases_sub
-                    lev, pos_j = lev - 1, pos_j - pos
-                    descended = True
-                    break
-                pos = nxt + spacer_row[k]
-                if pos_j <= pos:
-                    total += (k + 1) * bases_sub
-                    pos_j = 0
-                    descended = True
-                    break
-            if not descended:
-                raise InvariantViolationError("prefix descent fell off the word")
-            if pos_j == 0:
-                break
-        self._prefix_memo[key] = total
+        while j > 0:
+            if j >= q[level - 1]:
+                return total + bases[level - 1]
+            level -= 1
+            row = starts[level - 1]
+            k = bisect_right(row, j) - 1
+            total += k * bases[level - 1]
+            j -= row[k]
         return total
 
     def symbol_at(self, level: int, j) -> int:
@@ -294,21 +249,16 @@ class Tower:
             if lev == 1:
                 out[off] = BASE
                 continue
-            if self.q(lev) <= self._SMALL_WORD_LIMIT:
+            if self._q[lev - 1] <= self._SMALL_WORD_LIMIT:
                 out[off:off + (b - a)] = self._small_word(lev)[a:b]
                 continue
-            stage = lev - 1
-            q_sub = self.q(lev - 1)
-            spacer_row = self.spacers(stage)
-            pos = 0
-            for k in range(self.c(stage)):
-                seg_a, seg_b = pos, pos + q_sub
-                lo, hi = max(a, seg_a), min(b, seg_b)
-                if lo < hi:
-                    stack.append((lev - 1, lo - seg_a, hi - seg_a, off + (lo - a)))
-                pos = seg_b + spacer_row[k]
-                if pos >= b:
+            q_sub = self._q[lev - 2]
+            for start in self._starts[lev - 2]:
+                if start >= b:
                     break
+                lo, hi = max(a, start), min(b, start + q_sub)
+                if lo < hi:
+                    stack.append((lev - 1, lo - start, hi - start, off + (lo - a)))
         return out
 
 
@@ -330,16 +280,16 @@ class TowerStats:
         return 1 + self.spacer_mass_partial[-1]
 
 
-def tower_stats(data: ConstructionData, n_max: int, tower: Tower | None = None) -> TowerStats:
+def tower_stats(data: ConstructionData, n_max: int) -> TowerStats:
     """Exact heights, cut products, and spacer mass through stage n_max."""
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
-    tower = tower or Tower(data)
+    tower = Tower(data)
     tower.ensure_stage(n_max)
     return TowerStats(
-        q=tuple(tower.q(n) for n in range(1, n_max + 1)),
-        C=tuple(tower.cut_product(n) for n in range(1, n_max + 1)),
-        spacer_mass_partial=tuple(tower.spacer_mass(n) for n in range(1, n_max + 1)),
+        q=tuple(tower._q[:n_max]),
+        C=tuple(tower._cut_product[1:n_max + 1]),
+        spacer_mass_partial=tuple(tower._mass[1:n_max + 1]),
     )
 
 
@@ -378,12 +328,11 @@ def _expand(tower: Tower, n: int) -> np.ndarray:
 
 
 def expand_word(data: ConstructionData, n: int,
-                budget: int = DEFAULT_EXPANSION_BUDGET,
-                tower: Tower | None = None) -> SymbolicWord:
+                budget: int = DEFAULT_EXPANSION_BUDGET) -> SymbolicWord:
     """Materialize the level-n word; errors if q_n exceeds the budget."""
     if n < 1:
         raise ValueError("level must be >= 1")
-    tower = tower or Tower(data)
+    tower = Tower(data)
     height = tower.q(n)
     if height > budget:
         raise ExpansionBudgetError(n, height, budget)
@@ -421,10 +370,9 @@ class NameSampler:
     """
 
     def __init__(self, data: ConstructionData, seed,
-                 choices: Sequence[int] | None = None,
-                 tower: Tower | None = None):
+                 choices: Sequence[int] | None = None):
         self.data = data
-        self.tower = tower or Tower(data)
+        self.tower = Tower(data)
         self._rng = normalize(seed)
         self._forced = list(choices or ())
         self.column_choices: list[int] = []
@@ -443,7 +391,8 @@ class NameSampler:
     def ensure_level(self, level: int) -> None:
         while self.level < level:
             stage = self.level
-            c = self.tower.c(stage)
+            starts = self.tower.starts(stage)
+            c = len(starts)
             if len(self.column_choices) < stage:
                 if self._forced:
                     k = int(self._forced.pop(0))
@@ -453,10 +402,7 @@ class NameSampler:
                     k = int(self._rng.integers(1, c + 1))
                 self.column_choices.append(k)
             k = self.column_choices[stage - 1]
-            q_m = self.tower.q(stage)
-            spacer_row = self.tower.spacers(stage)
-            offset = self._offsets[-1] + (k - 1) * q_m + sum(spacer_row[: k - 1])
-            self._offsets.append(offset)
+            self._offsets.append(self._offsets[-1] + starts[k - 1])
 
     def ensure_window(self, radius: int, depth_cap: int = DEFAULT_DEPTH_CAP) -> int:
         """Extend levels until [center-radius, center+radius] sits inside the word.
@@ -496,30 +442,28 @@ def window_counts(sampler: NameSampler, radius: int,
     """Base occurrences in [-radius, -1], {0}, [1, radius] around the center."""
     lev = sampler.ensure_window(radius, depth_cap)
     off = sampler.center_offset(lev)
-    tower = sampler.tower
-    at_center = tower.prefix_base_count(lev, off + 1) - tower.prefix_base_count(lev, off)
-    if at_center != 1:
+    prefix = sampler.tower.prefix_base_count
+    before, after = prefix(lev, off), prefix(lev, off + 1)
+    if after - before != 1:
         raise InvariantViolationError(
             f"center symbol at level {lev} offset {off} is not base")
-    left = tower.prefix_base_count(lev, off) - tower.prefix_base_count(lev, off - radius)
-    right = tower.prefix_base_count(lev, off + radius + 1) - tower.prefix_base_count(lev, off + 1)
-    return WindowCounts(left, 1, right)
+    return WindowCounts(before - prefix(lev, off - radius), 1,
+                        prefix(lev, off + radius + 1) - after)
 
 
-def rank_one_scaling(data: ConstructionData, tower: Tower | None = None) -> ScalingSequence:
+def rank_one_scaling(data: ConstructionData) -> ScalingSequence:
     """Step-function normalizer: a(n) = C_v on q_v <= n < q_{v+1}.
 
     Nondecreasing and right-continuous in n; values are exact integers.
     """
-    tower = tower or Tower(data)
+    tower = Tower(data)
 
     def query(n: int) -> int:
         if n < 1:
             raise ValueError("scaling index must be >= 1")
-        level = 1
-        while tower.q(level + 1) <= n:
-            level += 1
-        return tower.cut_product(level)
+        while tower._q[-1] <= n:
+            tower.ensure_stage(len(tower._spacers) + 1)
+        return tower._cut_product[bisect_right(tower._q, n)]
 
     return ScalingSequence(query, name=f"rankone[{data.name or 'custom'}]")
 

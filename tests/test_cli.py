@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 
 from ergosum import cli
+from ergosum.errors import PrecisionWarning
 
 
 def run_cli(args, tmp_path, name="out"):
@@ -28,8 +29,9 @@ def read_table(path):
 
 
 def test_rank_one_radius_example(tmp_path):
-    code, out = run_cli(["rank-one", "--preset", "chacon", "--radius", "13",
-                         "--seeds", "1"], tmp_path)
+    with pytest.warns(UserWarning, match="beta_lower_hat"):
+        code, out = run_cli(["rank-one", "--preset", "chacon", "--radius", "13",
+                             "--seeds", "1"], tmp_path)
     assert code == 0
     _, rows = read_table(out / "series_000.csv")
     assert len(rows) == 1
@@ -58,8 +60,10 @@ def test_translate_exact_flag_is_noop(tmp_path):
     # a float strip count misses orbit points on the window edge here
     args = ["translate", "--alpha=-2.2", "--beta=-0.3", "--x", "0.1",
             "--grid", "dyadic:0:3"]
-    assert run_cli(args, tmp_path, "plain")[0] == 0
-    assert run_cli([*args, "--exact"], tmp_path, "exact")[0] == 0
+    with pytest.warns(PrecisionWarning):
+        assert run_cli(args, tmp_path, "plain")[0] == 0
+    with pytest.warns(PrecisionWarning):
+        assert run_cli([*args, "--exact"], tmp_path, "exact")[0] == 0
     _, plain = read_table(tmp_path / "plain" / "translate.csv")
     _, exact = read_table(tmp_path / "exact" / "translate.csv")
     assert plain == exact
@@ -120,8 +124,9 @@ def test_construction_data_file(tmp_path):
     doc = {"stages": [{"c": 2, "spacers": [0, "2q"]}], "repeat_from": 0}
     data_file = tmp_path / "heavy.json"
     data_file.write_text(json.dumps(doc))
-    code, out = run_cli(["rank-one", "--data", str(data_file), "--radius", "16",
-                         "--seeds", "1"], tmp_path)
+    with pytest.warns(UserWarning, match="beta_lower_hat"):
+        code, out = run_cli(["rank-one", "--data", str(data_file), "--radius", "16",
+                             "--seeds", "1"], tmp_path)
     assert code == 0
     _, rows = read_table(out / "series_000.csv")
     assert 4 <= int(rows[0]["sigma"]) <= 12  # level-3 bracket for heavy spacers

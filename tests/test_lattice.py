@@ -52,8 +52,9 @@ def test_action_normalization_and_ratio():
 
 
 def test_rational_ratio_detection():
-    with pytest.warns(PrecisionWarning):
+    with pytest.warns(PrecisionWarning) as record:
         lt.TranslationAction(alpha=1.5, beta=1.0)
+    assert [w.filename for w in record] == [__file__]  # names the caller
     with pytest.raises(ConfigError):
         lt.TranslationAction(alpha=1.5, beta=1.0, strict=True)
     with warnings.catch_warnings():

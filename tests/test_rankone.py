@@ -114,6 +114,28 @@ def test_tower_recursion_random(stage_specs):
         q = st_n.c * q + sum(st_n.spacers)
 
 
+@settings(max_examples=40, deadline=None)
+@given(st.lists(st.tuples(st.integers(2, 4),
+                          st.lists(st.sampled_from((0, 1, 2, rk.SPACER_TOKEN)),
+                                   min_size=4, max_size=4)),
+                min_size=1, max_size=3))
+def test_prefix_count_every_index(stage_specs):
+    # every block start, block end and spacer interior of each level word
+    stages = tuple(rk.Stage(c, tuple(sp[:c])) for c, sp in stage_specs)
+    data = rk.ConstructionData(stages, repeat_from=0)
+    tower = rk.Tower(data)
+    level = 1
+    while tower.q(level) <= 2000:
+        word = rk.expand_word(data, level).symbols
+        want = [0, *np.cumsum(word, dtype=np.int64).tolist()]
+        assert [tower.prefix_base_count(level, j) for j in range(len(want))] == want
+        level += 1
+    with pytest.raises(ValueError):
+        tower.prefix_base_count(level, tower.q(level) + 1)
+    with pytest.raises(ValueError):
+        tower.prefix_base_count(level, -1)
+
+
 # -- words ---------------------------------------------------------------------
 
 
@@ -267,12 +289,14 @@ def test_rank_one_scaling_monotone_step(presets):
         sc = rk.rank_one_scaling(data)
         values = [sc(n) for n in range(1, 200)]
         assert all(b >= a for a, b in zip(values, values[1:]))
-        ts = rk.tower_stats(data, 6)
-        for nu in range(1, 6):
+        ts = rk.tower_stats(data, 64)
+        levels = [nu for nu in range(1, 64) if ts.q[nu] <= 2 ** 62]
+        assert len(levels) >= 31  # heavy2q, the fastest-growing preset, has 31
+        for nu in levels:
             # right-continuous step: jumps exactly at the tower heights
             assert sc(ts.q[nu - 1]) == ts.C[nu - 1]
-            if ts.q[nu] - 1 >= ts.q[nu - 1]:
-                assert sc(ts.q[nu] - 1) == ts.C[nu - 1]
+            assert sc(ts.q[nu] - 1) == ts.C[nu - 1]
+            assert sc(ts.q[nu]) == ts.C[nu]
 
 
 def test_scaling_sandwich(presets):
