@@ -206,7 +206,7 @@ def run_renewal(cfg: ExperimentConfig):
     f = parse_distribution(cfg.params["dist"])
     n_max = int(cfg.params["n"])
     seq = renewal.renewal_sequence(f, n_max)
-    rows = [(n, float(seq.u[n]), float(seq.a_u[n])) for n in range(n_max + 1)]
+    rows = list(zip(range(n_max + 1), seq.u.tolist(), seq.a_u.tolist()))
     return [("renewal", ("n", "u", "a_u"), rows)]
 
 
@@ -214,9 +214,8 @@ def run_queen(cfg: ExperimentConfig):
     f = parse_distribution(cfg.params["dist"])
     n_max = int(cfg.params["n"])
     qs = renewal.queen_series(f, n_max)
-    rows = [(n + 1, float(qs.tails[n]), float(qs.lengths[n]),
-             float(qs.terms[n]), float(qs.partial_sums[n]))
-            for n in range(n_max)]
+    rows = list(zip(range(1, n_max + 1), qs.tails.tolist(), qs.lengths.tolist(),
+                    qs.terms.tolist(), qs.partial_sums.tolist()))
     return [("queen", ("n", "tail", "L", "term", "Q"), rows)]
 
 

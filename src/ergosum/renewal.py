@@ -26,7 +26,8 @@ from .streams import normalize, spawn
 EULER_GAMMA = float(np.euler_gamma)
 
 # Direct O(n^2) recursion up to here; spectral inversion beyond (see
-# renewal_sequence).  At 2**15 the direct NumPy recursion takes 0.5-0.7 s.
+# renewal_sequence).  At 2**15 the direct recursion takes 0.2-0.24 s and
+# the FFT path 25-32 ms (2-vCPU x86-64 VM, NumPy 2.4, OpenBLAS).
 DIRECT_RECURSION_LIMIT = 2 ** 15
 
 _INT64_VALUE_LIMIT = 2 ** 62
@@ -364,11 +365,14 @@ def _renewal_direct(mass: np.ndarray, n_max: int) -> np.ndarray:
     """
     if mass.shape[0] < n_max + 1:
         raise ValueError("mass array shorter than n_max + 1")
-    u = np.empty(n_max + 1, dtype=np.float64)
-    u[0] = 1.0
+    # w holds u reversed, w[n_max - n] = u_n, so u_{n-1}, ..., u_0 is the
+    # contiguous tail of w: the same products in the same order as a dot
+    # with u[n-1::-1], without NumPy copying a negative-stride operand.
+    w = np.empty(n_max + 1, dtype=np.float64)
+    w[n_max] = 1.0
     for n in range(1, n_max + 1):
-        u[n] = np.dot(mass[1:n + 1], u[n - 1::-1])
-    return u
+        w[n_max - n] = np.dot(mass[1:n + 1], w[n_max - n + 1:])
+    return w[::-1].copy()
 
 
 def _next_fast_len(n: int) -> int:
@@ -385,13 +389,6 @@ def _next_fast_len(n: int) -> int:
     return best
 
 
-def _poly_mul_trunc(a: np.ndarray, b: np.ndarray, n: int) -> np.ndarray:
-    size = _next_fast_len(len(a) + len(b) - 1)
-    fa = np.fft.rfft(a, size)
-    fb = np.fft.rfft(b, size)
-    return np.fft.irfft(fa * fb, size)[:n]
-
-
 def _renewal_fft(mass: np.ndarray, n_max: int) -> np.ndarray:
     """Power-series reciprocal of 1 - sum_k f_k z^k by Newton doubling."""
     n = n_max + 1
@@ -402,9 +399,18 @@ def _renewal_fft(mass: np.ndarray, n_max: int) -> np.ndarray:
     m = 1
     while m < n:
         m2 = min(2 * m, n)
-        t = -_poly_mul_trunc(g[:m2], u, m2)
+        # g*u and u*t both have length m2 + m - 1, so one transform of u
+        # serves both: five transforms per doubling.  Each product is formed
+        # in place with its operand order spelled out, since complex
+        # products are not bitwise commutative (NumPy turns x * tmp into
+        # tmp *= x when tmp is an unnamed temporary of 256 KiB or more).
+        size = _next_fast_len(m2 + m - 1)
+        fu = np.fft.rfft(u, size)
+        spec = np.fft.rfft(g[:m2], size)
+        t = -np.fft.irfft(np.multiply(spec, fu, out=spec), size)[:m2]
         t[0] += 2.0
-        u = _poly_mul_trunc(u, t, m2)
+        spec = np.fft.rfft(t, size)
+        u = np.fft.irfft(np.multiply(fu, spec, out=spec), size)[:m2]
         m = m2
     return u
 

@@ -131,6 +131,36 @@ def test_direct_recursion_rejects_short_mass():
         rn._renewal_direct(np.zeros(3), 10)
 
 
+def _strided_recursion(mass, n_max):
+    # oracle: the same recursion, dotting with the strided view u[n-1::-1]
+    u = np.empty(n_max + 1)
+    u[0] = 1.0
+    for n in range(1, n_max + 1):
+        u[n] = np.dot(mass[1:n + 1], u[n - 1::-1])
+    return u
+
+
+@pytest.mark.parametrize("f", ALL_KINDS, ids=lambda f: f.label)
+def test_direct_recursion_matches_strided_oracle(f):
+    n_max = 3000
+    mass = f.masses(n_max)
+    assert np.array_equal(rn._renewal_direct(mass, n_max),
+                          _strided_recursion(mass, n_max))
+
+
+@given(st.lists(st.integers(1, 60), min_size=1, max_size=8, unique=True),
+       st.lists(st.floats(0.01, 1.0), min_size=8, max_size=8),
+       st.integers(1, 400))
+@settings(max_examples=40, deadline=None)
+def test_direct_recursion_matches_strided_oracle_random(points, raw_weights, n_max):
+    weights = np.array(raw_weights[:len(points)])
+    weights /= weights.sum()
+    weights[-1] = 1.0 - math.fsum(weights[:-1])
+    mass = rn.FiniteSupport(list(zip(points, weights))).masses(n_max)
+    assert np.array_equal(rn._renewal_direct(mass, n_max),
+                          _strided_recursion(mass, n_max))
+
+
 def test_renewal_half_half_prefix():
     seq = rn.renewal_sequence(rn.FiniteSupport([(1, 0.5), (2, 0.5)]), 30)
     np.testing.assert_allclose(seq.u[:5], [1.0, 0.5, 0.75, 0.625, 0.6875],
@@ -177,12 +207,28 @@ def test_convolution_identity_random(raw):
 
 
 def test_fft_matches_direct():
-    for f in (rn.Geometric(0.5), rn.Harmonic(), rn.PowerTail(0.5)):
+    for f in ALL_KINDS:
         direct = rn.renewal_sequence(f, 20000, method="direct")
         fft = rn.renewal_sequence(f, 20000, method="fft")
         assert np.max(np.abs(direct.u - fft.u)) <= 5e-12
         assert np.max(np.abs(direct.a_u - fft.a_u)) <= 1e-7
         assert direct.method == "direct" and fft.method == "fft"
+
+
+def test_fft_accuracy_geometric():
+    # measured 7.6e-12 at n = 2**18
+    seq = rn.renewal_sequence(rn.Geometric(0.7), 2 ** 18, method="fft")
+    assert abs(seq.u[0] - 1.0) <= 1e-11
+    assert np.max(np.abs(seq.u[1:] - 0.7)) <= 1e-11
+
+
+@pytest.mark.parametrize("k", [3, 7])
+def test_fft_accuracy_lattice(k):
+    # u_n = 1 if k divides n, else 0; measured 2.6e-13 (k=3), 1.5e-13 (k=7)
+    n_max = 2 ** 15
+    seq = rn.renewal_sequence(rn.FiniteSupport.delta(k), n_max, method="fft")
+    exact = (np.arange(n_max + 1) % k == 0).astype(np.float64)
+    assert np.max(np.abs(seq.u - exact)) <= 1e-12
 
 
 def test_renewal_auto_method_switch():
