@@ -15,7 +15,7 @@ import itertools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Sequence
+from typing import ClassVar, Sequence
 
 import numpy as np
 
@@ -25,10 +25,9 @@ from .streams import normalize, spawn
 
 EULER_GAMMA = float(np.euler_gamma)
 
-# Direct O(n^2) recursion up to here; spectral inversion beyond (see
-# renewal_sequence).  At 2**15 the direct recursion takes 0.2-0.24 s and
-# the FFT path 25-32 ms (2-vCPU x86-64 VM, NumPy 2.4, OpenBLAS).
-DIRECT_RECURSION_LIMIT = 2 ** 15
+# Newton doubling starts from this many terms of the plain recurrence, so
+# short sequences carry no transform rounding (geometric:0.5 gives 0.5)
+_NEWTON_BASE = 64
 
 _INT64_VALUE_LIMIT = 2 ** 62
 # a float sum of int64 draws at or above this may overflow its int64 cumsum
@@ -64,17 +63,18 @@ class LifetimeDistribution:
 
     Subclasses implement ``tail`` (vectorized), ``truncated_mean``,
     ``mean``, and ``sample``; everything here is derived.  All shipped
-    kinds invert the CDF in closed form, so sampling is exact and
-    ``exact_inversion`` is True.
+    kinds invert the CDF in closed form, so sampling is exact.
     """
 
     kind = "abstract"
-    exact_inversion = True
 
     # -- core surface ---------------------------------------------------
 
     def tail(self, n):
-        """F(n) = P(nu >= n); accepts scalars or integer arrays."""
+        """F(n) = P(nu >= n); accepts scalars or integer arrays.
+
+        An array argument gives a new array, which the caller may modify.
+        """
         raise NotImplementedError
 
     def truncated_mean(self, n: int) -> float:
@@ -97,11 +97,6 @@ class LifetimeDistribution:
         raise NotImplementedError
 
     # -- derived ---------------------------------------------------------
-
-    def mass(self, k):
-        """f_k = F(k) - F(k+1)."""
-        k = np.asarray(k)
-        return self.tail(k) - self.tail(k + 1)
 
     def masses(self, n_max: int) -> np.ndarray:
         """Array m with m[k] = f_k for 1 <= k <= n_max (m[0] = 0)."""
@@ -341,7 +336,8 @@ class RenewalSequence:
     f: LifetimeDistribution
     u: np.ndarray
     a_u: np.ndarray
-    method: str
+    # the engine's name; perfbench's trace keys its spans and counters by it
+    method: ClassVar[str] = "fft"
 
     @property
     def n_max(self) -> int:
@@ -361,7 +357,8 @@ class RenewalSequence:
 def _renewal_direct(mass: np.ndarray, n_max: int) -> np.ndarray:
     """Renewal recursion u_0 = 1, u_n = sum_{k=1..n} mass[k] u_{n-k}.
 
-    ``mass[0]`` is ignored and ``mass`` must reach index n_max.
+    Quadratic; the tests check renewal_sequence against it.  ``mass[0]``
+    is ignored and ``mass`` must reach index n_max.
     """
     if mass.shape[0] < n_max + 1:
         raise ValueError("mass array shorter than n_max + 1")
@@ -389,59 +386,74 @@ def _next_fast_len(n: int) -> int:
     return best
 
 
-def _renewal_fft(mass: np.ndarray, n_max: int) -> np.ndarray:
-    """Power-series reciprocal of 1 - sum_k f_k z^k by Newton doubling."""
-    n = n_max + 1
-    g = np.zeros(n)
-    g[0] = 1.0
-    g[1:] = -mass[1:n]
-    u = np.array([1.0])
-    m = 1
+def _reciprocal(g: np.ndarray) -> np.ndarray:
+    """Power-series reciprocal v of g (g[0] = 1) mod z^len(g).
+
+    The first _NEWTON_BASE terms come from the plain recurrence
+    v_k = -sum_{j=1..k} g_j v_{k-j}; Newton doubling extends them.
+    """
+    n = len(g)
+    m = min(n, _NEWTON_BASE)
+    v = np.empty(m)
+    v[0] = 1.0
+    for k in range(1, m):
+        v[k] = -np.dot(g[1:k + 1], v[k - 1::-1])
     while m < n:
         m2 = min(2 * m, n)
-        # g*u and u*t both have length m2 + m - 1, so one transform of u
+        # g*v and v*t both have length m2 + m - 1, so one transform of v
         # serves both: five transforms per doubling.  Each product is formed
         # in place with its operand order spelled out, since complex
         # products are not bitwise commutative (NumPy turns x * tmp into
         # tmp *= x when tmp is an unnamed temporary of 256 KiB or more).
         size = _next_fast_len(m2 + m - 1)
-        fu = np.fft.rfft(u, size)
+        fv = np.fft.rfft(v, size)
         spec = np.fft.rfft(g[:m2], size)
-        t = -np.fft.irfft(np.multiply(spec, fu, out=spec), size)[:m2]
+        t = -np.fft.irfft(np.multiply(spec, fv, out=spec), size)[:m2]
         t[0] += 2.0
         spec = np.fft.rfft(t, size)
-        u = np.fft.irfft(np.multiply(fu, spec, out=spec), size)[:m2]
+        v = np.fft.irfft(np.multiply(fv, spec, out=spec), size)[:m2]
         m = m2
-    return u
+    v[0] = 1.0  # 1/g[0], exactly; the transforms leave it an ulp off
+    return v
 
 
-def renewal_sequence(f: LifetimeDistribution, n_max: int,
-                     method: str = "auto") -> RenewalSequence:
+def renewal_sequence(f: LifetimeDistribution, n_max: int) -> RenewalSequence:
     """Renewal sequence u with u_0 = 1 and its prefix sums.
 
-    method "direct" runs the convolution recursion (the reference path,
-    quadratic); "fft" inverts the mass generating function spectrally,
-    O(n log n), and is cross-checked against the direct path in the tests:
-    for geometric:0.7 its largest |u_n - 0.7| is 7.6e-12 at n = 2**18 and
-    4.4e-11 at n = 2**20.  "auto" picks direct up to DIRECT_RECURSION_LIMIT.
-    Both paths accumulate a_u in long double.
+    With the tails T_j = P(nu > j) = F(j + 1), U(z) T(z) = 1/(1 - z)
+    (Feller, vol. 1, ch. XIII), so u is the cumulative sum of 1/T(z).
+    Let d be the gcd of the k <= n_max with f_k != 0: u_n = 0 unless d
+    divides n, and u_{dm} is the renewal sequence of nu/d, whose tails are
+    T_{dm}.  One support point left after that reduction makes u the
+    indicator of dZ, exactly; otherwise the reduced T is inverted by Newton
+    doubling, O(n log n).  The constant 1/(1 - z) anchors the limit 1/mu,
+    so rounding does not build up along it: for geometric:0.7 the largest
+    |u_n - 0.7| is at most 4.4e-16 at n = 2**18 - 1, 2**18 and 2**20 - 1,
+    and u is within 2.1e-15 of the direct recursion for harmonic at
+    n = 2**15 - 1.  Where u_n tends to 0 the cumulative sum cancels: for
+    power:0.5 at n = 10**5, u is within 5.3e-16 of the direct recursion
+    but a_u only within 2e-13 relative.  u and a_u are accumulated in
+    long double.
     """
     if n_max < 0:
         raise ValueError("n_max must be >= 0")
-    if method == "auto":
-        method = "direct" if n_max <= DIRECT_RECURSION_LIMIT else "fft"
-    mass = f.masses(n_max)
-    if method == "direct":
-        u = _renewal_direct(mass, n_max)
-    elif method == "fft":
-        u = _renewal_fft(mass, n_max)
+    tails = np.asarray(f.tail(np.arange(1, n_max + 2, dtype=np.int64)),
+                       dtype=np.float64)
+    # gcd of the k <= n_max with f_k != 0; n_max + 1 if there are none
+    d = int(np.gcd.reduce(np.flatnonzero(tails[:-1] != tails[1:]) + 1)) or n_max + 1
+    tails[0] = 1.0
+    reduced = tails[::d]
+    if reduced.size == 1 or reduced[1] == 0.0:
+        values = 1.0  # nu = d within the window
     else:
-        raise ValueError(f"unknown method {method!r}")
+        values = np.cumsum(_reciprocal(reduced), dtype=np.longdouble)
+    u = np.zeros(n_max + 1)
+    u[::d] = values
     a_u = np.empty(n_max + 1)
     a_u[0] = 0.0
     if n_max:
         a_u[1:] = np.cumsum(u[1:], dtype=np.longdouble).astype(np.float64)
-    return RenewalSequence(f, u, a_u, method)
+    return RenewalSequence(f, u, a_u)
 
 
 # -- truncated-mean scaling ------------------------------------------------
@@ -482,35 +494,15 @@ def truncated_mean_scaling(f: LifetimeDistribution,
 
 # -- diagnostic series ------------------------------------------------------
 
-def _decay_slope(ns: np.ndarray, terms: np.ndarray) -> float | None:
-    # advisory log-log slope of the positive terms over the tail half
-    mask = terms > 0.0
-    ns, terms = ns[mask], terms[mask]
-    if len(ns) < 4:
-        return None
-    half = len(ns) // 2
-    x = np.log(ns[half:].astype(np.float64))
-    y = np.log(terms[half:])
-    if np.ptp(x) == 0.0:
-        return None
-    return float(np.polyfit(x, y, 1)[0])
-
-
 @dataclass(frozen=True)
 class QueenSeries:
-    """Terms and partial sums of sum_n (F(n)/L(n))^2.
-
-    ``decay_slope`` is advisory metadata only: a log-log fit of the term
-    decay, attached because a table alone invites eyeballing; it asserts
-    nothing about convergence.
-    """
+    """Terms and partial sums of sum_n (F(n)/L(n))^2."""
 
     f_label: str
     terms: np.ndarray
     partial_sums: np.ndarray
     tails: np.ndarray
     lengths: np.ndarray
-    decay_slope: float | None
 
     def Q(self, n: int) -> float:
         return float(self.partial_sums[n - 1])
@@ -524,8 +516,7 @@ def queen_series(f: LifetimeDistribution, n_max: int) -> QueenSeries:
     tails = np.asarray(f.tail(ns), dtype=np.float64)
     lengths = np.cumsum(tails)
     terms = (tails / lengths) ** 2
-    return QueenSeries(f.label, terms, np.cumsum(terms), tails, lengths,
-                       _decay_slope(ns, terms))
+    return QueenSeries(f.label, terms, np.cumsum(terms), tails, lengths)
 
 
 @dataclass(frozen=True)
@@ -539,7 +530,6 @@ class DyadicTailSeries:
     thresholds: tuple[int, ...]
     terms: np.ndarray
     partial_sums: np.ndarray
-    decay_slope: float | None
 
 
 def dyadic_tail_series(f: LifetimeDistribution, scaling: ScalingSequence,
@@ -563,10 +553,8 @@ def dyadic_tail_series(f: LifetimeDistribution, scaling: ScalingSequence,
         b_values.append(b_n)
         thresholds.append(m)
         terms[n] = (2.0 ** n) * float(f.tail(m)) ** 2
-    ns = np.arange(1, n_max + 2, dtype=np.int64)
     return DyadicTailSeries(f.label, scaling.name, float(t), tuple(b_values),
-                            tuple(thresholds), terms, np.cumsum(terms),
-                            _decay_slope(ns, terms))
+                            tuple(thresholds), terms, np.cumsum(terms))
 
 
 # -- interarrival sampling and trimmed sums ---------------------------------
@@ -615,7 +603,6 @@ _QUANTILE_LEVELS = (0.05, 0.25, 0.5, 0.75, 0.95)
 
 
 def trimmed_sum_trials(f: LifetimeDistribution, n: int, trials: int, seed: int,
-                       tail_eps: float = 1e-9,
                        horizon: int = 2 ** 62) -> TrimmedSumResult:
     """Monte Carlo for the maximally trimmed partial sum, normalized by b(n).
 
@@ -626,10 +613,6 @@ def trimmed_sum_trials(f: LifetimeDistribution, n: int, trials: int, seed: int,
         raise ValueError("n must be >= 2")
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    if not f.exact_inversion and float(f.tail(horizon)) > tail_eps:
-        raise SamplingHorizonError(
-            f"inverse-CDF truncation for {f.label} would distort the tail "
-            f"beyond {tail_eps}")
     b_n = truncated_mean_scaling(f, horizon).b(n)
     ratios = np.empty(trials)
     for i in range(trials):

@@ -2,10 +2,14 @@
 
 import csv
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import ergosum
 from ergosum import cli
 from ergosum.errors import PrecisionWarning
 
@@ -17,12 +21,11 @@ def run_cli(args, tmp_path, name="out"):
 
 
 def read_table(path):
-    header = []
     with open(path) as fh:
-        rows = [line for line in fh if not line.startswith("# ")]
-        header = [line for line in open(path) if line.startswith("# ")]
-    reader = csv.DictReader(rows)
-    return header, list(reader)
+        lines = fh.readlines()
+    header = [line for line in lines if line.startswith("# ")]
+    rows = [line for line in lines if not line.startswith("# ")]
+    return header, list(csv.DictReader(rows))
 
 
 # -- spec command examples -------------------------------------------------------
@@ -168,6 +171,24 @@ def test_thread_count_invariance(tmp_path):
     _, out1 = run_cli([*base, "--threads", "1"], tmp_path, "t1")
     _, out2 = run_cli([*base, "--threads", "4"], tmp_path, "t4")
     assert (out1 / "walk.csv").read_bytes() == (out2 / "walk.csv").read_bytes()
+
+
+def test_renewal_rows_independent_of_blas_threads(tmp_path):
+    # a threaded BLAS dot splits long sums by its thread count; no renewal
+    # row may depend on that
+    src = str(Path(ergosum.__file__).resolve().parents[1])
+    bodies = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"blas{threads}"
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        subprocess.run([sys.executable, "-m", "ergosum.cli", "renewal",
+                        "--dist", "harmonic", "--n", "32768", "--out", str(out)],
+                       env=env, check=True, capture_output=True, timeout=120)
+        raw = (out / "renewal.csv").read_bytes()
+        bodies.append([line for line in raw.splitlines() if not line.startswith(b"#")])
+    assert len(bodies[0]) == 32770
+    assert bodies[0] == bodies[1]
 
 
 def test_json_mirror_matches_csv(tmp_path):

@@ -111,6 +111,34 @@ def test_renewal_delta_one():
     assert seq.a_u[50] == 50.0
 
 
+def test_renewal_period_reduction_exact_zeros():
+    # support {4, 6, 10} has period 2: every odd u_n is 0, not merely small
+    f = rn.FiniteSupport([(4, 0.2), (6, 0.3), (10, 0.5)])
+    n_max = 2 ** 15
+    seq = rn.renewal_sequence(f, n_max)
+    assert np.all(seq.u[1::2] == 0.0)
+    direct = rn._renewal_direct(f.masses(n_max), n_max)
+    assert np.max(np.abs(seq.u - direct)) <= 1e-14
+
+
+def test_renewal_nearly_periodic_support():
+    # period 1, but nearly 2: the hard case for a spectral inversion
+    # (measured 4.5e-14)
+    f = rn.FiniteSupport([(2, 0.999), (3, 0.001)])
+    n_max = 2 ** 15
+    seq = rn.renewal_sequence(f, n_max)
+    direct = rn._renewal_direct(f.masses(n_max), n_max)
+    assert np.max(np.abs(seq.u - direct)) <= 1e-13
+
+
+def test_renewal_first_term_is_one():
+    # tail(1) sums the weights to 1 - 1 ulp; u_0 = 1 regardless
+    f = rn.FiniteSupport([(1, 0.1), (2, 0.2), (3, 0.7)])
+    assert float(f.tail(1)) < 1.0
+    for n_max in (0, 1, 50, 20000):
+        assert rn.renewal_sequence(f, n_max).u[0] == 1.0
+
+
 def test_renewal_geometric_exact():
     seq = rn.renewal_sequence(rn.Geometric(0.5), 10 ** 4)
     assert seq.u[0] == 1.0
@@ -120,10 +148,9 @@ def test_renewal_geometric_exact():
 
 def test_direct_recursion_geometric_exact_half():
     n = 4096
-    seq = rn.renewal_sequence(rn.Geometric(0.5), n, method="direct")
-    assert seq.u[0] == 1.0
-    assert np.all(seq.u[1:] == 0.5)
-    assert seq.a_u[n] == pytest.approx(n / 2, abs=1e-9)
+    u = rn._renewal_direct(rn.Geometric(0.5).masses(n), n)
+    assert u[0] == 1.0
+    assert np.all(u[1:] == 0.5)
 
 
 def test_direct_recursion_rejects_short_mass():
@@ -206,35 +233,34 @@ def test_convolution_identity_random(raw):
         assert abs(seq.u[n] - expected) <= 1e-12
 
 
-def test_fft_matches_direct():
+def test_renewal_sequence_matches_direct():
+    # measured worst cases 1.4e-15 on u (harmonic) and 1.3e-11 on a_u
+    n_max = 20000
     for f in ALL_KINDS:
-        direct = rn.renewal_sequence(f, 20000, method="direct")
-        fft = rn.renewal_sequence(f, 20000, method="fft")
-        assert np.max(np.abs(direct.u - fft.u)) <= 5e-12
-        assert np.max(np.abs(direct.a_u - fft.a_u)) <= 1e-7
-        assert direct.method == "direct" and fft.method == "fft"
+        seq = rn.renewal_sequence(f, n_max)
+        direct = rn._renewal_direct(f.masses(n_max), n_max)
+        direct_a_u = np.cumsum(direct[1:], dtype=np.longdouble).astype(np.float64)
+        assert np.max(np.abs(seq.u - direct)) <= 1e-14, f.label
+        assert np.max(np.abs(seq.a_u[1:] - direct_a_u)) <= 1e-9, f.label
 
 
 def test_fft_accuracy_geometric():
-    # measured 7.6e-12 at n = 2**18
-    seq = rn.renewal_sequence(rn.Geometric(0.7), 2 ** 18, method="fft")
-    assert abs(seq.u[0] - 1.0) <= 1e-11
-    assert np.max(np.abs(seq.u[1:] - 0.7)) <= 1e-11
+    # at most 4.4e-16 at each size; the mass-form inversion read 7.6e-12
+    # at 2**18 and up to 1.1e-10 at 2**20 - 1
+    for n_max in (2 ** 18 - 1, 2 ** 18, 2 ** 20 - 1):
+        seq = rn.renewal_sequence(rn.Geometric(0.7), n_max)
+        assert seq.u[0] == 1.0
+        assert np.max(np.abs(seq.u[1:] - 0.7)) <= 1e-14, n_max
 
 
-@pytest.mark.parametrize("k", [3, 7])
+@pytest.mark.parametrize("k", [1, 2, 3, 7])
 def test_fft_accuracy_lattice(k):
-    # u_n = 1 if k divides n, else 0; measured 2.6e-13 (k=3), 1.5e-13 (k=7)
-    n_max = 2 ** 15
-    seq = rn.renewal_sequence(rn.FiniteSupport.delta(k), n_max, method="fft")
-    exact = (np.arange(n_max + 1) % k == 0).astype(np.float64)
-    assert np.max(np.abs(seq.u - exact)) <= 1e-12
-
-
-def test_renewal_auto_method_switch():
-    assert rn.renewal_sequence(rn.Geometric(0.5), 100).method == "direct"
-    assert rn.renewal_sequence(rn.Geometric(0.5),
-                               rn.DIRECT_RECURSION_LIMIT + 1).method == "fft"
+    # nu = k a.s.: u is the indicator of kZ, without rounding, at every size
+    lifetimes = [rn.FiniteSupport.delta(k)] + [rn.Geometric(1.0)] * (k == 1)
+    for f in lifetimes:
+        for n_max in (0, 1, 50, 20000, 32768, 70000):
+            exact = (np.arange(n_max + 1) % k == 0).astype(np.float64)
+            assert np.array_equal(rn.renewal_sequence(f, n_max).u, exact), (f.label, n_max)
 
 
 # -- truncated-mean scaling -------------------------------------------------------
@@ -420,12 +446,6 @@ def test_trimmed_validation_and_horizon():
         rn.trimmed_sum_trials(g, 1, 5, seed=0)
     with pytest.raises(ValueError):
         rn.trimmed_sum_trials(g, 10, 0, seed=0)
-
-    class Truncated(rn.Geometric):
-        exact_inversion = False
-
-    with pytest.raises(SamplingHorizonError):
-        rn.trimmed_sum_trials(Truncated(1e-20), 10, 1, seed=0, horizon=10)
 
 
 def test_power_tail_overflow_guard():
