@@ -1,11 +1,12 @@
 """Checkpointed occupation series along orbits and normalized-ratio statistics.
 
 A series records the one-sided and symmetric counts of base visits at a
-grid of window radii.  Time 0 is always a visit for the orbits produced
-here (names start on the base, walks start on the fiber origin), and the
-center is counted once, shared by both one-sided counts; the convention is
-recorded on every series so the exact identity sigma = s_plus + s_minus - 1
-is checkable downstream.
+grid of window radii along the symbolic name of a rank-one tower point
+(walk orbits are counted in ``lattice.walk_counts``, not here).  Time 0 is
+always a visit, since names start on the base, and the center is counted
+once, shared by both one-sided counts; the convention is recorded on every
+series so the exact identity sigma = s_plus + s_minus - 1 is checkable
+downstream.
 
 Normalized statistics divide by a scaling sequence and keep running
 extrema past a burn-in.  The extrema are finite-horizon bounds for
@@ -21,7 +22,6 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .errors import InvariantViolationError
-from .lattice import WalkSample, walk_visits
 from .rankone import DEFAULT_DEPTH_CAP, NameSampler, window_counts
 from .regvar import ScalingSequence
 
@@ -73,27 +73,9 @@ def series_from_name(sampler: NameSampler, checkpoints: Sequence[int],
         s_plus.append(w.s_plus)
         s_minus.append(w.s_minus)
         sigma.append(w.sigma)
-    label = sampler.data.name or "custom"
+    label = sampler.tower.data.name or "custom"
     return BirkhoffSeries(cps, tuple(s_plus), tuple(s_minus), tuple(sigma),
                           source=f"rankone[{label}]")
-
-
-def series_from_walk(walk: WalkSample, checkpoints: Sequence[int]) -> BirkhoffSeries:
-    """Counts #{k : |s_k| <= n} from a sampled walk, split by sign of k.
-
-    The walk must cover the largest checkpoint on both sides; steps are
-    >= 1, so |s_k| <= n bounds |k| <= n and the interarrival count equals
-    the direct box count.
-    """
-    cps = tuple(int(n) for n in checkpoints)
-    s_plus, s_minus, sigma = [], [], []
-    for n in cps:
-        bwd, center, fwd = walk_visits(walk, n)
-        s_plus.append(center + fwd)
-        s_minus.append(center + bwd)
-        sigma.append(bwd + center + fwd)
-    return BirkhoffSeries(cps, tuple(s_plus), tuple(s_minus), tuple(sigma),
-                          source=f"walk[{walk.f.label}]")
 
 
 @dataclass(frozen=True)

@@ -163,7 +163,11 @@ def _load_construction(params: dict) -> rankone.ConstructionData:
 
 
 def _map_trials(cfg: ExperimentConfig, fn):
-    """Run fn(0..trials-1) with the configured parallelism, results in index order."""
+    """Run fn(0..trials-1) on cfg.threads threads, results in index order.
+
+    Only walk trials use it: they spend their time in NumPy, which
+    releases the GIL.
+    """
     if cfg.threads <= 1 or cfg.trials <= 1:
         return [fn(i) for i in range(cfg.trials)]
     with ThreadPoolExecutor(max_workers=cfg.threads) as pool:
@@ -180,12 +184,12 @@ def run_rank_one(cfg: ExperimentConfig):
     if not any(n >= burn_in for n in cps):
         burn_in = cps[0] if cps[0] >= 1 else 1
     scaling = rankone.rank_one_scaling(data)
-
-    def trial(i):
-        sampler = rankone.sample_name(data, spawn(cfg.seed, i))
-        return birkhoff.series_from_name(sampler, cps)
-
-    ensemble = _map_trials(cfg, trial)
+    # the samplers share one lazily extended tower, so the trials run in
+    # this thread; they hold the GIL, and a pool would only slow them down
+    tower = rankone.Tower(data)
+    ensemble = [birkhoff.series_from_name(
+                    rankone.NameSampler(tower, spawn(cfg.seed, i)), cps)
+                for i in range(cfg.trials)]
     stats = birkhoff.normalized_stats(ensemble, scaling, burn_in)
     tables = []
     for i, series in enumerate(ensemble):
@@ -375,7 +379,8 @@ def _add_common(sub, trials_flag="--trials"):
     sub.add_argument(trials_flag, type=int, default=1, dest="trials",
                      help="number of independent trials/streams")
     sub.add_argument("--threads", type=int, default=0,
-                     help="worker threads (0 = all cores); never affects output")
+                     help="threads for walk trials (0 = all cores); "
+                          "never changes output rows")
     sub.add_argument("--json", action="store_true", dest="json_mirror",
                      help="also write JSON mirrors")
     sub.add_argument("--stamp", action="store_true",

@@ -233,18 +233,6 @@ class WalkCount(NamedTuple):
     a_u_value: float
 
 
-def walk_visits(sample: WalkSample, horizon: int) -> tuple[int, int, int]:
-    """(backward, center=1, forward) visit counts: #{k : |s_k| <= horizon} split by sign."""
-    if sample.reach_forward < horizon or sample.reach_backward < horizon:
-        raise CoverageError(
-            f"walk reaches [{-sample.reach_backward}, {sample.reach_forward}] "
-            f"but the horizon needs +-{horizon}; resample with J >= {horizon} "
-            "(steps are >= 1, so J = horizon always covers)")
-    fwd = int(np.searchsorted(sample.s_forward, horizon, side="right"))
-    bwd = int(np.searchsorted(sample.s_backward_mag, horizon, side="right"))
-    return bwd, 1, fwd
-
-
 def walk_counts(sample: WalkSample, n_box: int,
                 renewal: RenewalSequence | None = None) -> WalkCount:
     """Box count #{k in [-N, N] : |s_k| <= N} and its renewal normalization.
@@ -253,8 +241,14 @@ def walk_counts(sample: WalkSample, n_box: int,
     from two binary searches.  ``renewal`` may carry a precomputed
     sequence (it must extend to N); otherwise one is computed here.
     """
-    bwd, center, fwd = walk_visits(sample, n_box)
-    count = bwd + center + fwd
+    if sample.reach_forward < n_box or sample.reach_backward < n_box:
+        raise CoverageError(
+            f"walk reaches [{-sample.reach_backward}, {sample.reach_forward}] "
+            f"but the horizon needs +-{n_box}; resample with J >= {n_box} "
+            "(steps are >= 1, so J = horizon always covers)")
+    fwd = int(np.searchsorted(sample.s_forward, n_box, side="right"))
+    bwd = int(np.searchsorted(sample.s_backward_mag, n_box, side="right"))
+    count = bwd + 1 + fwd
     if renewal is None:
         renewal = renewal_sequence(sample.f, n_box)
     if renewal.n_max < n_box:

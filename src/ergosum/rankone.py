@@ -156,11 +156,10 @@ class Tower:
     Each stage is resolved once into plain lists: exact heights q_n, cut
     products C_n, resolved spacer rows, spacer mass partial sums, and the
     block starts of the stage.  Prefix counts descend one level per step
-    by bisection over those starts.  Samplers extend their tower lazily,
-    so each sampler owns one.
+    by bisection over those starts.  One tower serves every sampler of a
+    construction; it extends itself lazily, so its samplers must share
+    one thread.
     """
-
-    _SMALL_WORD_LIMIT = 4096
 
     def __init__(self, data: ConstructionData):
         self.data = data
@@ -169,7 +168,6 @@ class Tower:
         self._mass: list[Fraction] = [Fraction(0)]  # sum_{m<=n} (1/C_m) sum_k S_{m,k}
         self._spacers: list[tuple[int, ...]] = []   # stage n = index + 1
         self._starts: list[tuple[int, ...]] = []    # k*q_n + S_{n,1} + ... + S_{n,k}
-        self._small_words: dict[int, np.ndarray] = {}
 
     # -- stage/height access (1-based) --------------------------------
 
@@ -221,45 +219,6 @@ class Tower:
             total += k * bases[level - 1]
             j -= row[k]
         return total
-
-    def symbol_at(self, level: int, j) -> int:
-        """Symbol (BASE/SPACER) at position j of the level word."""
-        return self.prefix_base_count(level, int(j) + 1) - self.prefix_base_count(level, int(j))
-
-    # -- window extraction ---------------------------------------------
-
-    def _small_word(self, level: int) -> np.ndarray:
-        word = self._small_words.get(level)
-        if word is None:
-            word = _expand(self, level)
-            self._small_words[level] = word
-        return word
-
-    def extract(self, level: int, j0, j1) -> np.ndarray:
-        """Symbols of the level word on positions [j0, j1), as a uint8 array."""
-        j0, j1 = int(j0), int(j1)
-        if j0 < 0 or j1 > self.q(level) or j0 > j1:
-            raise ValueError("extraction range outside level word")
-        out = np.zeros(j1 - j0, dtype=np.uint8)
-        stack = [(level, j0, j1, 0)]
-        while stack:
-            lev, a, b, off = stack.pop()
-            if b <= a:
-                continue
-            if lev == 1:
-                out[off] = BASE
-                continue
-            if self._q[lev - 1] <= self._SMALL_WORD_LIMIT:
-                out[off:off + (b - a)] = self._small_word(lev)[a:b]
-                continue
-            q_sub = self._q[lev - 2]
-            for start in self._starts[lev - 2]:
-                if start >= b:
-                    break
-                lo, hi = max(a, start), min(b, start + q_sub)
-                if lo < hi:
-                    stack.append((lev - 1, lo - start, hi - start, off + (lo - a)))
-        return out
 
 
 @dataclass(frozen=True)
@@ -365,14 +324,14 @@ class NameSampler:
     Stage-n columns have equal width, so conditioned on the base the
     column choices k_n are i.i.d. uniform on {1..c_n}; they are drawn on
     demand, one per level, in level order, making every downstream count
-    deterministic given the seed.  Single-threaded: parallel experiments
-    use one sampler per stream.
+    deterministic given the seed.  The tower is read through and extended
+    on demand; many samplers may share one, within one thread, since their
+    choices never depend on how far it is resolved.
     """
 
-    def __init__(self, data: ConstructionData, seed,
+    def __init__(self, tower: Tower, seed,
                  choices: Sequence[int] | None = None):
-        self.data = data
-        self.tower = Tower(data)
+        self.tower = tower
         self._rng = normalize(seed)
         self._forced = list(choices or ())
         self.column_choices: list[int] = []
@@ -422,19 +381,11 @@ class NameSampler:
                 raise DepthCapError(radius, depth_cap)
             self.ensure_level(lev + 1)
 
-    def window_array(self, lo: int, hi: int, depth_cap: int = DEFAULT_DEPTH_CAP) -> np.ndarray:
-        """Symbols at positions center+lo .. center+hi of the name."""
-        if lo > hi:
-            raise ValueError("empty window")
-        lev = self.ensure_window(max(-lo, hi, 0), depth_cap)
-        off = self.center_offset(lev)
-        return self.tower.extract(lev, off + lo, off + hi + 1)
-
 
 def sample_name(data: ConstructionData, seed,
                 choices: Sequence[int] | None = None) -> NameSampler:
-    """Sampler for the symbolic name of a random base point."""
-    return NameSampler(data, seed, choices=choices)
+    """Sampler for the symbolic name of a random base point, on a fresh tower."""
+    return NameSampler(Tower(data), seed, choices=choices)
 
 
 def window_counts(sampler: NameSampler, radius: int,
@@ -466,50 +417,3 @@ def rank_one_scaling(data: ConstructionData) -> ScalingSequence:
         return tower._cut_product[bisect_right(tower._q, n)]
 
     return ScalingSequence(query, name=f"rankone[{data.name or 'custom'}]")
-
-
-@dataclass(frozen=True)
-class CorrelationEstimate:
-    """Window estimates of the base auto-correlations.
-
-    u_hat[k] = (#positions i in the window with base at i and i+k) /
-    (#base positions in the window); right endpoints extend past the
-    window so a full-base name gives exactly 1 at every lag.  ``se``
-    is a crude independent-pairs standard error, adequate for comparing
-    two seeds but not a rigorous confidence radius.
-    """
-
-    window_radius: int
-    lags: tuple[int, ...]
-    u_hat: tuple[float, ...]
-    pair_counts: tuple[int, ...]
-    base_count: int
-    se: tuple[float, ...]
-
-
-def correlation_ratio_estimate(data: ConstructionData, seed, window_radius: int,
-                               lags: Sequence[int],
-                               depth_cap: int = DEFAULT_DEPTH_CAP) -> CorrelationEstimate:
-    """Estimate base pair correlations at the given lags from one name window."""
-    lags = tuple(int(k) for k in lags)
-    if any(k < 0 for k in lags):
-        raise ValueError("lags must be >= 0")
-    max_lag = max(lags, default=0)
-    if window_radius < max_lag:
-        raise ValueError("window_radius must cover the largest lag")
-    sampler = sample_name(data, seed)
-    arr = sampler.window_array(-window_radius, window_radius + max_lag, depth_cap)
-    span = 2 * window_radius + 1
-    window = arr[:span]
-    base = int(window.sum(dtype=np.int64))
-    pair_counts = []
-    u_hat = []
-    se = []
-    for k in lags:
-        pairs = int(np.sum(window & arr[k:k + span], dtype=np.int64))
-        pair_counts.append(pairs)
-        u = pairs / base
-        u_hat.append(u)
-        se.append((u * (1.0 - u) / base) ** 0.5)
-    return CorrelationEstimate(window_radius, lags, tuple(u_hat),
-                               tuple(pair_counts), base, tuple(se))

@@ -3,14 +3,11 @@
 import math
 import warnings
 
-import numpy as np
 import pytest
 
 from ergosum import birkhoff as bk
-from ergosum import lattice as lt
 from ergosum import rankone as rk
-from ergosum import renewal as rn
-from ergosum.errors import CoverageError, InvariantViolationError
+from ergosum.errors import InvariantViolationError
 from ergosum.regvar import ScalingSequence
 from ergosum.streams import spawn
 
@@ -71,44 +68,6 @@ def test_series_validation():
         bk.BirkhoffSeries((1,), (3,), (2,), (4,), source="x")  # 4 > 2*1+1
 
 
-def test_series_from_walk_delta(odometer):
-    d1 = rn.FiniteSupport.delta(1)
-    walk = lt.walk_sample(d1, 0, J=8)
-    series = bk.series_from_walk(walk, (5,))
-    assert series.sigma == (11,)
-    assert series.s_plus == (6,)
-    assert series.s_minus == (6,)
-
-
-def test_series_from_walk_matches_direct_scan():
-    g = rn.Geometric(0.5)
-    for seed in range(6):
-        walk = lt.walk_sample(g, spawn(5, seed), J=500)
-        series = bk.series_from_walk(walk, (10, 100, 400))
-        s_all = np.array([walk.s(k) for k in range(-500, 501)])
-        for n, sg in zip(series.checkpoints, series.sigma):
-            assert sg == int(np.count_nonzero(np.abs(s_all) <= n))
-
-
-def test_series_from_walk_coverage_error():
-    d2 = rn.FiniteSupport.delta(2)
-    walk = lt.walk_sample(d2, 0, J=4)
-    with pytest.raises(CoverageError):
-        bk.series_from_walk(walk, (100,))
-
-
-def test_walk_mean_density_lln():
-    # mean sigma/(2N) across seeds near 1/mu for geometric lifetimes
-    g = rn.Geometric(0.5)
-    n = 10 ** 5
-    vals = []
-    for seed in range(12):
-        walk = lt.walk_sample(g, spawn(21, seed), J=n)
-        series = bk.series_from_walk(walk, (n,))
-        vals.append(series.sigma[0] / (2 * n))
-    assert abs(np.mean(vals) - 0.5) <= 0.025
-
-
 # -- normalized statistics --------------------------------------------------------
 
 
@@ -127,10 +86,11 @@ def test_normalized_stats_odometer_band(odometer):
 
 
 def test_normalized_stats_walk_identity_scaling():
-    d1 = rn.FiniteSupport.delta(1)
+    # a delta:1 walk visits the fiber origin at every time
     cps = tuple(2 ** e for e in range(10, 17))
-    walk = lt.walk_sample(d1, 0, J=2 ** 16)
-    series = bk.series_from_walk(walk, cps)
+    visits = tuple(n + 1 for n in cps)
+    series = bk.BirkhoffSeries(cps, visits, visits, tuple(2 * n + 1 for n in cps),
+                               source="walk[delta:1]")
     scaling = ScalingSequence(lambda n: n, "identity")
     with warnings.catch_warnings():
         # a(n)=n is half the doubled normalization, so the review flag fires

@@ -166,11 +166,19 @@ def test_rerun_byte_identical(tmp_path):
 
 
 def test_thread_count_invariance(tmp_path):
-    base = ["walk", "--dist", "geometric:0.5", "--N", "3000", "--seeds", "6",
-            "--seed", "5"]
-    _, out1 = run_cli([*base, "--threads", "1"], tmp_path, "t1")
-    _, out2 = run_cli([*base, "--threads", "4"], tmp_path, "t4")
-    assert (out1 / "walk.csv").read_bytes() == (out2 / "walk.csv").read_bytes()
+    runs = {
+        "walk": ["walk", "--dist", "geometric:0.5", "--N", "3000", "--seeds", "6"],
+        "rank-one": ["rank-one", "--preset", "chacon", "--seeds", "6",
+                     "--checkpoints", "dyadic:4:30", "--burn-in", "16"],
+    }
+    for kind, base in runs.items():
+        _, out1 = run_cli([*base, "--seed", "5", "--threads", "1"], tmp_path, f"{kind}1")
+        _, out4 = run_cli([*base, "--seed", "5", "--threads", "4"], tmp_path, f"{kind}4")
+        names = sorted(p.name for p in out1.glob("*.csv"))
+        assert names == sorted(p.name for p in out4.glob("*.csv"))
+        assert len(names) == (1 if kind == "walk" else 7)
+        for name in names:
+            assert (out1 / name).read_bytes() == (out4 / name).read_bytes()
 
 
 def test_renewal_rows_independent_of_blas_threads(tmp_path):

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ergosum import rankone as rk
+from ergosum.birkhoff import series_from_name
 from ergosum.errors import (
     ConfigError,
     DepthCapError,
@@ -200,13 +201,33 @@ def test_forced_choice_validation(presets):
         s.ensure_level(2)
 
 
+def test_samplers_share_one_tower(presets):
+    # samplers on one tower, taking turns to extend it, give the series of
+    # the same seeds on fresh towers
+    cps = tuple(2 ** e for e in range(0, 41, 3))
+    for data in presets.values():
+        tower = rk.Tower(data)
+        samplers = [rk.NameSampler(tower, spawn(19, i)) for i in range(4)]
+        rows = [[] for _ in samplers]
+        for step, n in enumerate(cps):
+            # a different sampler goes first at each checkpoint
+            for k in range(step, step + len(samplers)):
+                k %= len(samplers)
+                one = series_from_name(samplers[k], (n,))
+                rows[k].append((one.s_plus[0], one.s_minus[0], one.sigma[0]))
+        for i, got in enumerate(rows):
+            fresh = series_from_name(rk.sample_name(data, spawn(19, i)), cps)
+            assert got == list(zip(fresh.s_plus, fresh.s_minus, fresh.sigma))
+
+
 def test_center_symbol_is_base_every_level(presets):
     for data in presets.values():
         s = rk.sample_name(data, 9)
         s.ensure_level(8)
         for level in range(1, 9):
             off = s.center_offset(level)
-            assert s.tower.symbol_at(level, off) == rk.BASE
+            prefix = s.tower.prefix_base_count
+            assert prefix(level, off + 1) - prefix(level, off) == 1
 
 
 # -- window counting -------------------------------------------------------------
@@ -308,36 +329,6 @@ def test_scaling_sandwich(presets):
         for n in (3, 10, 50, 211, 1024, 5000):
             ratio = rk.window_counts(s, n).sigma / sc(n)
             assert 1 / (2 * max_c) <= ratio <= 3 * max_c
-
-
-# -- correlations --------------------------------------------------------------------
-
-
-def test_correlation_odometer_all_ones(presets):
-    est = rk.correlation_ratio_estimate(presets["odometer"], 5, 1000, [0, 1, 2, 7])
-    assert est.u_hat == (1.0, 1.0, 1.0, 1.0)
-
-
-def test_correlation_lag_zero_is_one(presets):
-    for data in presets.values():
-        est = rk.correlation_ratio_estimate(data, 8, 500, [0])
-        assert est.u_hat[0] == 1.0
-
-
-def test_correlation_chacon_seed_agreement(presets):
-    # statistical smoke test with fixed seeds; crude independent-pairs SE
-    a = rk.correlation_ratio_estimate(presets["chacon"], 101, 2 ** 18, [1])
-    b = rk.correlation_ratio_estimate(presets["chacon"], 202, 2 ** 18, [1])
-    diff = abs(a.u_hat[0] - b.u_hat[0])
-    assert diff <= 3.0 * (a.se[0] ** 2 + b.se[0] ** 2) ** 0.5
-
-
-def test_correlation_bounds_and_validation(presets):
-    est = rk.correlation_ratio_estimate(presets["chacon"], 3, 2000, [1, 5, 17])
-    assert all(0.0 <= u <= 1.0 for u in est.u_hat)
-    assert est.pair_counts[0] <= est.base_count
-    with pytest.raises(ValueError):
-        rk.correlation_ratio_estimate(presets["chacon"], 3, 10, [11])
 
 
 # -- hypothesis: counting on random small constructions -------------------------------
