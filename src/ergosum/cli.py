@@ -135,8 +135,8 @@ def parse_scaling(spec: str) -> regvar.ScalingSequence:
         return renewal.truncated_mean_scaling(parse_distribution(rest)).as_scaling()
     if head == "au":
         dist_spec, _, nmax = rest.rpartition(":")
-        if not dist_spec:
-            raise ConfigError("au scaling needs 'au:DIST:NMAX'")
+        if not dist_spec or not nmax.isdigit():
+            raise ConfigError(f"au scaling needs 'au:DIST:NMAX', got {spec!r}")
         seq = renewal.renewal_sequence(parse_distribution(dist_spec), int(nmax))
         return seq.as_scaling()
     if head == "rankone":
@@ -297,8 +297,11 @@ def run_regvar(cfg: ExperimentConfig):
         tables.append(("regvar_sv", ("n", "L_n", "L_2n", "ratio"),
                        report.as_rows()))
     else:
-        p_values = tuple(int(tok) for tok in
-                         str(cfg.params.get("p", "2,4,8")).split(","))
+        p_spec = str(cfg.params.get("p", "2,4,8"))
+        try:
+            p_values = tuple(int(tok) for tok in p_spec.split(","))
+        except ValueError as exc:
+            raise ConfigError(f"bad p list {p_spec!r}") from exc
         scaling = parse_scaling(spec)
         report = regvar.er_diagnostic(scaling, p_values, n_lo, n_hi, factor)
         tables.append(("regvar_er", ("p", "n", "a_n", "a_pn", "ratio"),
@@ -487,7 +490,8 @@ def main(argv=None) -> int:
     try:
         cfg = config_from_args(args)
         written = run(cfg)
-    except ConfigError as exc:
+    except (ConfigError, ValueError) as exc:
+        # the library's ValueErrors are range checks on the parameters
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except ResourceLimitError as exc:

@@ -51,42 +51,24 @@ class TranslationAction:
     """x -> x + k*alpha + l*beta acting on the line, observed on [0, 1).
 
     The ergodic-limit statements require alpha/beta irrational; floats
-    cannot carry irrationality, so construction warns (or raises with
-    strict=True) when the ratio is detectably an exact rational, and the
-    documented limits refer to the idealized parameters.  Normalization
-    divides both translations by |beta|; the asymmetry ratio R is
-    invariant under it.
+    cannot carry irrationality, so construction warns when the ratio is
+    detectably an exact rational, and the documented limits refer to the
+    idealized parameters.
     """
 
     alpha: float
     beta: float = 1.0
     x: float = 0.0
-    strict: bool = False
 
     def __post_init__(self):
         if self.beta == 0.0 or self.alpha == 0.0:
             raise ConfigError("alpha and beta must be nonzero")
         ratio = _rational_ratio(self.alpha / self.beta)
         if ratio is not None:
-            msg = (f"alpha/beta = {self.alpha / self.beta!r} is exactly the "
-                   f"rational {ratio}; orbit-density limits do not apply")
-            if self.strict:
-                raise ConfigError(msg)
-            warnings.warn(msg, PrecisionWarning, stacklevel=3)
-
-    @property
-    def alpha_normalized(self) -> float:
-        return self.alpha / abs(self.beta)
-
-    @property
-    def x_normalized(self) -> float:
-        return self.x / abs(self.beta)
-
-    @property
-    def asymmetry_ratio(self) -> float:
-        """R = min(|alpha|, |beta|) / max(|alpha|, |beta|), in (0, 1]."""
-        lo, hi = sorted((abs(self.alpha), abs(self.beta)))
-        return lo / hi
+            warnings.warn(
+                f"alpha/beta = {self.alpha / self.beta!r} is exactly the "
+                f"rational {ratio}; orbit-density limits do not apply",
+                PrecisionWarning, stacklevel=3)
 
 
 class TranslateCount(NamedTuple):

@@ -16,6 +16,9 @@ from typing import Callable, Sequence
 
 from .errors import ScalingHorizonError
 
+# the generalized inverse searches no further than this index
+SEARCH_HORIZON = 2 ** 62
+
 
 class ScalingSequence:
     """Queryable normalizing sequence with a source label.
@@ -53,17 +56,17 @@ class ScalingSequence:
         return f"ScalingSequence({self.name!r})"
 
 
-def invert_scaling(a: ScalingSequence, y, horizon: int = 2 ** 62) -> int:
+def invert_scaling(a: ScalingSequence, y) -> int:
     """Smallest integer t with a(t) >= y, for nondecreasing a.
 
     Exponential search followed by integer bisection; raises
-    ScalingHorizonError when y is not reached within the horizon or the
-    sequence's own domain.
+    ScalingHorizonError when y is not reached by t = SEARCH_HORIZON or the
+    end of the sequence's own domain.
     """
     lo = a.domain_min
     if a(lo) >= y:
         return lo
-    limit = horizon
+    limit = SEARCH_HORIZON
     if a.domain_max is not None:
         limit = min(limit, a.domain_max)
     hi = lo

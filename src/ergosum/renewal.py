@@ -11,9 +11,8 @@ trimmed-sum Monte Carlo.
 
 from __future__ import annotations
 
-import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import ClassVar, Sequence
 
@@ -21,9 +20,7 @@ import numpy as np
 
 from .errors import ConfigError, SamplingHorizonError
 from .regvar import ScalingSequence, invert_scaling
-from .streams import normalize, spawn
-
-EULER_GAMMA = float(np.euler_gamma)
+from .streams import spawn
 
 # Newton doubling starts from this many terms of the plain recurrence, so
 # short sequences carry no transform rounding (geometric:0.5 gives 0.5)
@@ -33,29 +30,11 @@ _INT64_VALUE_LIMIT = 2 ** 62
 # a float sum of int64 draws at or above this may overflow its int64 cumsum
 INT64_SUM_LIMIT = 4.0e18
 
-
-# -- harmonic numbers -------------------------------------------------------
-
-_HARMONIC_EXACT = 64
-_HARMONIC_TABLE = tuple(float(h) for h in itertools.accumulate(
-    (Fraction(1, k) for k in range(1, _HARMONIC_EXACT + 1)), initial=Fraction(0)))
-# B_2k / (2k) for k = 1..4; beyond n = 64 the next term is below 1e-19
-_HARMONIC_SERIES = (1.0 / 12.0, -1.0 / 120.0, 1.0 / 252.0, -1.0 / 240.0)
-
-
-def _harmonic_number(n: int) -> float:
-    """H_n = 1 + 1/2 + ... + 1/n, within about one ulp for 0 <= n <= 2**62.
-
-    Exact rational sums, rounded once, up to n = 64; beyond, the asymptotic
-    series ln n + gamma + 1/(2n) - sum_k B_2k / (2k n^2k).
-    """
-    if n <= _HARMONIC_EXACT:
-        return _HARMONIC_TABLE[n]
-    x = float(n)
-    r = 1.0 / (x * x)
-    c1, c2, c3, c4 = _HARMONIC_SERIES
-    tail = r * (c1 + r * (c2 + r * (c3 + r * c4)))
-    return math.log(x) + (EULER_GAMMA + (0.5 / x - tail))
+# power sums are added up directly to here; beyond, the first Euler-Maclaurin
+# term left out is below 1e-20
+_POWER_SUM_HEAD = 64
+# B_2k for k = 1..4
+_BERNOULLI = (Fraction(1, 6), Fraction(-1, 30), Fraction(1, 42), Fraction(-1, 30))
 
 
 class LifetimeDistribution:
@@ -107,29 +86,36 @@ class LifetimeDistribution:
 
     @staticmethod
     def from_spec(doc: dict) -> "LifetimeDistribution":
-        kind = doc.get("kind")
-        if kind == "geometric":
-            return Geometric(float(doc["p"]))
-        if kind == "power_tail":
-            return PowerTail(float(doc["gamma"]))
-        if kind == "harmonic":
-            return Harmonic()
-        if kind == "finite":
-            return FiniteSupport(tuple((int(k), float(p)) for k, p in doc["mass"]))
+        try:
+            kind = doc.get("kind")
+            if kind == "geometric":
+                return Geometric(float(doc["p"]))
+            if kind == "power_tail":
+                return PowerTail(float(doc["gamma"]))
+            if kind == "harmonic":
+                return PowerTail(1.0)
+            if kind == "finite":
+                return FiniteSupport(tuple((int(k), float(p)) for k, p in doc["mass"]))
+        except (AttributeError, KeyError, TypeError, ValueError) as exc:
+            raise ConfigError(f"malformed lifetime distribution {doc!r}: "
+                              f"{type(exc).__name__}: {exc}") from exc
         raise ConfigError(f"unknown lifetime distribution kind {kind!r}")
 
     @staticmethod
     def parse(text: str) -> "LifetimeDistribution":
         """CLI shorthand: geometric:p, power:gamma, harmonic, delta:k."""
         head, _, rest = text.partition(":")
-        if head == "geometric":
-            return Geometric(float(rest))
-        if head == "power":
-            return PowerTail(float(rest))
-        if head == "harmonic":
-            return Harmonic()
-        if head == "delta":
-            return FiniteSupport.delta(int(rest))
+        try:
+            if head == "geometric":
+                return Geometric(float(rest))
+            if head == "power":
+                return PowerTail(float(rest))
+            if head == "harmonic":
+                return PowerTail(1.0)
+            if head == "delta":
+                return FiniteSupport.delta(int(rest))
+        except ValueError as exc:
+            raise ConfigError(f"cannot parse lifetime distribution {text!r}: {exc}") from exc
         raise ConfigError(f"cannot parse lifetime distribution {text!r}")
 
     def _uniform_tail(self, rng, size):
@@ -171,74 +157,63 @@ class Geometric(LifetimeDistribution):
         return {"kind": "geometric", "p": self.p}
 
 
-class Harmonic(LifetimeDistribution):
-    """f_k = 1/(k(k+1)); F(n) = 1/n; L(n) is the n-th harmonic number."""
-
-    kind = "harmonic"
-
-    def tail(self, n):
-        n = np.asarray(n, dtype=np.float64)
-        return 1.0 / n
-
-    def truncated_mean(self, n: int) -> float:
-        return _harmonic_number(n)
-
-    @property
-    def mean(self) -> float:
-        return math.inf
-
-    def sample(self, rng, size: int) -> np.ndarray:
-        u = self._uniform_tail(rng, size)
-        # nu >= n  iff  u < 1/n, so nu = max(1, ceil(1/u - 1)) inverts the tail
-        nu = np.maximum(np.ceil(1.0 / u - 1.0), 1.0)
-        return nu.astype(np.int64)
-
-    @property
-    def label(self) -> str:
-        return "harmonic"
-
-    def to_spec(self) -> dict:
-        return {"kind": "harmonic"}
-
-
 class PowerTail(LifetimeDistribution):
-    """F(n) = n^(-gamma) for gamma in (0, 1]; infinite mean."""
+    """F(n) = n^(-gamma) for gamma in (0, 1]; infinite mean.
+
+    gamma = 1 is the harmonic lifetime, f_k = 1/(k(k+1)), labelled
+    ``harmonic``.  L(n) is the power sum S(n) = 1^-gamma + ... + n^-gamma,
+    one routine for every gamma: up to n = 64 a cumulative sum in long
+    double, rounded once; beyond, the Euler-Maclaurin expansion (Graham,
+    Knuth and Patashnik, Concrete Mathematics, section 9.5)
+
+        S(n) = C + lead(n) + n^-gamma / 2 - sum_{k=1..4} c_k n^(1-gamma-2k),
+
+    with lead(n) = (n^(1-gamma) - 1) / (1-gamma), or ln n at gamma = 1, and
+    c_k = B_2k (gamma)_(2k-1) / (2k)!, exact rationals rounded once.  The
+    constant C = zeta(gamma) + 1/(1-gamma), Euler's constant at gamma = 1,
+    is calibrated against the sum at n = 64, in long double, on
+    construction.  Against a 40-digit oracle, for 1 <= n <= 2**62, S is
+    within 1.1 ulp at gamma = 1 and 2.2 ulp at gamma = 0.5, 0.75 and 0.9.
+    Near gamma = 1 the rounding of n^(1-gamma) is divided by 1 - gamma:
+    13 ulp at gamma = 0.99.
+    """
 
     kind = "power_tail"
-
-    _TABLE_SIZE = 1 << 20
 
     def __init__(self, gamma: float):
         if not 0.0 < gamma <= 1.0:
             raise ConfigError(f"tail exponent must be in (0, 1], got {gamma}")
-        self.gamma = float(gamma)
-        self._table: np.ndarray | None = None
-        self._em_const: float | None = None
+        self.gamma = g = float(gamma)
+        ks = np.arange(1, _POWER_SUM_HEAD + 1, dtype=np.longdouble)
+        head = np.cumsum(ks ** -np.longdouble(g))
+        self._head = [0.0] + head.astype(np.float64).tolist()
+        series = []
+        q = rising = Fraction(g)  # rising is (gamma)_(2k-1), exactly
+        for k, b in enumerate(_BERNOULLI, start=1):
+            series.append(float(b / math.factorial(2 * k) * rising))
+            rising *= (q + 2 * k - 1) * (q + 2 * k)
+        self._series = tuple(series)
+        x, gl = np.longdouble(_POWER_SUM_HEAD), np.longdouble(g)
+        lead = np.log(x) if g == 1.0 else (x ** (1 - gl) - 1) / (1 - gl)
+        self._const = float(head[-1] - lead - self._corrections(x, gl))
+
+    def _corrections(self, x, g):
+        """n^-g / 2 minus the Bernoulli terms, at x = n in the precision of x."""
+        s = x ** -g
+        r = 1 / (x * x)
+        c1, c2, c3, c4 = self._series
+        return 0.5 * s - s / x * (c1 + r * (c2 + r * (c3 + r * c4)))
 
     def tail(self, n):
         n = np.asarray(n, dtype=np.float64)
         return np.power(n, -self.gamma)
 
-    def _ensure_table(self):
-        if self._table is None:
-            ks = np.arange(1, self._TABLE_SIZE + 1, dtype=np.float64)
-            self._table = np.cumsum(np.power(ks, -self.gamma))
-            # Euler-Maclaurin constant calibrated at the table edge; the
-            # dropped correction is O(T^(-gamma-3)), far below 1 ulp here.
-            self._em_const = float(self._table[-1]) - self._em_variable(self._TABLE_SIZE)
-
-    def _em_variable(self, n: float) -> float:
-        g = self.gamma
-        return (n ** (1.0 - g) / (1.0 - g) + 0.5 * n ** -g
-                - g * n ** (-g - 1.0) / 12.0)
-
     def truncated_mean(self, n: int) -> float:
-        if self.gamma == 1.0:
-            return _harmonic_number(n)
-        self._ensure_table()
-        if n <= self._TABLE_SIZE:
-            return float(self._table[n - 1])
-        return self._em_const + self._em_variable(float(n))
+        if n <= _POWER_SUM_HEAD:
+            return self._head[n]
+        g, x = self.gamma, float(n)
+        lead = math.log(x) if g == 1.0 else (x ** (1.0 - g) - 1.0) / (1.0 - g)
+        return lead + (self._const + self._corrections(x, g))
 
     @property
     def mean(self) -> float:
@@ -246,6 +221,7 @@ class PowerTail(LifetimeDistribution):
 
     def sample(self, rng, size: int) -> np.ndarray:
         u = self._uniform_tail(rng, size)
+        # nu >= n  iff  u < n^-gamma, so nu = max(1, ceil(u^(-1/gamma) - 1))
         nu = np.maximum(np.ceil(np.power(u, -1.0 / self.gamma) - 1.0), 1.0)
         if nu.max(initial=1.0) >= _INT64_VALUE_LIMIT:
             raise SamplingHorizonError(
@@ -255,7 +231,7 @@ class PowerTail(LifetimeDistribution):
 
     @property
     def label(self) -> str:
-        return f"power:{self.gamma!r}"
+        return "harmonic" if self.gamma == 1.0 else f"power:{self.gamma!r}"
 
     def to_spec(self) -> dict:
         return {"kind": "power_tail", "gamma": self.gamma}
@@ -465,11 +441,10 @@ class TruncatedMeanScaling:
     All three take integer arguments; a is nondecreasing because L(n)/n
     averages the nonincreasing tail.  b(y) is the least integer t with
     a(t) >= y (regvar.invert_scaling), and errors if y is not reached by
-    the horizon.
+    t = regvar.SEARCH_HORIZON.
     """
 
     f: LifetimeDistribution
-    horizon: int = 2 ** 62
 
     def L(self, n: int) -> float:
         if n < 1:
@@ -480,16 +455,15 @@ class TruncatedMeanScaling:
         return n / self.L(n)
 
     def b(self, y) -> int:
-        return invert_scaling(self.as_scaling(), y, self.horizon)
+        return invert_scaling(self.as_scaling(), y)
 
     def as_scaling(self) -> ScalingSequence:
         return ScalingSequence(self.a, name=f"tm[{self.f.label}]")
 
 
-def truncated_mean_scaling(f: LifetimeDistribution,
-                           horizon: int = 2 ** 62) -> TruncatedMeanScaling:
+def truncated_mean_scaling(f: LifetimeDistribution) -> TruncatedMeanScaling:
     """Queryable L, a = n/L(n), and inverse b for the given lifetimes."""
-    return TruncatedMeanScaling(f, horizon)
+    return TruncatedMeanScaling(f)
 
 
 # -- diagnostic series ------------------------------------------------------
@@ -533,8 +507,7 @@ class DyadicTailSeries:
 
 
 def dyadic_tail_series(f: LifetimeDistribution, scaling: ScalingSequence,
-                       t: float, n_max: int,
-                       horizon: int = 2 ** 62) -> DyadicTailSeries:
+                       t: float, n_max: int) -> DyadicTailSeries:
     """Dyadic second-moment tail series for the supplied scaling.
 
     b is the generalized inverse of the scaling (n/L(n) based or an
@@ -548,7 +521,7 @@ def dyadic_tail_series(f: LifetimeDistribution, scaling: ScalingSequence,
     thresholds = []
     terms = np.empty(n_max + 1)
     for n in range(n_max + 1):
-        b_n = invert_scaling(scaling, 2 ** n, horizon)
+        b_n = invert_scaling(scaling, 2 ** n)
         m = math.ceil(t * b_n)
         b_values.append(b_n)
         thresholds.append(m)
@@ -557,32 +530,7 @@ def dyadic_tail_series(f: LifetimeDistribution, scaling: ScalingSequence,
                             tuple(thresholds), terms, np.cumsum(terms))
 
 
-# -- interarrival sampling and trimmed sums ---------------------------------
-
-@dataclass(frozen=True)
-class InterarrivalSample:
-    """i.i.d. lifetimes nu_1..nu_n with partial sums and running maxima."""
-
-    nu: np.ndarray
-    partial_sums: np.ndarray
-    running_max: np.ndarray
-
-    @classmethod
-    def draw(cls, f: LifetimeDistribution, n: int, rng) -> "InterarrivalSample":
-        nu = f.sample(normalize(rng), n)
-        if float(nu.astype(np.float64).sum()) >= INT64_SUM_LIMIT:
-            raise SamplingHorizonError(
-                "partial sums would overflow int64; reduce n or lighten the tail")
-        return cls(nu, np.cumsum(nu), np.maximum.accumulate(nu))
-
-    @property
-    def total(self) -> int:
-        return int(self.partial_sums[-1])
-
-    @property
-    def maximum(self) -> int:
-        return int(self.running_max[-1])
-
+# -- trimmed sums -----------------------------------------------------------
 
 @dataclass(frozen=True)
 class TrimmedSumResult:
@@ -602,8 +550,8 @@ class TrimmedSumResult:
 _QUANTILE_LEVELS = (0.05, 0.25, 0.5, 0.75, 0.95)
 
 
-def trimmed_sum_trials(f: LifetimeDistribution, n: int, trials: int, seed: int,
-                       horizon: int = 2 ** 62) -> TrimmedSumResult:
+def trimmed_sum_trials(f: LifetimeDistribution, n: int, trials: int,
+                       seed: int) -> TrimmedSumResult:
     """Monte Carlo for the maximally trimmed partial sum, normalized by b(n).
 
     Trial i uses the stream spawned from (seed, i), so any single trial is
@@ -613,11 +561,14 @@ def trimmed_sum_trials(f: LifetimeDistribution, n: int, trials: int, seed: int,
         raise ValueError("n must be >= 2")
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    b_n = truncated_mean_scaling(f, horizon).b(n)
+    b_n = truncated_mean_scaling(f).b(n)
     ratios = np.empty(trials)
     for i in range(trials):
-        s = InterarrivalSample.draw(f, n, spawn(seed, i))
-        ratios[i] = (s.total - s.maximum) / b_n
+        nu = f.sample(spawn(seed, i), n)
+        if float(nu.astype(np.float64).sum()) >= INT64_SUM_LIMIT:
+            raise SamplingHorizonError(
+                "partial sums would overflow int64; reduce n or lighten the tail")
+        ratios[i] = (int(nu.sum()) - int(nu.max())) / b_n
     qs = np.quantile(ratios, _QUANTILE_LEVELS)
     quantiles = {f"q{int(100 * lvl):02d}": float(v)
                  for lvl, v in zip(_QUANTILE_LEVELS, qs)}

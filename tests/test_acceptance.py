@@ -32,7 +32,7 @@ PHI = (1.0 + math.sqrt(5.0)) / 2.0
 
 SHIPPED_DISTRIBUTIONS = [
     rn.Geometric(0.5),
-    rn.Harmonic(),
+    rn.PowerTail(1.0),
     rn.PowerTail(0.5),
     rn.FiniteSupport.delta(1),
     rn.FiniteSupport([(1, 0.5), (2, 0.5)]),
@@ -165,7 +165,7 @@ def test_criterion_05_renewal_exactness():
 
 
 def test_criterion_06_scaling_inverse_contract():
-    tm = rn.truncated_mean_scaling(rn.Harmonic())
+    tm = rn.truncated_mean_scaling(rn.PowerTail(1.0))
     b10 = tm.b(10)
     bad = [y for y in range(2, 1001)
            if not (tm.a(tm.b(y)) >= y > tm.a(tm.b(y) - 1))]
@@ -243,7 +243,7 @@ def test_criterion_09_walk_counts():
 
 
 def test_criterion_10_trimmed_sums():
-    res = rn.trimmed_sum_trials(rn.Harmonic(), 10 ** 5, 200, seed=1)
+    res = rn.trimmed_sum_trials(rn.PowerTail(1.0), 10 ** 5, 200, seed=1)
     dev = abs(res.mean - 1.0)
     ok = dev <= 0.15
     report(10, ok, f"trial mean {res.mean:.4f}, |mean - 1| = {dev:.4f} "
@@ -261,7 +261,7 @@ def test_criterion_11_extended_regular_variation_band():
     p_values = (2, 4, 8)
     seq = rn.renewal_sequence(rn.Geometric(0.5), p_values[-1] * n_hi)
     m_geo = rv.er_diagnostic(seq.as_scaling(), p_values, n_lo, n_hi).m_hat
-    tm = rn.truncated_mean_scaling(rn.Harmonic())
+    tm = rn.truncated_mean_scaling(rn.PowerTail(1.0))
     m_harm = rv.er_diagnostic(tm.as_scaling(), p_values, n_lo, n_hi).m_hat
     ok = m_geo <= 1.2 and m_harm <= 1.2
     report(11, ok, f"M_hat geometric a_u = {m_geo:.12f}, "

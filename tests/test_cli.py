@@ -246,6 +246,40 @@ def test_exit_code_config_error(tmp_path, capsys):
     assert "config error" in capsys.readouterr().err
 
 
+def _arg_id(arg):
+    return f"finite:@{json.dumps(arg)}" if isinstance(arg, dict) else arg
+
+
+# a dict stands for a finite:@FILE distribution spec holding it
+@pytest.mark.parametrize("args", [
+    ["renewal", "--dist", "geometric:abc", "--n", "5"],
+    ["renewal", "--dist", "power:", "--n", "5"],
+    ["renewal", "--dist", "geometric:0.5", "--n", "-1"],
+    ["regvar", "--scaling", "au:geometric:0.5:xx"],
+    ["regvar", "--scaling", "tm:harmonic", "--p", "2,x"],
+    ["regvar", "--scaling", "tm:harmonic", "--n-lo", "0"],
+    ["queen", "--dist", "harmonic", "--n", "0"],
+    ["walk", "--dist", "geometric:0.5", "--N", "0"],
+    ["trimmed", "--dist", "harmonic", "--n", "1"],
+    ["dyadic-tail", "--dist", "harmonic", "--n", "3", "--t", "-1"],
+    ["rank-one", "--preset", "chacon", "--radius", "-3"],
+    ["renewal", "--dist", {"kind": "finite", "mass": [[1, "x"]]}, "--n", "5"],
+    ["renewal", "--dist", {"kind": "geometric"}, "--n", "5"],
+], ids=lambda args: " ".join(map(_arg_id, args)))
+def test_exit_code_bad_value(args, tmp_path, capsys):
+    argv = []
+    for arg in args:
+        if isinstance(arg, dict):
+            path = tmp_path / "dist.json"
+            path.write_text(json.dumps(arg))
+            arg = f"finite:@{path}"
+        argv.append(arg)
+    code = cli.main([*argv, "--out", str(tmp_path / "out")])
+    assert code == cli.EXIT_CONFIG
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("config error: "), err
+
+
 def test_exit_code_resource_error(tmp_path, capsys):
     code = cli.main(["dyadic-tail", "--dist", "harmonic", "--n", "80",
                      "--out", str(tmp_path)])

@@ -43,20 +43,10 @@ def _translate_count_oracle(alpha, beta, x, n_box):
 # -- translation action ---------------------------------------------------------
 
 
-def test_action_normalization_and_ratio():
-    act = _action(3.0, beta=-2.0, x=0.5)
-    assert act.alpha_normalized == 1.5
-    assert act.x_normalized == 0.25
-    assert act.asymmetry_ratio == pytest.approx(2 / 3)
-    assert 0.0 < lt.TranslationAction(PHI).asymmetry_ratio <= 1.0
-
-
 def test_rational_ratio_detection():
     with pytest.warns(PrecisionWarning) as record:
         lt.TranslationAction(alpha=1.5, beta=1.0)
     assert [w.filename for w in record] == [__file__]  # names the caller
-    with pytest.raises(ConfigError):
-        lt.TranslationAction(alpha=1.5, beta=1.0, strict=True)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         lt.TranslationAction(alpha=PHI)

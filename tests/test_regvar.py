@@ -35,8 +35,12 @@ def test_invert_scaling_basics():
     assert rv.invert_scaling(seq, 1) == 1
     assert rv.invert_scaling(seq, 17) == 17
     assert rv.invert_scaling(seq, 16.5) == 17
+    assert rv.invert_scaling(seq, rv.SEARCH_HORIZON) == rv.SEARCH_HORIZON
     with pytest.raises(ScalingHorizonError):
-        rv.invert_scaling(seq, 100, horizon=50)
+        rv.invert_scaling(seq, rv.SEARCH_HORIZON + 1)
+    bounded = rv.ScalingSequence(lambda n: n, "identity", domain_max=50)
+    with pytest.raises(ScalingHorizonError):
+        rv.invert_scaling(bounded, 100)
 
 
 # -- band diagnostics --------------------------------------------------------------
@@ -75,7 +79,7 @@ def test_er_telescoping_power_of_two():
 
 
 def _scaling_n_over_harmonic():
-    tm = rn.truncated_mean_scaling(rn.Harmonic())
+    tm = rn.truncated_mean_scaling(rn.PowerTail(1.0))
     return tm.as_scaling()
 
 
@@ -106,7 +110,7 @@ def test_sv_constant():
 
 
 def test_sv_harmonic_length():
-    tm = rn.truncated_mean_scaling(rn.Harmonic())
+    tm = rn.truncated_mean_scaling(rn.PowerTail(1.0))
     report = rv.sv_diagnostic(tm.L, 2 ** 20, 2 ** 20)
     (row,) = report.rows
     assert abs(row.ratio - 1.0) <= 0.05

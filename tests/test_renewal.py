@@ -14,7 +14,7 @@ from ergosum.regvar import invert_scaling
 ALL_KINDS = [
     rn.Geometric(0.5),
     rn.Geometric(0.25),
-    rn.Harmonic(),
+    rn.PowerTail(1.0),
     rn.PowerTail(0.5),
     rn.FiniteSupport.delta(1),
     rn.FiniteSupport([(1, 0.5), (2, 0.5)]),
@@ -54,7 +54,8 @@ def test_spec_roundtrip():
 def test_parse_shorthand():
     assert rn.LifetimeDistribution.parse("geometric:0.5").p == 0.5
     assert rn.LifetimeDistribution.parse("power:0.5").gamma == 0.5
-    assert rn.LifetimeDistribution.parse("harmonic").kind == "harmonic"
+    assert rn.LifetimeDistribution.parse("harmonic").to_spec() == {
+        "kind": "power_tail", "gamma": 1.0}
     d = rn.LifetimeDistribution.parse("delta:3")
     assert d.points == (3,) and d.weights == (1.0,)
     with pytest.raises(ConfigError):
@@ -87,7 +88,7 @@ def test_finite_tail_mass_random(points, raw_weights):
 
 @pytest.mark.parametrize("f,checks", [
     (rn.Geometric(0.5), {1: 1.0, 2: 0.5, 4: 0.125, 8: 2 ** -7, 16: 2 ** -15}),
-    (rn.Harmonic(), {1: 1.0, 2: 0.5, 4: 0.25, 8: 0.125, 16: 1 / 16}),
+    (rn.PowerTail(1.0), {1: 1.0, 2: 0.5, 4: 0.25, 8: 0.125, 16: 1 / 16}),
     (rn.PowerTail(0.5), {1: 1.0, 4: 0.5, 16: 0.25}),
     (rn.FiniteSupport([(1, 0.5), (2, 0.5)]), {1: 1.0, 2: 0.5, 4: 0.0}),
 ], ids=lambda v: getattr(v, "label", ""))
@@ -276,7 +277,7 @@ def test_scaling_delta_one():
 
 
 def test_scaling_harmonic_values():
-    tm = rn.truncated_mean_scaling(rn.Harmonic())
+    tm = rn.truncated_mean_scaling(rn.PowerTail(1.0))
     assert tm.L(1) == pytest.approx(1.0, abs=1e-12)
     assert tm.L(4) == pytest.approx(25 / 12, abs=1e-12)
     assert tm.b(10) == 44
@@ -292,8 +293,8 @@ def test_scaling_monotonicity():
         assert all(b >= a - 1e-12 for a, b in zip(ratios, ratios[1:]))
 
 
-@pytest.mark.parametrize("f", [rn.Harmonic(), rn.Geometric(0.5), rn.PowerTail(0.5)],
-                         ids=lambda f: f.label)
+@pytest.mark.parametrize("f", [rn.PowerTail(1.0), rn.Geometric(0.5),
+                               rn.PowerTail(0.5)], ids=lambda f: f.label)
 def test_b_generalized_inverse_contract(f):
     tm = rn.truncated_mean_scaling(f)
     for y in list(range(2, 50)) + [97, 311, 1000]:
@@ -303,18 +304,10 @@ def test_b_generalized_inverse_contract(f):
 
 
 def test_b_horizon_error():
-    tm = rn.truncated_mean_scaling(rn.Harmonic(), horizon=10 ** 6)
+    # a(2**62) = 2**62 / H(2**62) is about 1.06e17 for harmonic lifetimes
+    tm = rn.truncated_mean_scaling(rn.PowerTail(1.0))
     with pytest.raises(ScalingHorizonError):
-        tm.b(10 ** 9)
-
-
-def test_power_tail_truncated_mean_extension():
-    # Euler-Maclaurin extension agrees with brute summation past the table
-    p = rn.PowerTail(0.5)
-    p._ensure_table()
-    big = p._TABLE_SIZE + 12345
-    brute = float(np.sum(np.arange(1, big + 1, dtype=np.float64) ** -0.5))
-    assert p.truncated_mean(big) == pytest.approx(brute, rel=1e-12)
+        tm.b(10 ** 18)
 
 
 # -- diagnostic series --------------------------------------------------------------
@@ -401,16 +394,7 @@ def test_invert_scaling_contract():
         invert_scaling(sc, 10 ** 6)
 
 
-# -- interarrival sampling and trimmed sums --------------------------------------------
-
-
-def test_interarrival_sample_fields():
-    s = rn.InterarrivalSample.draw(rn.Geometric(0.5), 1000, 77)
-    assert len(s.nu) == 1000
-    assert np.all(np.diff(s.partial_sums) >= 1)
-    assert np.all(s.running_max == np.maximum.accumulate(s.nu))
-    assert s.total == int(s.nu.sum())
-    assert s.maximum == int(s.nu.max())
+# -- trimmed sums -------------------------------------------------------------------
 
 
 def test_trimmed_delta_exact():
@@ -446,6 +430,20 @@ def test_trimmed_validation_and_horizon():
         rn.trimmed_sum_trials(g, 1, 5, seed=0)
     with pytest.raises(ValueError):
         rn.trimmed_sum_trials(g, 10, 0, seed=0)
+
+
+def test_trimmed_sum_overflow_guard():
+    class HugeLifetimes(rn.Geometric):
+        # every draw is 2**60: three sum below INT64_SUM_LIMIT, four above
+        def sample(self, rng, size):
+            return np.full(size, 2 ** 60, dtype=np.int64)
+
+    f = HugeLifetimes(0.5)
+    res = rn.trimmed_sum_trials(f, 3, 2, seed=0)
+    assert res.b_n == 6
+    assert np.all(res.ratios == 2 ** 61 / 6)
+    with pytest.raises(SamplingHorizonError):
+        rn.trimmed_sum_trials(f, 4, 2, seed=0)
 
 
 def test_power_tail_overflow_guard():
