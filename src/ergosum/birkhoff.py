@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .errors import InvariantViolationError
-from .rankone import DEFAULT_DEPTH_CAP, NameSampler, window_counts
+from .rankone import NameSampler, window_counts
 from .regvar import ScalingSequence
 
 CENTER_CONVENTION = "center counted once, shared by s_plus and s_minus"
@@ -63,13 +63,13 @@ class BirkhoffSeries:
                     f"sigma = {sg} exceeds window size {2 * n + 1} at {n}")
 
 
-def series_from_name(sampler: NameSampler, checkpoints: Sequence[int],
-                     depth_cap: int = DEFAULT_DEPTH_CAP) -> BirkhoffSeries:
+def series_from_name(sampler: NameSampler,
+                     checkpoints: Sequence[int]) -> BirkhoffSeries:
     """Counts from a symbolic name at each checkpoint radius."""
     cps = tuple(int(n) for n in checkpoints)
     s_plus, s_minus, sigma = [], [], []
     for n in cps:
-        w = window_counts(sampler, n, depth_cap)
+        w = window_counts(sampler, n)
         s_plus.append(w.s_plus)
         s_minus.append(w.s_minus)
         sigma.append(w.sigma)
@@ -80,13 +80,17 @@ def series_from_name(sampler: NameSampler, checkpoints: Sequence[int],
 
 @dataclass(frozen=True)
 class SeriesStats:
-    """Per-orbit ratios and running extrema past the burn-in."""
+    """One orbit's a(n) and ratios per checkpoint, and extrema past the burn-in.
 
-    label: str
-    checkpoints: tuple[int, ...]
+    a_n[i] is the scaling at checkpoint i, evaluated once; ratio_sym[i] =
+    sigma / (2 a_n) and ratio_plus[i] = s_plus / a_n.  A checkpoint below
+    the scaling's domain has a_n None and NaN ratios.  The running extrema
+    of ratio_sym start at the burn-in.
+    """
+
+    a_n: tuple
     ratio_sym: tuple[float, ...]
     ratio_plus: tuple[float, ...]
-    tail_checkpoints: tuple[int, ...]
     running_sup: tuple[float, ...]
     running_inf: tuple[float, ...]
     sup_plus: float
@@ -114,8 +118,6 @@ class NormalizedStats:
     """
 
     series: tuple[SeriesStats, ...]
-    scaling_name: str
-    burn_in: int
     alpha_hat: float
     beta_hat: float
     beta_lower_hat: float
@@ -127,44 +129,44 @@ class NormalizedStats:
 
 
 def _series_stats(series: BirkhoffSeries, scaling: ScalingSequence,
-                  burn_in: int, label: str) -> SeriesStats:
-    ratio_sym, ratio_plus = [], []
+                  burn_in: int) -> SeriesStats:
+    a_values, ratio_sym, ratio_plus = [], [], []
     for n, sp, sg in zip(series.checkpoints, series.s_plus, series.sigma):
         if n < max(1, scaling.domain_min):
+            a_values.append(None)
             ratio_sym.append(math.nan)
             ratio_plus.append(math.nan)
             continue
         a_n = scaling(n)
         if a_n <= 0:
             raise InvariantViolationError(f"{scaling.name}: a({n}) <= 0")
+        a_values.append(a_n)
         ratio_sym.append(sg / (2 * a_n))
         ratio_plus.append(sp / a_n)
-    tail = [(n, rs, rp) for n, rs, rp in
+    tail = [(rs, rp) for n, rs, rp in
             zip(series.checkpoints, ratio_sym, ratio_plus) if n >= burn_in]
     if not tail:
         raise ValueError(f"no checkpoints at or past burn-in {burn_in}")
     sup, inf = -math.inf, math.inf
     running_sup, running_inf = [], []
-    for _, rs, _ in tail:
+    for rs, _ in tail:
         sup = max(sup, rs)
         inf = min(inf, rs)
         running_sup.append(sup)
         running_inf.append(inf)
     return SeriesStats(
-        label=label,
-        checkpoints=series.checkpoints,
+        a_n=tuple(a_values),
         ratio_sym=tuple(ratio_sym),
         ratio_plus=tuple(ratio_plus),
-        tail_checkpoints=tuple(n for n, _, _ in tail),
         running_sup=tuple(running_sup),
         running_inf=tuple(running_inf),
-        sup_plus=max(rp for _, _, rp in tail),
+        sup_plus=max(rp for _, rp in tail),
         oscillation=sup - inf,
     )
 
 
 def normalized_stats(ensemble: Sequence[BirkhoffSeries], scaling: ScalingSequence,
-                     burn_in: int, labels: Sequence[str] | None = None) -> NormalizedStats:
+                     burn_in: int) -> NormalizedStats:
     """Ratios, running extrema, and ensemble estimators for a series ensemble.
 
     The sanity bound beta_lower_hat <= alpha_hat/2 + 0.1 is checked and a
@@ -176,10 +178,7 @@ def normalized_stats(ensemble: Sequence[BirkhoffSeries], scaling: ScalingSequenc
         raise ValueError("ensemble must be nonempty")
     if burn_in < 1:
         raise ValueError("burn_in must be >= 1")
-    if labels is None:
-        labels = [str(i) for i in range(len(ensemble))]
-    stats = tuple(_series_stats(s, scaling, burn_in, lbl)
-                  for s, lbl in zip(ensemble, labels))
+    stats = tuple(_series_stats(s, scaling, burn_in) for s in ensemble)
     alpha_hat = max(s.sup_plus for s in stats)
     beta_hat = max(s.sup_sym for s in stats)
     beta_lower_hat = min(s.inf_sym for s in stats)
@@ -189,18 +188,18 @@ def normalized_stats(ensemble: Sequence[BirkhoffSeries], scaling: ScalingSequenc
             f"beta_lower_hat = {beta_lower_hat:.4f} exceeds alpha_hat/2 + 0.1 "
             f"= {alpha_hat / 2 + 0.1:.4f}; review the horizon and burn-in")
         warnings.warn(flags[-1], stacklevel=2)
-    return NormalizedStats(stats, scaling.name, burn_in, alpha_hat, beta_hat,
-                           beta_lower_hat, tuple(flags))
+    return NormalizedStats(stats, alpha_hat, beta_hat, beta_lower_hat,
+                           tuple(flags))
 
 
-def series_rows(series: BirkhoffSeries, scaling: ScalingSequence) -> list[tuple]:
-    """Rows (n, s_plus, s_minus, sigma, a_n, ratio_sym, ratio_plus) for CSV."""
-    rows = []
-    for n, sp, sm, sg in zip(series.checkpoints, series.s_plus,
-                             series.s_minus, series.sigma):
-        if n >= max(1, scaling.domain_min):
-            a_n = scaling(n)
-            rows.append((n, sp, sm, sg, a_n, sg / (2 * a_n), sp / a_n))
-        else:
-            rows.append((n, sp, sm, sg, "", "", ""))
-    return rows
+def series_rows(series: BirkhoffSeries, stats: SeriesStats) -> list[tuple]:
+    """Rows (n, s_plus, s_minus, sigma, a_n, ratio_sym, ratio_plus) for CSV.
+
+    Formats the counts and their record from normalized_stats; nothing is
+    evaluated again.  A checkpoint below the scaling's domain gets empty
+    a_n and ratio cells.
+    """
+    return [row if row[4] is not None else (*row[:4], "", "", "")
+            for row in zip(series.checkpoints, series.s_plus, series.s_minus,
+                           series.sigma, stats.a_n, stats.ratio_sym,
+                           stats.ratio_plus)]

@@ -196,7 +196,7 @@ def run_rank_one(cfg: ExperimentConfig):
         tables.append((f"series_{i:03d}",
                        ("n", "s_plus", "s_minus", "sigma", "a_n",
                         "ratio_sym", "ratio_plus"),
-                       birkhoff.series_rows(series, scaling)))
+                       birkhoff.series_rows(series, stats.series[i])))
     summary = [(i, s.sup_plus, s.sup_sym, s.inf_sym, s.oscillation)
                for i, s in enumerate(stats.series)]
     tables.append(("summary",

@@ -20,8 +20,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import ConfigError, CoverageError, PrecisionWarning
-from .renewal import (INT64_SUM_LIMIT, LifetimeDistribution, RenewalSequence,
-                      renewal_sequence)
+from .renewal import LifetimeDistribution, RenewalSequence, int64_sum_may_overflow
 from .streams import normalize
 
 # a ratio within _RATIONAL_PRECISION of a rational with denominator at most
@@ -162,7 +161,6 @@ class WalkSample:
     k <= -1.  Steps are >= 1, so s is strictly increasing in k.
     """
 
-    f: LifetimeDistribution
     J: int
     omega_forward: np.ndarray   # omega_0 .. omega_{J-1}
     omega_backward: np.ndarray  # omega_{-1} .. omega_{-J}
@@ -204,9 +202,9 @@ def walk_sample(f: LifetimeDistribution, seed, J: int) -> WalkSample:
     fwd = f.sample(rng, J)
     bwd = f.sample(rng, J)
     for block in (fwd, bwd):
-        if float(block.astype(np.float64).sum()) >= INT64_SUM_LIMIT:
+        if int64_sum_may_overflow(block):
             raise CoverageError("walk partial sums would overflow int64")
-    return WalkSample(f, J, fwd, bwd, np.cumsum(fwd), np.cumsum(bwd))
+    return WalkSample(J, fwd, bwd, np.cumsum(fwd), np.cumsum(bwd))
 
 
 class WalkCount(NamedTuple):
@@ -216,12 +214,13 @@ class WalkCount(NamedTuple):
 
 
 def walk_counts(sample: WalkSample, n_box: int,
-                renewal: RenewalSequence | None = None) -> WalkCount:
+                renewal: RenewalSequence) -> WalkCount:
     """Box count #{k in [-N, N] : |s_k| <= N} and its renewal normalization.
 
     Steps are >= 1, so |s_k| <= N already forces |k| <= N; the count comes
-    from two binary searches.  ``renewal`` may carry a precomputed
-    sequence (it must extend to N); otherwise one is computed here.
+    from two binary searches.  ``renewal`` is the renewal sequence of the
+    walk's step distribution, computed once by the caller for every trial;
+    it must extend to N.
     """
     if sample.reach_forward < n_box or sample.reach_backward < n_box:
         raise CoverageError(
@@ -231,8 +230,6 @@ def walk_counts(sample: WalkSample, n_box: int,
     fwd = int(np.searchsorted(sample.s_forward, n_box, side="right"))
     bwd = int(np.searchsorted(sample.s_backward_mag, n_box, side="right"))
     count = bwd + 1 + fwd
-    if renewal is None:
-        renewal = renewal_sequence(sample.f, n_box)
     if renewal.n_max < n_box:
         raise ValueError(f"renewal sequence only reaches {renewal.n_max} < {n_box}")
     a_u_value = float(renewal.a_u[n_box])

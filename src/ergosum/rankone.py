@@ -154,18 +154,16 @@ class Tower:
     """Lazily extended tower bookkeeping for one construction.
 
     Each stage is resolved once into plain lists: exact heights q_n, cut
-    products C_n, resolved spacer rows, spacer mass partial sums, and the
-    block starts of the stage.  Prefix counts descend one level per step
-    by bisection over those starts.  One tower serves every sampler of a
-    construction; it extends itself lazily, so its samplers must share
-    one thread.
+    products C_n, resolved spacer rows and the block starts of the stage.
+    Prefix counts descend one level per step by bisection over those
+    starts.  One tower serves every sampler of a construction; it extends
+    itself lazily, so its samplers must share one thread.
     """
 
     def __init__(self, data: ConstructionData):
         self.data = data
         self._q: list[int] = [1]            # q_n, level n = index + 1
         self._cut_product: list[int] = [1]  # C_n, n = index: base count of level n + 1
-        self._mass: list[Fraction] = [Fraction(0)]  # sum_{m<=n} (1/C_m) sum_k S_{m,k}
         self._spacers: list[tuple[int, ...]] = []   # stage n = index + 1
         self._starts: list[tuple[int, ...]] = []    # k*q_n + S_{n,1} + ... + S_{n,k}
 
@@ -182,7 +180,6 @@ class Tower:
             self._starts.append(starts)
             self._q.append(starts[-1] + q_m + row[-1])
             self._cut_product.append(self._cut_product[-1] * stage.c)
-            self._mass.append(self._mass[-1] + Fraction(sum(row), self._cut_product[-1]))
 
     def q(self, level: int) -> int:
         self.ensure_stage(level - 1)
@@ -245,11 +242,10 @@ def tower_stats(data: ConstructionData, n_max: int) -> TowerStats:
         raise ValueError("n_max must be >= 1")
     tower = Tower(data)
     tower.ensure_stage(n_max)
-    return TowerStats(
-        q=tuple(tower._q[:n_max]),
-        C=tuple(tower._cut_product[1:n_max + 1]),
-        spacer_mass_partial=tuple(tower._mass[1:n_max + 1]),
-    )
+    cuts = tower._cut_product[1:n_max + 1]
+    masses = (Fraction(sum(tower.spacers(m)), c) for m, c in enumerate(cuts, 1))
+    return TowerStats(q=tuple(tower._q[:n_max]), C=tuple(cuts),
+                      spacer_mass_partial=tuple(accumulate(masses)))
 
 
 @dataclass(eq=False)

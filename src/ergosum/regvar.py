@@ -104,8 +104,6 @@ class ERReport:
     band has settled).
     """
 
-    p_values: tuple[int, ...]
-    n_range: tuple[int, int]
     rows: tuple[ERRow, ...]
     m_hat: float
     stable_from: dict[int, int]
@@ -161,7 +159,7 @@ def er_diagnostic(a: ScalingSequence, p_values: Sequence[int],
                 break
             start = grid[i]
         stable_from[p] = start
-    return ERReport(p_values, (n_lo, n_hi), tuple(rows), m_hat, stable_from)
+    return ERReport(tuple(rows), m_hat, stable_from)
 
 
 @dataclass(frozen=True)
@@ -176,7 +174,6 @@ class SVRow:
 class SVReport:
     """Doubling ratios L(2n)/L(n) and their maximal deviation from 1."""
 
-    n_range: tuple[int, int]
     rows: tuple[SVRow, ...]
     max_deviation: float
 
@@ -200,4 +197,4 @@ def sv_diagnostic(length_fn, n_lo: int, n_hi: int, grid_factor: int = 2) -> SVRe
         ratio = l_2n / l_n
         rows.append(SVRow(n, l_n, l_2n, ratio))
         max_dev = max(max_dev, abs(ratio - 1.0))
-    return SVReport((n_lo, n_hi), tuple(rows), max_dev)
+    return SVReport(tuple(rows), max_dev)

@@ -139,7 +139,7 @@ class Geometric(LifetimeDistribution):
 
     def truncated_mean(self, n: int) -> float:
         if self.p == 1.0:
-            return 1.0
+            return float(min(n, 1))
         return (1.0 - (1.0 - self.p) ** n) / self.p
 
     @property
@@ -238,7 +238,12 @@ class PowerTail(LifetimeDistribution):
 
 
 class FiniteSupport(LifetimeDistribution):
-    """Explicit masses on finitely many integers; must sum to 1 (1e-12)."""
+    """Explicit masses on finitely many integers; must sum to 1 (1e-12).
+
+    Tails and truncated means come in closed form from the atoms, at a
+    cost independent of the largest one: F(n) is the mass of the atoms
+    >= n, and L(n) = E(nu ^ n) = sum_{k<n} k p_k + n F(n).
+    """
 
     kind = "finite"
 
@@ -261,11 +266,10 @@ class FiniteSupport(LifetimeDistribution):
         self._ks = np.array(ks, dtype=np.int64)
         self._ps = np.array(self.weights, dtype=np.float64)
         self._cum = np.cumsum(self._ps)
-        # suffix sums give exact tails at the support points
+        # suffix sums give exact tails at the support points; _kp[i] is
+        # sum k p_k over the i smallest atoms
         self._suffix = np.append(np.cumsum(self._ps[::-1])[::-1], 0.0)
-        self._lmax = self.points[-1]
-        tails = self.tail(np.arange(1, self._lmax + 1, dtype=np.int64))
-        self._ltable = np.cumsum(tails)
+        self._kp = np.append(0.0, np.cumsum(self._ks * self._ps))
 
     @classmethod
     def delta(cls, k: int) -> "FiniteSupport":
@@ -277,9 +281,8 @@ class FiniteSupport(LifetimeDistribution):
         return self._suffix[idx]
 
     def truncated_mean(self, n: int) -> float:
-        if n <= self._lmax:
-            return float(self._ltable[n - 1])
-        return float(self._ltable[-1])
+        i = int(np.searchsorted(self._ks, n, side="left"))  # atoms below n
+        return float(self._kp[i] + n * self._suffix[i])
 
     @property
     def mean(self) -> float:
@@ -301,6 +304,14 @@ class FiniteSupport(LifetimeDistribution):
     def to_spec(self) -> dict:
         return {"kind": "finite",
                 "mass": [[k, p] for k, p in zip(self.points, self.weights)]}
+
+
+def int64_sum_may_overflow(draws: np.ndarray) -> bool:
+    """Whether the int64 partial sums of a block of draws may overflow.
+
+    The float64 sum is accumulated in place, with no float copy of the block.
+    """
+    return float(draws.sum(dtype=np.float64)) >= INT64_SUM_LIMIT
 
 
 # -- renewal sequences ----------------------------------------------------
@@ -472,7 +483,6 @@ def truncated_mean_scaling(f: LifetimeDistribution) -> TruncatedMeanScaling:
 class QueenSeries:
     """Terms and partial sums of sum_n (F(n)/L(n))^2."""
 
-    f_label: str
     terms: np.ndarray
     partial_sums: np.ndarray
     tails: np.ndarray
@@ -490,16 +500,13 @@ def queen_series(f: LifetimeDistribution, n_max: int) -> QueenSeries:
     tails = np.asarray(f.tail(ns), dtype=np.float64)
     lengths = np.cumsum(tails)
     terms = (tails / lengths) ** 2
-    return QueenSeries(f.label, terms, np.cumsum(terms), tails, lengths)
+    return QueenSeries(terms, np.cumsum(terms), tails, lengths)
 
 
 @dataclass(frozen=True)
 class DyadicTailSeries:
     """Terms and partial sums of sum_n 2^n F(ceil(t b(2^n)))^2, n = 0..n_max."""
 
-    f_label: str
-    scaling_name: str
-    t: float
     b_values: tuple[int, ...]
     thresholds: tuple[int, ...]
     terms: np.ndarray
@@ -526,8 +533,8 @@ def dyadic_tail_series(f: LifetimeDistribution, scaling: ScalingSequence,
         b_values.append(b_n)
         thresholds.append(m)
         terms[n] = (2.0 ** n) * float(f.tail(m)) ** 2
-    return DyadicTailSeries(f.label, scaling.name, float(t), tuple(b_values),
-                            tuple(thresholds), terms, np.cumsum(terms))
+    return DyadicTailSeries(tuple(b_values), tuple(thresholds), terms,
+                            np.cumsum(terms))
 
 
 # -- trimmed sums -----------------------------------------------------------
@@ -536,10 +543,8 @@ def dyadic_tail_series(f: LifetimeDistribution, scaling: ScalingSequence,
 class TrimmedSumResult:
     """Per-trial values of (nu_1 + ... + nu_n - max nu_i) / b(n)."""
 
-    f_label: str
     n: int
     trials: int
-    seed: int
     b_n: int
     ratios: np.ndarray
     mean: float
@@ -565,13 +570,13 @@ def trimmed_sum_trials(f: LifetimeDistribution, n: int, trials: int,
     ratios = np.empty(trials)
     for i in range(trials):
         nu = f.sample(spawn(seed, i), n)
-        if float(nu.astype(np.float64).sum()) >= INT64_SUM_LIMIT:
+        if int64_sum_may_overflow(nu):
             raise SamplingHorizonError(
                 "partial sums would overflow int64; reduce n or lighten the tail")
         ratios[i] = (int(nu.sum()) - int(nu.max())) / b_n
     qs = np.quantile(ratios, _QUANTILE_LEVELS)
     quantiles = {f"q{int(100 * lvl):02d}": float(v)
                  for lvl, v in zip(_QUANTILE_LEVELS, qs)}
-    return TrimmedSumResult(f.label, n, trials, seed, b_n, ratios,
+    return TrimmedSumResult(n, trials, b_n, ratios,
                             float(ratios.mean()), float(ratios.std()),
                             quantiles)

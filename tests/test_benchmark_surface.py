@@ -1,0 +1,85 @@
+"""The surface of ergosum that the benchmark in perfbench/ reads, at tiny sizes.
+
+perfbench/selftest.py runs the whole harness and takes tens of seconds.
+These checks are quick: every workload invocation still parses into a
+config, and the functions and attributes that the oracles
+(perfbench/oracles.py) and the tracer (perfbench/tracing.py) read still
+exist and answer as they expect.
+"""
+
+import dataclasses
+import importlib.util
+import inspect
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from ergosum import birkhoff, cli, lattice, rankone, regvar, renewal
+from ergosum.streams import spawn
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+
+
+@pytest.fixture(scope="module")
+def workloads():
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_workloads", PERFBENCH / "workloads.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_workload_invocations_parse(workloads, tmp_path):
+    parser = cli.build_parser()
+    for name, invocations in workloads.WORKLOADS.items():
+        for index, argv in enumerate(invocations):
+            out = tmp_path / name / f"{index:02d}"
+            args = parser.parse_args([*argv, "--seed", "5", "--out", str(out)])
+            cfg = dataclasses.replace(cli.config_from_args(args), threads=1)
+            assert cfg.kind == argv[0] and cfg.kind in cli.RUNNERS, argv
+            assert (cfg.seed, cfg.threads, cfg.out) == (5, 1, str(out))
+
+
+def test_rank_one_oracle_surface():
+    data = rankone.load_preset("chacon")
+    sampler = rankone.sample_name(data, spawn(5, 0))
+    radius = 13
+    level = sampler.ensure_window(radius)
+    off = sampler.center_offset(level)
+    word = rankone.expand_word(data, level).symbols
+    assert len(word) == sampler.tower.q(level)
+    left = int(word[off - radius:off].sum(dtype=np.int64))
+    right = int(word[off + 1:off + radius + 1].sum(dtype=np.int64))
+    w = rankone.window_counts(sampler, radius)
+    assert (w.left, w.center, w.right) == (left, int(word[off]), right)
+    # the tracer reads the sampler's level after series_from_name
+    birkhoff.series_from_name(sampler, (radius,))
+    assert sampler.level >= level
+
+
+def test_walk_and_renewal_oracle_surface():
+    f = cli.parse_distribution("geometric:0.5")
+    sample = lattice.walk_sample(f, spawn(5, 0), J=64)
+    assert sample.J == 64
+    assert len(sample.omega_forward) == len(sample.omega_backward) == 64
+    seq = renewal.renewal_sequence(f, 64)
+    assert len(seq.u) == 65
+    # the tracer keys the renewal spans and counters by the engine's name
+    assert isinstance(seq.method, str) and seq.method
+    assert cli.parse_real("golden") == cli.NAMED_CONSTANTS["golden"]
+
+
+def test_traced_functions_are_public():
+    # perfbench/run.py reads these spans; the tracer wraps public functions
+    traced = [birkhoff.series_from_name, birkhoff.normalized_stats,
+              birkhoff.series_rows, rankone.window_counts,
+              regvar.er_diagnostic, regvar.invert_scaling,
+              renewal.renewal_sequence, renewal.trimmed_sum_trials,
+              lattice.translate_counts, lattice.walk_sample,
+              lattice.walk_counts, cli.write_outputs, cli.run]
+    for fn in traced:
+        module = inspect.getmodule(fn)
+        assert inspect.isfunction(fn) and not fn.__name__.startswith("_")
+        assert getattr(module, fn.__name__) is fn
+    assert all(fn.__name__.startswith("run_") for fn in cli.RUNNERS.values())

@@ -156,9 +156,45 @@ def test_normalized_stats_validation(chacon):
 def test_series_rows_columns(chacon):
     scaling = rk.rank_one_scaling(chacon)
     series = bk.series_from_name(rk.sample_name(chacon, 1), (1, 13))
-    rows = bk.series_rows(series, scaling)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        stats = bk.normalized_stats([series], scaling, burn_in=1)
+    rows = bk.series_rows(series, stats.series[0])
     assert len(rows) == 2
     n, sp, sm, sg, a_n, ratio_sym, ratio_plus = rows[1]
     assert (n, a_n) == (13, 27)
     assert ratio_sym == sg / 54
     assert ratio_plus == sp / 27
+
+
+def test_scaling_evaluated_once_per_checkpoint(chacon):
+    base = rk.rank_one_scaling(chacon)
+    calls = []
+
+    def counted(n):
+        calls.append(n)
+        return base(n)
+
+    scaling = ScalingSequence(counted, "counted")
+    cps = (0, 1, 13, 40, 1000)
+    ensemble = [bk.series_from_name(rk.sample_name(chacon, s), cps) for s in range(3)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        stats = bk.normalized_stats(ensemble, scaling, burn_in=1)
+    for series, s in zip(ensemble, stats.series):
+        bk.series_rows(series, s)
+    assert sorted(calls) == sorted([1, 13, 40, 1000] * 3)
+
+
+def test_series_rows_checkpoint_zero(chacon):
+    scaling = rk.rank_one_scaling(chacon)
+    series = bk.series_from_name(rk.sample_name(chacon, 5), (0, 13))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        s = bk.normalized_stats([series], scaling, burn_in=13).series[0]
+    assert s.a_n == (None, 27)
+    assert math.isnan(s.ratio_sym[0]) and math.isnan(s.ratio_plus[0])
+    rows = bk.series_rows(series, s)
+    assert rows[0] == (0, 1, 1, 1, "", "", "")
+    assert rows[1] == (13, series.s_plus[1], series.s_minus[1], series.sigma[1],
+                       27, series.sigma[1] / 54, series.s_plus[1] / 27)

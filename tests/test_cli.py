@@ -51,6 +51,15 @@ def test_renewal_geometric_example(tmp_path):
     assert [r["u"] for r in rows[1:]] == ["0.5"] * 10
 
 
+def test_renewal_far_delta(tmp_path):
+    # the truncated mean of a finite support needs no table up to its atom
+    code, out = run_cli(["renewal", "--dist", "delta:100000000000", "--n", "10"],
+                        tmp_path)
+    assert code == 0
+    _, rows = read_table(out / "renewal.csv")
+    assert [float(r["u"]) for r in rows] == [1.0] + [0.0] * 10
+
+
 def test_translate_golden_example(tmp_path):
     code, out = run_cli(["translate", "--alpha", "golden", "--x", "0.3",
                          "--N", "0"], tmp_path)

@@ -159,13 +159,25 @@ def test_walk_sample_validation():
         walk.s(11)
 
 
+def test_walk_sample_overflow_guard():
+    class HugeSteps(rn.Geometric):
+        # every step is 2**60: three sum below INT64_SUM_LIMIT, four above
+        def sample(self, rng, size):
+            return np.full(size, 2 ** 60, dtype=np.int64)
+
+    f = HugeSteps(0.5)
+    assert lt.walk_sample(f, 0, J=3).reach_backward == 3 * 2 ** 60
+    with pytest.raises(CoverageError, match="overflow int64"):
+        lt.walk_sample(f, 0, J=4)
+
+
 # -- walk counts --------------------------------------------------------------------
 
 
 def test_walk_counts_delta_exact():
     d1 = rn.FiniteSupport.delta(1)
     walk = lt.walk_sample(d1, 0, J=5)
-    res = lt.walk_counts(walk, 5)
+    res = lt.walk_counts(walk, 5, renewal=rn.renewal_sequence(d1, 5))
     assert res.count == 11
     assert res.a_u_value == 5.0
     assert res.ratio_to_renewal == pytest.approx(2.2)
@@ -195,7 +207,7 @@ def test_walk_counts_coverage_error():
     g = rn.Geometric(0.9)
     walk = lt.walk_sample(g, 0, J=10)
     with pytest.raises(CoverageError) as err:
-        lt.walk_counts(walk, 10 ** 4)
+        lt.walk_counts(walk, 10 ** 4, renewal=rn.renewal_sequence(g, 10 ** 4))
     assert "J >= 10000" in str(err.value)
 
 

