@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .errors import InvariantViolationError
-from .rankone import NameSampler, window_counts
+from .rankone import NameSampler, ensemble_window_counts
 from .regvar import ScalingSequence
 
 CENTER_CONVENTION = "center counted once, shared by s_plus and s_minus"
@@ -63,19 +63,32 @@ class BirkhoffSeries:
                     f"sigma = {sg} exceeds window size {2 * n + 1} at {n}")
 
 
+def series_from_names(samplers: Sequence[NameSampler],
+                      checkpoints: Sequence[int]) -> list[BirkhoffSeries]:
+    """Counts from each symbolic name at each checkpoint radius.
+
+    The samplers share one tower; at each checkpoint the windows of all of
+    them are counted together (``rankone.ensemble_window_counts``).
+    """
+    if not samplers:
+        return []
+    cps = tuple(int(n) for n in checkpoints)
+    counts = [([], [], []) for _ in samplers]
+    for n in cps:
+        for (s_plus, s_minus, sigma), w in zip(counts, ensemble_window_counts(samplers, n)):
+            s_plus.append(w.s_plus)
+            s_minus.append(w.s_minus)
+            sigma.append(w.sigma)
+    label = samplers[0].tower.data.name or "custom"
+    return [BirkhoffSeries(cps, tuple(s_plus), tuple(s_minus), tuple(sigma),
+                           source=f"rankone[{label}]")
+            for s_plus, s_minus, sigma in counts]
+
+
 def series_from_name(sampler: NameSampler,
                      checkpoints: Sequence[int]) -> BirkhoffSeries:
     """Counts from a symbolic name at each checkpoint radius."""
-    cps = tuple(int(n) for n in checkpoints)
-    s_plus, s_minus, sigma = [], [], []
-    for n in cps:
-        w = window_counts(sampler, n)
-        s_plus.append(w.s_plus)
-        s_minus.append(w.s_minus)
-        sigma.append(w.sigma)
-    label = sampler.tower.data.name or "custom"
-    return BirkhoffSeries(cps, tuple(s_plus), tuple(s_minus), tuple(sigma),
-                          source=f"rankone[{label}]")
+    return series_from_names([sampler], checkpoints)[0]
 
 
 @dataclass(frozen=True)
@@ -84,8 +97,9 @@ class SeriesStats:
 
     a_n[i] is the scaling at checkpoint i, evaluated once; ratio_sym[i] =
     sigma / (2 a_n) and ratio_plus[i] = s_plus / a_n.  A checkpoint below
-    the scaling's domain has a_n None and NaN ratios.  The running extrema
-    of ratio_sym start at the burn-in.
+    the burn-in and below the scaling's domain has a_n None and NaN ratios;
+    one past the burn-in must lie in the domain.  The running extrema of
+    ratio_sym start at the burn-in.
     """
 
     a_n: tuple
@@ -133,6 +147,10 @@ def _series_stats(series: BirkhoffSeries, scaling: ScalingSequence,
     a_values, ratio_sym, ratio_plus = [], [], []
     for n, sp, sg in zip(series.checkpoints, series.s_plus, series.sigma):
         if n < max(1, scaling.domain_min):
+            if n >= burn_in:
+                raise ValueError(
+                    f"checkpoint {n} is at or past the burn-in {burn_in} but below "
+                    f"{scaling.name}'s domain_min {scaling.domain_min}")
             a_values.append(None)
             ratio_sym.append(math.nan)
             ratio_plus.append(math.nan)

@@ -187,9 +187,9 @@ def run_rank_one(cfg: ExperimentConfig):
     # the samplers share one lazily extended tower, so the trials run in
     # this thread; they hold the GIL, and a pool would only slow them down
     tower = rankone.Tower(data)
-    ensemble = [birkhoff.series_from_name(
-                    rankone.NameSampler(tower, spawn(cfg.seed, i)), cps)
-                for i in range(cfg.trials)]
+    ensemble = birkhoff.series_from_names(
+        [rankone.NameSampler(tower, spawn(cfg.seed, i)) for i in range(cfg.trials)],
+        cps)
     stats = birkhoff.normalized_stats(ensemble, scaling, burn_in)
     tables = []
     for i, series in enumerate(ensemble):

@@ -8,9 +8,10 @@ positions of a base point; ``B_{n+1}`` is B_n, then S_{n,1} spacers, ...,
 B_n, then S_{n,c_n} spacers.
 
 Occupation counts over windows of astronomical radius never materialize a
-word: they come from per-level prefix counts computed down the block
-structure, one bisection over a stage's block starts per level, with
-arbitrary-precision offsets.
+word: they come from prefix counts computed down the block structure.  The
+prefix positions of a whole ensemble of names descend together, one level
+per step, on int64 tables of the block starts; an offset past 2^62
+descends with Python ints until it fits and then joins the int64 descent.
 """
 
 from __future__ import annotations
@@ -40,6 +41,9 @@ SPACER = 0
 SPACER_TOKEN = "2q"
 
 DEFAULT_EXPANSION_BUDGET = 10 ** 7
+# Offsets below this descend in int64.  The int64 table stores larger
+# entries as this value: an offset below it compares the same with both.
+_INT64_LIMIT = 2 ** 62
 DEFAULT_DEPTH_CAP = 10 ** 4
 
 PRESETS = ("odometer", "chacon", "heavy2q")
@@ -155,9 +159,12 @@ class Tower:
 
     Each stage is resolved once into plain lists: exact heights q_n, cut
     products C_n, resolved spacer rows and the block starts of the stage.
-    Prefix counts descend one level per step by bisection over those
-    starts.  One tower serves every sampler of a construction; it extends
-    itself lazily, so its samplers must share one thread.
+    The same numbers, clipped at 2^62, fill an int64 table with one row per
+    level (q_n, C_{n-1}, then stage n's block starts, padded to the largest
+    cut count), grown as stages resolve.  Prefix counts descend that table
+    one level per step for a whole batch of positions at once.  One tower
+    serves every sampler of a construction; it extends itself lazily, so
+    its samplers must share one thread.
     """
 
     def __init__(self, data: ConstructionData):
@@ -166,11 +173,16 @@ class Tower:
         self._cut_product: list[int] = [1]  # C_n, n = index: base count of level n + 1
         self._spacers: list[tuple[int, ...]] = []   # stage n = index + 1
         self._starts: list[tuple[int, ...]] = []    # k*q_n + S_{n,1} + ... + S_{n,k}
+        self._table = np.empty((0, 2), dtype=np.int64)  # row = level - 1
+        self._tabled = 0    # stages whose starts are in the table
+        self._extend_table()
 
     # -- stage/height access (1-based) --------------------------------
 
     def ensure_stage(self, n: int) -> None:
         """Resolve stages 1..n (and heights q_1..q_{n+1})."""
+        if len(self._spacers) >= n:
+            return
         while len(self._spacers) < n:
             stage = self.data.stage(len(self._spacers) + 1)
             q_m = self._q[-1]
@@ -180,6 +192,26 @@ class Tower:
             self._starts.append(starts)
             self._q.append(starts[-1] + q_m + row[-1])
             self._cut_product.append(self._cut_product[-1] * stage.c)
+        self._extend_table()
+
+    def _extend_table(self) -> None:
+        """Copy the levels resolved since the last call into the int64 table."""
+        first, last = self._tabled, len(self._q)
+        width = 2 + max(map(len, self._starts[first:]), default=0)
+        rows, cols = self._table.shape
+        if last > rows or width > cols:
+            grown = np.full((max(last, 2 * rows), max(width, cols)), _INT64_LIMIT,
+                            dtype=np.int64)
+            grown[:rows, :cols] = self._table
+            self._table = grown
+        for i in range(first, last):
+            row = self._table[i]
+            row[0] = min(self._q[i], _INT64_LIMIT)
+            row[1] = min(self._cut_product[i], _INT64_LIMIT)
+            if i < len(self._starts):
+                starts = self._starts[i]
+                row[2:2 + len(starts)] = [min(s, _INT64_LIMIT) for s in starts]
+        self._tabled = len(self._starts)
 
     def q(self, level: int) -> int:
         self.ensure_stage(level - 1)
@@ -196,26 +228,72 @@ class Tower:
 
     # -- hierarchical prefix counting ----------------------------------
 
-    def prefix_base_count(self, level: int, j) -> int:
-        """Base symbols among the first j positions of the level word.
+    def prefix_counts(self, levels: Sequence[int], positions: Sequence[int]) -> list[int]:
+        """Base symbols among the first j positions of the level word, per (level, j).
 
-        Descends one level per step: a bisection over the stage's block
-        starts finds the copy of the lower word that holds position j.
+        All positions descend together, one level per step: each picks the
+        copy of the lower word that holds it from its row of block starts,
+        and stops once it covers that whole copy or reaches its start.  A
+        position at or past 2^62 first descends alone with Python ints
+        until its remaining offset fits in int64.
         """
-        j = int(j)
-        if j < 0 or j > self.q(level):
-            raise ValueError(f"prefix index {j} outside level {level} word")
+        levels, positions = list(levels), list(positions)
+        if len(levels) != len(positions):
+            raise ValueError("levels and positions differ in length")
+        if not levels:
+            return []
+        if min(levels) < 1:
+            raise ValueError("levels are 1-based")
+        self.ensure_stage(max(levels) - 1)
+        wide = {}
+        if min(positions) < 0 or max(positions) >= _INT64_LIMIT:
+            for i, j in enumerate(positions):
+                if 0 <= j < _INT64_LIMIT:
+                    continue
+                if j < 0 or j > self._q[levels[i] - 1]:
+                    raise ValueError(f"prefix index {j} outside level {levels[i]} word")
+                levels[i], positions[i], wide[i] = self._descend_wide(levels[i], j)
+        table = self._table
+        row = np.array(levels, dtype=np.int64) - 1
+        j = np.array(positions, dtype=np.int64)
+        heights = table[row, 0]
+        if (j > heights).any():
+            i = int(np.argmax(j > heights))
+            raise ValueError(f"prefix index {positions[i]} outside level {levels[i]} word")
+        full = j == heights
+        count = full * table[row, 1]
+        j[full] = 0
+        # column 2 holds every row's first start, 0; "clip" keeps finished
+        # positions (j = 0, which add nothing) on level 1 below the bottom
+        firsts = np.arange(len(j)) * table.shape[1] + 2
+        while j.any():
+            row -= 1
+            lower = np.take(table, row, axis=0, mode="clip")
+            k = np.zeros(len(j), dtype=np.int64)
+            for c in range(3, table.shape[1]):
+                k += lower[:, c] <= j
+            j -= np.take(lower, firsts + k)
+            full = j >= lower[:, 0]
+            count += (k + full) * lower[:, 1]
+            j[full] = 0
+        counts = count.tolist()
+        for i, w in wide.items():
+            counts[i] += w
+        return counts
+
+    def _descend_wide(self, level: int, j: int) -> tuple[int, int, int]:
+        """Descend with Python ints until j < 2^62: (level, j, count so far)."""
         q, bases, starts = self._q, self._cut_product, self._starts
         total = 0
-        while j > 0:
+        while j >= _INT64_LIMIT:
             if j >= q[level - 1]:
-                return total + bases[level - 1]
+                return level, 0, total + bases[level - 1]
             level -= 1
             row = starts[level - 1]
             k = bisect_right(row, j) - 1
             total += k * bases[level - 1]
             j -= row[k]
-        return total
+        return level, j, total
 
 
 @dataclass(frozen=True)
@@ -384,18 +462,41 @@ def sample_name(data: ConstructionData, seed,
     return NameSampler(Tower(data), seed, choices=choices)
 
 
+def ensemble_window_counts(samplers: Sequence[NameSampler], radius: int,
+                           depth_cap: int = DEFAULT_DEPTH_CAP) -> list[WindowCounts]:
+    """window_counts of every sampler, with one prefix descent for them all.
+
+    The samplers share one tower.  Each extends its own name first, in
+    sampler order; the centre-is-base check then covers every sampler,
+    and the first failing one in that order raises.
+    """
+    if not samplers:
+        return []
+    tower = samplers[0].tower
+    if any(s.tower is not tower for s in samplers):
+        raise ValueError("samplers must share one tower")
+    levels, positions = [], []
+    for sampler in samplers:
+        lev = sampler.ensure_window(radius, depth_cap)
+        off = sampler.center_offset(lev)
+        levels += (lev, lev, lev, lev)
+        positions += (off - radius, off, off + 1, off + radius + 1)
+    counts = tower.prefix_counts(levels, positions)
+    windows = []
+    for i in range(0, len(counts), 4):
+        start, before, after, end = counts[i:i + 4]
+        if after - before != 1:
+            raise InvariantViolationError(
+                f"center symbol at level {levels[i]} offset {positions[i + 1]} "
+                f"is not base")
+        windows.append(WindowCounts(before - start, 1, end - after))
+    return windows
+
+
 def window_counts(sampler: NameSampler, radius: int,
                   depth_cap: int = DEFAULT_DEPTH_CAP) -> WindowCounts:
     """Base occurrences in [-radius, -1], {0}, [1, radius] around the center."""
-    lev = sampler.ensure_window(radius, depth_cap)
-    off = sampler.center_offset(lev)
-    prefix = sampler.tower.prefix_base_count
-    before, after = prefix(lev, off), prefix(lev, off + 1)
-    if after - before != 1:
-        raise InvariantViolationError(
-            f"center symbol at level {lev} offset {off} is not base")
-    return WindowCounts(before - prefix(lev, off - radius), 1,
-                        prefix(lev, off + radius + 1) - after)
+    return ensemble_window_counts([sampler], radius, depth_cap)[0]
 
 
 def rank_one_scaling(data: ConstructionData) -> ScalingSequence:

@@ -7,6 +7,7 @@ import pytest
 
 from ergosum import birkhoff as bk
 from ergosum import rankone as rk
+from ergosum import renewal as rn
 from ergosum.errors import InvariantViolationError
 from ergosum.regvar import ScalingSequence
 from ergosum.streams import spawn
@@ -184,6 +185,23 @@ def test_scaling_evaluated_once_per_checkpoint(chacon):
     for series, s in zip(ensemble, stats.series):
         bk.series_rows(series, s)
     assert sorted(calls) == sorted([1, 13, 40, 1000] * 3)
+
+
+def test_checkpoint_past_burn_in_below_domain():
+    # a_u of delta:5 starts at n = 5: a checkpoint below that but past the
+    # burn-in is an error, one below the burn-in gets empty cells
+    scaling = rn.renewal_sequence(rn.LifetimeDistribution.parse("delta:5"), 100).as_scaling()
+    visits = (2, 3, 4, 6, 11)
+    series = bk.BirkhoffSeries((1, 2, 3, 5, 10), visits, visits,
+                               tuple(2 * v - 1 for v in visits), source="walk[delta:1]")
+    with pytest.raises(ValueError, match="checkpoint 1 .* domain_min 5"):
+        bk.normalized_stats([series], scaling, burn_in=1)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        s = bk.normalized_stats([series], scaling, burn_in=5).series[0]
+    assert s.a_n[:3] == (None, None, None) and None not in s.a_n[3:]
+    assert all(math.isfinite(r) for r in (*s.running_sup, *s.running_inf))
+    assert bk.series_rows(series, s)[0] == (1, 2, 2, 3, "", "", "")
 
 
 def test_series_rows_checkpoint_zero(chacon):

@@ -1,5 +1,7 @@
 """Tower construction, symbolic words, lazy window counting."""
 
+import math
+from bisect import bisect_right
 from fractions import Fraction
 
 import numpy as np
@@ -8,11 +10,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ergosum import rankone as rk
-from ergosum.birkhoff import series_from_name
+from ergosum.birkhoff import series_from_name, series_from_names
 from ergosum.errors import (
     ConfigError,
     DepthCapError,
     ExpansionBudgetError,
+    InvariantViolationError,
     StageDataExhaustedError,
 )
 from ergosum.streams import spawn
@@ -129,12 +132,59 @@ def test_prefix_count_every_index(stage_specs):
     while tower.q(level) <= 2000:
         word = rk.expand_word(data, level).symbols
         want = [0, *np.cumsum(word, dtype=np.int64).tolist()]
-        assert [tower.prefix_base_count(level, j) for j in range(len(want))] == want
+        assert tower.prefix_counts([level] * len(want), range(len(want))) == want
         level += 1
     with pytest.raises(ValueError):
-        tower.prefix_base_count(level, tower.q(level) + 1)
+        tower.prefix_counts([level], [tower.q(level) + 1])
     with pytest.raises(ValueError):
-        tower.prefix_base_count(level, -1)
+        tower.prefix_counts([level], [-1])
+
+
+def _scalar_prefix(tower, level, j):
+    """The one-position descent, one bisection per level, in Python ints."""
+    def bases(lev):
+        return math.prod(len(tower.starts(m)) for m in range(1, lev))
+
+    total = 0
+    while j > 0:
+        if j >= tower.q(level):
+            return total + bases(level)
+        level -= 1
+        row = tower.starts(level)
+        k = bisect_right(row, j) - 1
+        total += k * bases(level)
+        j -= row[k]
+    return total
+
+
+def test_prefix_counts_hand_off_past_int64(presets):
+    # heavy2q out to 2^60: levels reach q ~ 2^73, so offsets start past
+    # 2^62 in Python ints and finish in the int64 descent
+    data = presets["heavy2q"]
+    cps = tuple(2 ** e for e in range(10, 61))
+    tower = rk.Tower(data)
+    ensemble = series_from_names([rk.NameSampler(tower, spawn(23, i)) for i in range(20)],
+                                 cps)
+    wide = 0
+    for i, series in enumerate(ensemble):
+        sampler = rk.sample_name(data, spawn(23, i))
+        want = []
+        for n in cps:
+            lev = sampler.ensure_window(n)
+            off = sampler.center_offset(lev)
+            wide += off + n + 1 >= 2 ** 62
+            start, before, after, end = (_scalar_prefix(sampler.tower, lev, j)
+                                         for j in (off - n, off, off + 1, off + n + 1))
+            assert after - before == 1
+            want.append((end - before, after - start, end - start))
+        assert list(zip(series.s_plus, series.s_minus, series.sigma)) == want
+    assert wide > 0
+    # around the hand-off point itself, and the whole word
+    level = next(lev for lev in range(1, 80) if tower.q(lev) > 2 ** 63)
+    positions = [2 ** 62 - 1, 2 ** 62, 2 ** 62 + 1, 2 ** 63, tower.q(level) - 1,
+                 tower.q(level)]
+    assert tower.prefix_counts([level] * len(positions), positions) == [
+        _scalar_prefix(tower, level, j) for j in positions]
 
 
 # -- words ---------------------------------------------------------------------
@@ -211,10 +261,10 @@ def test_samplers_share_one_tower(presets):
         rows = [[] for _ in samplers]
         for step, n in enumerate(cps):
             # a different sampler goes first at each checkpoint
-            for k in range(step, step + len(samplers)):
-                k %= len(samplers)
-                one = series_from_name(samplers[k], (n,))
-                rows[k].append((one.s_plus[0], one.s_minus[0], one.sigma[0]))
+            order = [(step + k) % len(samplers) for k in range(len(samplers))]
+            windows = rk.ensemble_window_counts([samplers[k] for k in order], n)
+            for k, w in zip(order, windows):
+                rows[k].append((w.s_plus, w.s_minus, w.sigma))
         for i, got in enumerate(rows):
             fresh = series_from_name(rk.sample_name(data, spawn(19, i)), cps)
             assert got == list(zip(fresh.s_plus, fresh.s_minus, fresh.sigma))
@@ -224,10 +274,23 @@ def test_center_symbol_is_base_every_level(presets):
     for data in presets.values():
         s = rk.sample_name(data, 9)
         s.ensure_level(8)
-        for level in range(1, 9):
-            off = s.center_offset(level)
-            prefix = s.tower.prefix_base_count
-            assert prefix(level, off + 1) - prefix(level, off) == 1
+        levels = [level for level in range(1, 9) for _ in range(2)]
+        offsets = [s.center_offset(level) + d for level in range(1, 9) for d in (0, 1)]
+        counts = s.tower.prefix_counts(levels, offsets)
+        assert [b - a for a, b in zip(counts[::2], counts[1::2])] == [1] * 8
+
+
+def test_center_invariant_checked_for_every_sampler(presets):
+    # chacon's level-3 word is BBsBBBsBsBBsB; samplers 1 and 2 get spacer
+    # centres there, and the first of them in sampler order is named
+    tower = rk.Tower(presets["chacon"])
+    samplers = [rk.NameSampler(tower, spawn(3, i)) for i in range(3)]
+    for sampler in samplers:
+        sampler.ensure_level(3)
+    samplers[1]._offsets[2] = 2
+    samplers[2]._offsets[2] = 6
+    with pytest.raises(InvariantViolationError, match="at level 3 offset 2 is not base"):
+        rk.ensemble_window_counts(samplers, 1)
 
 
 # -- window counting -------------------------------------------------------------
