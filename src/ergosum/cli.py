@@ -22,6 +22,7 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field
 from datetime import datetime, timezone
 from pathlib import Path
+from typing import get_type_hints
 
 from . import __version__, birkhoff, lattice, rankone, regvar, renewal
 from .errors import (
@@ -44,6 +45,11 @@ NAMED_CONSTANTS = {
 
 DEFAULT_CHECKPOINTS = "dyadic:10:24"
 
+# parameters read with no default; the parser requires the same flags
+_REQUIRED_PARAMS = {"renewal": ("dist", "n"), "queen": ("dist", "n"),
+                    "dyadic-tail": ("dist", "n"), "trimmed": ("dist", "n"),
+                    "translate": ("alpha",), "walk": ("dist", "N"), "regvar": ("scaling",)}
+
 
 @dataclass(frozen=True)
 class ExperimentConfig:
@@ -62,6 +68,19 @@ class ExperimentConfig:
     out: str = "."
     json_mirror: bool = False
     stamp: bool = False
+
+    def __post_init__(self):
+        # a saved config is free-form JSON: check it before anything runs
+        for name, kind in get_type_hints(ExperimentConfig).items():
+            if type(getattr(self, name)) is not kind:
+                raise ConfigError(f"config field {name!r} must be {kind.__name__}, "
+                                  f"got {getattr(self, name)!r}")
+        for key in _REQUIRED_PARAMS.get(self.kind, ()):
+            if self.params.get(key) is None:
+                raise ConfigError(f"{self.kind} config misses parameter {key!r}")
+        if (self.kind == "translate" and self.params.get("N") is None
+                and not self.params.get("grid")):
+            raise ConfigError("translate needs --N or --grid")
 
     def payload(self) -> dict:
         return {"kind": self.kind, "params": self.params,
@@ -94,8 +113,8 @@ def parse_checkpoints(spec: str) -> tuple[int, ...]:
             lo, hi = int(lo), int(hi)
         except ValueError as exc:
             raise ConfigError(f"bad checkpoint spec {spec!r}") from exc
-        if lo > hi:
-            raise ConfigError(f"bad checkpoint spec {spec!r}: lo > hi")
+        if not 0 <= lo <= hi:
+            raise ConfigError(f"bad checkpoint spec {spec!r}: need 0 <= LO <= HI")
         return tuple(2 ** e for e in range(lo, hi + 1))
     try:
         cps = tuple(int(tok) for tok in spec.split(","))
@@ -140,7 +159,7 @@ def parse_scaling(spec: str) -> regvar.ScalingSequence:
         seq = renewal.renewal_sequence(parse_distribution(dist_spec), int(nmax))
         return seq.as_scaling()
     if head == "rankone":
-        return rankone.rank_one_scaling(rankone.load_preset(rest))
+        return rankone.rank_one_scaling(rankone.Tower(rankone.load_preset(rest)))
     raise ConfigError(f"cannot parse scaling {spec!r}")
 
 
@@ -183,10 +202,10 @@ def run_rank_one(cfg: ExperimentConfig):
     burn_in = int(cfg.params.get("burn_in", 4096))
     if not any(n >= burn_in for n in cps):
         burn_in = cps[0] if cps[0] >= 1 else 1
-    scaling = rankone.rank_one_scaling(data)
-    # the samplers share one lazily extended tower, so the trials run in
-    # this thread; they hold the GIL, and a pool would only slow them down
+    # the scaling and every sampler share one lazily extended tower, so the
+    # trials run in this thread (they hold the GIL; a pool would not help)
     tower = rankone.Tower(data)
+    scaling = rankone.rank_one_scaling(tower)
     ensemble = birkhoff.series_from_names(
         [rankone.NameSampler(tower, spawn(cfg.seed, i)) for i in range(cfg.trials)],
         cps)
@@ -287,26 +306,20 @@ def run_regvar(cfg: ExperimentConfig):
     n_lo = int(cfg.params.get("n_lo", 2 ** 10))
     n_hi = int(cfg.params.get("n_hi", 2 ** 20))
     factor = int(cfg.params.get("factor", 2))
-    tables = []
     if cfg.params.get("sv"):
         head, _, rest = spec.partition(":")
         if head != "tm":
             raise ConfigError("--sv needs a truncated-mean scaling (tm:DIST)")
         tm = renewal.truncated_mean_scaling(parse_distribution(rest))
-        report = regvar.sv_diagnostic(tm.L, n_lo, n_hi, factor)
-        tables.append(("regvar_sv", ("n", "L_n", "L_2n", "ratio"),
-                       report.as_rows()))
-    else:
-        p_spec = str(cfg.params.get("p", "2,4,8"))
-        try:
-            p_values = tuple(int(tok) for tok in p_spec.split(","))
-        except ValueError as exc:
-            raise ConfigError(f"bad p list {p_spec!r}") from exc
-        scaling = parse_scaling(spec)
-        report = regvar.er_diagnostic(scaling, p_values, n_lo, n_hi, factor)
-        tables.append(("regvar_er", ("p", "n", "a_n", "a_pn", "ratio"),
-                       report.as_rows()))
-    return tables
+        rows = regvar.sv_diagnostic(tm.L, n_lo, n_hi, factor)
+        return [("regvar_sv", regvar.SVRow._fields, rows)]
+    p_spec = str(cfg.params.get("p", "2,4,8"))
+    try:
+        p_values = tuple(int(tok) for tok in p_spec.split(","))
+    except ValueError as exc:
+        raise ConfigError(f"bad p list {p_spec!r}") from exc
+    report = regvar.er_diagnostic(parse_scaling(spec), p_values, n_lo, n_hi, factor)
+    return [("regvar_er", regvar.ERRow._fields, report.rows)]
 
 
 RUNNERS = {
@@ -472,8 +485,6 @@ def config_from_args(args: argparse.Namespace) -> ExperimentConfig:
         return ExperimentConfig.from_json(text)
     params = {k: v for k, v in vars(args).items()
               if k not in _COMMON_KEYS and v is not None and v is not False}
-    if args.kind == "translate" and args.N is None and not args.grid:
-        raise ConfigError("translate needs --N or --grid")
     threads = args.threads
     if threads <= 0:
         import os

@@ -154,35 +154,38 @@ def translate_counts(action: TranslationAction, n_box: int) -> TranslateCount:
 
 @dataclass(frozen=True)
 class WalkSample:
-    """Two-sided i.i.d. steps omega_j, j in [-J, J-1], with partial sums.
+    """Partial sums s_k, k in [-J, J], of two-sided i.i.d. steps omega_j.
 
     s_k follows the three-case definition: sum of omega_0..omega_{k-1} for
     k >= 1, zero at k = 0, and -(omega_{-1} + ... + omega_{-|k|}) for
-    k <= -1.  Steps are >= 1, so s is strictly increasing in k.
+    k <= -1.  Steps are >= 1, so s is strictly increasing in k.  Only the
+    sums are kept; every step is a difference omega_j = s_{j+1} - s_j.
     """
 
     J: int
-    omega_forward: np.ndarray   # omega_0 .. omega_{J-1}
-    omega_backward: np.ndarray  # omega_{-1} .. omega_{-J}
     s_forward: np.ndarray = field(repr=False)       # s_1 .. s_J
     s_backward_mag: np.ndarray = field(repr=False)  # |s_{-1}| .. |s_{-J}|
 
+    @property
+    def omega_forward(self) -> np.ndarray:  # omega_0 .. omega_{J-1}
+        return np.diff(self.s_forward, prepend=0)
+
+    @property
+    def omega_backward(self) -> np.ndarray:  # omega_{-1} .. omega_{-J}
+        return np.diff(self.s_backward_mag, prepend=0)
+
     def omega(self, j: int) -> int:
-        if 0 <= j < self.J:
-            return int(self.omega_forward[j])
-        if -self.J <= j < 0:
-            return int(self.omega_backward[-j - 1])
-        raise IndexError(f"step index {j} outside [-{self.J}, {self.J - 1}]")
+        if not -self.J <= j < self.J:
+            raise IndexError(f"step index {j} outside [-{self.J}, {self.J - 1}]")
+        return self.s(j + 1) - self.s(j)
 
     def s(self, k: int) -> int:
+        if abs(k) > self.J:
+            raise IndexError(f"partial sum index {k} beyond J={self.J}")
         if k == 0:
             return 0
-        if k >= 1:
-            if k > self.J:
-                raise IndexError(f"partial sum index {k} beyond J={self.J}")
+        if k > 0:
             return int(self.s_forward[k - 1])
-        if -k > self.J:
-            raise IndexError(f"partial sum index {k} beyond J={self.J}")
         return -int(self.s_backward_mag[-k - 1])
 
     @property
@@ -195,7 +198,7 @@ class WalkSample:
 
 
 def walk_sample(f: LifetimeDistribution, seed, J: int) -> WalkSample:
-    """Draw the two-sided step sequence; forward block first, then backward."""
+    """Draw the two-sided steps, forward block first; keep their partial sums."""
     if J < 1:
         raise ValueError("J must be >= 1")
     rng = normalize(seed)
@@ -204,7 +207,8 @@ def walk_sample(f: LifetimeDistribution, seed, J: int) -> WalkSample:
     for block in (fwd, bwd):
         if int64_sum_may_overflow(block):
             raise CoverageError("walk partial sums would overflow int64")
-    return WalkSample(J, fwd, bwd, np.cumsum(fwd), np.cumsum(bwd))
+        np.cumsum(block, out=block)
+    return WalkSample(J, fwd, bwd)
 
 
 class WalkCount(NamedTuple):

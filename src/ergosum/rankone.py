@@ -499,13 +499,13 @@ def window_counts(sampler: NameSampler, radius: int,
     return ensemble_window_counts([sampler], radius, depth_cap)[0]
 
 
-def rank_one_scaling(data: ConstructionData) -> ScalingSequence:
-    """Step-function normalizer: a(n) = C_v on q_v <= n < q_{v+1}.
+def rank_one_scaling(tower: Tower) -> ScalingSequence:
+    """Step-function normalizer of the tower: a(n) = C_v on q_v <= n < q_{v+1}.
 
     Nondecreasing and right-continuous in n; values are exact integers.
+    Queries extend the tower as far as they need, so the scaling may share
+    its tower with the samplers of the same thread.
     """
-    tower = Tower(data)
-
     def query(n: int) -> int:
         if n < 1:
             raise ValueError("scaling index must be >= 1")
@@ -513,4 +513,4 @@ def rank_one_scaling(data: ConstructionData) -> ScalingSequence:
             tower.ensure_stage(len(tower._spacers) + 1)
         return tower._cut_product[bisect_right(tower._q, n)]
 
-    return ScalingSequence(query, name=f"rankone[{data.name or 'custom'}]")
+    return ScalingSequence(query, name=f"rankone[{tower.data.name or 'custom'}]")

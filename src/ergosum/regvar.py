@@ -11,8 +11,7 @@ gets the band and draws conclusions.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 from .errors import ScalingHorizonError
 
@@ -84,8 +83,9 @@ def invert_scaling(a: ScalingSequence, y) -> int:
     return hi
 
 
-@dataclass(frozen=True)
-class ERRow:
+class ERRow(NamedTuple):
+    """One cell of the band table; the field names are the CSV header."""
+
     p: int
     n: int
     a_n: float
@@ -93,28 +93,18 @@ class ERRow:
     ratio: float
 
 
-@dataclass(frozen=True)
-class ERReport:
-    """Two-sided band table for ``r(p, n) = a(pn) / (p * a(n))``.
+class ERReport(NamedTuple):
+    """Band table rows and ``m_hat``, the largest max(r, 1/r) in the table."""
 
-    ``m_hat`` is the largest multiplicative deviation max(r, 1/r) over the
-    whole table.  ``stable_from[p]`` is the first grid index from which all
-    later tabulated deviations stay inside the band observed on the final
-    quarter of the grid (an empirical stand-in for the index past which the
-    band has settled).
-    """
-
-    rows: tuple[ERRow, ...]
+    rows: list[ERRow]
     m_hat: float
-    stable_from: dict[int, int]
-
-    def as_rows(self):
-        return [(r.p, r.n, r.a_n, r.a_pn, r.ratio) for r in self.rows]
 
 
 def _geometric_grid(n_lo: int, n_hi: int, factor: int) -> list[int]:
     if n_lo < 1:
         raise ValueError("n_lo must be >= 1")
+    if n_hi < n_lo:
+        raise ValueError(f"empty grid: n_hi = {n_hi} < n_lo = {n_lo}")
     if factor < 2:
         raise ValueError("grid factor must be >= 2")
     grid = []
@@ -127,7 +117,10 @@ def _geometric_grid(n_lo: int, n_hi: int, factor: int) -> list[int]:
 
 def er_diagnostic(a: ScalingSequence, p_values: Sequence[int],
                   n_lo: int, n_hi: int, grid_factor: int = 2) -> ERReport:
-    """Tabulate a(pn)/(p a(n)) on a geometric grid and report the band."""
+    """Tabulate r(p, n) = a(pn)/(p a(n)) on a geometric grid, p-major.
+
+    The rows carry the table; ``m_hat`` summarizes its two-sided band.
+    """
     p_values = tuple(int(p) for p in p_values)
     for p in p_values:
         if p <= 1:
@@ -137,9 +130,7 @@ def er_diagnostic(a: ScalingSequence, p_values: Sequence[int],
     grid = _geometric_grid(n_lo, n_hi, grid_factor)
     rows = []
     m_hat = 1.0
-    stable_from: dict[int, int] = {}
     for p in p_values:
-        devs = []
         for n in grid:
             a_n = a(n)
             a_pn = a(p * n)
@@ -148,53 +139,29 @@ def er_diagnostic(a: ScalingSequence, p_values: Sequence[int],
             # int/int division handles values beyond float range correctly
             r = a_pn / (p * a_n)
             rows.append(ERRow(p, n, float(a_n), float(a_pn), r))
-            dev = max(r, 1.0 / r)
-            devs.append(dev)
-            m_hat = max(m_hat, dev)
-        tail = devs[-max(1, len(devs) // 4):]
-        band = max(tail) * (1.0 + 1e-12)
-        start = grid[0]
-        for i in range(len(grid) - 1, -1, -1):
-            if devs[i] > band:
-                break
-            start = grid[i]
-        stable_from[p] = start
-    return ERReport(tuple(rows), m_hat, stable_from)
+            m_hat = max(m_hat, r, 1.0 / r)
+    return ERReport(rows, m_hat)
 
 
-@dataclass(frozen=True)
-class SVRow:
+class SVRow(NamedTuple):
+    """One doubling ratio L(2n)/L(n); the field names are the CSV header."""
+
     n: int
-    l_n: float
-    l_2n: float
+    L_n: float
+    L_2n: float
     ratio: float
 
 
-@dataclass(frozen=True)
-class SVReport:
-    """Doubling ratios L(2n)/L(n) and their maximal deviation from 1."""
-
-    rows: tuple[SVRow, ...]
-    max_deviation: float
-
-    def as_rows(self):
-        return [(r.n, r.l_n, r.l_2n, r.ratio) for r in self.rows]
-
-
-def sv_diagnostic(length_fn, n_lo: int, n_hi: int, grid_factor: int = 2) -> SVReport:
-    """Slow-variation table for a queryable sequence ``L``.
+def sv_diagnostic(length_fn, n_lo: int, n_hi: int, grid_factor: int = 2) -> list[SVRow]:
+    """Slow-variation table: L(n), L(2n) and L(2n)/L(n) on a geometric grid.
 
     ``length_fn`` may be a plain callable or a ScalingSequence.
     """
-    grid = _geometric_grid(n_lo, n_hi, grid_factor)
     rows = []
-    max_dev = 0.0
-    for n in grid:
+    for n in _geometric_grid(n_lo, n_hi, grid_factor):
         l_n = float(length_fn(n))
         l_2n = float(length_fn(2 * n))
         if l_n <= 0:
             raise ValueError(f"nonpositive L({n})")
-        ratio = l_2n / l_n
-        rows.append(SVRow(n, l_n, l_2n, ratio))
-        max_dev = max(max_dev, abs(ratio - 1.0))
-    return SVReport(tuple(rows), max_dev)
+        rows.append(SVRow(n, l_n, l_2n, l_2n / l_n))
+    return rows

@@ -45,8 +45,6 @@ class LifetimeDistribution:
     kinds invert the CDF in closed form, so sampling is exact.
     """
 
-    kind = "abstract"
-
     # -- core surface ---------------------------------------------------
 
     def tail(self, n):
@@ -65,7 +63,7 @@ class LifetimeDistribution:
         raise NotImplementedError
 
     def sample(self, rng, size: int) -> np.ndarray:
-        """Exact inverse-CDF draws as int64."""
+        """Exact inverse-CDF draws as a new int64 array, which the caller may modify."""
         raise NotImplementedError
 
     @property
@@ -126,8 +124,6 @@ class LifetimeDistribution:
 class Geometric(LifetimeDistribution):
     """f_k = p (1-p)^(k-1) on k >= 1; F(n) = (1-p)^(n-1); mean 1/p."""
 
-    kind = "geometric"
-
     def __init__(self, p: float):
         if not 0.0 < p <= 1.0:
             raise ConfigError(f"geometric parameter must be in (0, 1], got {p}")
@@ -177,8 +173,6 @@ class PowerTail(LifetimeDistribution):
     Near gamma = 1 the rounding of n^(1-gamma) is divided by 1 - gamma:
     13 ulp at gamma = 0.99.
     """
-
-    kind = "power_tail"
 
     def __init__(self, gamma: float):
         if not 0.0 < gamma <= 1.0:
@@ -244,8 +238,6 @@ class FiniteSupport(LifetimeDistribution):
     cost independent of the largest one: F(n) is the mass of the atoms
     >= n, and L(n) = E(nu ^ n) = sum_{k<n} k p_k + n F(n).
     """
-
-    kind = "finite"
 
     def __init__(self, mass: Sequence[tuple[int, float]]):
         pairs = sorted((int(k), float(p)) for k, p in mass)

@@ -58,7 +58,7 @@ def heavy_ensemble(presets):
     ensemble = [bk.series_from_name(rk.sample_name(data, spawn(1, i)), checkpoints)
                 for i in range(20)]
     elapsed = time.perf_counter() - start
-    scaling = rk.rank_one_scaling(data)
+    scaling = rk.rank_one_scaling(rk.Tower(data))
     return ensemble, scaling, checkpoints, elapsed
 
 

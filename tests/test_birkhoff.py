@@ -74,7 +74,7 @@ def test_series_validation():
 
 def test_normalized_stats_odometer_band(odometer):
     cps = tuple(2 ** e for e in range(4, 14))
-    scaling = rk.rank_one_scaling(odometer)
+    scaling = rk.rank_one_scaling(rk.Tower(odometer))
     ensemble = [bk.series_from_name(rk.sample_name(odometer, s), cps)
                 for s in range(3)]
     with warnings.catch_warnings():
@@ -105,7 +105,7 @@ def test_normalized_stats_walk_identity_scaling():
 
 def test_normalized_stats_running_extrema_and_monotonicity(chacon):
     cps = tuple(2 ** e for e in range(4, 15))
-    scaling = rk.rank_one_scaling(chacon)
+    scaling = rk.rank_one_scaling(rk.Tower(chacon))
     ens = [bk.series_from_name(rk.sample_name(chacon, spawn(3, i)), cps)
            for i in range(4)]
     with warnings.catch_warnings():
@@ -124,7 +124,7 @@ def test_normalized_stats_running_extrema_and_monotonicity(chacon):
 def test_normalized_stats_horizon_monotonicity(chacon):
     cps_short = tuple(2 ** e for e in range(4, 10))
     cps_long = tuple(2 ** e for e in range(4, 14))
-    scaling = rk.rank_one_scaling(chacon)
+    scaling = rk.rank_one_scaling(rk.Tower(chacon))
     short = bk.series_from_name(rk.sample_name(chacon, 8), cps_short)
     long = bk.series_from_name(rk.sample_name(chacon, 8), cps_long)
     with warnings.catch_warnings():
@@ -146,7 +146,7 @@ def test_sanity_flag_raised_for_synthetic_violation():
 
 
 def test_normalized_stats_validation(chacon):
-    scaling = rk.rank_one_scaling(chacon)
+    scaling = rk.rank_one_scaling(rk.Tower(chacon))
     with pytest.raises(ValueError):
         bk.normalized_stats([], scaling, burn_in=16)
     series = bk.series_from_name(rk.sample_name(chacon, 1), (4, 8))
@@ -155,7 +155,7 @@ def test_normalized_stats_validation(chacon):
 
 
 def test_series_rows_columns(chacon):
-    scaling = rk.rank_one_scaling(chacon)
+    scaling = rk.rank_one_scaling(rk.Tower(chacon))
     series = bk.series_from_name(rk.sample_name(chacon, 1), (1, 13))
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
@@ -169,7 +169,7 @@ def test_series_rows_columns(chacon):
 
 
 def test_scaling_evaluated_once_per_checkpoint(chacon):
-    base = rk.rank_one_scaling(chacon)
+    base = rk.rank_one_scaling(rk.Tower(chacon))
     calls = []
 
     def counted(n):
@@ -205,7 +205,7 @@ def test_checkpoint_past_burn_in_below_domain():
 
 
 def test_series_rows_checkpoint_zero(chacon):
-    scaling = rk.rank_one_scaling(chacon)
+    scaling = rk.rank_one_scaling(rk.Tower(chacon))
     series = bk.series_from_name(rk.sample_name(chacon, 5), (0, 13))
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")

@@ -5,12 +5,13 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
 
 import ergosum
-from ergosum import cli
+from ergosum import cli, rankone
 from ergosum.errors import PrecisionWarning
 
 
@@ -41,6 +42,26 @@ def test_rank_one_radius_example(tmp_path):
     assert rows[0]["n"] == "13"
     assert 9 <= int(rows[0]["sigma"]) <= 27
     assert (out / "summary.csv").exists()
+
+
+def test_rank_one_run_builds_one_tower(tmp_path, monkeypatch):
+    # the scaling and every seed's sampler share the run's tower
+    built = []
+    init = rankone.Tower.__init__
+
+    def counted(self, data):
+        built.append(data.name)
+        init(self, data)
+
+    monkeypatch.setattr(rankone.Tower, "__init__", counted)
+    cfg = cli.ExperimentConfig(kind="rank-one", trials=5, out=str(tmp_path),
+                               params={"preset": "heavy2q", "checkpoints": "dyadic:4:20",
+                                       "burn_in": 16})
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)
+        tables = cli.run_rank_one(cfg)
+    assert built == ["heavy2q"]
+    assert len(tables) == 6
 
 
 def test_renewal_geometric_example(tmp_path):
@@ -287,6 +308,38 @@ def test_exit_code_bad_value(args, tmp_path, capsys):
     assert code == cli.EXIT_CONFIG
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("config error: "), err
+
+
+@pytest.mark.parametrize("args,named", [
+    (["translate", "--alpha", "golden", "--grid", "dyadic:-1:3"], "'dyadic:-1:3'"),
+    (["rank-one", "--preset", "chacon", "--checkpoints", "dyadic:-2:3"], "'dyadic:-2:3'"),
+    (["regvar", "--scaling", "tm:harmonic", "--sv", "--n-lo", "100", "--n-hi", "10"],
+     "n_hi = 10 < n_lo = 100"),
+], ids=["translate-negative-exponent", "rank-one-negative-exponent", "regvar-sv-empty"])
+def test_exit_code_bad_grid(args, named, tmp_path, capsys):
+    # a negative dyadic exponent or an empty grid writes no table
+    code = cli.main([*args, "--out", str(tmp_path / "out")])
+    assert code == cli.EXIT_CONFIG
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("config error: ") and named in err[0], err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("doc,named", [
+    ({"kind": "renewal", "params": None}, "'params'"),
+    ({"kind": "renewal", "params": {"dist": "geometric:0.5"}}, "'n'"),
+    ({"kind": "renewal", "params": {"dist": "geometric:0.5", "n": None}}, "'n'"),
+    ({"kind": "walk", "params": {"dist": "geometric:0.5", "N": 10}, "trials": "x"},
+     "'trials'"),
+], ids=["params-null", "missing-n", "null-n", "trials-string"])
+def test_exit_code_malformed_config(doc, named, tmp_path, capsys):
+    cfg_file = tmp_path / "cfg.json"
+    cfg_file.write_text(json.dumps(doc))
+    code = cli.main(["renewal", "--dist", "geometric:0.5", "--n", "4",
+                     "--config", str(cfg_file), "--out", str(tmp_path / "out")])
+    assert code == cli.EXIT_CONFIG
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("config error: ") and named in err[0], err
 
 
 def test_exit_code_resource_error(tmp_path, capsys):

@@ -141,6 +141,25 @@ def test_walk_shift_relation():
         assert walk.s(-k) == -shifted
 
 
+@pytest.mark.parametrize("f", [
+    rn.Geometric(0.5), rn.PowerTail(0.75), rn.FiniteSupport(((2, 0.3), (7, 0.7))),
+], ids=lambda f: f.label)
+def test_walk_sample_replays_its_stream(f):
+    # an independent replay of the trial stream: the forward block of J
+    # draws, then the backward block
+    J = 500
+    for i in range(4):
+        walk = lt.walk_sample(f, spawn(17, i), J=J)
+        rng = spawn(17, i)
+        fwd, bwd = f.sample(rng, J), f.sample(rng, J)
+        assert np.array_equal(walk.s_forward, np.cumsum(fwd))
+        assert np.array_equal(walk.s_backward_mag, np.cumsum(bwd))
+        assert np.array_equal(walk.omega_forward, fwd)
+        assert np.array_equal(walk.omega_backward, bwd)
+        assert [walk.omega(j) for j in (0, J - 1, -1, -J)] == \
+            [fwd[0], fwd[-1], bwd[0], bwd[-1]]
+
+
 def test_walk_monotone_and_lln():
     g = rn.Geometric(0.5)
     walk = lt.walk_sample(g, 11, J=10 ** 6)

@@ -359,18 +359,18 @@ def test_depth_cap(presets):
 
 
 def test_rank_one_scaling_values(presets):
-    sc = rk.rank_one_scaling(presets["heavy2q"])
+    sc = rk.rank_one_scaling(rk.Tower(presets["heavy2q"]))
     assert sc(5) == 4
     assert sc(1) == 2
-    sco = rk.rank_one_scaling(presets["odometer"])
+    sco = rk.rank_one_scaling(rk.Tower(presets["odometer"]))
     assert [sco(2 ** (v - 1)) for v in range(1, 11)] == [2 ** v for v in range(1, 11)]
-    scc = rk.rank_one_scaling(presets["chacon"])
+    scc = rk.rank_one_scaling(rk.Tower(presets["chacon"]))
     assert scc(1) == 3
 
 
 def test_rank_one_scaling_monotone_step(presets):
     for data in presets.values():
-        sc = rk.rank_one_scaling(data)
+        sc = rk.rank_one_scaling(rk.Tower(data))
         values = [sc(n) for n in range(1, 200)]
         assert all(b >= a for a, b in zip(values, values[1:]))
         ts = rk.tower_stats(data, 64)
@@ -387,8 +387,9 @@ def test_scaling_sandwich(presets):
     # bounded cuts: sigma_n / a(n) within [1/(2J), 3J]
     for data in presets.values():
         max_c = max(stage.c for stage in data.stages)
-        sc = rk.rank_one_scaling(data)
-        s = rk.sample_name(data, 77)
+        tower = rk.Tower(data)  # shared, as in a rank-one run
+        sc = rk.rank_one_scaling(tower)
+        s = rk.NameSampler(tower, 77)
         for n in (3, 10, 50, 211, 1024, 5000):
             ratio = rk.window_counts(s, n).sigma / sc(n)
             assert 1 / (2 * max_c) <= ratio <= 3 * max_c

@@ -3,7 +3,8 @@
 The digest of a run covers every CSV file it writes, in name order: the
 file name, then its header and data rows with the '#' provenance lines
 dropped.  These runs write only integer counts and Python float
-divisions of them, so the digests do not depend on SIMD, BLAS or the
+divisions of them, or truncated means of geometric:0.5, whose powers of
+1/2 are exact, so the digests do not depend on SIMD, BLAS or the
 machine.  A change that moves one of these rows must say so in
 CHANGES.md and update the digest here.
 """
@@ -44,6 +45,15 @@ CONTRACT = [
          "--grid", "dyadic:0:12"],
         "c8b72d0670b0759463fa1d394f1a4e0e814a095992a8f8fb9f08f962d4826231",
         id="translate-sqrt2"),
+    pytest.param(
+        ["regvar", "--scaling", "rankone:heavy2q", "--p", "2,4,8",
+         "--n-lo", "16", "--n-hi", "65536"],
+        "0a3f9c0c2cc06c7c6b7d3592f0a570962cb7bce9d9d14cf7097ccd161ebacf48",
+        id="regvar-rankone-heavy2q"),
+    pytest.param(
+        ["regvar", "--scaling", "tm:geometric:0.5", "--sv", "--n-lo", "1", "--n-hi", "64"],
+        "5429ef729fe335cfd70a5a5a4800fc0ee03a37773b57440f740bb9fc689be5cb",
+        id="regvar-sv-geometric"),
 ]
 
 
