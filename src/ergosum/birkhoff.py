@@ -1,15 +1,14 @@
 """Checkpointed occupation series along orbits and normalized-ratio statistics.
 
-A series records the one-sided and symmetric counts of base visits at a
-grid of window radii along the symbolic name of a rank-one tower point
-(walk orbits are counted in ``lattice.walk_counts``, not here).  Time 0 is
-always a visit, since names start on the base, and the center is counted
-once, shared by both one-sided counts; the convention is recorded on every
-series so the exact identity sigma = s_plus + s_minus - 1 is checkable
-downstream.
+A series records the one-sided counts of base visits at a grid of window
+radii along the symbolic name of a rank-one tower point (walk orbits are
+counted in ``lattice.walk_counts``, not here).  Time 0 is always a visit,
+since names start on the base, and the center is counted once, shared by
+both one-sided counts, so the symmetric count is sigma = s_plus + s_minus - 1.
 
-Normalized statistics divide by a scaling sequence and keep running
-extrema past a burn-in.  The extrema are finite-horizon bounds for
+Normalized statistics divide by a scaling sequence a(n), evaluated once
+per checkpoint for the whole ensemble, and keep each series' ratio extrema
+past a burn-in.  The extrema are finite-horizon bounds for
 limit-superior/inferior quantities and are labeled as such; nothing here
 extrapolates.
 """
@@ -18,6 +17,7 @@ from __future__ import annotations
 
 import math
 import warnings
+from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -25,42 +25,37 @@ from .errors import InvariantViolationError
 from .rankone import NameSampler, ensemble_window_counts
 from .regvar import ScalingSequence
 
-CENTER_CONVENTION = "center counted once, shared by s_plus and s_minus"
-
 
 @dataclass(frozen=True)
 class BirkhoffSeries:
     """Occupation counts at increasing checkpoint radii.
 
-    s_plus[i] counts visits at times 0..n_i, s_minus[i] at times -n_i..0,
-    sigma[i] at |t| <= n_i; with the recorded center convention
-    sigma = s_plus + s_minus - 1 exactly.
+    s_plus[i] counts visits at times 0..n_i and s_minus[i] at times
+    -n_i..0.  The center is counted once, shared by both, so sigma[i], the
+    count at |t| <= n_i, is s_plus[i] + s_minus[i] - 1.
     """
 
     checkpoints: tuple[int, ...]
     s_plus: tuple[int, ...]
     s_minus: tuple[int, ...]
-    sigma: tuple[int, ...]
-    source: str
-    convention: str = CENTER_CONVENTION
 
     def __post_init__(self):
         cps = self.checkpoints
         if any(b <= a for a, b in zip(cps, cps[1:])):
             raise ValueError("checkpoints must be strictly increasing")
-        for seq, name in ((self.s_plus, "s_plus"), (self.s_minus, "s_minus"),
-                          (self.sigma, "sigma")):
+        for seq, name in ((self.s_plus, "s_plus"), (self.s_minus, "s_minus")):
             if len(seq) != len(cps):
                 raise ValueError(f"{name} length does not match checkpoints")
             if any(b < a for a, b in zip(seq, seq[1:])):
                 raise InvariantViolationError(f"{name} is not nondecreasing")
-        for n, sp, sm, sg in zip(cps, self.s_plus, self.s_minus, self.sigma):
-            if sg != sp + sm - 1:
-                raise InvariantViolationError(
-                    f"sigma != s_plus + s_minus - 1 at checkpoint {n}")
+        for n, sg in zip(cps, self.sigma):
             if sg > 2 * n + 1:
                 raise InvariantViolationError(
                     f"sigma = {sg} exceeds window size {2 * n + 1} at {n}")
+
+    @property
+    def sigma(self) -> tuple[int, ...]:
+        return tuple(sp + sm - 1 for sp, sm in zip(self.s_plus, self.s_minus))
 
 
 def series_from_names(samplers: Sequence[NameSampler],
@@ -73,16 +68,13 @@ def series_from_names(samplers: Sequence[NameSampler],
     if not samplers:
         return []
     cps = tuple(int(n) for n in checkpoints)
-    counts = [([], [], []) for _ in samplers]
+    counts = [([], []) for _ in samplers]
     for n in cps:
-        for (s_plus, s_minus, sigma), w in zip(counts, ensemble_window_counts(samplers, n)):
+        for (s_plus, s_minus), w in zip(counts, ensemble_window_counts(samplers, n)):
             s_plus.append(w.s_plus)
             s_minus.append(w.s_minus)
-            sigma.append(w.sigma)
-    label = samplers[0].tower.data.name or "custom"
-    return [BirkhoffSeries(cps, tuple(s_plus), tuple(s_minus), tuple(sigma),
-                           source=f"rankone[{label}]")
-            for s_plus, s_minus, sigma in counts]
+    return [BirkhoffSeries(cps, tuple(s_plus), tuple(s_minus))
+            for s_plus, s_minus in counts]
 
 
 def series_from_name(sampler: NameSampler,
@@ -93,44 +85,40 @@ def series_from_name(sampler: NameSampler,
 
 @dataclass(frozen=True)
 class SeriesStats:
-    """One orbit's a(n) and ratios per checkpoint, and extrema past the burn-in.
+    """One orbit's ratios per checkpoint, and their extrema past the burn-in.
 
-    a_n[i] is the scaling at checkpoint i, evaluated once; ratio_sym[i] =
-    sigma / (2 a_n) and ratio_plus[i] = s_plus / a_n.  A checkpoint below
-    the burn-in and below the scaling's domain has a_n None and NaN ratios;
-    one past the burn-in must lie in the domain.  The running extrema of
-    ratio_sym start at the burn-in.
+    ratio_sym[i] = sigma / (2 a_n) and ratio_plus[i] = s_plus / a_n, with
+    the ensemble's a_n (``NormalizedStats.a_n``); both are NaN where a_n is
+    None.  sup_plus is the largest ratio_plus, and sup_sym and inf_sym are
+    the extrema of ratio_sym, over the checkpoints at or past the burn-in.
     """
 
-    a_n: tuple
     ratio_sym: tuple[float, ...]
     ratio_plus: tuple[float, ...]
-    running_sup: tuple[float, ...]
-    running_inf: tuple[float, ...]
     sup_plus: float
-    oscillation: float
+    sup_sym: float
+    inf_sym: float
 
     @property
-    def sup_sym(self) -> float:
-        return self.running_sup[-1]
-
-    @property
-    def inf_sym(self) -> float:
-        return self.running_inf[-1]
+    def oscillation(self) -> float:
+        return self.sup_sym - self.inf_sym
 
 
 @dataclass(frozen=True)
 class NormalizedStats:
     """Ensemble-normalized ratio statistics.
 
-    alpha_hat / beta_hat are maxima of one-sided and symmetric ratio
-    suprema over the ensemble; beta_lower_hat is the minimum of the
-    symmetric ratio infima.  All three are finite-horizon bounds for the
-    corresponding limit quantities (lower bounds for the suprema, an upper
-    bound for the infimum); enlarging the ensemble or the horizon moves
-    them only toward the limits.
+    a_n[i] is the scaling at checkpoint i, evaluated once for the whole
+    ensemble; a checkpoint below the burn-in and below the scaling's domain
+    has a_n None.  alpha_hat / beta_hat are maxima of one-sided and
+    symmetric ratio suprema over the ensemble; beta_lower_hat is the
+    minimum of the symmetric ratio infima.  All three are finite-horizon
+    bounds for the corresponding limit quantities (lower bounds for the
+    suprema, an upper bound for the infimum); enlarging the ensemble or the
+    horizon moves them only toward the limits.
     """
 
+    a_n: tuple
     series: tuple[SeriesStats, ...]
     alpha_hat: float
     beta_hat: float
@@ -142,61 +130,51 @@ class NormalizedStats:
         return tuple(s.oscillation for s in self.series)
 
 
-def _series_stats(series: BirkhoffSeries, scaling: ScalingSequence,
-                  burn_in: int) -> SeriesStats:
-    a_values, ratio_sym, ratio_plus = [], [], []
-    for n, sp, sg in zip(series.checkpoints, series.s_plus, series.sigma):
-        if n < max(1, scaling.domain_min):
-            if n >= burn_in:
-                raise ValueError(
-                    f"checkpoint {n} is at or past the burn-in {burn_in} but below "
-                    f"{scaling.name}'s domain_min {scaling.domain_min}")
-            a_values.append(None)
-            ratio_sym.append(math.nan)
-            ratio_plus.append(math.nan)
-            continue
-        a_n = scaling(n)
-        if a_n <= 0:
-            raise InvariantViolationError(f"{scaling.name}: a({n}) <= 0")
-        a_values.append(a_n)
-        ratio_sym.append(sg / (2 * a_n))
-        ratio_plus.append(sp / a_n)
-    tail = [(rs, rp) for n, rs, rp in
-            zip(series.checkpoints, ratio_sym, ratio_plus) if n >= burn_in]
-    if not tail:
-        raise ValueError(f"no checkpoints at or past burn-in {burn_in}")
-    sup, inf = -math.inf, math.inf
-    running_sup, running_inf = [], []
-    for rs, _ in tail:
-        sup = max(sup, rs)
-        inf = min(inf, rs)
-        running_sup.append(sup)
-        running_inf.append(inf)
-    return SeriesStats(
-        a_n=tuple(a_values),
-        ratio_sym=tuple(ratio_sym),
-        ratio_plus=tuple(ratio_plus),
-        running_sup=tuple(running_sup),
-        running_inf=tuple(running_inf),
-        sup_plus=max(rp for _, rp in tail),
-        oscillation=sup - inf,
-    )
+def _series_stats(series: BirkhoffSeries, a_n: Sequence, start: int) -> SeriesStats:
+    ratio_sym = tuple(math.nan if a is None else sg / (2 * a)
+                      for sg, a in zip(series.sigma, a_n))
+    ratio_plus = tuple(math.nan if a is None else sp / a
+                       for sp, a in zip(series.s_plus, a_n))
+    tail = ratio_sym[start:]
+    return SeriesStats(ratio_sym, ratio_plus, sup_plus=max(ratio_plus[start:]),
+                       sup_sym=max(tail), inf_sym=min(tail))
 
 
 def normalized_stats(ensemble: Sequence[BirkhoffSeries], scaling: ScalingSequence,
                      burn_in: int) -> NormalizedStats:
-    """Ratios, running extrema, and ensemble estimators for a series ensemble.
+    """Ratios, their extrema, and ensemble estimators for a series ensemble.
 
-    The sanity bound beta_lower_hat <= alpha_hat/2 + 0.1 is checked and a
-    violation is flagged (and warned about), never silently accepted:
-    finite-horizon estimators only approximate the limit quantities, so a
-    breach means the run deserves review, not an exception.
+    The series must share their checkpoints.  A checkpoint at or past the
+    burn-in must lie in the scaling's domain.  The sanity bound
+    beta_lower_hat <= alpha_hat/2 + 0.1 is checked and a violation is
+    flagged (and warned about), never silently accepted: finite-horizon
+    estimators only approximate the limit quantities, so a breach means
+    the run deserves review, not an exception.
     """
     if not ensemble:
         raise ValueError("ensemble must be nonempty")
     if burn_in < 1:
         raise ValueError("burn_in must be >= 1")
-    stats = tuple(_series_stats(s, scaling, burn_in) for s in ensemble)
+    cps = ensemble[0].checkpoints
+    if any(s.checkpoints != cps for s in ensemble):
+        raise ValueError("the series of an ensemble must share their checkpoints")
+    a_n = []
+    for n in cps:
+        if n < max(1, scaling.domain_min):
+            if n >= burn_in:
+                raise ValueError(
+                    f"checkpoint {n} is at or past the burn-in {burn_in} but below "
+                    f"{scaling.name}'s domain_min {scaling.domain_min}")
+            a_n.append(None)
+            continue
+        a = scaling(n)
+        if a <= 0:
+            raise InvariantViolationError(f"{scaling.name}: a({n}) <= 0")
+        a_n.append(a)
+    start = bisect_left(cps, burn_in)
+    if start == len(cps):
+        raise ValueError(f"no checkpoints at or past burn-in {burn_in}")
+    stats = tuple(_series_stats(s, a_n, start) for s in ensemble)
     alpha_hat = max(s.sup_plus for s in stats)
     beta_hat = max(s.sup_sym for s in stats)
     beta_lower_hat = min(s.inf_sym for s in stats)
@@ -206,18 +184,18 @@ def normalized_stats(ensemble: Sequence[BirkhoffSeries], scaling: ScalingSequenc
             f"beta_lower_hat = {beta_lower_hat:.4f} exceeds alpha_hat/2 + 0.1 "
             f"= {alpha_hat / 2 + 0.1:.4f}; review the horizon and burn-in")
         warnings.warn(flags[-1], stacklevel=2)
-    return NormalizedStats(stats, alpha_hat, beta_hat, beta_lower_hat,
+    return NormalizedStats(tuple(a_n), stats, alpha_hat, beta_hat, beta_lower_hat,
                            tuple(flags))
 
 
-def series_rows(series: BirkhoffSeries, stats: SeriesStats) -> list[tuple]:
+def series_rows(series: BirkhoffSeries, stats: SeriesStats,
+                a_n: Sequence) -> list[tuple]:
     """Rows (n, s_plus, s_minus, sigma, a_n, ratio_sym, ratio_plus) for CSV.
 
-    Formats the counts and their record from normalized_stats; nothing is
-    evaluated again.  A checkpoint below the scaling's domain gets empty
-    a_n and ratio cells.
+    Formats the counts, the ensemble's a_n and the series' ratios from
+    normalized_stats; nothing is evaluated again.  A checkpoint below the
+    scaling's domain gets empty a_n and ratio cells.
     """
     return [row if row[4] is not None else (*row[:4], "", "", "")
             for row in zip(series.checkpoints, series.s_plus, series.s_minus,
-                           series.sigma, stats.a_n, stats.ratio_sym,
-                           stats.ratio_plus)]
+                           series.sigma, a_n, stats.ratio_sym, stats.ratio_plus)]

@@ -13,7 +13,6 @@ Exit codes: 0 success, 2 config error, 3 resource/horizon error,
 from __future__ import annotations
 
 import argparse
-import csv
 import hashlib
 import json
 import math
@@ -22,7 +21,7 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field
 from datetime import datetime, timezone
 from pathlib import Path
-from typing import get_type_hints
+from typing import NamedTuple, get_type_hints
 
 from . import __version__, birkhoff, lattice, rankone, regvar, renewal
 from .errors import (
@@ -43,19 +42,66 @@ NAMED_CONSTANTS = {
     "sqrt2": math.sqrt(2.0),
 }
 
-DEFAULT_CHECKPOINTS = "dyadic:10:24"
 
-# parameters read with no default; the parser requires the same flags
-_REQUIRED_PARAMS = {"renewal": ("dist", "n"), "queen": ("dist", "n"),
-                    "dyadic-tail": ("dist", "n"), "trimmed": ("dist", "n"),
-                    "translate": ("alpha",), "walk": ("dist", "N"), "regvar": ("scaling",)}
+class Param(NamedTuple):
+    """One subcommand parameter: config key NAME, flag --NAME (``_`` as ``-``)."""
+
+    type: type
+    default: object = None
+    help: str | None = None
+    required: bool = False
+
+
+_DIST = Param(str, help="lifetime distribution spec", required=True)
+_N = Param(int, required=True)
+
+# each subcommand's help and parameters: they build its flags, check every
+# config of its kind, and give the runners their defaults
+PARAMS = {
+    "rank-one": ("tower orbit series and ratio statistics", {
+        "preset": Param(str, help="one of " + ", ".join(rankone.PRESETS)),
+        "data": Param(str, help="construction data JSON file"),
+        "radius": Param(int, help="single checkpoint radius"),
+        "checkpoints": Param(str, "dyadic:10:24", "dyadic:LO:HI or comma list"),
+        "burn_in": Param(int, 4096),
+    }),
+    "renewal": ("renewal sequence and prefix sums", {"dist": _DIST, "n": _N}),
+    "queen": ("small-tail diagnostic series (F/L)^2", {"dist": _DIST, "n": _N}),
+    "dyadic-tail": ("dyadic tail series 2^n F(t b(2^n))^2", {
+        "dist": _DIST,
+        "n": Param(int, help="largest dyadic index", required=True),
+        "t": Param(float, 1.0),
+        "scaling": Param(str, help="tm:DIST | au:DIST:NMAX (default tm of --dist)"),
+    }),
+    "trimmed": ("trimmed-sum Monte Carlo", {"dist": _DIST, "n": _N}),
+    "translate": ("planar translation orbit counts", {
+        "alpha": Param(str, help="number or golden/sqrt2", required=True),
+        "beta": Param(str, "1.0", "number or golden/sqrt2"),
+        "x": Param(float, 0.0),
+        "N": Param(int),
+        "grid": Param(str, help="dyadic:LO:HI of box radii"),
+        # kept so saved configs and their hashes stay valid
+        "exact": Param(bool, False, "no effect: counts are always exact"),
+    }),
+    "walk": ("random-walk skew-product orbit counts", {"dist": _DIST, "N": _N}),
+    "regvar": ("regular-variation band diagnostics", {
+        "scaling": Param(str, help="tm:DIST | au:DIST:NMAX | rankone:PRESET | identity",
+                         required=True),
+        "p": Param(str, "2,4,8"),
+        "n_lo": Param(int, 2 ** 10),
+        "n_hi": Param(int, 2 ** 20),
+        "factor": Param(int, 2),
+        "sv": Param(bool, False, "tabulate L(2n)/L(n) instead of the band"),
+    }),
+}
 
 
 @dataclass(frozen=True)
 class ExperimentConfig:
     """Everything needed to rerun an experiment deterministically.
 
-    ``params`` holds the kind-specific knobs.  The config hash covers only
+    ``params`` holds the kind-specific knobs (``PARAMS``); a missing or
+    null one takes its default.  The config hash covers only
     the semantic payload (kind, params, seed, trials), so thread count and
     output location never change the recorded provenance.
     """
@@ -75,12 +121,26 @@ class ExperimentConfig:
             if type(getattr(self, name)) is not kind:
                 raise ConfigError(f"config field {name!r} must be {kind.__name__}, "
                                   f"got {getattr(self, name)!r}")
-        for key in _REQUIRED_PARAMS.get(self.kind, ()):
-            if self.params.get(key) is None:
-                raise ConfigError(f"{self.kind} config misses parameter {key!r}")
+        if self.kind not in PARAMS:
+            raise ConfigError(f"unknown experiment kind {self.kind!r}")
+        for name, p in PARAMS[self.kind][1].items():
+            value = self.params.get(name)
+            if value is None:
+                if p.required:
+                    raise ConfigError(f"{self.kind} config misses parameter {name!r}")
+            # the types the parser produces; an int stands for a float
+            elif type(value) is not p.type and (p.type, type(value)) != (float, int):
+                raise ConfigError(f"{self.kind} parameter {name!r} must be "
+                                  f"{p.type.__name__}, got {value!r}")
         if (self.kind == "translate" and self.params.get("N") is None
                 and not self.params.get("grid")):
             raise ConfigError("translate needs --N or --grid")
+
+    def values(self) -> dict:
+        """Each parameter of this kind, typed as the parser types it, or its default."""
+        return {name: p.default if self.params.get(name) is None
+                else p.type(self.params[name])
+                for name, p in PARAMS[self.kind][1].items()}
 
     def payload(self) -> dict:
         return {"kind": self.kind, "params": self.params,
@@ -151,7 +211,7 @@ def parse_scaling(spec: str) -> regvar.ScalingSequence:
         return regvar.ScalingSequence(lambda n: n, "identity")
     head, _, rest = spec.partition(":")
     if head == "tm":
-        return renewal.truncated_mean_scaling(parse_distribution(rest)).as_scaling()
+        return renewal.TruncatedMeanScaling(parse_distribution(rest)).as_scaling()
     if head == "au":
         dist_spec, _, nmax = rest.rpartition(":")
         if not dist_spec or not nmax.isdigit():
@@ -163,9 +223,7 @@ def parse_scaling(spec: str) -> regvar.ScalingSequence:
     raise ConfigError(f"cannot parse scaling {spec!r}")
 
 
-def _load_construction(params: dict) -> rankone.ConstructionData:
-    preset = params.get("preset")
-    data_file = params.get("data")
+def _load_construction(preset: str | None, data_file: str | None) -> rankone.ConstructionData:
     if (preset is None) == (data_file is None):
         raise ConfigError("give exactly one of --preset or --data")
     if preset is not None:
@@ -194,12 +252,13 @@ def _map_trials(cfg: ExperimentConfig, fn):
 
 
 def run_rank_one(cfg: ExperimentConfig):
-    data = _load_construction(cfg.params)
-    if cfg.params.get("radius") is not None:
-        cps = (int(cfg.params["radius"]),)
+    v = cfg.values()
+    data = _load_construction(v["preset"], v["data"])
+    if v["radius"] is not None:
+        cps = (v["radius"],)
     else:
-        cps = parse_checkpoints(cfg.params.get("checkpoints", DEFAULT_CHECKPOINTS))
-    burn_in = int(cfg.params.get("burn_in", 4096))
+        cps = parse_checkpoints(v["checkpoints"])
+    burn_in = v["burn_in"]
     if not any(n >= burn_in for n in cps):
         burn_in = cps[0] if cps[0] >= 1 else 1
     # the scaling and every sampler share one lazily extended tower, so the
@@ -215,7 +274,7 @@ def run_rank_one(cfg: ExperimentConfig):
         tables.append((f"series_{i:03d}",
                        ("n", "s_plus", "s_minus", "sigma", "a_n",
                         "ratio_sym", "ratio_plus"),
-                       birkhoff.series_rows(series, stats.series[i])))
+                       birkhoff.series_rows(series, stats.series[i], stats.a_n)))
     summary = [(i, s.sup_plus, s.sup_sym, s.inf_sym, s.oscillation)
                for i, s in enumerate(stats.series)]
     tables.append(("summary",
@@ -226,16 +285,18 @@ def run_rank_one(cfg: ExperimentConfig):
 
 
 def run_renewal(cfg: ExperimentConfig):
-    f = parse_distribution(cfg.params["dist"])
-    n_max = int(cfg.params["n"])
+    v = cfg.values()
+    f = parse_distribution(v["dist"])
+    n_max = v["n"]
     seq = renewal.renewal_sequence(f, n_max)
     rows = list(zip(range(n_max + 1), seq.u.tolist(), seq.a_u.tolist()))
     return [("renewal", ("n", "u", "a_u"), rows)]
 
 
 def run_queen(cfg: ExperimentConfig):
-    f = parse_distribution(cfg.params["dist"])
-    n_max = int(cfg.params["n"])
+    v = cfg.values()
+    f = parse_distribution(v["dist"])
+    n_max = v["n"]
     qs = renewal.queen_series(f, n_max)
     rows = list(zip(range(1, n_max + 1), qs.tails.tolist(), qs.lengths.tolist(),
                     qs.terms.tolist(), qs.partial_sums.tolist()))
@@ -243,12 +304,11 @@ def run_queen(cfg: ExperimentConfig):
 
 
 def run_dyadic_tail(cfg: ExperimentConfig):
-    f = parse_distribution(cfg.params["dist"])
-    n_max = int(cfg.params["n"])
-    t = float(cfg.params.get("t", 1.0))
-    scaling_spec = cfg.params.get("scaling") or f"tm:{cfg.params['dist']}"
-    scaling = parse_scaling(scaling_spec)
-    ds = renewal.dyadic_tail_series(f, scaling, t, n_max)
+    v = cfg.values()
+    f = parse_distribution(v["dist"])
+    n_max = v["n"]
+    scaling = parse_scaling(v["scaling"] or f"tm:{v['dist']}")
+    ds = renewal.dyadic_tail_series(f, scaling, v["t"], n_max)
     rows = [(n, 2 ** n, ds.b_values[n], ds.thresholds[n],
              float(ds.terms[n]), float(ds.partial_sums[n]))
             for n in range(n_max + 1)]
@@ -256,9 +316,9 @@ def run_dyadic_tail(cfg: ExperimentConfig):
 
 
 def run_trimmed(cfg: ExperimentConfig):
-    f = parse_distribution(cfg.params["dist"])
-    n = int(cfg.params["n"])
-    res = renewal.trimmed_sum_trials(f, n, cfg.trials, cfg.seed)
+    v = cfg.values()
+    res = renewal.trimmed_sum_trials(parse_distribution(v["dist"]), v["n"],
+                                     cfg.trials, cfg.seed)
     rows = [(i, float(r)) for i, r in enumerate(res.ratios)]
     q = res.quantiles
     summary = [(res.n, res.trials, res.b_n, res.mean, res.std,
@@ -271,15 +331,13 @@ def run_trimmed(cfg: ExperimentConfig):
 
 
 def run_translate(cfg: ExperimentConfig):
+    v = cfg.values()
     action = lattice.TranslationAction(
-        alpha=parse_real(cfg.params["alpha"]),
-        beta=parse_real(cfg.params.get("beta", "1.0")),
-        x=float(cfg.params.get("x", 0.0)),
-    )
-    if cfg.params.get("grid"):
-        horizons = parse_checkpoints(cfg.params["grid"])
+        alpha=parse_real(v["alpha"]), beta=parse_real(v["beta"]), x=v["x"])
+    if v["grid"]:
+        horizons = parse_checkpoints(v["grid"])
     else:
-        horizons = (int(cfg.params["N"]),)
+        horizons = (v["N"],)
     rows = []
     for n_box in horizons:
         res = lattice.translate_counts(action, n_box)
@@ -288,8 +346,9 @@ def run_translate(cfg: ExperimentConfig):
 
 
 def run_walk(cfg: ExperimentConfig):
-    f = parse_distribution(cfg.params["dist"])
-    n_box = int(cfg.params["N"])
+    v = cfg.values()
+    f = parse_distribution(v["dist"])
+    n_box = v["N"]
     seq = renewal.renewal_sequence(f, n_box)
 
     def trial(i):
@@ -302,18 +361,16 @@ def run_walk(cfg: ExperimentConfig):
 
 
 def run_regvar(cfg: ExperimentConfig):
-    spec = cfg.params["scaling"]
-    n_lo = int(cfg.params.get("n_lo", 2 ** 10))
-    n_hi = int(cfg.params.get("n_hi", 2 ** 20))
-    factor = int(cfg.params.get("factor", 2))
-    if cfg.params.get("sv"):
+    v = cfg.values()
+    spec, n_lo, n_hi, factor = v["scaling"], v["n_lo"], v["n_hi"], v["factor"]
+    if v["sv"]:
         head, _, rest = spec.partition(":")
         if head != "tm":
             raise ConfigError("--sv needs a truncated-mean scaling (tm:DIST)")
-        tm = renewal.truncated_mean_scaling(parse_distribution(rest))
+        tm = renewal.TruncatedMeanScaling(parse_distribution(rest))
         rows = regvar.sv_diagnostic(tm.L, n_lo, n_hi, factor)
         return [("regvar_sv", regvar.SVRow._fields, rows)]
-    p_spec = str(cfg.params.get("p", "2,4,8"))
+    p_spec = v["p"]
     try:
         p_values = tuple(int(tok) for tok in p_spec.split(","))
     except ValueError as exc:
@@ -361,9 +418,8 @@ def write_outputs(cfg: ExperimentConfig, tables) -> list[Path]:
         with open(path, "w", newline="") as fh:
             for line in header:
                 fh.write(f"# {line}\n")
-            writer = csv.writer(fh)
-            writer.writerow(fields)
-            writer.writerows(rows)
+            # every cell is an int, a float or "": none needs quoting
+            fh.writelines(",".join(map(str, row)) + "\r\n" for row in (fields, *rows))
         written.append(path)
         if cfg.json_mirror:
             jpath = outdir / f"{name}.json"
@@ -379,17 +435,15 @@ def write_outputs(cfg: ExperimentConfig, tables) -> list[Path]:
 
 def run(cfg: ExperimentConfig) -> list[Path]:
     """Execute a config and write its outputs; deterministic given (config, seed)."""
-    runner = RUNNERS.get(cfg.kind)
-    if runner is None:
-        raise ConfigError(f"unknown experiment kind {cfg.kind!r}")
-    return write_outputs(cfg, runner(cfg))
+    return write_outputs(cfg, RUNNERS[cfg.kind](cfg))
 
 
 # -- argument parsing ----------------------------------------------------------
 
 
-def _add_common(sub, trials_flag="--trials"):
-    sub.add_argument("--config", help="JSON config file (overrides inline flags)")
+def _add_common(sub, trials_flag):
+    sub.add_argument("--config", help="saved JSON config, run as saved; "
+                                       "it needs no other flag")
     sub.add_argument("--out", default=".", help="output directory")
     sub.add_argument("--seed", type=int, default=1, help="master seed (u64)")
     sub.add_argument(trials_flag, type=int, default=1, dest="trials",
@@ -410,70 +464,16 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version",
                         version=f"ergosum {__version__}")
     subs = parser.add_subparsers(dest="kind", required=True)
-
-    p = subs.add_parser("rank-one", help="tower orbit series and ratio statistics")
-    _add_common(p, trials_flag="--seeds")
-    p.add_argument("--preset", choices=rankone.PRESETS)
-    p.add_argument("--data", help="construction data JSON file")
-    p.add_argument("--radius", type=int, help="single checkpoint radius")
-    p.add_argument("--checkpoints", default=DEFAULT_CHECKPOINTS,
-                   help="dyadic:LO:HI or comma list")
-    p.add_argument("--burn-in", type=int, default=4096, dest="burn_in")
-
-    p = subs.add_parser("renewal", help="renewal sequence and prefix sums")
-    _add_common(p)
-    p.add_argument("--dist", required=True)
-    p.add_argument("--n", type=int, required=True)
-
-    p = subs.add_parser("queen", help="small-tail diagnostic series (F/L)^2")
-    _add_common(p)
-    p.add_argument("--dist", required=True)
-    p.add_argument("--n", type=int, required=True)
-
-    p = subs.add_parser("dyadic-tail", help="dyadic tail series 2^n F(t b(2^n))^2")
-    _add_common(p)
-    p.add_argument("--dist", required=True)
-    p.add_argument("--n", type=int, required=True, help="largest dyadic index")
-    p.add_argument("--t", type=float, default=1.0)
-    p.add_argument("--scaling", help="tm:DIST | au:DIST:NMAX (default tm of --dist)")
-
-    p = subs.add_parser("trimmed", help="trimmed-sum Monte Carlo")
-    _add_common(p)
-    p.add_argument("--dist", required=True)
-    p.add_argument("--n", type=int, required=True)
-
-    p = subs.add_parser("translate", help="planar translation orbit counts")
-    _add_common(p)
-    p.add_argument("--alpha", required=True, help="number or golden/sqrt2")
-    p.add_argument("--beta", default="1.0", help="number or golden/sqrt2")
-    p.add_argument("--x", type=float, default=0.0)
-    p.add_argument("--N", type=int)
-    p.add_argument("--grid", help="dyadic:LO:HI of box radii")
-    # kept so saved configs and their hashes stay valid
-    p.add_argument("--exact", action="store_true",
-                   help="no effect: counts are always exact")
-
-    p = subs.add_parser("walk", help="random-walk skew-product orbit counts")
-    _add_common(p, trials_flag="--seeds")
-    p.add_argument("--dist", required=True)
-    p.add_argument("--N", type=int, required=True)
-
-    p = subs.add_parser("regvar", help="regular-variation band diagnostics")
-    _add_common(p)
-    p.add_argument("--scaling", required=True,
-                   help="tm:DIST | au:DIST:NMAX | rankone:PRESET | identity")
-    p.add_argument("--p", default="2,4,8")
-    p.add_argument("--n-lo", type=int, default=2 ** 10, dest="n_lo")
-    p.add_argument("--n-hi", type=int, default=2 ** 20, dest="n_hi")
-    p.add_argument("--factor", type=int, default=2)
-    p.add_argument("--sv", action="store_true",
-                   help="tabulate L(2n)/L(n) instead of the band")
-
+    for kind, (help_text, params) in PARAMS.items():
+        sub = subs.add_parser(kind, help=help_text)
+        _add_common(sub, "--seeds" if kind in ("rank-one", "walk") else "--trials")
+        for name, p in params.items():
+            flag = "--" + name.replace("_", "-")
+            if p.type is bool:
+                sub.add_argument(flag, action="store_true", help=p.help)
+            else:
+                sub.add_argument(flag, type=p.type, default=p.default, help=p.help)
     return parser
-
-
-_COMMON_KEYS = {"kind", "config", "out", "seed", "trials", "threads",
-                "json_mirror", "stamp"}
 
 
 def config_from_args(args: argparse.Namespace) -> ExperimentConfig:
@@ -483,8 +483,8 @@ def config_from_args(args: argparse.Namespace) -> ExperimentConfig:
         except OSError as exc:
             raise ConfigError(f"cannot read config {args.config!r}: {exc}") from exc
         return ExperimentConfig.from_json(text)
-    params = {k: v for k, v in vars(args).items()
-              if k not in _COMMON_KEYS and v is not None and v is not False}
+    given = {name: getattr(args, name) for name in PARAMS[args.kind][1]}
+    params = {k: v for k, v in given.items() if v is not None and v is not False}
     threads = args.threads
     if threads <= 0:
         import os

@@ -423,18 +423,15 @@ class NameSampler:
 
     def ensure_level(self, level: int) -> None:
         while self.level < level:
-            stage = self.level
-            starts = self.tower.starts(stage)
+            starts = self.tower.starts(self.level)
             c = len(starts)
-            if len(self.column_choices) < stage:
-                if self._forced:
-                    k = int(self._forced.pop(0))
-                    if not 1 <= k <= c:
-                        raise ConfigError(f"forced choice {k} outside 1..{c}")
-                else:
-                    k = int(self._rng.integers(1, c + 1))
-                self.column_choices.append(k)
-            k = self.column_choices[stage - 1]
+            if self._forced:
+                k = int(self._forced.pop(0))
+                if not 1 <= k <= c:
+                    raise ConfigError(f"forced choice {k} outside 1..{c}")
+            else:
+                k = int(self._rng.integers(1, c + 1))
+            self.column_choices.append(k)
             self._offsets.append(self._offsets[-1] + starts[k - 1])
 
     def ensure_window(self, radius: int, depth_cap: int = DEFAULT_DEPTH_CAP) -> int:

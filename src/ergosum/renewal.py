@@ -464,11 +464,6 @@ class TruncatedMeanScaling:
         return ScalingSequence(self.a, name=f"tm[{self.f.label}]")
 
 
-def truncated_mean_scaling(f: LifetimeDistribution) -> TruncatedMeanScaling:
-    """Queryable L, a = n/L(n), and inverse b for the given lifetimes."""
-    return TruncatedMeanScaling(f)
-
-
 # -- diagnostic series ------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -558,7 +553,7 @@ def trimmed_sum_trials(f: LifetimeDistribution, n: int, trials: int,
         raise ValueError("n must be >= 2")
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    b_n = truncated_mean_scaling(f).b(n)
+    b_n = TruncatedMeanScaling(f).b(n)
     ratios = np.empty(trials)
     for i in range(trials):
         nu = f.sample(spawn(seed, i), n)

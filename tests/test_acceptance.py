@@ -165,7 +165,7 @@ def test_criterion_05_renewal_exactness():
 
 
 def test_criterion_06_scaling_inverse_contract():
-    tm = rn.truncated_mean_scaling(rn.PowerTail(1.0))
+    tm = rn.TruncatedMeanScaling(rn.PowerTail(1.0))
     b10 = tm.b(10)
     bad = [y for y in range(2, 1001)
            if not (tm.a(tm.b(y)) >= y > tm.a(tm.b(y) - 1))]
@@ -261,7 +261,7 @@ def test_criterion_11_extended_regular_variation_band():
     p_values = (2, 4, 8)
     seq = rn.renewal_sequence(rn.Geometric(0.5), p_values[-1] * n_hi)
     m_geo = rv.er_diagnostic(seq.as_scaling(), p_values, n_lo, n_hi).m_hat
-    tm = rn.truncated_mean_scaling(rn.PowerTail(1.0))
+    tm = rn.TruncatedMeanScaling(rn.PowerTail(1.0))
     m_harm = rv.er_diagnostic(tm.as_scaling(), p_values, n_lo, n_hi).m_hat
     ok = m_geo <= 1.2 and m_harm <= 1.2
     report(11, ok, f"M_hat geometric a_u = {m_geo:.12f}, "

@@ -31,7 +31,6 @@ def test_series_from_name_odometer(odometer):
     assert series.sigma == (3, 5, 9)
     assert series.s_plus == (2, 3, 5)
     assert series.s_minus == (2, 3, 5)
-    assert series.convention == bk.CENTER_CONVENTION
 
 
 def test_series_checkpoint_zero(chacon):
@@ -60,13 +59,13 @@ def test_series_consistency_identity(chacon):
 
 def test_series_validation():
     with pytest.raises(ValueError):
-        bk.BirkhoffSeries((2, 1), (1, 1), (1, 1), (1, 1), source="x")
+        bk.BirkhoffSeries((2, 1), (1, 1), (1, 1))
+    with pytest.raises(ValueError):
+        bk.BirkhoffSeries((1, 2), (1, 1), (1,))
     with pytest.raises(InvariantViolationError):
-        bk.BirkhoffSeries((1, 2), (2, 2), (2, 2), (4, 3), source="x")
+        bk.BirkhoffSeries((1, 2), (2, 2), (3, 2))
     with pytest.raises(InvariantViolationError):
-        bk.BirkhoffSeries((1,), (2, ), (2,), (4,), source="x")  # 4 != 2+2-1
-    with pytest.raises(InvariantViolationError):
-        bk.BirkhoffSeries((1,), (3,), (2,), (4,), source="x")  # 4 > 2*1+1
+        bk.BirkhoffSeries((1,), (3,), (2,))  # sigma 4 > 2*1+1
 
 
 # -- normalized statistics --------------------------------------------------------
@@ -90,8 +89,8 @@ def test_normalized_stats_walk_identity_scaling():
     # a delta:1 walk visits the fiber origin at every time
     cps = tuple(2 ** e for e in range(10, 17))
     visits = tuple(n + 1 for n in cps)
-    series = bk.BirkhoffSeries(cps, visits, visits, tuple(2 * n + 1 for n in cps),
-                               source="walk[delta:1]")
+    series = bk.BirkhoffSeries(cps, visits, visits)
+    assert series.sigma == tuple(2 * n + 1 for n in cps)
     scaling = ScalingSequence(lambda n: n, "identity")
     with warnings.catch_warnings():
         # a(n)=n is half the doubled normalization, so the review flag fires
@@ -116,9 +115,9 @@ def test_normalized_stats_running_extrema_and_monotonicity(chacon):
     assert full.beta_hat >= small.beta_hat
     assert full.beta_lower_hat <= small.beta_lower_hat
     for s in full.series:
-        assert all(b >= a for a, b in zip(s.running_sup, s.running_sup[1:]))
-        assert all(b <= a for a, b in zip(s.running_inf, s.running_inf[1:]))
-        assert s.oscillation >= 0
+        # every checkpoint is past the burn-in
+        assert (s.sup_sym, s.inf_sym) == (max(s.ratio_sym), min(s.ratio_sym))
+        assert s.oscillation == s.sup_sym - s.inf_sym >= 0
 
 
 def test_normalized_stats_horizon_monotonicity(chacon):
@@ -138,7 +137,7 @@ def test_normalized_stats_horizon_monotonicity(chacon):
 
 def test_sanity_flag_raised_for_synthetic_violation():
     # symmetric ratio pinned high while the one-sided one stays low
-    series = bk.BirkhoffSeries((10, 20), (16, 31), (6, 11), (21, 41), source="synthetic")
+    series = bk.BirkhoffSeries((10, 20), (16, 31), (6, 11))
     scaling = ScalingSequence(lambda n: n, "identity")
     with pytest.warns(UserWarning):
         stats = bk.normalized_stats([series], scaling, burn_in=10)
@@ -152,6 +151,9 @@ def test_normalized_stats_validation(chacon):
     series = bk.series_from_name(rk.sample_name(chacon, 1), (4, 8))
     with pytest.raises(ValueError):
         bk.normalized_stats([series], scaling, burn_in=100)
+    other = bk.series_from_name(rk.sample_name(chacon, 2), (4, 16))
+    with pytest.raises(ValueError, match="share their checkpoints"):
+        bk.normalized_stats([series, other], scaling, burn_in=4)
 
 
 def test_series_rows_columns(chacon):
@@ -160,7 +162,7 @@ def test_series_rows_columns(chacon):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         stats = bk.normalized_stats([series], scaling, burn_in=1)
-    rows = bk.series_rows(series, stats.series[0])
+    rows = bk.series_rows(series, stats.series[0], stats.a_n)
     assert len(rows) == 2
     n, sp, sm, sg, a_n, ratio_sym, ratio_plus = rows[1]
     assert (n, a_n) == (13, 27)
@@ -183,8 +185,9 @@ def test_scaling_evaluated_once_per_checkpoint(chacon):
         warnings.simplefilter("ignore")
         stats = bk.normalized_stats(ensemble, scaling, burn_in=1)
     for series, s in zip(ensemble, stats.series):
-        bk.series_rows(series, s)
-    assert sorted(calls) == sorted([1, 13, 40, 1000] * 3)
+        bk.series_rows(series, s, stats.a_n)
+    # once per checkpoint for the whole ensemble
+    assert calls == [1, 13, 40, 1000]
 
 
 def test_checkpoint_past_burn_in_below_domain():
@@ -192,16 +195,16 @@ def test_checkpoint_past_burn_in_below_domain():
     # burn-in is an error, one below the burn-in gets empty cells
     scaling = rn.renewal_sequence(rn.LifetimeDistribution.parse("delta:5"), 100).as_scaling()
     visits = (2, 3, 4, 6, 11)
-    series = bk.BirkhoffSeries((1, 2, 3, 5, 10), visits, visits,
-                               tuple(2 * v - 1 for v in visits), source="walk[delta:1]")
+    series = bk.BirkhoffSeries((1, 2, 3, 5, 10), visits, visits)
     with pytest.raises(ValueError, match="checkpoint 1 .* domain_min 5"):
         bk.normalized_stats([series], scaling, burn_in=1)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        s = bk.normalized_stats([series], scaling, burn_in=5).series[0]
-    assert s.a_n[:3] == (None, None, None) and None not in s.a_n[3:]
-    assert all(math.isfinite(r) for r in (*s.running_sup, *s.running_inf))
-    assert bk.series_rows(series, s)[0] == (1, 2, 2, 3, "", "", "")
+        stats = bk.normalized_stats([series], scaling, burn_in=5)
+    s = stats.series[0]
+    assert stats.a_n[:3] == (None, None, None) and None not in stats.a_n[3:]
+    assert all(math.isfinite(r) for r in (s.sup_plus, s.sup_sym, s.inf_sym))
+    assert bk.series_rows(series, s, stats.a_n)[0] == (1, 2, 2, 3, "", "", "")
 
 
 def test_series_rows_checkpoint_zero(chacon):
@@ -209,10 +212,11 @@ def test_series_rows_checkpoint_zero(chacon):
     series = bk.series_from_name(rk.sample_name(chacon, 5), (0, 13))
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        s = bk.normalized_stats([series], scaling, burn_in=13).series[0]
-    assert s.a_n == (None, 27)
+        stats = bk.normalized_stats([series], scaling, burn_in=13)
+    s = stats.series[0]
+    assert stats.a_n == (None, 27)
     assert math.isnan(s.ratio_sym[0]) and math.isnan(s.ratio_plus[0])
-    rows = bk.series_rows(series, s)
+    rows = bk.series_rows(series, s, stats.a_n)
     assert rows[0] == (0, 1, 1, 1, "", "", "")
     assert rows[1] == (13, series.s_plus[1], series.s_minus[1], series.sigma[1],
                        27, series.sigma[1] / 54, series.s_plus[1] / 27)

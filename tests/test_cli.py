@@ -248,14 +248,47 @@ def test_config_roundtrip_and_file(tmp_path):
     assert again.to_json() == cfg.to_json()
     assert again.config_hash() == cfg.config_hash()
 
-    # a config file wins wholesale over inline flags
+    # a config file runs by itself, and wins wholesale over inline flags
     cfg_file = tmp_path / "cfg.json"
     cfg_file.write_text(cfg.to_json())
+    assert cli.main(["renewal", "--config", str(cfg_file)]) == 0
     code = cli.main(["renewal", "--dist", "ignored:0", "--n", "1",
                      "--config", str(cfg_file), "--out", str(tmp_path / "c")])
     assert code == 0
+    assert not (tmp_path / "c").exists()
     _, rows = read_table(tmp_path / "cfgout" / "renewal.csv")
     assert len(rows) == 5
+
+
+def test_config_hash_pinned():
+    # provenance headers carry these digests; the row contract drops them
+    parser = cli.build_parser()
+    pins = [
+        (["rank-one", "--preset", "chacon", "--seeds", "400",
+          "--checkpoints", "dyadic:10:40"],
+         "bc9b409410972cac4f7c0ae1786c425abd8f07407941482305e1d231aad22b5a"),
+        (["translate", "--alpha", "golden", "--beta", "1", "--x", "0.3", "--exact",
+          "--grid", "dyadic:6:13"],
+         "cdc79dc0b24edd5e63b53012139061aef738866bf4f1495ff210eb4a5a3c133f"),
+        (["regvar", "--scaling", "tm:harmonic", "--sv"],
+         "d56319e45216e68155af305e235251561f2fdcf694aca9c22af5b0f52cab2f2d"),
+    ]
+    for argv, digest in pins:
+        assert cli.config_from_args(parser.parse_args(argv)).config_hash() == digest, argv
+    saved = cli.ExperimentConfig.from_json(
+        '{"kind":"renewal","params":{"dist":"geometric:0.5","n":4},"seed":7}')
+    assert saved.config_hash() == (
+        "441b89c20626b311ce9d9fb428187ad72dc78ac33495a675480a6b53fffcb2cf")
+
+
+def test_config_values_defaults_and_types():
+    cfg = cli.ExperimentConfig(kind="translate",
+                               params={"alpha": "golden", "N": 3, "x": 0})
+    values = cfg.values()
+    assert values == {"alpha": "golden", "beta": "1.0", "x": 0.0, "N": 3,
+                      "grid": None, "exact": False}
+    assert type(values["x"]) is float
+    assert cfg.params == {"alpha": "golden", "N": 3, "x": 0}
 
 
 def test_hash_ignores_execution_knobs():
@@ -331,15 +364,61 @@ def test_exit_code_bad_grid(args, named, tmp_path, capsys):
     ({"kind": "renewal", "params": {"dist": "geometric:0.5", "n": None}}, "'n'"),
     ({"kind": "walk", "params": {"dist": "geometric:0.5", "N": 10}, "trials": "x"},
      "'trials'"),
-], ids=["params-null", "missing-n", "null-n", "trials-string"])
+    ({"kind": "nosuch", "params": {}}, "'nosuch'"),
+    ({"kind": "renewal", "params": {"dist": 5, "n": 4}}, "'dist'"),
+    ({"kind": "renewal", "params": {"dist": "geometric:0.5", "n": [1]}}, "'n'"),
+    ({"kind": "rank-one", "params": {"preset": "chacon", "checkpoints": 7}},
+     "'checkpoints'"),
+    ({"kind": "renewal", "params": {"dist": "geometric:0.5", "n": 4.7}}, "'n'"),
+    ({"kind": "walk", "params": {"dist": "geometric:0.5", "N": True}}, "'N'"),
+], ids=["params-null", "missing-n", "null-n", "trials-string", "unknown-kind",
+        "dist-int", "n-list", "checkpoints-int", "n-float", "N-bool"])
 def test_exit_code_malformed_config(doc, named, tmp_path, capsys):
     cfg_file = tmp_path / "cfg.json"
+    doc = {**doc, "out": str(tmp_path / "out")}
     cfg_file.write_text(json.dumps(doc))
-    code = cli.main(["renewal", "--dist", "geometric:0.5", "--n", "4",
-                     "--config", str(cfg_file), "--out", str(tmp_path / "out")])
+    code = cli.main(["renewal", "--config", str(cfg_file)])
     assert code == cli.EXIT_CONFIG
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("config error: ") and named in err[0], err
+    assert not (tmp_path / "out").exists()
+
+
+def test_exit_code_missing_required_flag(tmp_path, capsys):
+    # required-ness is checked on the config, not by the parser
+    code = cli.main(["renewal", "--n", "4", "--out", str(tmp_path / "out")])
+    assert code == cli.EXIT_CONFIG
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("config error: ") and "'dist'" in err[0], err
+
+
+def test_no_cell_needs_quoting():
+    # write_outputs joins cells with commas and quotes nothing
+    params = {
+        "rank-one": {"preset": "chacon", "checkpoints": "0,1,13,40", "burn_in": 13},
+        "renewal": {"dist": "geometric:0.5", "n": 8},
+        "queen": {"dist": "harmonic", "n": 8},
+        "dyadic-tail": {"dist": "geometric:0.5", "n": 6},
+        "trimmed": {"dist": "harmonic", "n": 100},
+        "translate": {"alpha": "golden", "x": 0.3, "grid": "dyadic:0:3"},
+        "walk": {"dist": "geometric:0.5", "N": 50},
+        "regvar": {"scaling": "identity", "n_lo": 8, "n_hi": 64},
+    }
+    assert params.keys() == cli.RUNNERS.keys()
+    configs = [cli.ExperimentConfig(kind=kind, params=p, trials=2)
+               for kind, p in params.items()]
+    configs.append(cli.ExperimentConfig(
+        kind="regvar", params={"scaling": "tm:harmonic", "sv": True,
+                               "n_lo": 8, "n_hi": 64}))
+    for cfg in configs:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            tables = cli.RUNNERS[cfg.kind](cfg)
+        for name, fields, rows in tables:
+            assert rows, name
+            for row in (fields, *rows):
+                for cell in row:
+                    assert not set(str(cell)) & set(',"\r\n'), (name, row)
 
 
 def test_exit_code_resource_error(tmp_path, capsys):

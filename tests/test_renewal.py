@@ -300,7 +300,7 @@ def test_fft_accuracy_lattice(k):
 
 
 def test_scaling_delta_one():
-    tm = rn.truncated_mean_scaling(rn.FiniteSupport.delta(1))
+    tm = rn.TruncatedMeanScaling(rn.FiniteSupport.delta(1))
     for n in (1, 2, 7, 1000):
         assert tm.L(n) == 1.0
         assert tm.a(n) == n
@@ -309,7 +309,7 @@ def test_scaling_delta_one():
 
 
 def test_scaling_harmonic_values():
-    tm = rn.truncated_mean_scaling(rn.PowerTail(1.0))
+    tm = rn.TruncatedMeanScaling(rn.PowerTail(1.0))
     assert tm.L(1) == pytest.approx(1.0, abs=1e-12)
     assert tm.L(4) == pytest.approx(25 / 12, abs=1e-12)
     assert tm.b(10) == 44
@@ -317,7 +317,7 @@ def test_scaling_harmonic_values():
 
 def test_scaling_monotonicity():
     for f in ALL_KINDS:
-        tm = rn.truncated_mean_scaling(f)
+        tm = rn.TruncatedMeanScaling(f)
         lengths = [tm.L(n) for n in range(1, 300)]
         assert all(b >= a for a, b in zip(lengths, lengths[1:]))
         assert all(l <= n for n, l in enumerate(lengths, start=1))
@@ -328,7 +328,7 @@ def test_scaling_monotonicity():
 @pytest.mark.parametrize("f", [rn.PowerTail(1.0), rn.Geometric(0.5),
                                rn.PowerTail(0.5)], ids=lambda f: f.label)
 def test_b_generalized_inverse_contract(f):
-    tm = rn.truncated_mean_scaling(f)
+    tm = rn.TruncatedMeanScaling(f)
     for y in list(range(2, 50)) + [97, 311, 1000]:
         b = tm.b(y)
         assert tm.a(b) >= y
@@ -337,7 +337,7 @@ def test_b_generalized_inverse_contract(f):
 
 def test_b_horizon_error():
     # a(2**62) = 2**62 / H(2**62) is about 1.06e17 for harmonic lifetimes
-    tm = rn.truncated_mean_scaling(rn.PowerTail(1.0))
+    tm = rn.TruncatedMeanScaling(rn.PowerTail(1.0))
     with pytest.raises(ScalingHorizonError):
         tm.b(10 ** 18)
 
@@ -365,7 +365,7 @@ def test_queen_universal_majorization(f):
 
 def test_dyadic_delta_first_term_only():
     d1 = rn.FiniteSupport.delta(1)
-    sc = rn.truncated_mean_scaling(d1).as_scaling()
+    sc = rn.TruncatedMeanScaling(d1).as_scaling()
     ds = rn.dyadic_tail_series(d1, sc, 1.0, 8)
     assert ds.terms[0] == 1.0
     assert np.all(ds.terms[1:] == 0.0)
@@ -374,7 +374,7 @@ def test_dyadic_delta_first_term_only():
 
 def test_dyadic_geometric_frozen_values():
     g = rn.Geometric(0.5)
-    ds = rn.dyadic_tail_series(g, rn.truncated_mean_scaling(g).as_scaling(), 1.0, 12)
+    ds = rn.dyadic_tail_series(g, rn.TruncatedMeanScaling(g).as_scaling(), 1.0, 12)
     assert ds.b_values[:4] == (1, 4, 8, 16)
     assert ds.terms[0] == 1.0
     assert ds.terms[1] == pytest.approx(1 / 32, abs=1e-15)   # 2 * F(4)^2
@@ -387,7 +387,7 @@ def test_dyadic_geometric_frozen_values():
 
 def test_dyadic_power_tail_matches_scan_oracle():
     p = rn.PowerTail(0.5)
-    tm = rn.truncated_mean_scaling(p)
+    tm = rn.TruncatedMeanScaling(p)
     ds = rn.dyadic_tail_series(p, tm.as_scaling(), 1.0, 10)
 
     def b_scan(y):
