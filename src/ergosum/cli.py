@@ -6,8 +6,8 @@ across reruns and thread counts, with '#'-prefixed provenance headers
 (tool version, config hash, seed, generator).  A JSON
 mirror of each table is written with --json.
 
-Exit codes: 0 success, 2 config error, 3 resource/horizon error,
-4 internal invariant violation.
+Exit codes: 0 success, 2 config error, 3 resource/horizon error (or an
+allocation the machine refuses), 4 internal invariant violation.
 """
 
 from __future__ import annotations
@@ -26,7 +26,6 @@ from typing import NamedTuple, get_type_hints
 from . import __version__, birkhoff, lattice, rankone, regvar, renewal
 from .errors import (
     ConfigError,
-    ErgosumError,
     InvariantViolationError,
     ResourceLimitError,
 )
@@ -123,7 +122,11 @@ class ExperimentConfig:
                                   f"got {getattr(self, name)!r}")
         if self.kind not in PARAMS:
             raise ConfigError(f"unknown experiment kind {self.kind!r}")
-        for name, p in PARAMS[self.kind][1].items():
+        params = PARAMS[self.kind][1]
+        for name in self.params:
+            if name not in params:
+                raise ConfigError(f"{self.kind} has no parameter {name!r}")
+        for name, p in params.items():
             value = self.params.get(name)
             if value is None:
                 if p.required:
@@ -132,6 +135,10 @@ class ExperimentConfig:
             elif type(value) is not p.type and (p.type, type(value)) != (float, int):
                 raise ConfigError(f"{self.kind} parameter {name!r} must be "
                                   f"{p.type.__name__}, got {value!r}")
+            # false for inf, nan and an int too large for a float
+            elif p.type is float and not abs(value) <= sys.float_info.max:
+                raise ConfigError(f"{self.kind} parameter {name!r} must be finite, "
+                                  f"got {value!r}")
         if (self.kind == "translate" and self.params.get("N") is None
                 and not self.params.get("grid")):
             raise ConfigError("translate needs --N or --grid")
@@ -185,13 +192,17 @@ def parse_checkpoints(spec: str) -> tuple[int, ...]:
     return cps
 
 
-def parse_real(text: str) -> float:
+def parse_real(text: str, name: str = "value") -> float:
+    """A finite number or a named constant; errors name the parameter ``name``."""
     if text in NAMED_CONSTANTS:
         return NAMED_CONSTANTS[text]
     try:
-        return float(text)
+        value = float(text)
     except ValueError as exc:
-        raise ConfigError(f"not a number or named constant: {text!r}") from exc
+        raise ConfigError(f"{name} is not a number or named constant: {text!r}") from exc
+    if not math.isfinite(value):
+        raise ConfigError(f"{name} must be finite, got {text!r}")
+    return value
 
 
 def parse_distribution(spec: str) -> renewal.LifetimeDistribution:
@@ -333,7 +344,8 @@ def run_trimmed(cfg: ExperimentConfig):
 def run_translate(cfg: ExperimentConfig):
     v = cfg.values()
     action = lattice.TranslationAction(
-        alpha=parse_real(v["alpha"]), beta=parse_real(v["beta"]), x=v["x"])
+        alpha=parse_real(v["alpha"], "alpha"), beta=parse_real(v["beta"], "beta"),
+        x=v["x"])
     if v["grid"]:
         horizons = parse_checkpoints(v["grid"])
     else:
@@ -505,15 +517,13 @@ def main(argv=None) -> int:
         # the library's ValueErrors are range checks on the parameters
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except ResourceLimitError as exc:
+    except (ResourceLimitError, MemoryError) as exc:
+        # a MemoryError is an allocation the machine refused
         print(f"resource limit: {exc}", file=sys.stderr)
         return EXIT_RESOURCE
     except InvariantViolationError as exc:
         print(f"invariant violation: {exc}", file=sys.stderr)
         return EXIT_INVARIANT
-    except ErgosumError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
     for path in written:
         print(path)
     return EXIT_OK

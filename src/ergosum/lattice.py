@@ -12,6 +12,7 @@ steps.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -39,6 +40,8 @@ def _rational_ratio(value: float) -> Fraction | None:
     (via Fraction.limit_denominator) is compared against the value at the
     configured precision.
     """
+    if not math.isfinite(value):    # alpha/beta overflowed
+        return None
     frac = Fraction(value).limit_denominator(_RATIONAL_MAX_DEN)
     if abs(float(frac) - value) <= _RATIONAL_PRECISION * max(1.0, abs(value)):
         return frac

@@ -8,16 +8,18 @@ positions of a base point; ``B_{n+1}`` is B_n, then S_{n,1} spacers, ...,
 B_n, then S_{n,c_n} spacers.
 
 Occupation counts over windows of astronomical radius never materialize a
-word: they come from prefix counts computed down the block structure.  The
-prefix positions of a whole ensemble of names descend together, one level
-per step, on int64 tables of the block starts; an offset past 2^62
-descends with Python ints until it fits and then joins the int64 descent.
+word: they come from prefix counts computed down the block structure.
+Each level word begins with the one below it, so a prefix count depends
+on the position alone.  The prefix positions of a whole ensemble of names
+descend together, one level per step, on an int64 table of the block
+starts of the levels whose entries fit, at most 61; a longer position
+first descends with Python ints until the table holds it.
 """
 
 from __future__ import annotations
 
 import json
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from importlib import resources
@@ -41,8 +43,7 @@ SPACER = 0
 SPACER_TOKEN = "2q"
 
 DEFAULT_EXPANSION_BUDGET = 10 ** 7
-# Offsets below this descend in int64.  The int64 table stores larger
-# entries as this value: an offset below it compares the same with both.
+# A level is tabled in int64 while the next height stays below this.
 _INT64_LIMIT = 2 ** 62
 DEFAULT_DEPTH_CAP = 10 ** 4
 
@@ -159,12 +160,15 @@ class Tower:
 
     Each stage is resolved once into plain lists: exact heights q_n, cut
     products C_n, resolved spacer rows and the block starts of the stage.
-    The same numbers, clipped at 2^62, fill an int64 table with one row per
-    level (q_n, C_{n-1}, then stage n's block starts, padded to the largest
-    cut count), grown as stages resolve.  Prefix counts descend that table
-    one level per step for a whole batch of positions at once.  One tower
-    serves every sampler of a construction; it extends itself lazily, so
-    its samplers must share one thread.
+    Every level word begins with the word below it, so the prefix count
+    P(j), the number of base symbols among the first j positions, depends
+    on j alone.  The levels n with q_{n+1} < 2^62, at most 61 since
+    q_{n+1} >= 2 q_n, also fill an int64 table, one row per level
+    (q_n, C_{n-1}, then stage n's block starts, padded with q_{n+1}), so
+    every entry is exact.  Prefix counts descend that table one level per
+    step for a whole batch of positions at once.  One tower serves every
+    sampler of a construction; it extends itself lazily, so its samplers
+    must share one thread.
     """
 
     def __init__(self, data: ConstructionData):
@@ -174,14 +178,13 @@ class Tower:
         self._spacers: list[tuple[int, ...]] = []   # stage n = index + 1
         self._starts: list[tuple[int, ...]] = []    # k*q_n + S_{n,1} + ... + S_{n,k}
         self._table = np.empty((0, 2), dtype=np.int64)  # row = level - 1
-        self._tabled = 0    # stages whose starts are in the table
-        self._extend_table()
 
     # -- stage/height access (1-based) --------------------------------
 
     def ensure_stage(self, n: int) -> None:
         """Resolve stages 1..n (and heights q_1..q_{n+1})."""
-        if len(self._spacers) >= n:
+        resolved = len(self._spacers)
+        if resolved >= n:
             return
         while len(self._spacers) < n:
             stage = self.data.stage(len(self._spacers) + 1)
@@ -192,26 +195,15 @@ class Tower:
             self._starts.append(starts)
             self._q.append(starts[-1] + q_m + row[-1])
             self._cut_product.append(self._cut_product[-1] * stage.c)
-        self._extend_table()
-
-    def _extend_table(self) -> None:
-        """Copy the levels resolved since the last call into the int64 table."""
-        first, last = self._tabled, len(self._q)
-        width = 2 + max(map(len, self._starts[first:]), default=0)
-        rows, cols = self._table.shape
-        if last > rows or width > cols:
-            grown = np.full((max(last, 2 * rows), max(width, cols)), _INT64_LIMIT,
-                            dtype=np.int64)
-            grown[:rows, :cols] = self._table
-            self._table = grown
-        for i in range(first, last):
-            row = self._table[i]
-            row[0] = min(self._q[i], _INT64_LIMIT)
-            row[1] = min(self._cut_product[i], _INT64_LIMIT)
-            if i < len(self._starts):
-                starts = self._starts[i]
-                row[2:2 + len(starts)] = [min(s, _INT64_LIMIT) for s in starts]
-        self._tabled = len(self._starts)
+        if len(self._table) == resolved:
+            # every stage so far fits: table the new ones that still do
+            rows = sum(q < _INT64_LIMIT for q in self._q[1:])
+            width = 2 + max(map(len, self._starts[:rows]), default=0)
+            self._table = np.array(
+                [[self._q[i], self._cut_product[i], *starts,
+                  *[self._q[i + 1]] * (width - 2 - len(starts))]
+                 for i, starts in enumerate(self._starts[:rows])],
+                dtype=np.int64).reshape(rows, width)
 
     def q(self, level: int) -> int:
         self.ensure_stage(level - 1)
@@ -228,39 +220,36 @@ class Tower:
 
     # -- hierarchical prefix counting ----------------------------------
 
-    def prefix_counts(self, levels: Sequence[int], positions: Sequence[int]) -> list[int]:
-        """Base symbols among the first j positions of the level word, per (level, j).
+    def prefix_counts(self, positions: Sequence[int]) -> list[int]:
+        """P(j), the base symbols among the first j positions, for each j.
 
-        All positions descend together, one level per step: each picks the
-        copy of the lower word that holds it from its row of block starts,
-        and stops once it covers that whole copy or reaches its start.  A
-        position at or past 2^62 first descends alone with Python ints
-        until its remaining offset fits in int64.
+        All positions descend together, one level per step, from the
+        lowest level whose height reaches them: each picks the copy of the
+        lower word that holds it from its row of block starts, and stops
+        once it covers that whole copy or reaches its start.  A position
+        past the table's top height first descends alone with Python ints.
         """
-        levels, positions = list(levels), list(positions)
-        if len(levels) != len(positions):
-            raise ValueError("levels and positions differ in length")
-        if not levels:
+        positions = list(positions)
+        if not positions:
             return []
-        if min(levels) < 1:
-            raise ValueError("levels are 1-based")
-        self.ensure_stage(max(levels) - 1)
-        wide = {}
-        if min(positions) < 0 or max(positions) >= _INT64_LIMIT:
+        if min(positions) < 0:
+            raise ValueError(f"prefix index {min(positions)} is negative")
+        reach = max(positions)
+        while self._q[-1] < reach or (
+                len(self._table) == len(self._spacers) and self._top() < reach):
+            self.ensure_stage(len(self._spacers) + 1)
+        top = self._top()
+        counts = [0] * len(positions)
+        if reach > top:
             for i, j in enumerate(positions):
-                if 0 <= j < _INT64_LIMIT:
-                    continue
-                if j < 0 or j > self._q[levels[i] - 1]:
-                    raise ValueError(f"prefix index {j} outside level {levels[i]} word")
-                levels[i], positions[i], wide[i] = self._descend_wide(levels[i], j)
+                if j > top:
+                    positions[i], counts[i] = self._descend_wide(j, top)
+        if not top:
+            return counts
         table = self._table
-        row = np.array(levels, dtype=np.int64) - 1
         j = np.array(positions, dtype=np.int64)
-        heights = table[row, 0]
-        if (j > heights).any():
-            i = int(np.argmax(j > heights))
-            raise ValueError(f"prefix index {positions[i]} outside level {levels[i]} word")
-        full = j == heights
+        row = np.searchsorted(table[:, 0], j)
+        full = j == table[row, 0]
         count = full * table[row, 1]
         j[full] = 0
         # column 2 holds every row's first start, 0; "clip" keeps finished
@@ -276,24 +265,27 @@ class Tower:
             full = j >= lower[:, 0]
             count += (k + full) * lower[:, 1]
             j[full] = 0
-        counts = count.tolist()
-        for i, w in wide.items():
-            counts[i] += w
-        return counts
+        return [a + b for a, b in zip(counts, count.tolist())]
 
-    def _descend_wide(self, level: int, j: int) -> tuple[int, int, int]:
-        """Descend with Python ints until j < 2^62: (level, j, count so far)."""
+    def _top(self) -> int:
+        """Height of the table's top level; 0 while the table is empty."""
+        return self._q[len(self._table) - 1] if len(self._table) else 0
+
+    def _descend_wide(self, j: int, top: int) -> tuple[int, int]:
+        """Descend with Python ints until j <= top: (offset left, count so far)."""
         q, bases, starts = self._q, self._cut_product, self._starts
+        level = bisect_left(q, j) + 1
         total = 0
-        while j >= _INT64_LIMIT:
-            if j >= q[level - 1]:
-                return level, 0, total + bases[level - 1]
+        while j < q[level - 1]:
+            if j <= top:
+                return j, total
             level -= 1
             row = starts[level - 1]
             k = bisect_right(row, j) - 1
             total += k * bases[level - 1]
             j -= row[k]
-        return level, j, total
+        # j covers its whole copy of the level word
+        return 0, total + bases[level - 1]
 
 
 @dataclass(frozen=True)
@@ -476,15 +468,15 @@ def ensemble_window_counts(samplers: Sequence[NameSampler], radius: int,
     for sampler in samplers:
         lev = sampler.ensure_window(radius, depth_cap)
         off = sampler.center_offset(lev)
-        levels += (lev, lev, lev, lev)
+        levels.append(lev)
         positions += (off - radius, off, off + 1, off + radius + 1)
-    counts = tower.prefix_counts(levels, positions)
+    counts = tower.prefix_counts(positions)
     windows = []
     for i in range(0, len(counts), 4):
         start, before, after, end = counts[i:i + 4]
         if after - before != 1:
             raise InvariantViolationError(
-                f"center symbol at level {levels[i]} offset {positions[i + 1]} "
+                f"center symbol at level {levels[i // 4]} offset {positions[i + 1]} "
                 f"is not base")
         windows.append(WindowCounts(before - start, 1, end - after))
     return windows

@@ -274,7 +274,10 @@ def test_config_hash_pinned():
          "d56319e45216e68155af305e235251561f2fdcf694aca9c22af5b0f52cab2f2d"),
     ]
     for argv, digest in pins:
-        assert cli.config_from_args(parser.parse_args(argv)).config_hash() == digest, argv
+        cfg = cli.config_from_args(parser.parse_args(argv))
+        assert cfg.config_hash() == digest, argv
+        # saved, it loads with the same hash ("exact": true included)
+        assert cli.ExperimentConfig.from_json(cfg.to_json()).config_hash() == digest
     saved = cli.ExperimentConfig.from_json(
         '{"kind":"renewal","params":{"dist":"geometric:0.5","n":4},"seed":7}')
     assert saved.config_hash() == (
@@ -371,8 +374,12 @@ def test_exit_code_bad_grid(args, named, tmp_path, capsys):
      "'checkpoints'"),
     ({"kind": "renewal", "params": {"dist": "geometric:0.5", "n": 4.7}}, "'n'"),
     ({"kind": "walk", "params": {"dist": "geometric:0.5", "N": True}}, "'N'"),
+    ({"kind": "renewal", "params": {"dist": "geometric:0.5", "n": 4, "nn": 9}}, "'nn'"),
+    ({"kind": "translate", "params": {"alpha": "golden", "N": 4, "x": 10 ** 400}},
+     "'x'"),
 ], ids=["params-null", "missing-n", "null-n", "trials-string", "unknown-kind",
-        "dist-int", "n-list", "checkpoints-int", "n-float", "N-bool"])
+        "dist-int", "n-list", "checkpoints-int", "n-float", "N-bool", "unknown-key",
+        "x-too-large"])
 def test_exit_code_malformed_config(doc, named, tmp_path, capsys):
     cfg_file = tmp_path / "cfg.json"
     doc = {**doc, "out": str(tmp_path / "out")}
@@ -382,6 +389,30 @@ def test_exit_code_malformed_config(doc, named, tmp_path, capsys):
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("config error: ") and named in err[0], err
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("args,named", [
+    (["translate", "--alpha", "inf", "--N", "4"], "alpha"),
+    (["translate", "--alpha", "golden", "--beta=-1e400", "--N", "4"], "beta"),
+    (["translate", "--alpha", "golden", "--x", "inf", "--N", "4"], "'x'"),
+    (["dyadic-tail", "--dist", "harmonic", "--n", "3", "--t", "inf"], "'t'"),
+    (["dyadic-tail", "--dist", "harmonic", "--n", "3", "--t", "nan"], "'t'"),
+], ids=["alpha-inf", "beta-overflow", "x-inf", "t-inf", "t-nan"])
+def test_exit_code_non_finite_real(args, named, tmp_path, capsys):
+    code = cli.main([*args, "--out", str(tmp_path / "out")])
+    assert code == cli.EXIT_CONFIG
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("config error: ") and named in err[0], err
+    assert not (tmp_path / "out").exists()
+
+
+def test_translate_overflowing_ratio(tmp_path):
+    # alpha/beta overflows to inf: not a small rational, and the count is exact
+    code, out = run_cli(["translate", "--alpha", "1e308", "--beta", "1e-308", "--N", "4"],
+                        tmp_path)
+    assert code == 0
+    _, rows = read_table(out / "translate.csv")
+    assert rows[0]["count"] == "5"
 
 
 def test_exit_code_missing_required_flag(tmp_path, capsys):
@@ -426,6 +457,16 @@ def test_exit_code_resource_error(tmp_path, capsys):
                      "--out", str(tmp_path)])
     assert code == cli.EXIT_RESOURCE
     assert "resource limit" in capsys.readouterr().err
+
+
+def test_exit_code_refused_allocation(tmp_path, capsys):
+    # 8 * 10^14 bytes is beyond the address space a process may map, so
+    # the allocation fails at once and nothing is allocated
+    code = cli.main(["renewal", "--dist", "geometric:0.5", "--n", "100000000000000",
+                     "--out", str(tmp_path / "out")])
+    assert code == cli.EXIT_RESOURCE
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("resource limit: "), err
 
 
 def test_exit_code_missing_inputs(tmp_path):

@@ -51,6 +51,7 @@ def test_rational_ratio_detection():
         warnings.simplefilter("error")
         lt.TranslationAction(alpha=PHI)
         lt.TranslationAction(alpha=math.sqrt(2.0), beta=2.0)
+        lt.TranslationAction(alpha=1e308, beta=1e-308)  # the ratio overflows
 
 
 def test_translate_examples():

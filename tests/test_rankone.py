@@ -1,6 +1,9 @@
 """Tower construction, symbolic words, lazy window counting."""
 
+import csv
+import json
 import math
+import warnings
 from bisect import bisect_right
 from fractions import Fraction
 
@@ -9,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ergosum import cli
 from ergosum import rankone as rk
 from ergosum.birkhoff import series_from_name, series_from_names
 from ergosum.errors import (
@@ -132,12 +136,10 @@ def test_prefix_count_every_index(stage_specs):
     while tower.q(level) <= 2000:
         word = rk.expand_word(data, level).symbols
         want = [0, *np.cumsum(word, dtype=np.int64).tolist()]
-        assert tower.prefix_counts([level] * len(want), range(len(want))) == want
+        assert tower.prefix_counts(range(tower.q(level) + 1)) == want
         level += 1
     with pytest.raises(ValueError):
-        tower.prefix_counts([level], [tower.q(level) + 1])
-    with pytest.raises(ValueError):
-        tower.prefix_counts([level], [-1])
+        tower.prefix_counts([-1])
 
 
 def _scalar_prefix(tower, level, j):
@@ -157,34 +159,93 @@ def _scalar_prefix(tower, level, j):
     return total
 
 
+def _scalar_prefixes(tower, positions):
+    """_scalar_prefix of each position, from the lowest level that holds it."""
+    return [_scalar_prefix(tower, next(lev for lev in range(1, 200) if tower.q(lev) >= j), j)
+            for j in positions]
+
+
+def _scalar_series(data, seed, cps):
+    """(s_plus, s_minus, sigma) per checkpoint, from scalar descents."""
+    sampler = rk.sample_name(data, seed)
+    rows = []
+    for n in cps:
+        off = sampler.center_offset(sampler.ensure_window(n))
+        start, before, after, end = _scalar_prefixes(
+            sampler.tower, (off - n, off, off + 1, off + n + 1))
+        assert after - before == 1
+        rows.append((end - before, after - start, end - start))
+    return rows
+
+
 def test_prefix_counts_hand_off_past_int64(presets):
-    # heavy2q out to 2^60: levels reach q ~ 2^73, so offsets start past
-    # 2^62 in Python ints and finish in the int64 descent
+    # heavy2q out to 2^60: levels reach q ~ 2^73 and the table tops out at
+    # q_30 = 2^58, so the widest windows start in Python ints and finish
+    # in the int64 descent
     data = presets["heavy2q"]
     cps = tuple(2 ** e for e in range(10, 61))
     tower = rk.Tower(data)
     ensemble = series_from_names([rk.NameSampler(tower, spawn(23, i)) for i in range(20)],
                                  cps)
-    wide = 0
     for i, series in enumerate(ensemble):
-        sampler = rk.sample_name(data, spawn(23, i))
-        want = []
-        for n in cps:
-            lev = sampler.ensure_window(n)
-            off = sampler.center_offset(lev)
-            wide += off + n + 1 >= 2 ** 62
-            start, before, after, end = (_scalar_prefix(sampler.tower, lev, j)
-                                         for j in (off - n, off, off + 1, off + n + 1))
-            assert after - before == 1
-            want.append((end - before, after - start, end - start))
-        assert list(zip(series.s_plus, series.s_minus, series.sigma)) == want
-    assert wide > 0
-    # around the hand-off point itself, and the whole word
+        assert list(zip(series.s_plus, series.s_minus, series.sigma)) == (
+            _scalar_series(data, spawn(23, i), cps))
+    assert tower._top() == 2 ** 58
+    # around 2^62 and 2^63, and the whole word
     level = next(lev for lev in range(1, 80) if tower.q(lev) > 2 ** 63)
     positions = [2 ** 62 - 1, 2 ** 62, 2 ** 62 + 1, 2 ** 63, tower.q(level) - 1,
                  tower.q(level)]
-    assert tower.prefix_counts([level] * len(positions), positions) == [
+    assert tower.prefix_counts(positions) == [
         _scalar_prefix(tower, level, j) for j in positions]
+
+
+C3 = {"stages": [{"c": 3, "spacers": [0, 0, "2q"]}], "repeat_from": 0}
+
+
+def test_prefix_counts_in_spacer_run_past_int64():
+    # q_n = 5^(n-1): the position lies in the spacer run after the third
+    # copy of B_27, 2*10^18 past its start, and covers that whole copy
+    tower = rk.Tower(rk.ConstructionData.from_dict(C3))
+    j = 2 * tower.q(27) + 2 * 10 ** 18
+    assert j >= 2 ** 62 and j - 2 * tower.q(27) > tower.q(27)
+    assert tower.prefix_counts([j]) == [3 * 3 ** 26] == [_scalar_prefix(tower, 28, j)]
+    assert len(tower._table) == 26
+
+
+def test_rank_one_c3_past_int64(tmp_path):
+    data_file = tmp_path / "c3.json"
+    data_file.write_text(json.dumps(C3))
+    out = tmp_path / "out"
+    cps = tuple(2 ** e for e in range(40, 62))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)
+        code = cli.main(["rank-one", "--data", str(data_file), "--seeds", "10",
+                         "--checkpoints", "dyadic:40:61", "--burn-in", "1",
+                         "--seed", "7", "--out", str(out)])
+    assert code == 0
+    data = rk.ConstructionData.from_dict(C3)
+    for i in (0, 4, 9):
+        with open(out / f"series_{i:03d}.csv") as fh:
+            rows = list(csv.DictReader(line for line in fh if not line.startswith("#")))
+        got = [(int(r["s_plus"]), int(r["s_minus"]), int(r["sigma"])) for r in rows]
+        assert got == _scalar_series(data, spawn(7, i), cps)
+
+
+def test_prefix_counts_without_table():
+    # the first stage already passes 2^62: no level is tabled
+    data = rk.ConstructionData.from_dict(
+        {"stages": [{"c": 2, "spacers": [0, 2 ** 63]}], "repeat_from": 0})
+    tower = rk.Tower(data)
+    positions = [0, 1, 2, 3, 2 ** 63, 2 ** 63 + 2, 2 ** 64 + 5]
+    assert tower.prefix_counts(positions) == [0, 1, 2, 2, 2, 2, 4]
+    assert len(tower._table) == 0
+    assert _scalar_prefixes(tower, positions) == [0, 1, 2, 2, 2, 2, 4]
+    cps = (1, 2, 10, 2 ** 40)
+    ensemble = series_from_names(
+        [rk.NameSampler(tower, spawn(3, i)) for i in range(5)], cps)
+    for i, series in enumerate(ensemble):
+        assert list(zip(series.s_plus, series.s_minus, series.sigma)) == (
+            _scalar_series(data, spawn(3, i), cps))
 
 
 # -- words ---------------------------------------------------------------------
@@ -274,9 +335,8 @@ def test_center_symbol_is_base_every_level(presets):
     for data in presets.values():
         s = rk.sample_name(data, 9)
         s.ensure_level(8)
-        levels = [level for level in range(1, 9) for _ in range(2)]
         offsets = [s.center_offset(level) + d for level in range(1, 9) for d in (0, 1)]
-        counts = s.tower.prefix_counts(levels, offsets)
+        counts = s.tower.prefix_counts(offsets)
         assert [b - a for a, b in zip(counts[::2], counts[1::2])] == [1] * 8
 
 

@@ -32,6 +32,17 @@ CONTRACT = [
          "--checkpoints", "dyadic:0:30"],
         "59c78ec9c7b18ec3b429b9204730f8931694549f4163f705c127ade68c24f1aa",
         id="heavy2q"),
+    # 14 and 15 of these windows reach offsets past 2^62
+    pytest.param(
+        ["rank-one", "--preset", "heavy2q", "--seeds", "4",
+         "--checkpoints", "dyadic:56:62"],
+        "08dc49bb0b92a57841e945093ea26109039193cf30ad0ea5d5559916c9514cc1",
+        id="heavy2q-past-int64"),
+    pytest.param(
+        ["rank-one", "--preset", "chacon", "--seeds", "4",
+         "--checkpoints", "dyadic:56:62"],
+        "8c5b5d07953f62c7a696784ac63785e693c236699a5cfbadd32ec7e6ff220e1d",
+        id="chacon-past-int64"),
     pytest.param(
         ["rank-one", "--preset", "chacon", "--seeds", "3", "--radius", "13"],
         "5eee3df47b08f77b3f0badefc1370c831ea363f36048507bf14c61302753e9c8",
