@@ -40,6 +40,8 @@ NAMED_CONSTANTS = {
     "golden": (1.0 + math.sqrt(5.0)) / 2.0,
     "sqrt2": math.sqrt(2.0),
 }
+# the str parameters that hold a number or a named constant
+REAL_TEXTS = ("alpha", "beta")
 
 
 class Param(NamedTuple):
@@ -135,10 +137,12 @@ class ExperimentConfig:
             elif type(value) is not p.type and (p.type, type(value)) != (float, int):
                 raise ConfigError(f"{self.kind} parameter {name!r} must be "
                                   f"{p.type.__name__}, got {value!r}")
-            # false for inf, nan and an int too large for a float
-            elif p.type is float and not abs(value) <= sys.float_info.max:
-                raise ConfigError(f"{self.kind} parameter {name!r} must be finite, "
-                                  f"got {value!r}")
+            elif p.type is float or name in REAL_TEXTS:
+                real = value if p.type is float else parse_real(value)
+                # false for inf, nan and an int too large for a float
+                if not abs(real) <= sys.float_info.max:
+                    raise ConfigError(f"{self.kind} parameter {name!r} must be finite, "
+                                      f"got {value!r}")
         if (self.kind == "translate" and self.params.get("N") is None
                 and not self.params.get("grid")):
             raise ConfigError("translate needs --N or --grid")
@@ -192,17 +196,13 @@ def parse_checkpoints(spec: str) -> tuple[int, ...]:
     return cps
 
 
-def parse_real(text: str, name: str = "value") -> float:
-    """A finite number or a named constant; errors name the parameter ``name``."""
+def parse_real(text: str) -> float:
     if text in NAMED_CONSTANTS:
         return NAMED_CONSTANTS[text]
     try:
-        value = float(text)
+        return float(text)
     except ValueError as exc:
-        raise ConfigError(f"{name} is not a number or named constant: {text!r}") from exc
-    if not math.isfinite(value):
-        raise ConfigError(f"{name} must be finite, got {text!r}")
-    return value
+        raise ConfigError(f"not a number or named constant: {text!r}") from exc
 
 
 def parse_distribution(spec: str) -> renewal.LifetimeDistribution:
@@ -344,8 +344,7 @@ def run_trimmed(cfg: ExperimentConfig):
 def run_translate(cfg: ExperimentConfig):
     v = cfg.values()
     action = lattice.TranslationAction(
-        alpha=parse_real(v["alpha"], "alpha"), beta=parse_real(v["beta"], "beta"),
-        x=v["x"])
+        alpha=parse_real(v["alpha"]), beta=parse_real(v["beta"]), x=v["x"])
     if v["grid"]:
         horizons = parse_checkpoints(v["grid"])
     else:

@@ -12,7 +12,7 @@ word: they come from prefix counts computed down the block structure.
 Each level word begins with the one below it, so a prefix count depends
 on the position alone.  The prefix positions of a whole ensemble of names
 descend together, one level per step, on an int64 table of the block
-starts of the levels whose entries fit, at most 61; a longer position
+starts of the levels whose heights fit, at most 62; a longer position
 first descends with Python ints until the table holds it.
 """
 
@@ -43,7 +43,7 @@ SPACER = 0
 SPACER_TOKEN = "2q"
 
 DEFAULT_EXPANSION_BUDGET = 10 ** 7
-# A level is tabled in int64 while the next height stays below this.
+# A level is tabled in int64 while its height stays below this.
 _INT64_LIMIT = 2 ** 62
 DEFAULT_DEPTH_CAP = 10 ** 4
 
@@ -162,10 +162,11 @@ class Tower:
     products C_n, resolved spacer rows and the block starts of the stage.
     Every level word begins with the word below it, so the prefix count
     P(j), the number of base symbols among the first j positions, depends
-    on j alone.  The levels n with q_{n+1} < 2^62, at most 61 since
+    on j alone.  The levels n with q_n < 2^62, at most 62 since
     q_{n+1} >= 2 q_n, also fill an int64 table, one row per level
-    (q_n, C_{n-1}, then stage n's block starts, padded with q_{n+1}), so
-    every entry is exact.  Prefix counts descend that table one level per
+    (q_n, C_{n-1}, then stage n's block starts, padded with q_{n+1}); the
+    top row, whose starts no descent reads, holds padding alone, so every
+    entry is exact.  Prefix counts descend that table one level per
     step for a whole batch of positions at once.  One tower serves every
     sampler of a construction; it extends itself lazily, so its samplers
     must share one thread.
@@ -177,7 +178,7 @@ class Tower:
         self._cut_product: list[int] = [1]  # C_n, n = index: base count of level n + 1
         self._spacers: list[tuple[int, ...]] = []   # stage n = index + 1
         self._starts: list[tuple[int, ...]] = []    # k*q_n + S_{n,1} + ... + S_{n,k}
-        self._table = np.empty((0, 2), dtype=np.int64)  # row = level - 1
+        self._table = np.ones((1, 2), dtype=np.int64)   # row = level - 1: q_1 = C_0 = 1
 
     # -- stage/height access (1-based) --------------------------------
 
@@ -195,15 +196,17 @@ class Tower:
             self._starts.append(starts)
             self._q.append(starts[-1] + q_m + row[-1])
             self._cut_product.append(self._cut_product[-1] * stage.c)
-        if len(self._table) == resolved:
-            # every stage so far fits: table the new ones that still do
-            rows = sum(q < _INT64_LIMIT for q in self._q[1:])
-            width = 2 + max(map(len, self._starts[:rows]), default=0)
+        if len(self._table) == resolved + 1:
+            # every level so far fits: table the new ones that still do.  A
+            # descent reads only the rows below its first, so the top row's
+            # starts are never read and it holds padding alone.
+            rows = sum(q < _INT64_LIMIT for q in self._q)
+            blocks = self._starts[:rows - 1] + [()]
+            width = 2 + max(map(len, blocks))
             self._table = np.array(
                 [[self._q[i], self._cut_product[i], *starts,
-                  *[self._q[i + 1]] * (width - 2 - len(starts))]
-                 for i, starts in enumerate(self._starts[:rows])],
-                dtype=np.int64).reshape(rows, width)
+                  *[self._q[min(i + 1, rows - 1)]] * (width - 2 - len(starts))]
+                 for i, starts in enumerate(blocks)], dtype=np.int64)
 
     def q(self, level: int) -> int:
         self.ensure_stage(level - 1)
@@ -235,8 +238,7 @@ class Tower:
         if min(positions) < 0:
             raise ValueError(f"prefix index {min(positions)} is negative")
         reach = max(positions)
-        while self._q[-1] < reach or (
-                len(self._table) == len(self._spacers) and self._top() < reach):
+        while self._q[-1] < reach:
             self.ensure_stage(len(self._spacers) + 1)
         top = self._top()
         counts = [0] * len(positions)
@@ -244,8 +246,6 @@ class Tower:
             for i, j in enumerate(positions):
                 if j > top:
                     positions[i], counts[i] = self._descend_wide(j, top)
-        if not top:
-            return counts
         table = self._table
         j = np.array(positions, dtype=np.int64)
         row = np.searchsorted(table[:, 0], j)
@@ -268,8 +268,8 @@ class Tower:
         return [a + b for a, b in zip(counts, count.tolist())]
 
     def _top(self) -> int:
-        """Height of the table's top level; 0 while the table is empty."""
-        return self._q[len(self._table) - 1] if len(self._table) else 0
+        """Height of the table's top level."""
+        return self._q[len(self._table) - 1]
 
     def _descend_wide(self, j: int, top: int) -> tuple[int, int]:
         """Descend with Python ints until j <= top: (offset left, count so far)."""

@@ -180,7 +180,7 @@ def _scalar_series(data, seed, cps):
 
 def test_prefix_counts_hand_off_past_int64(presets):
     # heavy2q out to 2^60: levels reach q ~ 2^73 and the table tops out at
-    # q_30 = 2^58, so the widest windows start in Python ints and finish
+    # q_31 = 2^60, so the widest windows start in Python ints and finish
     # in the int64 descent
     data = presets["heavy2q"]
     cps = tuple(2 ** e for e in range(10, 61))
@@ -190,7 +190,7 @@ def test_prefix_counts_hand_off_past_int64(presets):
     for i, series in enumerate(ensemble):
         assert list(zip(series.s_plus, series.s_minus, series.sigma)) == (
             _scalar_series(data, spawn(23, i), cps))
-    assert tower._top() == 2 ** 58
+    assert tower._top() == 2 ** 60
     # around 2^62 and 2^63, and the whole word
     level = next(lev for lev in range(1, 80) if tower.q(lev) > 2 ** 63)
     positions = [2 ** 62 - 1, 2 ** 62, 2 ** 62 + 1, 2 ** 63, tower.q(level) - 1,
@@ -209,7 +209,7 @@ def test_prefix_counts_in_spacer_run_past_int64():
     j = 2 * tower.q(27) + 2 * 10 ** 18
     assert j >= 2 ** 62 and j - 2 * tower.q(27) > tower.q(27)
     assert tower.prefix_counts([j]) == [3 * 3 ** 26] == [_scalar_prefix(tower, 28, j)]
-    assert len(tower._table) == 26
+    assert len(tower._table) == 27
 
 
 def test_rank_one_c3_past_int64(tmp_path):
@@ -232,13 +232,13 @@ def test_rank_one_c3_past_int64(tmp_path):
 
 
 def test_prefix_counts_without_table():
-    # the first stage already passes 2^62: no level is tabled
+    # the first stage already passes 2^62: only level 1 is tabled
     data = rk.ConstructionData.from_dict(
         {"stages": [{"c": 2, "spacers": [0, 2 ** 63]}], "repeat_from": 0})
     tower = rk.Tower(data)
     positions = [0, 1, 2, 3, 2 ** 63, 2 ** 63 + 2, 2 ** 64 + 5]
     assert tower.prefix_counts(positions) == [0, 1, 2, 2, 2, 2, 4]
-    assert len(tower._table) == 0
+    assert len(tower._table) == 1
     assert _scalar_prefixes(tower, positions) == [0, 1, 2, 2, 2, 2, 4]
     cps = (1, 2, 10, 2 ** 40)
     ensemble = series_from_names(
@@ -246,6 +246,24 @@ def test_prefix_counts_without_table():
     for i, series in enumerate(ensemble):
         assert list(zip(series.s_plus, series.s_minus, series.sigma)) == (
             _scalar_series(data, spawn(3, i), cps))
+
+
+def test_window_counts_at_top_level_of_finite_construction():
+    # two listed stages and no repeat: B_3 = BBsBB, q_3 = 5.  A radius-1
+    # window embedded at level 3 reaches q_3, and counting it must not
+    # ask for stage 3
+    data = rk.ConstructionData.from_dict(
+        {"stages": [{"c": 2, "spacers": [0, 0]}, {"c": 2, "spacers": [1, 0]}]})
+    tower = rk.Tower(data)
+    samplers = [rk.NameSampler(tower, 0, choices=c) for c in ([2, 1], [1, 2])]
+    windows = rk.ensemble_window_counts(samplers, 1)
+    assert windows == [(1, 1, 0), (0, 1, 1)]
+    for sampler, w in zip(samplers, windows):
+        assert sampler.level == 3
+        off = sampler.center_offset()
+        start, before, after, end = _scalar_prefixes(tower, (off - 1, off, off + 1, off + 2))
+        assert w == (before - start, after - before, end - after)
+    assert tower._top() == tower.q(3) == 5
 
 
 # -- words ---------------------------------------------------------------------
