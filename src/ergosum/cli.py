@@ -6,6 +6,10 @@ across reruns and thread counts, with '#'-prefixed provenance headers
 (tool version, config hash, seed, generator).  A JSON
 mirror of each table is written with --json.
 
+Each subcommand takes only the run settings its runner reads: rank-one and
+walk take their trial count as --seeds, trimmed as --trials, and only walk
+takes --threads; the other subcommands run one deterministic table.
+
 Exit codes: 0 success, 2 config error, 3 resource/horizon error (or an
 allocation the machine refuses), 4 internal invariant violation.
 """
@@ -16,9 +20,10 @@ import argparse
 import hashlib
 import json
 import math
+import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, fields
 from datetime import datetime, timezone
 from pathlib import Path
 from typing import NamedTuple, get_type_hints
@@ -96,22 +101,31 @@ PARAMS = {
     }),
 }
 
+# the subcommands that run trials, with the flags of the run settings they
+# read: the trial-count flag, then --threads where trials share a thread pool
+TRIAL_FLAGS = {
+    "rank-one": ("--seeds",),
+    "trimmed": ("--trials",),
+    "walk": ("--seeds", "--threads"),
+}
+
 
 @dataclass(frozen=True)
 class ExperimentConfig:
     """Everything needed to rerun an experiment deterministically.
 
     ``params`` holds the kind-specific knobs (``PARAMS``); a missing or
-    null one takes its default.  The config hash covers only
-    the semantic payload (kind, params, seed, trials), so thread count and
-    output location never change the recorded provenance.
+    null one takes its default.  ``trials`` is 1 for a kind outside
+    ``TRIAL_FLAGS``, and ``threads`` 0 means all cores.  The config hash
+    covers only the semantic payload (kind, params, seed, trials), so thread
+    count and output location never change the recorded provenance.
     """
 
     kind: str
     params: dict
     seed: int = 1
     trials: int = 1
-    threads: int = 1
+    threads: int = 0
     out: str = "."
     json_mirror: bool = False
     stamp: bool = False
@@ -124,6 +138,15 @@ class ExperimentConfig:
                                   f"got {getattr(self, name)!r}")
         if self.kind not in PARAMS:
             raise ConfigError(f"unknown experiment kind {self.kind!r}")
+        for name in ("seed", "threads"):
+            if getattr(self, name) < 0:
+                raise ConfigError(f"config field {name!r} must be >= 0, "
+                                  f"got {getattr(self, name)}")
+        if self.kind not in TRIAL_FLAGS and self.trials != 1:
+            raise ConfigError(f"{self.kind} runs no trials: config field 'trials' "
+                              f"must be 1, got {self.trials}")
+        if self.trials < 1:
+            raise ConfigError(f"config field 'trials' must be >= 1, got {self.trials}")
         params = PARAMS[self.kind][1]
         for name in self.params:
             if name not in params:
@@ -143,9 +166,9 @@ class ExperimentConfig:
                 if not abs(real) <= sys.float_info.max:
                     raise ConfigError(f"{self.kind} parameter {name!r} must be finite, "
                                       f"got {value!r}")
-        if (self.kind == "translate" and self.params.get("N") is None
-                and not self.params.get("grid")):
-            raise ConfigError("translate needs --N or --grid")
+        if self.kind == "translate" and (
+                (self.params.get("N") is None) == (self.params.get("grid") is None)):
+            raise ConfigError("translate needs exactly one of --N and --grid")
 
     def values(self) -> dict:
         """Each parameter of this kind, typed as the parser types it, or its default."""
@@ -251,14 +274,16 @@ def _load_construction(preset: str | None, data_file: str | None) -> rankone.Con
 
 
 def _map_trials(cfg: ExperimentConfig, fn):
-    """Run fn(0..trials-1) on cfg.threads threads, results in index order.
+    """Run fn(0..trials-1) on cfg.threads threads (0: os.cpu_count()),
+    results in index order.
 
     Only walk trials use it: they spend their time in NumPy, which
     releases the GIL.
     """
-    if cfg.threads <= 1 or cfg.trials <= 1:
+    threads = cfg.threads or os.cpu_count() or 1
+    if threads == 1 or cfg.trials == 1:
         return [fn(i) for i in range(cfg.trials)]
-    with ThreadPoolExecutor(max_workers=cfg.threads) as pool:
+    with ThreadPoolExecutor(max_workers=threads) as pool:
         return list(pool.map(fn, range(cfg.trials)))
 
 
@@ -345,7 +370,7 @@ def run_translate(cfg: ExperimentConfig):
     v = cfg.values()
     action = lattice.TranslationAction(
         alpha=parse_real(v["alpha"]), beta=parse_real(v["beta"]), x=v["x"])
-    if v["grid"]:
+    if v["grid"] is not None:
         horizons = parse_checkpoints(v["grid"])
     else:
         horizons = (v["N"],)
@@ -452,16 +477,20 @@ def run(cfg: ExperimentConfig) -> list[Path]:
 # -- argument parsing ----------------------------------------------------------
 
 
-def _add_common(sub, trials_flag):
+def _add_common(sub, kind):
     sub.add_argument("--config", help="saved JSON config, run as saved; "
                                        "it needs no other flag")
-    sub.add_argument("--out", default=".", help="output directory")
-    sub.add_argument("--seed", type=int, default=1, help="master seed (u64)")
-    sub.add_argument(trials_flag, type=int, default=1, dest="trials",
-                     help="number of independent trials/streams")
-    sub.add_argument("--threads", type=int, default=0,
-                     help="threads for walk trials (0 = all cores); "
-                          "never changes output rows")
+    sub.add_argument("--out", default=ExperimentConfig.out, help="output directory")
+    sub.add_argument("--seed", type=int, default=ExperimentConfig.seed,
+                     help="master seed (u64)")
+    flags = TRIAL_FLAGS.get(kind, ())
+    if flags:
+        sub.add_argument(flags[0], type=int, default=ExperimentConfig.trials,
+                         dest="trials", help="number of independent trials/streams")
+    if "--threads" in flags:
+        sub.add_argument("--threads", type=int, default=ExperimentConfig.threads,
+                         help="threads for the trials (0 = all cores); "
+                              "never changes output rows")
     sub.add_argument("--json", action="store_true", dest="json_mirror",
                      help="also write JSON mirrors")
     sub.add_argument("--stamp", action="store_true",
@@ -477,7 +506,7 @@ def build_parser() -> argparse.ArgumentParser:
     subs = parser.add_subparsers(dest="kind", required=True)
     for kind, (help_text, params) in PARAMS.items():
         sub = subs.add_parser(kind, help=help_text)
-        _add_common(sub, "--seeds" if kind in ("rank-one", "walk") else "--trials")
+        _add_common(sub, kind)
         for name, p in params.items():
             flag = "--" + name.replace("_", "-")
             if p.type is bool:
@@ -496,14 +525,10 @@ def config_from_args(args: argparse.Namespace) -> ExperimentConfig:
         return ExperimentConfig.from_json(text)
     given = {name: getattr(args, name) for name in PARAMS[args.kind][1]}
     params = {k: v for k, v in given.items() if v is not None and v is not False}
-    threads = args.threads
-    if threads <= 0:
-        import os
-        threads = os.cpu_count() or 1
-    return ExperimentConfig(
-        kind=args.kind, params=params, seed=args.seed, trials=args.trials,
-        threads=threads, out=args.out, json_mirror=args.json_mirror,
-        stamp=args.stamp)
+    # the run settings this subcommand takes; the others keep their defaults
+    settings = {f.name: getattr(args, f.name) for f in fields(ExperimentConfig)
+                if f.name not in ("kind", "params") and hasattr(args, f.name)}
+    return ExperimentConfig(kind=args.kind, params=params, **settings)
 
 
 def main(argv=None) -> int:

@@ -65,8 +65,8 @@ class Stage:
     spacers: tuple
 
     def __post_init__(self):
-        if self.c < 2:
-            raise ConfigError(f"cut count must be >= 2, got {self.c}")
+        if not isinstance(self.c, int) or isinstance(self.c, bool) or self.c < 2:
+            raise ConfigError(f"cut count 'c' must be an int >= 2, got {self.c!r}")
         if len(self.spacers) != self.c:
             raise ConfigError(
                 f"stage with c={self.c} needs {self.c} spacer entries, "
@@ -94,11 +94,12 @@ class ConstructionData:
     def __post_init__(self):
         if not self.stages:
             raise ConfigError("at least one stage is required")
-        if self.repeat_from is not None and not (
-                0 <= self.repeat_from < len(self.stages)):
+        r = self.repeat_from
+        if r is not None and not (isinstance(r, int) and not isinstance(r, bool)
+                                  and 0 <= r < len(self.stages)):
             raise ConfigError(
-                f"repeat_from {self.repeat_from} out of range for "
-                f"{len(self.stages)} stages")
+                f"repeat_from must be an int index into the {len(self.stages)} "
+                f"stages, got {r!r}")
 
     def stage(self, n: int) -> Stage:
         """Stage n (1-based)."""
@@ -116,15 +117,10 @@ class ConstructionData:
     @classmethod
     def from_dict(cls, doc: dict, name: str | None = None) -> "ConstructionData":
         try:
-            stages = tuple(
-                Stage(int(st["c"]), tuple(
-                    s if s == SPACER_TOKEN else int(s) for s in st["spacers"]))
-                for st in doc["stages"])
-        except (KeyError, TypeError, ValueError) as exc:
+            stages = tuple(Stage(st["c"], tuple(st["spacers"])) for st in doc["stages"])
+        except (KeyError, TypeError) as exc:
             raise ConfigError(f"malformed construction data: {exc}") from exc
-        repeat = doc.get("repeat_from")
-        return cls(stages, None if repeat is None else int(repeat),
-                   doc.get("name", name))
+        return cls(stages, doc.get("repeat_from"), doc.get("name", name))
 
     def to_dict(self) -> dict:
         doc = {

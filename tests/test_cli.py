@@ -1,11 +1,14 @@
 """CLI: configs, outputs, provenance, reproducibility, exit codes."""
 
+import argparse
 import csv
 import json
 import os
+import shlex
 import subprocess
 import sys
 import warnings
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import pytest
@@ -202,8 +205,10 @@ def test_thread_count_invariance(tmp_path):
                      "--checkpoints", "dyadic:4:30", "--burn-in", "16"],
     }
     for kind, base in runs.items():
-        _, out1 = run_cli([*base, "--seed", "5", "--threads", "1"], tmp_path, f"{kind}1")
-        _, out4 = run_cli([*base, "--seed", "5", "--threads", "4"], tmp_path, f"{kind}4")
+        # rank-one runs its trials in one thread and takes no --threads
+        one, four = (["--threads", "1"], ["--threads", "4"]) if kind == "walk" else ([], [])
+        _, out1 = run_cli([*base, "--seed", "5", *one], tmp_path, f"{kind}1")
+        _, out4 = run_cli([*base, "--seed", "5", *four], tmp_path, f"{kind}4")
         names = sorted(p.name for p in out1.glob("*.csv"))
         assert names == sorted(p.name for p in out4.glob("*.csv"))
         assert len(names) == (1 if kind == "walk" else 7)
@@ -406,6 +411,127 @@ def test_exit_code_non_finite_real(args, named, tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("args,named", [
+    (["walk", "--dist", "geometric:0.5", "--N", "10", "--seeds", "0"], "'trials'"),
+    (["walk", "--dist", "geometric:0.5", "--N", "10", "--seeds", "-3"], "'trials'"),
+    (["trimmed", "--dist", "harmonic", "--n", "100", "--trials", "0"], "'trials'"),
+    (["rank-one", "--preset", "chacon", "--radius", "13", "--seeds", "0"], "'trials'"),
+    (["walk", "--dist", "geometric:0.5", "--N", "10", "--seed", "-1"], "'seed'"),
+    (["walk", "--dist", "geometric:0.5", "--N", "10", "--threads", "-1"], "'threads'"),
+    (["translate", "--alpha", "golden", "--N", "5", "--grid", "dyadic:0:2"], "--grid"),
+], ids=["walk-seeds-0", "walk-seeds-negative", "trimmed-trials-0", "rank-one-seeds-0",
+        "walk-seed-negative", "walk-threads-negative", "translate-N-and-grid"])
+def test_exit_code_bad_run_setting(args, named, tmp_path, capsys):
+    code = cli.main([*args, "--out", str(tmp_path / "out")])
+    assert code == cli.EXIT_CONFIG
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("config error: ") and named in err[0], err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("doc,named", [
+    ({"kind": "renewal", "params": {"dist": "geometric:0.5", "n": 4}, "trials": 3},
+     "'trials'"),
+    ({"kind": "translate", "params": {"alpha": "golden", "N": 5, "grid": "dyadic:0:2"}},
+     "--grid"),
+    ({"kind": "translate", "params": {"alpha": "golden"}}, "--grid"),
+], ids=["renewal-trials-3", "translate-N-and-grid", "translate-no-horizon"])
+def test_exit_code_saved_run_setting(doc, named, tmp_path, capsys):
+    # a deterministic table has one trial, and translate one horizon
+    cfg_file = tmp_path / "cfg.json"
+    cfg_file.write_text(json.dumps({**doc, "out": str(tmp_path / "out")}))
+    code = cli.main([doc["kind"], "--config", str(cfg_file)])
+    assert code == cli.EXIT_CONFIG
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("config error: ") and named in err[0], err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("args,flag", [
+    (["renewal", "--dist", "geometric:0.5", "--n", "4", "--trials", "2"], "--trials 2"),
+    (["rank-one", "--preset", "chacon", "--radius", "13", "--threads", "2"],
+     "--threads 2"),
+], ids=["renewal-trials", "rank-one-threads"])
+def test_run_setting_a_run_does_not_read(args, flag, capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(args)
+    assert exc.value.code == cli.EXIT_CONFIG
+    err = capsys.readouterr().err.splitlines()
+    assert err[-1].endswith(f"error: unrecognized arguments: {flag}"), err
+
+
+def test_option_strings_pinned():
+    # a flag that no run reads shows up here
+    common = ["--config", "--out", "--seed", "--json", "--stamp"]
+    pins = {
+        "rank-one": ["--seeds", "--preset", "--data", "--radius", "--checkpoints",
+                     "--burn-in"],
+        "renewal": ["--dist", "--n"],
+        "queen": ["--dist", "--n"],
+        "dyadic-tail": ["--dist", "--n", "--t", "--scaling"],
+        "trimmed": ["--trials", "--dist", "--n"],
+        "translate": ["--alpha", "--beta", "--x", "--N", "--grid", "--exact"],
+        "walk": ["--seeds", "--threads", "--dist", "--N"],
+        "regvar": ["--scaling", "--p", "--n-lo", "--n-hi", "--factor", "--sv"],
+    }
+    subs = next(a for a in cli.build_parser()._actions
+                if isinstance(a, argparse._SubParsersAction))
+    assert subs.choices.keys() == pins.keys()
+    total = 0
+    for kind, sub in subs.choices.items():
+        options = sorted(opt for action in sub._actions for opt in action.option_strings
+                         if opt not in ("-h", "--help"))
+        assert options == sorted(common + pins[kind]), kind
+        total += len(options)
+    assert total == 73
+
+
+def test_walk_threads_zero_uses_all_cores(tmp_path, monkeypatch):
+    workers = []
+
+    class Recording(ThreadPoolExecutor):
+        def __init__(self, max_workers):
+            workers.append(max_workers)
+            super().__init__(max_workers)
+
+    monkeypatch.setattr(cli, "ThreadPoolExecutor", Recording)
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: 3)
+    cfg = cli.ExperimentConfig(kind="walk", params={"dist": "delta:1", "N": 5},
+                               trials=4, out=str(tmp_path))
+    assert cfg.threads == 0
+    rows = cli.run_walk(cfg)[0][2]
+    assert workers == [3]
+    assert [row[0] for row in rows] == [0, 1, 2, 3]
+
+
+@pytest.mark.parametrize("doc,named", [
+    ({"stages": [{"c": 2.7, "spacers": [0, 0.9]}], "repeat_from": 0.5}, "'c'"),
+    ({"stages": [{"c": 2, "spacers": [0, 0]}], "repeat_from": [0]}, "repeat_from"),
+    ({"stages": [{"c": True, "spacers": [0, 0]}], "repeat_from": 0}, "'c'"),
+    ({"stages": [{"c": 2, "spacers": [0, 0.9]}], "repeat_from": 0}, "spacer"),
+], ids=["c-float", "repeat-from-list", "c-bool", "spacer-float"])
+def test_construction_data_holds_integers(doc, named, tmp_path, capsys):
+    data_file = tmp_path / "data.json"
+    data_file.write_text(json.dumps(doc))
+    code = cli.main(["rank-one", "--data", str(data_file), "--radius", "13",
+                     "--out", str(tmp_path / "out")])
+    assert code == cli.EXIT_CONFIG
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("config error: ") and named in err[0], err
+    assert not (tmp_path / "out").exists()
+
+
+def test_readme_commands_parse():
+    # every ergosum line of README's CLI block names only flags the parser has
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("## CLI", 1)[1].split("```sh", 1)[1].split("```", 1)[0]
+    commands = [shlex.split(line)[1:] for line in block.splitlines()
+                if line.startswith("ergosum ")]
+    assert len(commands) >= 8
+    parser = cli.build_parser()
+    assert {parser.parse_args(argv).kind for argv in commands} == cli.RUNNERS.keys()
+
+
 def test_translate_overflowing_ratio(tmp_path):
     # alpha/beta overflows to inf: not a small rational, and the count is exact
     code, out = run_cli(["translate", "--alpha", "1e308", "--beta", "1e-308", "--N", "4"],
@@ -436,7 +562,8 @@ def test_no_cell_needs_quoting():
         "regvar": {"scaling": "identity", "n_lo": 8, "n_hi": 64},
     }
     assert params.keys() == cli.RUNNERS.keys()
-    configs = [cli.ExperimentConfig(kind=kind, params=p, trials=2)
+    configs = [cli.ExperimentConfig(kind=kind, params=p,
+                                    trials=2 if kind in cli.TRIAL_FLAGS else 1)
                for kind, p in params.items()]
     configs.append(cli.ExperimentConfig(
         kind="regvar", params={"scaling": "tm:harmonic", "sv": True,
