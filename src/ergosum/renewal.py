@@ -22,8 +22,9 @@ from .errors import ConfigError, SamplingHorizonError
 from .regvar import ScalingSequence, invert_scaling
 from .streams import spawn
 
-# Newton doubling starts from this many terms of the plain recurrence, so
-# short sequences carry no transform rounding (geometric:0.5 gives 0.5)
+# the plain recurrence gives the first ceil(n/2^k) <= 64 terms before Newton
+# steps take over, so sequences of at most 64 terms carry no transform
+# rounding (geometric:0.5 gives 0.5)
 _NEWTON_BASE = 64
 
 _INT64_VALUE_LIMIT = 2 ** 62
@@ -333,24 +334,6 @@ class RenewalSequence:
                                domain_max=self.n_max)
 
 
-def _renewal_direct(mass: np.ndarray, n_max: int) -> np.ndarray:
-    """Renewal recursion u_0 = 1, u_n = sum_{k=1..n} mass[k] u_{n-k}.
-
-    Quadratic; the tests check renewal_sequence against it.  ``mass[0]``
-    is ignored and ``mass`` must reach index n_max.
-    """
-    if mass.shape[0] < n_max + 1:
-        raise ValueError("mass array shorter than n_max + 1")
-    # w holds u reversed, w[n_max - n] = u_n, so u_{n-1}, ..., u_0 is the
-    # contiguous tail of w: the same products in the same order as a dot
-    # with u[n-1::-1], without NumPy copying a negative-stride operand.
-    w = np.empty(n_max + 1, dtype=np.float64)
-    w[n_max] = 1.0
-    for n in range(1, n_max + 1):
-        w[n_max - n] = np.dot(mass[1:n + 1], w[n_max - n + 1:])
-    return w[::-1].copy()
-
-
 def _next_fast_len(n: int) -> int:
     """Least 2^i 3^j 5^k >= n, a fast real FFT length (n >= 1)."""
     best = 1 << (n - 1).bit_length()
@@ -368,22 +351,27 @@ def _next_fast_len(n: int) -> int:
 def _reciprocal(g: np.ndarray) -> np.ndarray:
     """Power-series reciprocal v of g (g[0] = 1) mod z^len(g).
 
-    The first _NEWTON_BASE terms come from the plain recurrence
-    v_k = -sum_{j=1..k} g_j v_{k-j}; Newton doubling extends them.
+    Newton steps run through the sizes n, ceil(n/2), ceil(n/4), ... in
+    ascending order, each at most doubling the one below, so no step
+    transforms at full size for a few extra terms.  The first size of at
+    most _NEWTON_BASE comes from the plain recurrence
+    v_k = -sum_{j=1..k} g_j v_{k-j}.
     """
-    n = len(g)
-    m = min(n, _NEWTON_BASE)
+    sizes = [len(g)]
+    while sizes[-1] > _NEWTON_BASE:
+        sizes.append(-(-sizes[-1] // 2))
+    m = sizes.pop()
     v = np.empty(m)
     v[0] = 1.0
     for k in range(1, m):
         v[k] = -np.dot(g[1:k + 1], v[k - 1::-1])
-    while m < n:
-        m2 = min(2 * m, n)
-        # g*v and v*t both have length m2 + m - 1, so one transform of v
-        # serves both: five transforms per doubling.  Each product is formed
-        # in place with its operand order spelled out, since complex
-        # products are not bitwise commutative (NumPy turns x * tmp into
-        # tmp *= x when tmp is an unnamed temporary of 256 KiB or more).
+    for m2 in reversed(sizes):
+        # v <- v (2 - g v) mod z^m2.  g*v and v*t both have length
+        # m2 + m - 1, so one transform of v serves both: five transforms per
+        # step.  Each product is formed in place with its operand order
+        # spelled out, since complex products are not bitwise commutative
+        # (NumPy turns x * tmp into tmp *= x when tmp is an unnamed
+        # temporary of 256 KiB or more).
         size = _next_fast_len(m2 + m - 1)
         fv = np.fft.rfft(v, size)
         spec = np.fft.rfft(g[:m2], size)
@@ -405,13 +393,14 @@ def renewal_sequence(f: LifetimeDistribution, n_max: int) -> RenewalSequence:
     divides n, and u_{dm} is the renewal sequence of nu/d, whose tails are
     T_{dm}.  One support point left after that reduction makes u the
     indicator of dZ, exactly; otherwise the reduced T is inverted by Newton
-    doubling, O(n log n).  The constant 1/(1 - z) anchors the limit 1/mu,
-    so rounding does not build up along it: for geometric:0.7 the largest
-    |u_n - 0.7| is at most 4.4e-16 at n = 2**18 - 1, 2**18 and 2**20 - 1,
-    and u is within 2.1e-15 of the direct recursion for harmonic at
-    n = 2**15 - 1.  Where u_n tends to 0 the cumulative sum cancels: for
-    power:0.5 at n = 10**5, u is within 5.3e-16 of the direct recursion
-    but a_u only within 2e-13 relative.  u and a_u are accumulated in
+    steps of sizes ceil(n/2^k), O(n log n).  The constant 1/(1 - z) anchors
+    the limit 1/mu, so rounding does not build up along it: for
+    geometric:0.7 the largest |u_n - 0.7| is at most 4.4e-16 at
+    n = 2**18 - 1, 2**18, 2**20 - 1 and 2**20, and u is within 1.6e-15 of
+    the direct recursion for harmonic at n = 2**15 - 1 and 1.9e-15 at
+    n = 2**15.  Where u_n tends to 0 the cumulative sum cancels: for
+    power:0.5 at n = 10**5, u is within 2.4e-16 of the direct recursion
+    but a_u only within 5.5e-14 relative.  u and a_u are accumulated in
     long double.
     """
     if n_max < 0:

@@ -138,6 +138,24 @@ def test_sampling_matches_tail(f, checks):
 # -- renewal sequences ---------------------------------------------------------
 
 
+def _renewal_direct(mass: np.ndarray, n_max: int) -> np.ndarray:
+    """Renewal recursion u_0 = 1, u_n = sum_{k=1..n} mass[k] u_{n-k}.
+
+    Quadratic; the oracle for renewal_sequence.  ``mass[0]`` is ignored
+    and ``mass`` must reach index n_max.
+    """
+    if mass.shape[0] < n_max + 1:
+        raise ValueError("mass array shorter than n_max + 1")
+    # w holds u reversed, w[n_max - n] = u_n, so u_{n-1}, ..., u_0 is the
+    # contiguous tail of w: the same products in the same order as a dot
+    # with u[n-1::-1], without NumPy copying a negative-stride operand.
+    w = np.empty(n_max + 1, dtype=np.float64)
+    w[n_max] = 1.0
+    for n in range(1, n_max + 1):
+        w[n_max - n] = np.dot(mass[1:n + 1], w[n_max - n + 1:])
+    return w[::-1].copy()
+
+
 def test_renewal_delta_one():
     seq = rn.renewal_sequence(rn.FiniteSupport.delta(1), 50)
     assert np.all(seq.u == 1.0)
@@ -150,7 +168,7 @@ def test_renewal_period_reduction_exact_zeros():
     n_max = 2 ** 15
     seq = rn.renewal_sequence(f, n_max)
     assert np.all(seq.u[1::2] == 0.0)
-    direct = rn._renewal_direct(f.masses(n_max), n_max)
+    direct = _renewal_direct(f.masses(n_max), n_max)
     assert np.max(np.abs(seq.u - direct)) <= 1e-14
 
 
@@ -160,7 +178,7 @@ def test_renewal_nearly_periodic_support():
     f = rn.FiniteSupport([(2, 0.999), (3, 0.001)])
     n_max = 2 ** 15
     seq = rn.renewal_sequence(f, n_max)
-    direct = rn._renewal_direct(f.masses(n_max), n_max)
+    direct = _renewal_direct(f.masses(n_max), n_max)
     assert np.max(np.abs(seq.u - direct)) <= 1e-13
 
 
@@ -181,14 +199,14 @@ def test_renewal_geometric_exact():
 
 def test_direct_recursion_geometric_exact_half():
     n = 4096
-    u = rn._renewal_direct(rn.Geometric(0.5).masses(n), n)
+    u = _renewal_direct(rn.Geometric(0.5).masses(n), n)
     assert u[0] == 1.0
     assert np.all(u[1:] == 0.5)
 
 
 def test_direct_recursion_rejects_short_mass():
     with pytest.raises(ValueError):
-        rn._renewal_direct(np.zeros(3), 10)
+        _renewal_direct(np.zeros(3), 10)
 
 
 def _strided_recursion(mass, n_max):
@@ -204,7 +222,7 @@ def _strided_recursion(mass, n_max):
 def test_direct_recursion_matches_strided_oracle(f):
     n_max = 3000
     mass = f.masses(n_max)
-    assert np.array_equal(rn._renewal_direct(mass, n_max),
+    assert np.array_equal(_renewal_direct(mass, n_max),
                           _strided_recursion(mass, n_max))
 
 
@@ -217,7 +235,7 @@ def test_direct_recursion_matches_strided_oracle_random(points, raw_weights, n_m
     weights /= weights.sum()
     weights[-1] = 1.0 - math.fsum(weights[:-1])
     mass = rn.FiniteSupport(list(zip(points, weights))).masses(n_max)
-    assert np.array_equal(rn._renewal_direct(mass, n_max),
+    assert np.array_equal(_renewal_direct(mass, n_max),
                           _strided_recursion(mass, n_max))
 
 
@@ -267,20 +285,43 @@ def test_convolution_identity_random(raw):
 
 
 def test_renewal_sequence_matches_direct():
-    # measured worst cases 1.4e-15 on u (harmonic) and 1.3e-11 on a_u
-    n_max = 20000
+    # 20001 and 2**15 + 1 coefficients: at neither length do halved Newton
+    # sizes coincide with doubled ones; measured worst cases 1.9e-15 on u
+    # and 1.7e-11 on a_u, both harmonic at 2**15
+    top = 2 ** 15
     for f in ALL_KINDS:
-        seq = rn.renewal_sequence(f, n_max)
-        direct = rn._renewal_direct(f.masses(n_max), n_max)
+        direct = _renewal_direct(f.masses(top), top)
         direct_a_u = np.cumsum(direct[1:], dtype=np.longdouble).astype(np.float64)
-        assert np.max(np.abs(seq.u - direct)) <= 1e-14, f.label
-        assert np.max(np.abs(seq.a_u[1:] - direct_a_u)) <= 1e-9, f.label
+        for n_max in (20000, top):
+            seq = rn.renewal_sequence(f, n_max)
+            assert np.max(np.abs(seq.u - direct[:n_max + 1])) <= 1e-14, (f.label, n_max)
+            assert np.max(np.abs(seq.a_u[1:] - direct_a_u[:n_max])) <= 1e-9, (f.label, n_max)
+
+
+def test_newton_steps_halve_the_length(monkeypatch):
+    # L = 2**15 + 1 coefficients: the largest step goes from ceil(L/2) to L
+    # terms, so no transform is longer than _next_fast_len(L + ceil(L/2) - 1);
+    # doubling to 2**15 and then to L would transform at 2**16
+    lengths = []
+    rfft = np.fft.rfft
+
+    def recording_rfft(a, n=None, *args, **kwargs):
+        lengths.append(n)
+        return rfft(a, n, *args, **kwargs)
+
+    monkeypatch.setattr(np.fft, "rfft", recording_rfft)
+    n_max = 2 ** 15
+    rn.renewal_sequence(rn.Geometric(0.7), n_max)
+    length = n_max + 1
+    longest = rn._next_fast_len(length + -(-length // 2) - 1)
+    assert longest == 50000
+    assert lengths and max(lengths) <= longest
 
 
 def test_fft_accuracy_geometric():
     # at most 4.4e-16 at each size; the mass-form inversion read 7.6e-12
     # at 2**18 and up to 1.1e-10 at 2**20 - 1
-    for n_max in (2 ** 18 - 1, 2 ** 18, 2 ** 20 - 1):
+    for n_max in (2 ** 18 - 1, 2 ** 18, 2 ** 20 - 1, 2 ** 20):
         seq = rn.renewal_sequence(rn.Geometric(0.7), n_max)
         assert seq.u[0] == 1.0
         assert np.max(np.abs(seq.u[1:] - 0.7)) <= 1e-14, n_max
@@ -416,7 +457,9 @@ def test_dyadic_uses_supplied_scaling():
 
 def test_invert_scaling_contract():
     g = rn.Geometric(0.5)
-    sc = rn.renewal_sequence(g, 4096).as_scaling()
+    # 2048.0 = a(4096) up to rounding, so the domain reaches past 4096
+    sc = rn.renewal_sequence(g, 4100).as_scaling()
+    assert abs(sc(4096) - 2048.0) <= 1e-12
     for y in (1.0, 2.0, 100.5, 2048.0):
         t = invert_scaling(sc, y)
         assert sc(t) >= y
