@@ -77,12 +77,6 @@ def series_from_names(samplers: Sequence[NameSampler],
             for s_plus, s_minus in counts]
 
 
-def series_from_name(sampler: NameSampler,
-                     checkpoints: Sequence[int]) -> BirkhoffSeries:
-    """Counts from a symbolic name at each checkpoint radius."""
-    return series_from_names([sampler], checkpoints)[0]
-
-
 @dataclass(frozen=True)
 class SeriesStats:
     """One orbit's ratios per checkpoint, and their extrema past the burn-in.
@@ -124,10 +118,6 @@ class NormalizedStats:
     beta_hat: float
     beta_lower_hat: float
     flags: tuple[str, ...]
-
-    @property
-    def oscillations(self) -> tuple[float, ...]:
-        return tuple(s.oscillation for s in self.series)
 
 
 def _series_stats(series: BirkhoffSeries, a_n: Sequence, start: int) -> SeriesStats:

@@ -177,20 +177,6 @@ class WalkSample:
     def omega_backward(self) -> np.ndarray:  # omega_{-1} .. omega_{-J}
         return np.diff(self.s_backward_mag, prepend=0)
 
-    def omega(self, j: int) -> int:
-        if not -self.J <= j < self.J:
-            raise IndexError(f"step index {j} outside [-{self.J}, {self.J - 1}]")
-        return self.s(j + 1) - self.s(j)
-
-    def s(self, k: int) -> int:
-        if abs(k) > self.J:
-            raise IndexError(f"partial sum index {k} beyond J={self.J}")
-        if k == 0:
-            return 0
-        if k > 0:
-            return int(self.s_forward[k - 1])
-        return -int(self.s_backward_mag[-k - 1])
-
     @property
     def reach_forward(self) -> int:
         return int(self.s_forward[-1])
@@ -227,7 +213,7 @@ def walk_counts(sample: WalkSample, n_box: int,
     Steps are >= 1, so |s_k| <= N already forces |k| <= N; the count comes
     from two binary searches.  ``renewal`` is the renewal sequence of the
     walk's step distribution, computed once by the caller for every trial;
-    it must extend to N.
+    it must extend to N and have a_u(N) > 0, a renewal by time N.
     """
     if sample.reach_forward < n_box or sample.reach_backward < n_box:
         raise CoverageError(
@@ -240,4 +226,6 @@ def walk_counts(sample: WalkSample, n_box: int,
     if renewal.n_max < n_box:
         raise ValueError(f"renewal sequence only reaches {renewal.n_max} < {n_box}")
     a_u_value = float(renewal.a_u[n_box])
+    if a_u_value == 0:
+        raise ValueError(f"a_u(N) = 0 at N = {n_box}: no renewal by N")
     return WalkCount(count, count / a_u_value, a_u_value)

@@ -21,7 +21,6 @@ from __future__ import annotations
 import json
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from fractions import Fraction
 from importlib import resources
 from itertools import accumulate
 from typing import NamedTuple, Sequence
@@ -48,9 +47,6 @@ _INT64_LIMIT = 2 ** 62
 DEFAULT_DEPTH_CAP = 10 ** 4
 
 PRESETS = ("odometer", "chacon", "heavy2q")
-
-_BASE_CHAR = "B"
-_SPACER_CHAR = "s"
 
 
 @dataclass(frozen=True)
@@ -122,15 +118,6 @@ class ConstructionData:
             raise ConfigError(f"malformed construction data: {exc}") from exc
         return cls(stages, doc.get("repeat_from"), doc.get("name", name))
 
-    def to_dict(self) -> dict:
-        doc = {
-            "stages": [{"c": st.c, "spacers": list(st.spacers)} for st in self.stages],
-            "repeat_from": self.repeat_from,
-        }
-        if self.name is not None:
-            doc["name"] = self.name
-        return doc
-
     @classmethod
     def from_json(cls, text: str, name: str | None = None) -> "ConstructionData":
         try:
@@ -138,9 +125,6 @@ class ConstructionData:
         except json.JSONDecodeError as exc:
             raise ConfigError(f"construction data is not valid JSON: {exc}") from exc
         return cls.from_dict(doc, name)
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True)
 
 
 def load_preset(name: str) -> ConstructionData:
@@ -284,56 +268,12 @@ class Tower:
         return 0, total + bases[level - 1]
 
 
-@dataclass(frozen=True)
-class TowerStats:
-    """Exact tower quantities through a given stage.
-
-    q[i] is the height of level i+1, C[i] the cut product through stage
-    i+1, and spacer_mass_partial[i] the exact partial sum of
-    (1/C_m) * sum_k S_{m,k} through stage i+1.  The total measure of the
-    ambient interval is 1 + lim spacer_mass_partial, possibly infinite.
-    """
-
-    q: tuple[int, ...]
-    C: tuple[int, ...]
-    spacer_mass_partial: tuple[Fraction, ...]
-
-    def total_measure_partial(self) -> Fraction:
-        return 1 + self.spacer_mass_partial[-1]
-
-
-def tower_stats(data: ConstructionData, n_max: int) -> TowerStats:
-    """Exact heights, cut products, and spacer mass through stage n_max."""
-    if n_max < 1:
-        raise ValueError("n_max must be >= 1")
-    tower = Tower(data)
-    tower.ensure_stage(n_max)
-    cuts = tower._cut_product[1:n_max + 1]
-    masses = (Fraction(sum(tower.spacers(m)), c) for m, c in enumerate(cuts, 1))
-    return TowerStats(q=tuple(tower._q[:n_max]), C=tuple(cuts),
-                      spacer_mass_partial=tuple(accumulate(masses)))
-
-
 @dataclass(eq=False)
 class SymbolicWord:
     """Materialized level word over {base, spacer} (1 = base)."""
 
     symbols: np.ndarray
     level: int
-
-    def __len__(self) -> int:
-        return len(self.symbols)
-
-    @property
-    def base_count(self) -> int:
-        return int(self.symbols.sum(dtype=np.int64))
-
-    def to_string(self) -> str:
-        return "".join(_BASE_CHAR if s else _SPACER_CHAR for s in self.symbols)
-
-    def __repr__(self):
-        head = self.to_string() if len(self) <= 40 else self.to_string()[:37] + "..."
-        return f"SymbolicWord(level={self.level}, len={len(self)}, {head!r})"
 
 
 def _expand(tower: Tower, n: int) -> np.ndarray:
@@ -350,7 +290,11 @@ def _expand(tower: Tower, n: int) -> np.ndarray:
 
 def expand_word(data: ConstructionData, n: int,
                 budget: int = DEFAULT_EXPANSION_BUDGET) -> SymbolicWord:
-    """Materialize the level-n word; errors if q_n exceeds the budget."""
+    """Materialize the level-n word; errors if q_n exceeds the budget.
+
+    A brute-force oracle for the prefix counts: the tests and the
+    benchmark's output check (``perfbench/oracles.py``) read its symbols.
+    """
     if n < 1:
         raise ValueError("level must be >= 1")
     tower = Tower(data)
@@ -396,7 +340,6 @@ class NameSampler:
         self.tower = tower
         self._rng = normalize(seed)
         self._forced = list(choices or ())
-        self.column_choices: list[int] = []
         self._offsets: list[int] = [0]
 
     @property
@@ -419,7 +362,6 @@ class NameSampler:
                     raise ConfigError(f"forced choice {k} outside 1..{c}")
             else:
                 k = int(self._rng.integers(1, c + 1))
-            self.column_choices.append(k)
             self._offsets.append(self._offsets[-1] + starts[k - 1])
 
     def ensure_window(self, radius: int, depth_cap: int = DEFAULT_DEPTH_CAP) -> int:
@@ -443,13 +385,19 @@ class NameSampler:
 
 def sample_name(data: ConstructionData, seed,
                 choices: Sequence[int] | None = None) -> NameSampler:
-    """Sampler for the symbolic name of a random base point, on a fresh tower."""
+    """Sampler for the symbolic name of a random base point, on a fresh tower.
+
+    Runs share one tower per construction (``NameSampler``); the one caller
+    of this fresh-tower form is the benchmark's output check,
+    ``perfbench/oracles.py``.
+    """
     return NameSampler(Tower(data), seed, choices=choices)
 
 
 def ensemble_window_counts(samplers: Sequence[NameSampler], radius: int,
                            depth_cap: int = DEFAULT_DEPTH_CAP) -> list[WindowCounts]:
-    """window_counts of every sampler, with one prefix descent for them all.
+    """Base occurrences in [-radius, -1], {0}, [1, radius] around each
+    sampler's center, with one prefix descent for them all.
 
     The samplers share one tower.  Each extends its own name first, in
     sampler order; the centre-is-base check then covers every sampler,
@@ -476,12 +424,6 @@ def ensemble_window_counts(samplers: Sequence[NameSampler], radius: int,
                 f"is not base")
         windows.append(WindowCounts(before - start, 1, end - after))
     return windows
-
-
-def window_counts(sampler: NameSampler, radius: int,
-                  depth_cap: int = DEFAULT_DEPTH_CAP) -> WindowCounts:
-    """Base occurrences in [-radius, -1], {0}, [1, radius] around the center."""
-    return ensemble_window_counts([sampler], radius, depth_cap)[0]
 
 
 def rank_one_scaling(tower: Tower) -> ScalingSequence:

@@ -71,9 +71,6 @@ class LifetimeDistribution:
     def label(self) -> str:
         raise NotImplementedError
 
-    def to_spec(self) -> dict:
-        raise NotImplementedError
-
     # -- derived ---------------------------------------------------------
 
     def masses(self, n_max: int) -> np.ndarray:
@@ -94,7 +91,10 @@ class LifetimeDistribution:
             if kind == "harmonic":
                 return PowerTail(1.0)
             if kind == "finite":
-                return FiniteSupport(tuple((int(k), float(p)) for k, p in doc["mass"]))
+                for k, _ in doc["mass"]:
+                    if type(k) is not int:  # a float or a bool is no atom
+                        raise ConfigError(f"finite atoms must be integers, got {k!r}")
+                return FiniteSupport(tuple((k, float(p)) for k, p in doc["mass"]))
         except (AttributeError, KeyError, TypeError, ValueError) as exc:
             raise ConfigError(f"malformed lifetime distribution {doc!r}: "
                               f"{type(exc).__name__}: {exc}") from exc
@@ -149,9 +149,6 @@ class Geometric(LifetimeDistribution):
     @property
     def label(self) -> str:
         return f"geometric:{self.p!r}"
-
-    def to_spec(self) -> dict:
-        return {"kind": "geometric", "p": self.p}
 
 
 class PowerTail(LifetimeDistribution):
@@ -228,9 +225,6 @@ class PowerTail(LifetimeDistribution):
     def label(self) -> str:
         return "harmonic" if self.gamma == 1.0 else f"power:{self.gamma!r}"
 
-    def to_spec(self) -> dict:
-        return {"kind": "power_tail", "gamma": self.gamma}
-
 
 class FiniteSupport(LifetimeDistribution):
     """Explicit masses on finitely many integers; must sum to 1 (1e-12).
@@ -293,10 +287,6 @@ class FiniteSupport(LifetimeDistribution):
             return f"delta:{self.points[0]}"
         atoms = ",".join(f"{k}:{p!r}" for k, p in zip(self.points, self.weights))
         return f"finite[{atoms}]"
-
-    def to_spec(self) -> dict:
-        return {"kind": "finite",
-                "mass": [[k, p] for k, p in zip(self.points, self.weights)]}
 
 
 def int64_sum_may_overflow(draws: np.ndarray) -> bool:
@@ -463,9 +453,6 @@ class QueenSeries:
     partial_sums: np.ndarray
     tails: np.ndarray
     lengths: np.ndarray
-
-    def Q(self, n: int) -> float:
-        return float(self.partial_sums[n - 1])
 
 
 def queen_series(f: LifetimeDistribution, n_max: int) -> QueenSeries:

@@ -51,14 +51,19 @@ def presets():
 
 @pytest.fixture(scope="module")
 def heavy_ensemble(presets):
-    """20-seed heavy2q ensemble on dyadic checkpoints 2^10..2^24 (criteria 3, 4)."""
+    """20-seed heavy2q ensemble on dyadic checkpoints 2^10..2^24 (criteria 3, 4).
+
+    Built as a rank-one run builds it: the samplers and the scaling share one
+    tower, and the seeds are counted together at each checkpoint.
+    """
     data = presets["heavy2q"]
     checkpoints = tuple(2 ** e for e in range(10, 25))
     start = time.perf_counter()
-    ensemble = [bk.series_from_name(rk.sample_name(data, spawn(1, i)), checkpoints)
-                for i in range(20)]
+    tower = rk.Tower(data)
+    ensemble = bk.series_from_names(
+        [rk.NameSampler(tower, spawn(1, i)) for i in range(20)], checkpoints)
     elapsed = time.perf_counter() - start
-    scaling = rk.rank_one_scaling(rk.Tower(data))
+    scaling = rk.rank_one_scaling(tower)
     return ensemble, scaling, checkpoints, elapsed
 
 
@@ -66,19 +71,21 @@ def test_criterion_01_window_oracle_equivalence(presets):
     start = time.perf_counter()
     rng = np.random.default_rng(314159)
     names = list(rk.PRESETS)
+    # the names of each preset share one tower, as in a rank-one run
+    towers = {name: rk.Tower(presets[name]) for name in names}
     mismatches = 0
     checked = 0
     while checked < 100:
-        data = presets[names[checked % 3]]
+        name = names[checked % 3]
         radius = int(rng.integers(0, 2000))
         seed = int(rng.integers(0, 2 ** 32))
-        sampler = rk.sample_name(data, seed)
+        sampler = rk.NameSampler(towers[name], seed)
         level = sampler.ensure_window(radius)
         if sampler.tower.q(level) > 10 ** 5:
             continue  # criterion scopes the oracle to q_n <= 1e5 levels
-        word = rk.expand_word(data, level).symbols
+        word = rk.expand_word(presets[name], level).symbols
         off = sampler.center_offset(level)
-        w = rk.window_counts(sampler, radius)
+        (w,) = rk.ensemble_window_counts([sampler], radius)
         brute = int(word[off - radius:off + radius + 1].sum())
         if w.sigma != brute:
             mismatches += 1
@@ -92,20 +99,26 @@ def test_criterion_02_structural_identities(presets):
     budget = rk.DEFAULT_EXPANSION_BUDGET
     failures = []
     for name, data in presets.items():
-        ts = rk.tower_stats(data, 64)
+        # q_n and C_n from the stage data alone: q_{n+1} = c_n q_n + the
+        # stage-n spacers ("2q" counts 2 q_n), C_n = c_1 ... c_n
+        q, C = [1], [data.stage(1).c]
+        for n in range(1, 64):
+            stage = data.stage(n)
+            q.append(stage.c * q[-1] + sum(2 * q[-1] if s == rk.SPACER_TOKEN else s
+                                           for s in stage.spacers))
+            C.append(C[-1] * data.stage(n + 1).c)
         tower = rk.Tower(data)
         for n in range(1, 64):
-            spacers = tower.spacers(n)
-            if ts.q[n] != data.stage(n).c * ts.q[n - 1] + sum(spacers):
+            if tower.q(n + 1) != q[n]:
                 failures.append((name, n, "height recursion"))
         for n in range(1, 65):
-            if ts.q[n - 1] > budget:
+            if q[n - 1] > budget:
                 break
-            word = rk.expand_word(data, n)
-            if len(word) != ts.q[n - 1]:
+            word = rk.expand_word(data, n).symbols
+            if len(word) != q[n - 1]:
                 failures.append((name, n, "length"))
-            expected_bases = 1 if n == 1 else ts.C[n - 2]
-            if word.base_count != expected_bases:
+            expected_bases = 1 if n == 1 else C[n - 2]
+            if int(word.sum(dtype=np.int64)) != expected_bases:
                 failures.append((name, n, "base count"))
     assert report(2, not failures, f"all presets to the expansion budget; "
                                    f"failures: {failures or 'none'}")
@@ -132,14 +145,14 @@ def test_criterion_04_oscillation(heavy_ensemble):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         stats = bk.normalized_stats(ensemble, scaling, burn_in=2 ** 12)
-    oscillations = stats.oscillations
-    hits = sum(o >= 0.25 for o in oscillations)
+    spreads = [s.oscillation for s in stats.series]
+    hits = sum(o >= 0.25 for o in spreads)
     ok = hits >= 18
     report(4, ok, f"{hits}/20 seeds with oscillation >= 0.25 "
-                  f"(max {max(oscillations):.6f}); fixed-seed statistical test")
+                  f"(max {max(spreads):.6f}); fixed-seed statistical test")
     assert ok, (
         f"only {hits}/20 seeds reached oscillation 0.25; max observed "
-        f"{max(oscillations):.6f}. On this construction the dyadic grid "
+        f"{max(spreads):.6f}. On this construction the dyadic grid "
         "2^10..2^24 lands exactly on the tower heights and their doubles, "
         "where the symmetric ratio equals 1/2 exactly (odd exponents) and "
         "lies strictly inside (1/4, 1/2] (even exponents), so the "
@@ -175,7 +188,7 @@ def test_criterion_06_scaling_inverse_contract():
 
 
 def test_criterion_07_queen_series():
-    q2 = rn.queen_series(rn.Geometric(0.5), 2).Q(2)
+    q2 = float(rn.queen_series(rn.Geometric(0.5), 2).partial_sums[1])
     q2_ok = abs(q2 - (1 + 1 / 9)) <= 1e-12
     bound_violations = 0
     for f in SHIPPED_DISTRIBUTIONS:

@@ -7,6 +7,7 @@ config, and the functions and attributes that the oracles
 exist and answer as they expect.
 """
 
+import ast
 import dataclasses
 import importlib.util
 import inspect
@@ -51,11 +52,8 @@ def test_rank_one_oracle_surface():
     assert len(word) == sampler.tower.q(level)
     left = int(word[off - radius:off].sum(dtype=np.int64))
     right = int(word[off + 1:off + radius + 1].sum(dtype=np.int64))
-    w = rankone.window_counts(sampler, radius)
+    (w,) = rankone.ensemble_window_counts([sampler], radius)
     assert (w.left, w.center, w.right) == (left, int(word[off]), right)
-    # the tracer reads the sampler's level after series_from_name
-    birkhoff.series_from_name(sampler, (radius,))
-    assert sampler.level >= level
 
 
 def test_walk_and_renewal_oracle_surface():
@@ -72,8 +70,8 @@ def test_walk_and_renewal_oracle_surface():
 
 def test_traced_functions_are_public():
     # perfbench/run.py reads these spans; the tracer wraps public functions
-    traced = [birkhoff.series_from_name, birkhoff.normalized_stats,
-              birkhoff.series_rows, rankone.window_counts,
+    traced = [birkhoff.series_from_names, birkhoff.normalized_stats,
+              birkhoff.series_rows, rankone.ensemble_window_counts,
               regvar.er_diagnostic, regvar.invert_scaling,
               renewal.renewal_sequence, renewal.trimmed_sum_trials,
               lattice.translate_counts, lattice.walk_sample,
@@ -83,3 +81,20 @@ def test_traced_functions_are_public():
         assert inspect.isfunction(fn) and not fn.__name__.startswith("_")
         assert getattr(module, fn.__name__) is fn
     assert all(fn.__name__.startswith("run_") for fn in cli.RUNNERS.values())
+
+
+def test_perfbench_reads_exist():
+    # every module attribute that a perfbench script reads, such as
+    # rankone.sample_name or cli.RUNNERS, is still defined
+    modules = {m.__name__.rpartition(".")[2]: m
+               for m in (birkhoff, cli, lattice, rankone, regvar, renewal)}
+    reads, missing = set(), []
+    for path in sorted(PERFBENCH.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                    and node.value.id in modules):
+                reads.add(f"{node.value.id}.{node.attr}")
+                if not hasattr(modules[node.value.id], node.attr):
+                    missing.append(f"{path.name}:{node.lineno} {node.value.id}.{node.attr}")
+    assert {"rankone.sample_name", "rankone.expand_word", "cli.run"} <= reads
+    assert not missing, missing

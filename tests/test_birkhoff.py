@@ -23,32 +23,36 @@ def chacon():
     return rk.load_preset("chacon")
 
 
+def _ensemble(data, seeds, cps):
+    """Series of the seeds' names counted together on one tower, as a rank-one run counts them."""
+    tower = rk.Tower(data)
+    return bk.series_from_names([rk.NameSampler(tower, s) for s in seeds], cps)
+
+
 # -- series construction -------------------------------------------------------
 
 
 def test_series_from_name_odometer(odometer):
-    series = bk.series_from_name(rk.sample_name(odometer, 0), (1, 2, 4))
-    assert series.sigma == (3, 5, 9)
-    assert series.s_plus == (2, 3, 5)
-    assert series.s_minus == (2, 3, 5)
+    for series in _ensemble(odometer, range(3), (1, 2, 4)):
+        assert series.sigma == (3, 5, 9)
+        assert series.s_plus == (2, 3, 5)
+        assert series.s_minus == (2, 3, 5)
 
 
 def test_series_checkpoint_zero(chacon):
-    series = bk.series_from_name(rk.sample_name(chacon, 5), (0, 3))
-    assert series.sigma[0] == 1
-    assert series.s_plus[0] == series.s_minus[0] == 1
+    for series in _ensemble(chacon, range(3, 6), (0, 3)):
+        assert series.sigma[0] == 1
+        assert series.s_plus[0] == series.s_minus[0] == 1
 
 
 def test_series_chacon_bracket(chacon):
-    for seed in range(5):
-        series = bk.series_from_name(rk.sample_name(chacon, seed), (13,))
+    for series in _ensemble(chacon, range(5), (13,)):
         assert 9 <= series.sigma[0] <= 27
 
 
 def test_series_consistency_identity(chacon):
     cps = (1, 2, 4, 8, 16, 64, 256, 1024)
-    for seed in range(4):
-        series = bk.series_from_name(rk.sample_name(chacon, seed), cps)
+    for series in _ensemble(chacon, range(4), cps):
         for n, sp, sm, sg in zip(series.checkpoints, series.s_plus,
                                  series.s_minus, series.sigma):
             assert sg == sp + sm - 1
@@ -74,8 +78,7 @@ def test_series_validation():
 def test_normalized_stats_odometer_band(odometer):
     cps = tuple(2 ** e for e in range(4, 14))
     scaling = rk.rank_one_scaling(rk.Tower(odometer))
-    ensemble = [bk.series_from_name(rk.sample_name(odometer, s), cps)
-                for s in range(3)]
+    ensemble = _ensemble(odometer, range(3), cps)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         stats = bk.normalized_stats(ensemble, scaling, burn_in=16)
@@ -105,8 +108,7 @@ def test_normalized_stats_walk_identity_scaling():
 def test_normalized_stats_running_extrema_and_monotonicity(chacon):
     cps = tuple(2 ** e for e in range(4, 15))
     scaling = rk.rank_one_scaling(rk.Tower(chacon))
-    ens = [bk.series_from_name(rk.sample_name(chacon, spawn(3, i)), cps)
-           for i in range(4)]
+    ens = _ensemble(chacon, [spawn(3, i) for i in range(4)], cps)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         small = bk.normalized_stats(ens[:2], scaling, burn_in=16)
@@ -124,8 +126,8 @@ def test_normalized_stats_horizon_monotonicity(chacon):
     cps_short = tuple(2 ** e for e in range(4, 10))
     cps_long = tuple(2 ** e for e in range(4, 14))
     scaling = rk.rank_one_scaling(rk.Tower(chacon))
-    short = bk.series_from_name(rk.sample_name(chacon, 8), cps_short)
-    long = bk.series_from_name(rk.sample_name(chacon, 8), cps_long)
+    (short,) = _ensemble(chacon, [8], cps_short)
+    (long,) = _ensemble(chacon, [8], cps_long)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         s1 = bk.normalized_stats([short], scaling, burn_in=16)
@@ -148,17 +150,17 @@ def test_normalized_stats_validation(chacon):
     scaling = rk.rank_one_scaling(rk.Tower(chacon))
     with pytest.raises(ValueError):
         bk.normalized_stats([], scaling, burn_in=16)
-    series = bk.series_from_name(rk.sample_name(chacon, 1), (4, 8))
+    (series,) = _ensemble(chacon, [1], (4, 8))
     with pytest.raises(ValueError):
         bk.normalized_stats([series], scaling, burn_in=100)
-    other = bk.series_from_name(rk.sample_name(chacon, 2), (4, 16))
+    (other,) = _ensemble(chacon, [2], (4, 16))
     with pytest.raises(ValueError, match="share their checkpoints"):
         bk.normalized_stats([series, other], scaling, burn_in=4)
 
 
 def test_series_rows_columns(chacon):
     scaling = rk.rank_one_scaling(rk.Tower(chacon))
-    series = bk.series_from_name(rk.sample_name(chacon, 1), (1, 13))
+    (series,) = _ensemble(chacon, [1], (1, 13))
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         stats = bk.normalized_stats([series], scaling, burn_in=1)
@@ -180,7 +182,7 @@ def test_scaling_evaluated_once_per_checkpoint(chacon):
 
     scaling = ScalingSequence(counted, "counted")
     cps = (0, 1, 13, 40, 1000)
-    ensemble = [bk.series_from_name(rk.sample_name(chacon, s), cps) for s in range(3)]
+    ensemble = _ensemble(chacon, range(3), cps)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         stats = bk.normalized_stats(ensemble, scaling, burn_in=1)
@@ -209,7 +211,7 @@ def test_checkpoint_past_burn_in_below_domain():
 
 def test_series_rows_checkpoint_zero(chacon):
     scaling = rk.rank_one_scaling(rk.Tower(chacon))
-    series = bk.series_from_name(rk.sample_name(chacon, 5), (0, 13))
+    (series,) = _ensemble(chacon, [5], (0, 13))
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         stats = bk.normalized_stats([series], scaling, burn_in=13)

@@ -336,6 +336,11 @@ def _arg_id(arg):
     ["rank-one", "--preset", "chacon", "--radius", "-3"],
     ["renewal", "--dist", {"kind": "finite", "mass": [[1, "x"]]}, "--n", "5"],
     ["renewal", "--dist", {"kind": "geometric"}, "--n", "5"],
+    # an atom is a JSON integer: 1.5 does not run as 1, nor true as delta:1
+    ["renewal", "--dist", {"kind": "finite", "mass": [[1.5, 0.5], [2.9, 0.5]]}, "--n", "5"],
+    ["renewal", "--dist", {"kind": "finite", "mass": [[True, 1.0]]}, "--n", "5"],
+    # delta:5 renews first at time 5: a_u(3) = 0, and no walk ratio exists
+    ["walk", "--dist", "delta:5", "--N", "3", "--seeds", "1"],
 ], ids=lambda args: " ".join(map(_arg_id, args)))
 def test_exit_code_bad_value(args, tmp_path, capsys):
     argv = []

@@ -117,20 +117,31 @@ def test_translate_validation():
 # -- walk samples -----------------------------------------------------------------
 
 
+def _s(walk, k):
+    """s_k, k in [-J, J], read from the kept partial sums."""
+    if k > 0:
+        return int(walk.s_forward[k - 1])
+    return -int(walk.s_backward_mag[-k - 1]) if k < 0 else 0
+
+
+def _omega(walk, j):
+    """omega_j, j in [-J, J - 1], read from the step arrays."""
+    return int(walk.omega_forward[j] if j >= 0 else walk.omega_backward[-j - 1])
+
+
 def test_walk_sample_delta_identity():
     d1 = rn.FiniteSupport.delta(1)
     walk = lt.walk_sample(d1, 0, J=5)
-    assert [walk.s(k) for k in range(-5, 6)] == list(range(-5, 6))
+    assert [_s(walk, k) for k in range(-5, 6)] == list(range(-5, 6))
 
 
 def test_walk_sample_three_case_definition():
     g = rn.Geometric(0.5)
     walk = lt.walk_sample(g, 4, J=50)
-    assert walk.s(0) == 0
     for k in range(1, 51):
-        assert walk.s(k) == sum(walk.omega(j) for j in range(k))
+        assert _s(walk, k) == sum(_omega(walk, j) for j in range(k))
     for k in range(1, 51):
-        assert walk.s(-k) == -sum(walk.omega(-j) for j in range(1, k + 1))
+        assert _s(walk, -k) == -sum(_omega(walk, -j) for j in range(1, k + 1))
 
 
 def test_walk_shift_relation():
@@ -138,8 +149,8 @@ def test_walk_shift_relation():
     g = rn.Geometric(0.5)
     walk = lt.walk_sample(g, 9, J=40)
     for k in range(1, 41):
-        shifted = sum(walk.omega(j - k) for j in range(k))
-        assert walk.s(-k) == -shifted
+        shifted = sum(_omega(walk, j - k) for j in range(k))
+        assert _s(walk, -k) == -shifted
 
 
 @pytest.mark.parametrize("f", [
@@ -157,8 +168,6 @@ def test_walk_sample_replays_its_stream(f):
         assert np.array_equal(walk.s_backward_mag, np.cumsum(bwd))
         assert np.array_equal(walk.omega_forward, fwd)
         assert np.array_equal(walk.omega_backward, bwd)
-        assert [walk.omega(j) for j in (0, J - 1, -1, -J)] == \
-            [fwd[0], fwd[-1], bwd[0], bwd[-1]]
 
 
 def test_walk_monotone_and_lln():
@@ -172,11 +181,6 @@ def test_walk_monotone_and_lln():
 def test_walk_sample_validation():
     with pytest.raises(ValueError):
         lt.walk_sample(rn.Geometric(0.5), 0, J=0)
-    walk = lt.walk_sample(rn.Geometric(0.5), 0, J=10)
-    with pytest.raises(IndexError):
-        walk.omega(10)
-    with pytest.raises(IndexError):
-        walk.s(11)
 
 
 def test_walk_sample_overflow_guard():
@@ -219,7 +223,7 @@ def test_walk_counts_equal_direct_scan():
     for seed in range(8):
         walk = lt.walk_sample(g, spawn(13, seed), J=300)
         res = lt.walk_counts(walk, 300, renewal=seq)
-        s_vals = np.array([walk.s(k) for k in range(-300, 301)])
+        s_vals = np.array([_s(walk, k) for k in range(-300, 301)])
         assert res.count == int(np.count_nonzero(np.abs(s_vals) <= 300))
 
 

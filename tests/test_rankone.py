@@ -5,7 +5,8 @@ import json
 import math
 import warnings
 from bisect import bisect_right
-from fractions import Fraction
+from itertools import accumulate
+from operator import mul
 
 import numpy as np
 import pytest
@@ -14,7 +15,7 @@ from hypothesis import strategies as st
 
 from ergosum import cli
 from ergosum import rankone as rk
-from ergosum.birkhoff import series_from_name, series_from_names
+from ergosum.birkhoff import series_from_names
 from ergosum.errors import (
     ConfigError,
     DepthCapError,
@@ -35,8 +36,9 @@ def presets():
 
 def test_preset_roundtrip(presets):
     for data in presets.values():
-        again = rk.ConstructionData.from_json(data.to_json())
-        assert again == data
+        doc = {"stages": [{"c": st.c, "spacers": list(st.spacers)} for st in data.stages],
+               "repeat_from": data.repeat_from, "name": data.name}
+        assert rk.ConstructionData.from_json(json.dumps(doc)) == data
 
 
 def test_stage_validation():
@@ -53,7 +55,7 @@ def test_stage_validation():
 def test_finite_data_exhausts():
     data = rk.ConstructionData((rk.Stage(2, (0, 0)),), repeat_from=None)
     with pytest.raises(StageDataExhaustedError):
-        rk.tower_stats(data, 5)
+        rk.Tower(data).q(5)
 
 
 def test_repeating_suffix_cycles():
@@ -67,42 +69,58 @@ def test_repeating_suffix_cycles():
     assert data.stage(5).c == 2
 
 
-# -- tower stats --------------------------------------------------------------
+# -- tower heights and cut products ----------------------------------------------
+
+
+def _heights_and_cuts(data, n_max):
+    """[q_1..q_{n_max}] and [C_1..C_{n_max}] from the stage data alone.
+
+    q_{n+1} = c_n q_n + the stage-n spacers, a "2q" entry counting 2 q_n,
+    and C_n = c_1 ... c_n; no tower is built.
+    """
+    q = [1]
+    for n in range(1, n_max):
+        stage = data.stage(n)
+        q.append(stage.c * q[-1] + sum(2 * q[-1] if s == rk.SPACER_TOKEN else s
+                                       for s in stage.spacers))
+    return q, list(accumulate((data.stage(n).c for n in range(1, n_max + 1)), mul))
+
+
+def _tower_heights_and_cuts(data, n_max):
+    """The same lists as read from a tower: its heights, and C_n = a(q_n)."""
+    tower = rk.Tower(data)
+    scaling = rk.rank_one_scaling(tower)
+    q = [tower.q(n) for n in range(1, n_max + 1)]
+    return q, [scaling(h) for h in q]
 
 
 def test_tower_stats_odometer(presets):
-    ts = rk.tower_stats(presets["odometer"], 4)
-    assert ts.q == (1, 2, 4, 8)
-    assert ts.C == (2, 4, 8, 16)
-    assert all(m == 0 for m in ts.spacer_mass_partial)
-    assert ts.total_measure_partial() == 1
+    q, C = _tower_heights_and_cuts(presets["odometer"], 4)
+    assert q == [1, 2, 4, 8]
+    assert C == [2, 4, 8, 16]
 
 
 def test_tower_stats_chacon(presets):
-    ts = rk.tower_stats(presets["chacon"], 4)
-    assert ts.q == (1, 4, 13, 40)
-    assert ts.C == (3, 9, 27, 81)
-    assert ts.spacer_mass_partial[2] == Fraction(13, 27)
+    q, C = _tower_heights_and_cuts(presets["chacon"], 4)
+    assert q == [1, 4, 13, 40]
+    assert C == [3, 9, 27, 81]
 
 
 def test_tower_stats_heavy2q(presets):
-    ts = rk.tower_stats(presets["heavy2q"], 3)
-    assert ts.q == (1, 4, 16)
-    assert ts.C == (2, 4, 8)
-    # per-stage mass terms are 2 q_n / 2^n = 2^(n-1): diverging total measure
-    assert ts.spacer_mass_partial == (1, 3, 7)
+    q, C = _tower_heights_and_cuts(presets["heavy2q"], 3)
+    assert q == [1, 4, 16]
+    assert C == [2, 4, 8]
 
 
 def test_tower_recursion_deep(presets):
     for data in presets.values():
-        ts = rk.tower_stats(data, 64)
-        for n in range(63):
-            c = data.stage(n + 1).c
-            spacers = rk.Tower(data).spacers(n + 1)
-            assert ts.q[n + 1] == c * ts.q[n] + sum(spacers)
-        assert all(b > a for a, b in zip(ts.C, ts.C[1:]))
-        assert all(b >= a for a, b in
-                   zip(ts.spacer_mass_partial, ts.spacer_mass_partial[1:]))
+        q, C = _heights_and_cuts(data, 64)
+        assert _tower_heights_and_cuts(data, 64) == (q, C)
+        tower = rk.Tower(data)
+        for n in range(1, 64):
+            assert tower.spacers(n) == tuple(2 * q[n - 1] if s == rk.SPACER_TOKEN else s
+                                             for s in data.stage(n).spacers)
+        assert all(b > a for a, b in zip(C, C[1:]))
 
 
 @given(st.lists(st.tuples(st.integers(2, 4),
@@ -111,14 +129,14 @@ def test_tower_recursion_deep(presets):
 def test_tower_recursion_random(stage_specs):
     stages = tuple(rk.Stage(c, tuple(sp[:c])) for c, sp in stage_specs)
     data = rk.ConstructionData(stages, repeat_from=0)
-    ts = rk.tower_stats(data, 8)
+    tower_q, tower_C = _tower_heights_and_cuts(data, 8)
     q = 1
     cut = 1
     for n in range(1, 9):
         st_n = data.stage(n)
-        assert ts.q[n - 1] == q
+        assert tower_q[n - 1] == q
         cut *= st_n.c
-        assert ts.C[n - 1] == cut
+        assert tower_C[n - 1] == cut
         q = st_n.c * q + sum(st_n.spacers)
 
 
@@ -166,8 +184,8 @@ def _scalar_prefixes(tower, positions):
 
 
 def _scalar_series(data, seed, cps):
-    """(s_plus, s_minus, sigma) per checkpoint, from scalar descents."""
-    sampler = rk.sample_name(data, seed)
+    """(s_plus, s_minus, sigma) per checkpoint, from scalar descents on a fresh tower."""
+    sampler = rk.NameSampler(rk.Tower(data), seed)
     rows = []
     for n in cps:
         off = sampler.center_offset(sampler.ensure_window(n))
@@ -269,26 +287,31 @@ def test_window_counts_at_top_level_of_finite_construction():
 # -- words ---------------------------------------------------------------------
 
 
+def _letters(data, level):
+    """The level word as a string, B for base and s for spacer."""
+    return "".join("B" if x else "s" for x in rk.expand_word(data, level).symbols)
+
+
 def test_expand_word_examples(presets):
-    assert rk.expand_word(presets["odometer"], 3).to_string() == "BBBB"
-    w = rk.expand_word(presets["chacon"], 3)
-    assert w.to_string() == "BBsBBBsBsBBsB"
+    assert _letters(presets["odometer"], 3) == "BBBB"
+    assert _letters(presets["chacon"], 3) == "BBsBBBsBsBBsB"
+    w = rk.expand_word(presets["chacon"], 3).symbols
     assert len(w) == 13
-    assert w.base_count == 9
-    assert rk.expand_word(presets["heavy2q"], 2).to_string() == "BBss"
-    assert rk.expand_word(presets["odometer"], 1).to_string() == "B"
+    assert int(w.sum()) == 9
+    assert _letters(presets["heavy2q"], 2) == "BBss"
+    assert _letters(presets["odometer"], 1) == "B"
 
 
 def test_word_structural_identities(presets):
     # |B_n| = q_n and base-count(B_n) = C_{n-1}, up to q_n <= 1e5
     for data in presets.values():
-        ts = rk.tower_stats(data, 24)
+        q, C = _heights_and_cuts(data, 24)
         for n in range(1, 25):
-            if ts.q[n - 1] > 10 ** 5:
+            if q[n - 1] > 10 ** 5:
                 break
-            w = rk.expand_word(data, n)
-            assert len(w) == ts.q[n - 1]
-            assert w.base_count == (1 if n == 1 else ts.C[n - 2])
+            w = rk.expand_word(data, n).symbols
+            assert len(w) == q[n - 1]
+            assert int(w.sum()) == (1 if n == 1 else C[n - 2])
 
 
 def test_expand_budget_error(presets):
@@ -301,7 +324,7 @@ def test_expand_budget_error(presets):
 
 
 def test_sample_name_forced_chacon(presets):
-    s = rk.sample_name(presets["chacon"], 0, choices=[3])
+    s = rk.NameSampler(rk.Tower(presets["chacon"]), 0, choices=[3])
     s.ensure_level(2)
     assert s.center_offset(2) == 3
     w = rk.expand_word(presets["chacon"], 2)
@@ -309,30 +332,32 @@ def test_sample_name_forced_chacon(presets):
 
 
 def test_sample_name_forced_heavy2q(presets):
-    s = rk.sample_name(presets["heavy2q"], 0, choices=[1])
+    s = rk.NameSampler(rk.Tower(presets["heavy2q"]), 0, choices=[1])
     s.ensure_level(2)
     assert s.center_offset(2) == 0
 
 
 def test_sampler_deterministic(presets):
-    a = rk.sample_name(presets["chacon"], 42)
-    b = rk.sample_name(presets["chacon"], 42)
-    rk.window_counts(a, 1000)
-    rk.window_counts(b, 10)
-    rk.window_counts(b, 1000)
-    assert a.column_choices == b.column_choices
-    assert a.center_offset() == b.center_offset()
+    # two samplers of one seed on one tower, one of them counted earlier at
+    # a smaller radius, draw the same columns: the same centre at every level
+    tower = rk.Tower(presets["chacon"])
+    a, b = rk.NameSampler(tower, 42), rk.NameSampler(tower, 42)
+    rk.ensemble_window_counts([b], 10)
+    wa, wb = rk.ensemble_window_counts([a, b], 1000)
+    assert wa == wb and a.level == b.level
+    assert ([a.center_offset(lev) for lev in range(1, a.level + 1)]
+            == [b.center_offset(lev) for lev in range(1, b.level + 1)])
 
 
 def test_forced_choice_validation(presets):
-    s = rk.sample_name(presets["odometer"], 0, choices=[5])
+    s = rk.NameSampler(rk.Tower(presets["odometer"]), 0, choices=[5])
     with pytest.raises(ConfigError):
         s.ensure_level(2)
 
 
 def test_samplers_share_one_tower(presets):
-    # samplers on one tower, taking turns to extend it, give the series of
-    # the same seeds on fresh towers
+    # samplers on one tower, taking turns to extend it, give the scalar
+    # descents of the same seeds on fresh towers
     cps = tuple(2 ** e for e in range(0, 41, 3))
     for data in presets.values():
         tower = rk.Tower(data)
@@ -345,13 +370,12 @@ def test_samplers_share_one_tower(presets):
             for k, w in zip(order, windows):
                 rows[k].append((w.s_plus, w.s_minus, w.sigma))
         for i, got in enumerate(rows):
-            fresh = series_from_name(rk.sample_name(data, spawn(19, i)), cps)
-            assert got == list(zip(fresh.s_plus, fresh.s_minus, fresh.sigma))
+            assert got == _scalar_series(data, spawn(19, i), cps)
 
 
 def test_center_symbol_is_base_every_level(presets):
     for data in presets.values():
-        s = rk.sample_name(data, 9)
+        s = rk.NameSampler(rk.Tower(data), 9)
         s.ensure_level(8)
         offsets = [s.center_offset(level) + d for level in range(1, 9) for d in (0, 1)]
         counts = s.tower.prefix_counts(offsets)
@@ -374,53 +398,58 @@ def test_center_invariant_checked_for_every_sampler(presets):
 # -- window counting -------------------------------------------------------------
 
 
+def _windows(data, seeds, radius):
+    """Window counts of the seeds' names, counted together on one tower."""
+    tower = rk.Tower(data)
+    return rk.ensemble_window_counts([rk.NameSampler(tower, s) for s in seeds], radius)
+
+
 def test_window_counts_trivia(presets):
-    s = rk.sample_name(presets["odometer"], 3)
-    w = rk.window_counts(s, 8)
-    assert (w.left, w.center, w.right) == (8, 1, 8)
-    assert w.sigma == 17
+    for w in _windows(presets["odometer"], range(3), 8):
+        assert (w.left, w.center, w.right) == (8, 1, 8)
+        assert w.sigma == 17
     for data in presets.values():
-        assert rk.window_counts(rk.sample_name(data, 1), 0).sigma == 1
+        assert [w.sigma for w in _windows(data, range(3), 0)] == [1, 1, 1]
 
 
 def test_window_counts_chacon_bracket(presets):
-    for seed in range(10):
-        s = rk.sample_name(presets["chacon"], seed)
-        sigma = rk.window_counts(s, 13).sigma
-        assert 9 <= sigma <= 27
+    for w in _windows(presets["chacon"], range(10), 13):
+        assert 9 <= w.sigma <= 27
 
 
 def test_bracketing_all_presets(presets):
     # window of radius q_n contains a full level-n word and meets at most 3
     for data in presets.values():
-        ts = rk.tower_stats(data, 7)
-        for seed in range(5):
-            s = rk.sample_name(data, spawn(11, seed))
-            for n in range(2, 8):
-                sigma = rk.window_counts(s, ts.q[n - 1]).sigma
-                c_prev = ts.C[n - 2]
-                assert c_prev <= sigma <= 3 * c_prev
+        q, C = _heights_and_cuts(data, 7)
+        tower = rk.Tower(data)
+        samplers = [rk.NameSampler(tower, spawn(11, seed)) for seed in range(5)]
+        for n in range(2, 8):
+            c_prev = C[n - 2]
+            for w in rk.ensemble_window_counts(samplers, q[n - 1]):
+                assert c_prev <= w.sigma <= 3 * c_prev
 
 
 def test_window_oracle_equivalence(presets):
-    # lazy counts equal brute-force counts on materialized words, exactly
+    # lazy counts equal brute-force counts on materialized words, exactly;
+    # the names of each preset share one tower
     rng = np.random.default_rng(12345)
     names = list(rk.PRESETS)
+    towers = {name: rk.Tower(presets[name]) for name in names}
     checked = 0
     resamples = 0
     while checked < 100:
-        data = presets[names[checked % 3]]
+        name = names[checked % 3]
         radius = int(rng.integers(0, 2000))
         seed = int(rng.integers(0, 2 ** 32))
-        s = rk.sample_name(data, seed)
+        s = rk.NameSampler(towers[name], seed)
         level = s.ensure_window(radius)
         if s.tower.q(level) > 10 ** 6:
             resamples += 1
             assert resamples < 50
             continue
-        word = rk.expand_word(data, level, budget=10 ** 6).symbols
+        word = rk.expand_word(presets[name], level, budget=10 ** 6).symbols
         off = s.center_offset(level)
-        w = rk.window_counts(s, radius)
+        (w,) = rk.ensemble_window_counts([s], radius)
         assert w.left == int(word[off - radius:off].sum())
         assert w.right == int(word[off + 1:off + radius + 1].sum())
         assert word[off] == rk.BASE
@@ -428,9 +457,9 @@ def test_window_oracle_equivalence(presets):
 
 
 def test_depth_cap(presets):
-    s = rk.sample_name(presets["odometer"], 0, choices=[1] * 50)
+    s = rk.NameSampler(rk.Tower(presets["odometer"]), 0, choices=[1] * 50)
     with pytest.raises(DepthCapError):
-        rk.window_counts(s, 4, depth_cap=30)
+        rk.ensemble_window_counts([s], 4, depth_cap=30)
 
 
 # -- scaling ----------------------------------------------------------------------
@@ -451,14 +480,14 @@ def test_rank_one_scaling_monotone_step(presets):
         sc = rk.rank_one_scaling(rk.Tower(data))
         values = [sc(n) for n in range(1, 200)]
         assert all(b >= a for a, b in zip(values, values[1:]))
-        ts = rk.tower_stats(data, 64)
-        levels = [nu for nu in range(1, 64) if ts.q[nu] <= 2 ** 62]
+        q, C = _heights_and_cuts(data, 64)
+        levels = [nu for nu in range(1, 64) if q[nu] <= 2 ** 62]
         assert len(levels) >= 31  # heavy2q, the fastest-growing preset, has 31
         for nu in levels:
             # right-continuous step: jumps exactly at the tower heights
-            assert sc(ts.q[nu - 1]) == ts.C[nu - 1]
-            assert sc(ts.q[nu] - 1) == ts.C[nu - 1]
-            assert sc(ts.q[nu]) == ts.C[nu]
+            assert sc(q[nu - 1]) == C[nu - 1]
+            assert sc(q[nu] - 1) == C[nu - 1]
+            assert sc(q[nu]) == C[nu]
 
 
 def test_scaling_sandwich(presets):
@@ -467,9 +496,10 @@ def test_scaling_sandwich(presets):
         max_c = max(stage.c for stage in data.stages)
         tower = rk.Tower(data)  # shared, as in a rank-one run
         sc = rk.rank_one_scaling(tower)
-        s = rk.NameSampler(tower, 77)
-        for n in (3, 10, 50, 211, 1024, 5000):
-            ratio = rk.window_counts(s, n).sigma / sc(n)
+        (series,) = series_from_names([rk.NameSampler(tower, 77)],
+                                      (3, 10, 50, 211, 1024, 5000))
+        for n, sigma in zip(series.checkpoints, series.sigma):
+            ratio = sigma / sc(n)
             assert 1 / (2 * max_c) <= ratio <= 3 * max_c
 
 
@@ -482,14 +512,15 @@ def test_window_oracle_random_constructions(data_strategy):
     c = data_strategy.draw(st.integers(2, 4))
     spacers = tuple(data_strategy.draw(
         st.lists(st.integers(0, 2), min_size=c, max_size=c)))
-    seed = data_strategy.draw(st.integers(0, 2 ** 20))
+    seeds = data_strategy.draw(st.lists(st.integers(0, 2 ** 20), min_size=1, max_size=4))
     radius = data_strategy.draw(st.integers(0, 200))
     data = rk.ConstructionData((rk.Stage(c, spacers),), repeat_from=0)
-    s = rk.sample_name(data, seed)
-    level = s.ensure_window(radius)
-    if s.tower.q(level) > 10 ** 5:
-        return
-    word = rk.expand_word(data, level, budget=10 ** 5).symbols
-    off = s.center_offset(level)
-    w = rk.window_counts(s, radius)
-    assert w.sigma == int(word[off - radius:off + radius + 1].sum())
+    tower = rk.Tower(data)
+    samplers = [rk.NameSampler(tower, seed) for seed in seeds]
+    for s, w in zip(samplers, rk.ensemble_window_counts(samplers, radius)):
+        level = s.ensure_window(radius)
+        if tower.q(level) > 10 ** 5:
+            continue
+        word = rk.expand_word(data, level, budget=10 ** 5).symbols
+        off = s.center_offset(level)
+        assert w.sigma == int(word[off - radius:off + radius + 1].sum())

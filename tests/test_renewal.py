@@ -47,16 +47,22 @@ def test_mass_sums_to_one(f):
 
 
 def test_spec_roundtrip():
-    for f in ALL_KINDS:
-        again = rn.LifetimeDistribution.from_spec(f.to_spec())
-        assert again.to_spec() == f.to_spec()
+    # the documents of a finite:@FILE spec, one per kind in ALL_KINDS
+    docs = [{"kind": "geometric", "p": 0.5}, {"kind": "geometric", "p": 0.25},
+            {"kind": "harmonic"}, {"kind": "power_tail", "gamma": 0.5},
+            {"kind": "finite", "mass": [[1, 1.0]]},
+            {"kind": "finite", "mass": [[2, 0.5], [1, 0.5]]},
+            {"kind": "finite", "mass": [[1, 0.3], [2, 0.3], [3, 0.4]]}]
+    again = [rn.LifetimeDistribution.from_spec(doc) for doc in docs]
+    assert [f.label for f in again] == [f.label for f in ALL_KINDS]
+    assert rn.LifetimeDistribution.from_spec({"kind": "power_tail", "gamma": 1}).label == (
+        "harmonic")
 
 
 def test_parse_shorthand():
     assert rn.LifetimeDistribution.parse("geometric:0.5").p == 0.5
     assert rn.LifetimeDistribution.parse("power:0.5").gamma == 0.5
-    assert rn.LifetimeDistribution.parse("harmonic").to_spec() == {
-        "kind": "power_tail", "gamma": 1.0}
+    assert rn.LifetimeDistribution.parse("harmonic").gamma == 1.0
     d = rn.LifetimeDistribution.parse("delta:3")
     assert d.points == (3,) and d.weights == (1.0,)
     with pytest.raises(ConfigError):
@@ -388,7 +394,7 @@ def test_b_horizon_error():
 
 def test_queen_geometric_values():
     qs = rn.queen_series(rn.Geometric(0.5), 10)
-    assert qs.Q(2) == pytest.approx(1 + 1 / 9, abs=1e-12)
+    assert qs.partial_sums[1] == pytest.approx(1 + 1 / 9, abs=1e-12)
     assert qs.terms[0] == 1.0
 
 
