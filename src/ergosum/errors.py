@@ -53,7 +53,8 @@ class DepthCapError(ResourceLimitError):
 
 
 class CoverageError(ResourceLimitError):
-    """A sampled walk does not reach the requested horizon on both sides."""
+    """A walk sample does not cover the requested horizon, or its kept partial
+    sums would overflow int64."""
 
 
 class ScalingHorizonError(ResourceLimitError):

@@ -7,7 +7,10 @@ integer inequality, the admissible second generator powers for each first
 power k form an integer interval whose clamped ends are floor terms linear
 in k, and a floor sum adds them up with no loop over k.  Walk orbits are
 counted by binary search over the monotone partial sums of the sampled
-steps.
+steps.  A walk draws only the steps its horizon reads, up to the first
+partial sum past it on each side, and jumps the generator past the rest of
+the forward block.  The stream layout is unchanged, so every count equals
+that of drawing both blocks whole.
 """
 
 from __future__ import annotations
@@ -21,7 +24,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import ConfigError, CoverageError, PrecisionWarning
-from .renewal import LifetimeDistribution, RenewalSequence, int64_sum_may_overflow
+from .renewal import (INT64_SUM_LIMIT, LifetimeDistribution, RenewalSequence,
+                      int64_sum_may_overflow)
 from .streams import normalize
 
 # a ratio within _RATIONAL_PRECISION of a rational with denominator at most
@@ -155,48 +159,86 @@ def translate_counts(action: TranslationAction, n_box: int) -> TranslateCount:
     return TranslateCount(count, count / (2 * n_box + 1))
 
 
+# steps drawn first on each side of a walk; each later chunk covers the gap
+# left to the horizon at the mean step so far, and at most quadruples the
+# draws made, as a heavy tail's sample mean grows with the sample
+_FIRST_CHUNK = 64
+
+
 @dataclass(frozen=True)
 class WalkSample:
-    """Partial sums s_k, k in [-J, J], of two-sided i.i.d. steps omega_j.
+    """Partial sums s_k of two-sided i.i.d. steps omega_j: on each side, those
+    up to and including the first one past J, at most J of them.
 
     s_k follows the three-case definition: sum of omega_0..omega_{k-1} for
     k >= 1, zero at k = 0, and -(omega_{-1} + ... + omega_{-|k|}) for
-    k <= -1.  Steps are >= 1, so s is strictly increasing in k.  Only the
-    sums are kept; every step is a difference omega_j = s_{j+1} - s_j.
+    k <= -1.  Steps are >= 1, so s is strictly increasing in k, and the
+    kept sums hold every s_k with |s_k| <= J.  Only the sums are kept;
+    every step is a difference omega_j = s_{j+1} - s_j.
     """
 
     J: int
-    s_forward: np.ndarray = field(repr=False)       # s_1 .. s_J
-    s_backward_mag: np.ndarray = field(repr=False)  # |s_{-1}| .. |s_{-J}|
+    s_forward: np.ndarray = field(repr=False)       # s_1, s_2, ...
+    s_backward_mag: np.ndarray = field(repr=False)  # |s_{-1}|, |s_{-2}|, ...
 
     @property
-    def omega_forward(self) -> np.ndarray:  # omega_0 .. omega_{J-1}
+    def omega_forward(self) -> np.ndarray:  # omega_0, omega_1, ...
         return np.diff(self.s_forward, prepend=0)
 
     @property
-    def omega_backward(self) -> np.ndarray:  # omega_{-1} .. omega_{-J}
+    def omega_backward(self) -> np.ndarray:  # omega_{-1}, omega_{-2}, ...
         return np.diff(self.s_backward_mag, prepend=0)
 
-    @property
-    def reach_forward(self) -> int:
-        return int(self.s_forward[-1])
 
-    @property
-    def reach_backward(self) -> int:
-        return int(self.s_backward_mag[-1])
+def _kept_sums(f: LifetimeDistribution, rng, J: int) -> tuple[np.ndarray, int]:
+    """Partial sums of draws from ``rng`` up to and including the first one
+    past J, at most J of them, and the number of draws made.
+
+    The draws come in chunks whose sizes depend only on the values drawn,
+    and the concatenated chunks are the first draws of one block.
+    """
+    parts, total, drawn = [], 0, 0
+    size = min(J, _FIRST_CHUNK)
+    while True:
+        steps = f.sample(rng, size)
+        drawn += size
+        may_overflow = int64_sum_may_overflow(steps, total)
+        if may_overflow:
+            # keep the steps whose float sums stay below the limit; unless
+            # one of those sums passes J, the first that does may overflow
+            below = total + np.cumsum(steps, dtype=np.float64) < INT64_SUM_LIMIT
+            steps = steps[:int(np.count_nonzero(below))]
+        sums = np.cumsum(steps, out=steps)
+        sums += total
+        kept = int(np.searchsorted(sums, J, side="right"))
+        if kept < len(sums):
+            parts.append(sums[:kept + 1])
+            break
+        if may_overflow:
+            raise CoverageError("walk partial sums would overflow int64")
+        parts.append(sums)
+        if drawn == J:
+            break
+        total = int(sums[-1])
+        size = min(J - drawn, 4 * drawn,
+                   max(_FIRST_CHUNK, -(-(J - total) * drawn // total)))
+    return np.concatenate(parts), drawn
 
 
 def walk_sample(f: LifetimeDistribution, seed, J: int) -> WalkSample:
-    """Draw the two-sided steps, forward block first; keep their partial sums."""
+    """Sample a two-sided walk for horizons up to J.
+
+    The stream holds a forward block of J draws, then a backward block of
+    J.  Each side draws only until its partial sums pass J, and the
+    generator jumps past the rest of the forward block, so the kept sums
+    equal those of drawing both blocks whole.
+    """
     if J < 1:
         raise ValueError("J must be >= 1")
     rng = normalize(seed)
-    fwd = f.sample(rng, J)
-    bwd = f.sample(rng, J)
-    for block in (fwd, bwd):
-        if int64_sum_may_overflow(block):
-            raise CoverageError("walk partial sums would overflow int64")
-        np.cumsum(block, out=block)
+    fwd, drawn = _kept_sums(f, rng, J)
+    f.skip(rng, J - drawn)
+    bwd, _ = _kept_sums(f, rng, J)  # nothing follows the backward block
     return WalkSample(J, fwd, bwd)
 
 
@@ -211,14 +253,15 @@ def walk_counts(sample: WalkSample, n_box: int,
     """Box count #{k in [-N, N] : |s_k| <= N} and its renewal normalization.
 
     Steps are >= 1, so |s_k| <= N already forces |k| <= N; the count comes
-    from two binary searches.  ``renewal`` is the renewal sequence of the
-    walk's step distribution, computed once by the caller for every trial;
-    it must extend to N and have a_u(N) > 0, a renewal by time N.
+    from two binary searches over the kept sums, which hold every s_k with
+    |s_k| <= J.  ``renewal`` is the renewal sequence of the walk's step
+    distribution, computed once by the caller for every trial; it must
+    extend to N and have a_u(N) > 0, a renewal by time N.
     """
-    if sample.reach_forward < n_box or sample.reach_backward < n_box:
+    if n_box > sample.J:
         raise CoverageError(
-            f"walk reaches [{-sample.reach_backward}, {sample.reach_forward}] "
-            f"but the horizon needs +-{n_box}; resample with J >= {n_box} "
+            f"walk sampled for J = {sample.J} but the horizon needs +-{n_box}; "
+            f"resample with J >= {n_box} "
             "(steps are >= 1, so J = horizon always covers)")
     fwd = int(np.searchsorted(sample.s_forward, n_box, side="right"))
     bwd = int(np.searchsorted(sample.s_backward_mag, n_box, side="right"))

@@ -30,6 +30,8 @@ _NEWTON_BASE = 64
 _INT64_VALUE_LIMIT = 2 ** 62
 # a float sum of int64 draws at or above this may overflow its int64 cumsum
 INT64_SUM_LIMIT = 4.0e18
+# draws made at a time when skipping draws means making them
+_SKIP_CHUNK = 1 << 16
 
 # power sums are added up directly to here; beyond, the first Euler-Maclaurin
 # term left out is below 1e-20
@@ -43,7 +45,10 @@ class LifetimeDistribution:
 
     Subclasses implement ``tail`` (vectorized), ``truncated_mean``,
     ``mean``, and ``sample``; everything here is derived.  All shipped
-    kinds invert the CDF in closed form, so sampling is exact.
+    kinds invert the CDF in closed form, so sampling is exact.  A kind
+    whose draws each read one 64-bit output of the generator overrides
+    ``skip`` with ``bit_generator.advance``, which PCG64, the generator of
+    every trial stream, has.
     """
 
     # -- core surface ---------------------------------------------------
@@ -72,6 +77,16 @@ class LifetimeDistribution:
         raise NotImplementedError
 
     # -- derived ---------------------------------------------------------
+
+    def skip(self, rng, count: int) -> None:
+        """Leave ``rng`` where ``sample(rng, count)`` would, without keeping the draws.
+
+        This default makes the draws, at most ``_SKIP_CHUNK`` at a time.
+        """
+        while count > 0:
+            size = min(count, _SKIP_CHUNK)
+            self.sample(rng, size)
+            count -= size
 
     def masses(self, n_max: int) -> np.ndarray:
         """Array m with m[k] = f_k for 1 <= k <= n_max (m[0] = 0)."""
@@ -145,6 +160,14 @@ class Geometric(LifetimeDistribution):
 
     def sample(self, rng, size: int) -> np.ndarray:
         return rng.geometric(self.p, size).astype(np.int64, copy=False)
+
+    def skip(self, rng, count: int) -> None:
+        # NumPy draws p >= 1/3 by a search over one uniform; below, it
+        # inverts a ziggurat exponential, which reads a varying number
+        if self.p >= 1.0 / 3.0:
+            rng.bit_generator.advance(count)
+        else:
+            super().skip(rng, count)
 
     @property
     def label(self) -> str:
@@ -221,6 +244,9 @@ class PowerTail(LifetimeDistribution):
                 "rerun with a different stream or a lighter tail")
         return nu.astype(np.int64)
 
+    def skip(self, rng, count: int) -> None:
+        rng.bit_generator.advance(count)  # one uniform per draw
+
     @property
     def label(self) -> str:
         return "harmonic" if self.gamma == 1.0 else f"power:{self.gamma!r}"
@@ -281,6 +307,9 @@ class FiniteSupport(LifetimeDistribution):
                          len(self.points) - 1)
         return self._ks[idx]
 
+    def skip(self, rng, count: int) -> None:
+        rng.bit_generator.advance(count)  # one uniform per draw
+
     @property
     def label(self) -> str:
         if len(self.points) == 1:
@@ -289,12 +318,13 @@ class FiniteSupport(LifetimeDistribution):
         return f"finite[{atoms}]"
 
 
-def int64_sum_may_overflow(draws: np.ndarray) -> bool:
-    """Whether the int64 partial sums of a block of draws may overflow.
+def int64_sum_may_overflow(draws: np.ndarray, start: int = 0) -> bool:
+    """Whether the int64 partial sums of a block of draws, added to ``start``,
+    may overflow.
 
     The float64 sum is accumulated in place, with no float copy of the block.
     """
-    return float(draws.sum(dtype=np.float64)) >= INT64_SUM_LIMIT
+    return start + float(draws.sum(dtype=np.float64)) >= INT64_SUM_LIMIT
 
 
 # -- renewal sequences ----------------------------------------------------

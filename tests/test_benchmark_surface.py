@@ -60,7 +60,13 @@ def test_walk_and_renewal_oracle_surface():
     f = cli.parse_distribution("geometric:0.5")
     sample = lattice.walk_sample(f, spawn(5, 0), J=64)
     assert sample.J == 64
-    assert len(sample.omega_forward) == len(sample.omega_backward) == 64
+    # the oracle recounts from the steps: each side's, up to the first
+    # partial sum past J, are the first of its block in a full replay
+    rng = spawn(5, 0)
+    blocks = f.sample(rng, 64), f.sample(rng, 64)
+    for steps, block in zip((sample.omega_forward, sample.omega_backward), blocks):
+        kept = min(int(np.count_nonzero(np.cumsum(block) <= 64)) + 1, 64)
+        assert np.array_equal(steps, block[:kept])
     seq = renewal.renewal_sequence(f, 64)
     assert len(seq.u) == 65
     # the tracer keys the renewal spans and counters by the engine's name

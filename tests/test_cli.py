@@ -11,11 +11,13 @@ import warnings
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import ergosum
 from ergosum import cli, rankone
 from ergosum.errors import PrecisionWarning
+from ergosum.streams import spawn
 
 
 def run_cli(args, tmp_path, name="out"):
@@ -140,6 +142,24 @@ def test_walk_table(tmp_path):
     _, rows = read_table(out / "walk.csv")
     assert [r["count"] for r in rows] == ["11", "11"]
     assert [r["ratio"] for r in rows] == ["2.2", "2.2"]
+
+
+def test_walk_reads_only_its_steps(tmp_path):
+    # trial 1 of master seed 4 draws a step near 2**62 in its backward
+    # block, past the first partial sum beyond N; drawn, it would overflow
+    # the int64 sums, so the walk draws only the steps it reads
+    n_box = 262144
+    code, out = run_cli(["walk", "--dist", "power:0.5", "--N", str(n_box),
+                         "--seeds", "40", "--seed", "4"], tmp_path)
+    assert code == 0
+    _, rows = read_table(out / "walk.csv")
+    # independent recount: the trial's 2N uniforms as power:0.5 steps in
+    # float64, whose partial sums are exact below 2**53
+    u = 1.0 - spawn(4, 1).random(2 * n_box)
+    steps = np.maximum(np.ceil(u ** -2.0 - 1.0), 1.0)
+    want = 1 + sum(int(np.count_nonzero(np.cumsum(block) <= n_box))
+                   for block in (steps[:n_box], steps[n_box:]))
+    assert rows[1]["seed"] == "1" and rows[1]["count"] == str(want)
 
 
 def test_regvar_tables(tmp_path):

@@ -118,15 +118,31 @@ def test_translate_validation():
 
 
 def _s(walk, k):
-    """s_k, k in [-J, J], read from the kept partial sums."""
+    """s_k, read from the kept partial sums."""
     if k > 0:
         return int(walk.s_forward[k - 1])
     return -int(walk.s_backward_mag[-k - 1]) if k < 0 else 0
 
 
 def _omega(walk, j):
-    """omega_j, j in [-J, J - 1], read from the step arrays."""
+    """omega_j, read from the step arrays."""
     return int(walk.omega_forward[j] if j >= 0 else walk.omega_backward[-j - 1])
+
+
+def _replay(f, rng, J):
+    """An independent replay of the trial stream: the partial sums of the
+    forward block of J draws, then of the backward block."""
+    fwd = np.cumsum(f.sample(rng, J))
+    return fwd, np.cumsum(f.sample(rng, J))
+
+
+def _check_kept(walk, replay):
+    """Each side keeps the replayed sums up to and including the first one
+    past J, and at most J of them."""
+    for kept, full in zip((walk.s_forward, walk.s_backward_mag), replay):
+        assert np.all(kept[:-1] <= walk.J)
+        assert kept[-1] > walk.J or len(kept) == walk.J
+        assert np.array_equal(kept, full[:len(kept)])
 
 
 def test_walk_sample_delta_identity():
@@ -138,9 +154,10 @@ def test_walk_sample_delta_identity():
 def test_walk_sample_three_case_definition():
     g = rn.Geometric(0.5)
     walk = lt.walk_sample(g, 4, J=50)
-    for k in range(1, 51):
+    _check_kept(walk, _replay(g, np.random.default_rng(4), 50))
+    for k in range(1, len(walk.s_forward) + 1):
         assert _s(walk, k) == sum(_omega(walk, j) for j in range(k))
-    for k in range(1, 51):
+    for k in range(1, len(walk.s_backward_mag) + 1):
         assert _s(walk, -k) == -sum(_omega(walk, -j) for j in range(1, k + 1))
 
 
@@ -148,7 +165,8 @@ def test_walk_shift_relation():
     # s_{-k}(omega) = -s_k(shift^{-k} omega), shift moving index j to j - k
     g = rn.Geometric(0.5)
     walk = lt.walk_sample(g, 9, J=40)
-    for k in range(1, 41):
+    _check_kept(walk, _replay(g, np.random.default_rng(9), 40))
+    for k in range(1, len(walk.s_backward_mag) + 1):
         shifted = sum(_omega(walk, j - k) for j in range(k))
         assert _s(walk, -k) == -shifted
 
@@ -157,25 +175,23 @@ def test_walk_shift_relation():
     rn.Geometric(0.5), rn.PowerTail(0.75), rn.FiniteSupport(((2, 0.3), (7, 0.7))),
 ], ids=lambda f: f.label)
 def test_walk_sample_replays_its_stream(f):
-    # an independent replay of the trial stream: the forward block of J
-    # draws, then the backward block
     J = 500
     for i in range(4):
         walk = lt.walk_sample(f, spawn(17, i), J=J)
-        rng = spawn(17, i)
-        fwd, bwd = f.sample(rng, J), f.sample(rng, J)
-        assert np.array_equal(walk.s_forward, np.cumsum(fwd))
-        assert np.array_equal(walk.s_backward_mag, np.cumsum(bwd))
-        assert np.array_equal(walk.omega_forward, fwd)
-        assert np.array_equal(walk.omega_backward, bwd)
+        fwd, bwd = _replay(f, spawn(17, i), J)
+        _check_kept(walk, (fwd, bwd))
+        for steps, sums in ((walk.omega_forward, fwd), (walk.omega_backward, bwd)):
+            assert np.array_equal(steps, np.diff(sums, prepend=0)[:len(steps)])
 
 
 def test_walk_monotone_and_lln():
     g = rn.Geometric(0.5)
     walk = lt.walk_sample(g, 11, J=10 ** 6)
+    _check_kept(walk, _replay(g, np.random.default_rng(11), 10 ** 6))
     assert np.all(np.diff(walk.s_forward) >= 1)
     assert np.all(np.diff(walk.s_backward_mag) >= 1)
-    assert abs(walk.reach_forward / 10 ** 6 - 2.0) <= 0.1
+    # mean step 2: the first sum past J comes after about J/2 steps
+    assert abs(len(walk.s_forward) / 10 ** 6 - 0.5) <= 0.025
 
 
 def test_walk_sample_validation():
@@ -190,9 +206,14 @@ def test_walk_sample_overflow_guard():
             return np.full(size, 2 ** 60, dtype=np.int64)
 
     f = HugeSteps(0.5)
-    assert lt.walk_sample(f, 0, J=3).reach_backward == 3 * 2 ** 60
+    # the third sum is the first past J and is kept; the draws after it
+    # would overflow, but no sum reads them
+    walk = lt.walk_sample(f, 0, J=3 * 2 ** 60 - 1)
+    sums = [2 ** 60, 2 * 2 ** 60, 3 * 2 ** 60]
+    assert walk.s_forward.tolist() == walk.s_backward_mag.tolist() == sums
+    # here the first sum past J is the fourth, which overflows
     with pytest.raises(CoverageError, match="overflow int64"):
-        lt.walk_sample(f, 0, J=4)
+        lt.walk_sample(f, 0, J=3 * 2 ** 60)
 
 
 # -- walk counts --------------------------------------------------------------------
@@ -222,8 +243,10 @@ def test_walk_counts_equal_direct_scan():
     seq = rn.renewal_sequence(g, 300)
     for seed in range(8):
         walk = lt.walk_sample(g, spawn(13, seed), J=300)
+        fwd, bwd = _replay(g, spawn(13, seed), 300)
+        _check_kept(walk, (fwd, bwd))
         res = lt.walk_counts(walk, 300, renewal=seq)
-        s_vals = np.array([_s(walk, k) for k in range(-300, 301)])
+        s_vals = np.concatenate([-bwd[::-1], [0], fwd])  # s_k, k in [-300, 300]
         assert res.count == int(np.count_nonzero(np.abs(s_vals) <= 300))
 
 
@@ -233,6 +256,19 @@ def test_walk_counts_coverage_error():
     with pytest.raises(CoverageError) as err:
         lt.walk_counts(walk, 10 ** 4, renewal=rn.renewal_sequence(g, 10 ** 4))
     assert "J >= 10000" in str(err.value)
+
+
+def test_walk_counts_horizon_past_J():
+    # the replayed sums reach past N, but the kept ones stop at the first
+    # sum past J, so J bounds the horizon
+    g = rn.Geometric(0.5)
+    walk = lt.walk_sample(g, 0, J=100)
+    fwd, bwd = _replay(g, np.random.default_rng(0), 100)
+    reach = int(min(fwd[-1], bwd[-1]))
+    for n_box in (101, reach):
+        assert 100 < n_box <= reach
+        with pytest.raises(CoverageError, match=f"J >= {n_box}"):
+            lt.walk_counts(walk, n_box, renewal=rn.renewal_sequence(g, n_box))
 
 
 def test_walk_counts_mean_density():
