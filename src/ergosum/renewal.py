@@ -32,6 +32,10 @@ _INT64_VALUE_LIMIT = 2 ** 62
 INT64_SUM_LIMIT = 4.0e18
 # draws made at a time when skipping draws means making them
 _SKIP_CHUNK = 1 << 16
+# NumPy draws geometric lifetimes from p = 1/3 up by a search over one uniform
+_SEARCH_MIN_P = 1.0 / 3.0
+# buckets of the guide table that starts that search; 4096 u is exact
+_GUIDE_SIZE = 4096
 
 # power sums are added up directly to here; beyond, the first Euler-Maclaurin
 # term left out is below 1e-20
@@ -44,11 +48,13 @@ class LifetimeDistribution:
     """Distribution of a positive-integer lifetime.
 
     Subclasses implement ``tail`` (vectorized), ``truncated_mean``,
-    ``mean``, and ``sample``; everything here is derived.  All shipped
-    kinds invert the CDF in closed form, so sampling is exact.  A kind
-    whose draws each read one 64-bit output of the generator overrides
-    ``skip`` with ``bit_generator.advance``, which PCG64, the generator of
-    every trial stream, has.
+    ``mean``, and ``sample``; everything here is derived.  Every shipped
+    kind samples exactly, by inversion: power tails in closed form, finite
+    supports and geometric p >= 1/3 by a search of their float CDF sums,
+    and geometric p < 1/3 as NumPy's ceil(-E / log1p(-p)) of an
+    exponential E.  A kind whose draws each read one 64-bit output of the
+    generator overrides ``skip`` with ``bit_generator.advance``, which
+    PCG64, the generator of every trial stream, has.
     """
 
     # -- core surface ---------------------------------------------------
@@ -132,39 +138,70 @@ class LifetimeDistribution:
             raise ConfigError(f"cannot parse lifetime distribution {text!r}: {exc}") from exc
         raise ConfigError(f"cannot parse lifetime distribution {text!r}")
 
-    def _uniform_tail(self, rng, size):
-        # U in (0, 1]; inverse-tail sampling needs U bounded away from 0
-        return 1.0 - rng.random(size)
-
 
 class Geometric(LifetimeDistribution):
-    """f_k = p (1-p)^(k-1) on k >= 1; F(n) = (1-p)^(n-1); mean 1/p."""
+    """f_k = p (1-p)^(k-1) on k >= 1; F(n) = (1-p)^(n-1); mean 1/p.
+
+    From p = 1/3 up, ``sample`` gives NumPy's ``rng.geometric`` draws from
+    the same uniforms, using only exact float operations.  NumPy returns
+    the least k with u <= s_k, where s_1 = p and s_k = s_{k-1} +
+    p (1-p)^(k-1) are float sums formed in a fixed order.  Those sums are
+    tabulated here until they reach 1 or stop changing (54 at p = 0.5, 90
+    at p = 1/3), and a guide table (Chen and Asau 1974; Devroye,
+    Non-Uniform Random Variate Generation, 1986, section III.2.4) starts
+    each search at the least k with s_k >= floor(4096 u) / 4096.  Where
+    the sums stop below 1 (0.9999999999999997 at p = 0.7), NumPy's search
+    never ends for a uniform above the last one; ``sample`` raises
+    SamplingHorizonError there.
+    """
 
     def __init__(self, p: float):
         if not 0.0 < p <= 1.0:
             raise ConfigError(f"geometric parameter must be in (0, 1], got {p}")
         self.p = float(p)
+        if self.p >= _SEARCH_MIN_P:
+            self._sums, self._guide = _search_table(self.p)
 
     def tail(self, n):
         n = np.asarray(n, dtype=np.float64)
         return np.power(1.0 - self.p, n - 1.0)
 
     def truncated_mean(self, n: int) -> float:
-        if self.p == 1.0:
+        if n < 1 or self.p == 1.0:
             return float(min(n, 1))
-        return (1.0 - (1.0 - self.p) ** n) / self.p
+        # L(n) = 1 + q (1 - q^(n-1)) / p: L(1) = 1 exactly, the limit is
+        # exactly 1/p at p = 2^-k, and expm1 keeps 1 - q^(n-1) from
+        # cancelling at small p
+        q = 1.0 - self.p
+        return 1.0 + q * -math.expm1((n - 1) * math.log1p(-self.p)) / self.p
 
     @property
     def mean(self) -> float:
         return 1.0 / self.p
 
     def sample(self, rng, size: int) -> np.ndarray:
-        return rng.geometric(self.p, size).astype(np.int64, copy=False)
+        if self.p < _SEARCH_MIN_P:
+            return rng.geometric(self.p, size).astype(np.int64, copy=False)
+        sums = self._sums
+        u = rng.random(size)
+        k = np.take(self._guide, (u * _GUIDE_SIZE).astype(np.intp))
+        # step on only the draws that still have u > s_k
+        pos = np.flatnonzero(np.take(sums, k) < u)
+        while pos.size:
+            ks = np.take(k, pos) + 1
+            k[pos] = ks
+            if ks.max() == len(sums) - 1:
+                raise SamplingHorizonError(
+                    f"geometric p={self.p!r} drew a uniform above its last CDF "
+                    f"sum {float(sums[-2])!r}, where NumPy's search never returns; "
+                    "rerun with a different stream")
+            pos = pos[np.take(sums, ks) < np.take(u, pos)]
+        return k
 
     def skip(self, rng, count: int) -> None:
-        # NumPy draws p >= 1/3 by a search over one uniform; below, it
-        # inverts a ziggurat exponential, which reads a varying number
-        if self.p >= 1.0 / 3.0:
+        # the search reads one uniform per draw; below p = 1/3, NumPy's
+        # ziggurat exponential reads a varying number
+        if self.p >= _SEARCH_MIN_P:
             rng.bit_generator.advance(count)
         else:
             super().skip(rng, count)
@@ -172,6 +209,28 @@ class Geometric(LifetimeDistribution):
     @property
     def label(self) -> str:
         return f"geometric:{self.p!r}"
+
+
+def _search_table(p: float) -> tuple[np.ndarray, np.ndarray]:
+    """NumPy's geometric search sums s_1..s_K, between a placeholder s_0 and
+    a sentinel s_{K+1} = inf, and the int64 guide g[b] = min(K, least k
+    with s_k >= b / _GUIDE_SIZE).  The cap at K makes a uniform above s_K
+    step onto the sentinel, where ``Geometric.sample`` reports it.
+    """
+    q = 1.0 - p
+    total = prod = p
+    sums = [0.0, total]
+    while total < 1.0:
+        prod *= q
+        if total + prod == total:
+            break
+        total += prod
+        sums.append(total)
+    sums.append(math.inf)
+    sums = np.array(sums)
+    cuts = np.arange(_GUIDE_SIZE) / _GUIDE_SIZE
+    guide = np.searchsorted(sums[1:-1], cuts, side="left") + 1
+    return sums, np.minimum(guide, len(sums) - 2).astype(np.int64)
 
 
 class PowerTail(LifetimeDistribution):
@@ -235,9 +294,14 @@ class PowerTail(LifetimeDistribution):
         return math.inf
 
     def sample(self, rng, size: int) -> np.ndarray:
-        u = self._uniform_tail(rng, size)
-        # nu >= n  iff  u < n^-gamma, so nu = max(1, ceil(u^(-1/gamma) - 1))
-        nu = np.maximum(np.ceil(np.power(u, -1.0 / self.gamma) - 1.0), 1.0)
+        # U = 1 - uniform is in (0, 1], bounded away from 0; nu >= n iff
+        # U < n^-gamma, so nu = max(1, ceil(U^(-1/gamma) - 1)), in one buffer
+        nu = rng.random(size)
+        np.subtract(1.0, nu, out=nu)
+        np.power(nu, -1.0 / self.gamma, out=nu)
+        np.subtract(nu, 1.0, out=nu)
+        np.ceil(nu, out=nu)
+        np.maximum(nu, 1.0, out=nu)
         if nu.max(initial=1.0) >= _INT64_VALUE_LIMIT:
             raise SamplingHorizonError(
                 f"power tail gamma={self.gamma} drew a lifetime >= 2**62; "

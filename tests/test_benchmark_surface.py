@@ -89,6 +89,13 @@ def test_traced_functions_are_public():
     assert all(fn.__name__.startswith("run_") for fn in cli.RUNNERS.values())
 
 
+def test_samplers_define_their_own_sample():
+    # the tracer wraps vars(cls)["sample"] as the renewal.sample span and
+    # counts renewal.draws from it; an inherited sample would read 0
+    for cls in (renewal.Geometric, renewal.PowerTail, renewal.FiniteSupport):
+        assert "sample" in vars(cls), cls.__name__
+
+
 def test_perfbench_reads_exist():
     # every module attribute that a perfbench script reads, such as
     # rankone.sample_name or cli.RUNNERS, is still defined

@@ -254,6 +254,28 @@ def test_renewal_rows_independent_of_blas_threads(tmp_path):
     assert bodies[0] == bodies[1]
 
 
+def test_walk_counts_independent_of_cpu_dispatch(tmp_path):
+    # NPY_DISABLE_CPU_FEATURES makes NumPy take the loops of an AVX2-only,
+    # then of a baseline x86-64 CPU; no walk count may depend on that
+    from numpy._core._multiarray_umath import __cpu_dispatch__
+    groups = ["X86_V4", "AVX512_ICL", "AVX512_SPR", "X86_V3"]
+    if not set(groups) <= set(__cpu_dispatch__):
+        pytest.skip("NumPy dispatches no x86-64 feature groups here")
+    src = str(Path(ergosum.__file__).resolve().parents[1])
+    counts = []
+    for disabled in (groups[:3], groups):
+        out = tmp_path / str(len(disabled))
+        env = dict(os.environ, NPY_DISABLE_CPU_FEATURES=",".join(disabled))
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        subprocess.run([sys.executable, "-m", "ergosum.cli", "walk", "--dist",
+                        "geometric:0.5", "--N", "4096", "--seeds", "8", "--out", str(out)],
+                       env=env, check=True, capture_output=True, timeout=120)
+        _, rows = read_table(out / "walk.csv")
+        counts.append([row["count"] for row in rows])
+    assert len(counts[0]) == 8
+    assert counts[0] == counts[1]
+
+
 def test_json_mirror_matches_csv(tmp_path):
     _, out = run_cli(["renewal", "--dist", "geometric:0.5", "--n", "5", "--json"],
                      tmp_path)
@@ -609,6 +631,15 @@ def test_exit_code_resource_error(tmp_path, capsys):
                      "--out", str(tmp_path)])
     assert code == cli.EXIT_RESOURCE
     assert "resource limit" in capsys.readouterr().err
+
+
+def test_trimmed_tiny_geometric_reaches_the_horizon(tmp_path, capsys):
+    # L(n) is about n at p = 1e-300, so a(n) stays near 1 and b(100) lies
+    # past the search horizon; the L(n) of 1 - (1-p)^n was 0 there
+    code = cli.main(["trimmed", "--dist", "geometric:1e-300", "--n", "100",
+                     "--trials", "1", "--out", str(tmp_path)])
+    assert code == cli.EXIT_RESOURCE
+    assert "at search horizon" in capsys.readouterr().err
 
 
 def test_exit_code_refused_allocation(tmp_path, capsys):
