@@ -245,7 +245,7 @@ def parse_scaling(spec: str) -> regvar.ScalingSequence:
         return regvar.ScalingSequence(lambda n: n, "identity")
     head, _, rest = spec.partition(":")
     if head == "tm":
-        return renewal.TruncatedMeanScaling(parse_distribution(rest)).as_scaling()
+        return renewal.truncated_mean_scaling(parse_distribution(rest))
     if head == "au":
         dist_spec, _, nmax = rest.rpartition(":")
         if not dist_spec or not nmax.isdigit():
@@ -343,7 +343,8 @@ def run_dyadic_tail(cfg: ExperimentConfig):
     v = cfg.values()
     f = parse_distribution(v["dist"])
     n_max = v["n"]
-    scaling = parse_scaling(v["scaling"] or f"tm:{v['dist']}")
+    scaling = (parse_scaling(v["scaling"]) if v["scaling"]
+               else renewal.truncated_mean_scaling(f))
     ds = renewal.dyadic_tail_series(f, scaling, v["t"], n_max)
     rows = [(n, 2 ** n, ds.b_values[n], ds.thresholds[n],
              float(ds.terms[n]), float(ds.partial_sums[n]))
@@ -356,13 +357,11 @@ def run_trimmed(cfg: ExperimentConfig):
     res = renewal.trimmed_sum_trials(parse_distribution(v["dist"]), v["n"],
                                      cfg.trials, cfg.seed)
     rows = [(i, float(r)) for i, r in enumerate(res.ratios)]
-    q = res.quantiles
-    summary = [(res.n, res.trials, res.b_n, res.mean, res.std,
-                q["q05"], q["q25"], q["q50"], q["q75"], q["q95"])]
+    summary = [(v["n"], cfg.trials, res.b_n, res.mean, res.std,
+                *res.quantiles.values())]
     return [("trimmed", ("trial", "ratio"), rows),
             ("trimmed_summary",
-             ("n", "trials", "b_n", "mean", "std",
-              "q05", "q25", "q50", "q75", "q95"),
+             ("n", "trials", "b_n", "mean", "std", *res.quantiles),
              summary)]
 
 
@@ -386,11 +385,14 @@ def run_walk(cfg: ExperimentConfig):
     f = parse_distribution(v["dist"])
     n_box = v["N"]
     seq = renewal.renewal_sequence(f, n_box)
+    a_u = float(seq.a_u[n_box])
+    if a_u == 0:
+        raise ConfigError(f"a_u(N) = 0 at N = {n_box}: no renewal by N")
 
     def trial(i):
         sample = lattice.walk_sample(f, spawn(cfg.seed, i), J=n_box)
-        res = lattice.walk_counts(sample, n_box, renewal=seq)
-        return (i, n_box, res.count, res.a_u_value, res.ratio_to_renewal)
+        count = lattice.walk_counts(sample, n_box)
+        return (i, n_box, count, a_u, count / a_u)
 
     rows = _map_trials(cfg, trial)
     return [("walk", ("seed", "N", "count", "a_u", "ratio"), rows)]
@@ -403,8 +405,8 @@ def run_regvar(cfg: ExperimentConfig):
         head, _, rest = spec.partition(":")
         if head != "tm":
             raise ConfigError("--sv needs a truncated-mean scaling (tm:DIST)")
-        tm = renewal.TruncatedMeanScaling(parse_distribution(rest))
-        rows = regvar.sv_diagnostic(tm.L, n_lo, n_hi, factor)
+        length = parse_distribution(rest).truncated_mean
+        rows = regvar.sv_diagnostic(length, n_lo, n_hi, factor)
         return [("regvar_sv", regvar.SVRow._fields, rows)]
     p_spec = v["p"]
     try:

@@ -10,7 +10,9 @@ counted by binary search over the monotone partial sums of the sampled
 steps.  A walk draws only the steps its horizon reads, up to the first
 partial sum past it on each side, and jumps the generator past the rest of
 the forward block.  The stream layout is unchanged, so every count equals
-that of drawing both blocks whole.
+that of drawing both blocks whole.  A walk count is a plain integer; its
+normalizer, the renewal prefix sum a_u(N) of the step distribution, is one
+number per run, read once by the caller.
 """
 
 from __future__ import annotations
@@ -24,8 +26,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import ConfigError, CoverageError, PrecisionWarning
-from .renewal import (INT64_SUM_LIMIT, LifetimeDistribution, RenewalSequence,
-                      int64_sum_may_overflow)
+from .renewal import INT64_SUM_LIMIT, LifetimeDistribution, int64_sum_may_overflow
 from .streams import normalize
 
 # a ratio within _RATIONAL_PRECISION of a rational with denominator at most
@@ -242,21 +243,12 @@ def walk_sample(f: LifetimeDistribution, seed, J: int) -> WalkSample:
     return WalkSample(J, fwd, bwd)
 
 
-class WalkCount(NamedTuple):
-    count: int
-    ratio_to_renewal: float
-    a_u_value: float
-
-
-def walk_counts(sample: WalkSample, n_box: int,
-                renewal: RenewalSequence) -> WalkCount:
-    """Box count #{k in [-N, N] : |s_k| <= N} and its renewal normalization.
+def walk_counts(sample: WalkSample, n_box: int) -> int:
+    """Box count #{k in [-N, N] : |s_k| <= N}.
 
     Steps are >= 1, so |s_k| <= N already forces |k| <= N; the count comes
     from two binary searches over the kept sums, which hold every s_k with
-    |s_k| <= J.  ``renewal`` is the renewal sequence of the walk's step
-    distribution, computed once by the caller for every trial; it must
-    extend to N and have a_u(N) > 0, a renewal by time N.
+    |s_k| <= J.
     """
     if n_box > sample.J:
         raise CoverageError(
@@ -265,10 +257,4 @@ def walk_counts(sample: WalkSample, n_box: int,
             "(steps are >= 1, so J = horizon always covers)")
     fwd = int(np.searchsorted(sample.s_forward, n_box, side="right"))
     bwd = int(np.searchsorted(sample.s_backward_mag, n_box, side="right"))
-    count = bwd + 1 + fwd
-    if renewal.n_max < n_box:
-        raise ValueError(f"renewal sequence only reaches {renewal.n_max} < {n_box}")
-    a_u_value = float(renewal.a_u[n_box])
-    if a_u_value == 0:
-        raise ValueError(f"a_u(N) = 0 at N = {n_box}: no renewal by N")
-    return WalkCount(count, count / a_u_value, a_u_value)
+    return bwd + 1 + fwd

@@ -1,12 +1,12 @@
 """Lifetime distributions on the positive integers and renewal scalings.
 
-A lifetime distribution provides masses f_k, the tail F(n) = P(nu >= n),
-the truncated mean L(n) = E(nu ^ n) = F(1) + ... + F(n), and exact
+A lifetime distribution provides the tail F(n) = P(nu >= n), the
+truncated mean L(n) = E(nu ^ n) = F(1) + ... + F(n), and exact
 inverse-CDF sampling.  On top of it sit the renewal sequence u
-(u_n = sum_k f_k u_{n-k}), the scaling a(n) = n / L(n) with its
-generalized inverse b, two diagnostic series returned as data (numerical
-truncation cannot decide convergence, so no verdict is attached), and
-trimmed-sum Monte Carlo.
+(u_n = sum_k f_k u_{n-k}, with masses f_k = F(k) - F(k+1)), the scaling
+a(n) = n / L(n) as a regvar.ScalingSequence, two diagnostic series
+returned as data (numerical truncation cannot decide convergence, so no
+verdict is attached), and trimmed-sum Monte Carlo.
 """
 
 from __future__ import annotations
@@ -47,14 +47,14 @@ _BERNOULLI = (Fraction(1, 6), Fraction(-1, 30), Fraction(1, 42), Fraction(-1, 30
 class LifetimeDistribution:
     """Distribution of a positive-integer lifetime.
 
-    Subclasses implement ``tail`` (vectorized), ``truncated_mean``,
-    ``mean``, and ``sample``; everything here is derived.  Every shipped
-    kind samples exactly, by inversion: power tails in closed form, finite
-    supports and geometric p >= 1/3 by a search of their float CDF sums,
-    and geometric p < 1/3 as NumPy's ceil(-E / log1p(-p)) of an
-    exponential E.  A kind whose draws each read one 64-bit output of the
-    generator overrides ``skip`` with ``bit_generator.advance``, which
-    PCG64, the generator of every trial stream, has.
+    Subclasses implement ``tail`` (vectorized), ``truncated_mean`` and
+    ``sample``; everything here is derived.  Every shipped kind samples
+    exactly, by inversion: power tails in closed form, finite supports and
+    geometric p >= 1/3 by a search of their float CDF sums, and geometric
+    p < 1/3 as NumPy's ceil(-E / log1p(-p)) of an exponential E.  A kind
+    whose draws each read one 64-bit output of the generator overrides
+    ``skip`` with ``bit_generator.advance``, which PCG64, the generator of
+    every trial stream, has.
     """
 
     # -- core surface ---------------------------------------------------
@@ -68,10 +68,6 @@ class LifetimeDistribution:
 
     def truncated_mean(self, n: int) -> float:
         """L(n) = F(1) + ... + F(n)."""
-        raise NotImplementedError
-
-    @property
-    def mean(self) -> float:
         raise NotImplementedError
 
     def sample(self, rng, size: int) -> np.ndarray:
@@ -93,13 +89,6 @@ class LifetimeDistribution:
             size = min(count, _SKIP_CHUNK)
             self.sample(rng, size)
             count -= size
-
-    def masses(self, n_max: int) -> np.ndarray:
-        """Array m with m[k] = f_k for 1 <= k <= n_max (m[0] = 0)."""
-        tails = self.tail(np.arange(1, n_max + 2, dtype=np.int64))
-        out = np.zeros(n_max + 1, dtype=np.float64)
-        out[1:] = tails[:-1] - tails[1:]
-        return out
 
     @staticmethod
     def from_spec(doc: dict) -> "LifetimeDistribution":
@@ -174,10 +163,6 @@ class Geometric(LifetimeDistribution):
         # cancelling at small p
         q = 1.0 - self.p
         return 1.0 + q * -math.expm1((n - 1) * math.log1p(-self.p)) / self.p
-
-    @property
-    def mean(self) -> float:
-        return 1.0 / self.p
 
     def sample(self, rng, size: int) -> np.ndarray:
         if self.p < _SEARCH_MIN_P:
@@ -289,10 +274,6 @@ class PowerTail(LifetimeDistribution):
         lead = math.log(x) if g == 1.0 else (x ** (1.0 - g) - 1.0) / (1.0 - g)
         return lead + (self._const + self._corrections(x, g))
 
-    @property
-    def mean(self) -> float:
-        return math.inf
-
     def sample(self, rng, size: int) -> np.ndarray:
         # U = 1 - uniform is in (0, 1], bounded away from 0; nu >= n iff
         # U < n^-gamma, so nu = max(1, ceil(U^(-1/gamma) - 1)), in one buffer
@@ -333,8 +314,12 @@ class FiniteSupport(LifetimeDistribution):
             raise ConfigError("duplicate support points")
         if ks[0] < 1:
             raise ConfigError("lifetimes must be >= 1")
-        if any(p < 0 for _, p in pairs):
-            raise ConfigError("masses must be >= 0")
+        if ks[-1] >= 2 ** 63:
+            raise ConfigError(f"lifetimes must be below 2**63, got {ks[-1]}")
+        # NaN fails this test, and masses <= 1 keep fsum from overflowing
+        bad = [p for _, p in pairs if not 0.0 <= p <= 1.0]
+        if bad:
+            raise ConfigError(f"masses must be in [0, 1], got {bad[0]!r}")
         total = math.fsum(p for _, p in pairs)
         if abs(total - 1.0) > 1e-12:
             raise ConfigError(f"masses sum to {total!r}, not 1")
@@ -353,6 +338,8 @@ class FiniteSupport(LifetimeDistribution):
         return cls(((k, 1.0),))
 
     def tail(self, n):
+        if np.ndim(n) == 0 and n > self.points[-1]:
+            return self._suffix[-1]  # 0.0, for an n that may not fit int64
         n = np.asarray(n, dtype=np.int64)
         idx = np.searchsorted(self._ks, n, side="left")
         return self._suffix[idx]
@@ -360,10 +347,6 @@ class FiniteSupport(LifetimeDistribution):
     def truncated_mean(self, n: int) -> float:
         i = int(np.searchsorted(self._ks, n, side="left"))  # atoms below n
         return float(self._kp[i] + n * self._suffix[i])
-
-    @property
-    def mean(self) -> float:
-        return math.fsum(k * p for k, p in zip(self.points, self.weights))
 
     def sample(self, rng, size: int) -> np.ndarray:
         u = rng.random(size)
@@ -403,10 +386,6 @@ class RenewalSequence:
     # the engine's name; perfbench's trace keys its spans and counters by it
     method: ClassVar[str] = "fft"
 
-    @property
-    def n_max(self) -> int:
-        return len(self.u) - 1
-
     def as_scaling(self) -> ScalingSequence:
         a_u = self.a_u
         positive = np.argmax(a_u > 0.0)
@@ -415,7 +394,7 @@ class RenewalSequence:
         return ScalingSequence(lambda n: float(a_u[n]),
                                name=f"a_u[{self.f.label}]",
                                domain_min=max(1, int(positive)),
-                               domain_max=self.n_max)
+                               domain_max=len(a_u) - 1)
 
 
 def _next_fast_len(n: int) -> int:
@@ -510,31 +489,10 @@ def renewal_sequence(f: LifetimeDistribution, n_max: int) -> RenewalSequence:
 
 # -- truncated-mean scaling ------------------------------------------------
 
-@dataclass(frozen=True)
-class TruncatedMeanScaling:
-    """L(n) = E(nu ^ n), a(n) = n / L(n), and the generalized inverse b.
-
-    All three take integer arguments; a is nondecreasing because L(n)/n
-    averages the nonincreasing tail.  b(y) is the least integer t with
-    a(t) >= y (regvar.invert_scaling), and errors if y is not reached by
-    t = regvar.SEARCH_HORIZON.
-    """
-
-    f: LifetimeDistribution
-
-    def L(self, n: int) -> float:
-        if n < 1:
-            raise ValueError("L is defined for n >= 1")
-        return self.f.truncated_mean(int(n))
-
-    def a(self, n: int) -> float:
-        return n / self.L(n)
-
-    def b(self, y) -> int:
-        return invert_scaling(self.as_scaling(), y)
-
-    def as_scaling(self) -> ScalingSequence:
-        return ScalingSequence(self.a, name=f"tm[{self.f.label}]")
+def truncated_mean_scaling(f: LifetimeDistribution) -> ScalingSequence:
+    """a(n) = n / L(n), nondecreasing because L(n)/n averages the
+    nonincreasing tail; regvar.invert_scaling gives its inverse b."""
+    return ScalingSequence(lambda n: n / f.truncated_mean(n), name=f"tm[{f.label}]")
 
 
 # -- diagnostic series ------------------------------------------------------
@@ -600,8 +558,6 @@ def dyadic_tail_series(f: LifetimeDistribution, scaling: ScalingSequence,
 class TrimmedSumResult:
     """Per-trial values of (nu_1 + ... + nu_n - max nu_i) / b(n)."""
 
-    n: int
-    trials: int
     b_n: int
     ratios: np.ndarray
     mean: float
@@ -623,7 +579,7 @@ def trimmed_sum_trials(f: LifetimeDistribution, n: int, trials: int,
         raise ValueError("n must be >= 2")
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    b_n = TruncatedMeanScaling(f).b(n)
+    b_n = invert_scaling(truncated_mean_scaling(f), n)
     ratios = np.empty(trials)
     for i in range(trials):
         nu = f.sample(spawn(seed, i), n)
@@ -634,6 +590,6 @@ def trimmed_sum_trials(f: LifetimeDistribution, n: int, trials: int,
     qs = np.quantile(ratios, _QUANTILE_LEVELS)
     quantiles = {f"q{int(100 * lvl):02d}": float(v)
                  for lvl, v in zip(_QUANTILE_LEVELS, qs)}
-    return TrimmedSumResult(n, trials, b_n, ratios,
+    return TrimmedSumResult(b_n, ratios,
                             float(ratios.mean()), float(ratios.std()),
                             quantiles)

@@ -3,6 +3,7 @@
 import argparse
 import csv
 import json
+import math
 import os
 import shlex
 import subprocess
@@ -123,6 +124,16 @@ def test_queen_and_dyadic_tables(tmp_path):
     assert code == 0
     _, rows = read_table(out / "dyadic_tail.csv")
     assert rows[1]["b"] == "4"
+
+
+def test_dyadic_tail_threshold_past_int64(tmp_path):
+    # ceil(t b) reaches 1e30, past the atom: every tail term is exactly 0
+    code, out = run_cli(["dyadic-tail", "--dist", "delta:2", "--n", "3",
+                         "--t", "1e30"], tmp_path)
+    assert code == 0
+    _, rows = read_table(out / "dyadic_tail.csv")
+    assert int(rows[0]["threshold"]) >= 10 ** 30
+    assert [r["term"] for r in rows] == ["0.0"] * 4
 
 
 def test_trimmed_tables(tmp_path):
@@ -383,6 +394,14 @@ def _arg_id(arg):
     ["renewal", "--dist", {"kind": "finite", "mass": [[True, 1.0]]}, "--n", "5"],
     # delta:5 renews first at time 5: a_u(3) = 0, and no walk ratio exists
     ["walk", "--dist", "delta:5", "--N", "3", "--seeds", "1"],
+    # p < 0 and |total - 1| > 1e-12 are both false for a NaN mass
+    ["renewal", "--dist", {"kind": "finite", "mass": [[1, math.nan], [2, 1.0]]},
+     "--n", "3"],
+    ["walk", "--dist", {"kind": "finite", "mass": [[1, math.nan], [2, 1.0]]},
+     "--N", "5"],
+    # atoms past int64
+    ["renewal", "--dist", "delta:9223372036854775808", "--n", "3"],
+    ["renewal", "--dist", {"kind": "finite", "mass": [[2 ** 70, 1.0]]}, "--n", "3"],
 ], ids=lambda args: " ".join(map(_arg_id, args)))
 def test_exit_code_bad_value(args, tmp_path, capsys):
     argv = []

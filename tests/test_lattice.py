@@ -222,17 +222,17 @@ def test_walk_sample_overflow_guard():
 def test_walk_counts_delta_exact():
     d1 = rn.FiniteSupport.delta(1)
     walk = lt.walk_sample(d1, 0, J=5)
-    res = lt.walk_counts(walk, 5, renewal=rn.renewal_sequence(d1, 5))
-    assert res.count == 11
-    assert res.a_u_value == 5.0
-    assert res.ratio_to_renewal == pytest.approx(2.2)
+    a_u = float(rn.renewal_sequence(d1, 5).a_u[5])
+    count = lt.walk_counts(walk, 5)
+    assert count == 11
+    assert a_u == 5.0
+    assert count / a_u == pytest.approx(2.2)
 
 
 def test_walk_counts_monotone_in_horizon():
     g = rn.Geometric(0.5)
     walk = lt.walk_sample(g, 2, J=4000)
-    seq = rn.renewal_sequence(g, 2000)
-    counts = [lt.walk_counts(walk, n, renewal=seq).count
+    counts = [lt.walk_counts(walk, n)
               for n in (10, 50, 100, 500, 2000)]
     assert counts == sorted(counts)
 
@@ -240,21 +240,20 @@ def test_walk_counts_monotone_in_horizon():
 def test_walk_counts_equal_direct_scan():
     # interarrival counting equals the direct box scan, exactly
     g = rn.Geometric(0.5)
-    seq = rn.renewal_sequence(g, 300)
     for seed in range(8):
         walk = lt.walk_sample(g, spawn(13, seed), J=300)
         fwd, bwd = _replay(g, spawn(13, seed), 300)
         _check_kept(walk, (fwd, bwd))
-        res = lt.walk_counts(walk, 300, renewal=seq)
+        count = lt.walk_counts(walk, 300)
         s_vals = np.concatenate([-bwd[::-1], [0], fwd])  # s_k, k in [-300, 300]
-        assert res.count == int(np.count_nonzero(np.abs(s_vals) <= 300))
+        assert count == int(np.count_nonzero(np.abs(s_vals) <= 300))
 
 
 def test_walk_counts_coverage_error():
     g = rn.Geometric(0.9)
     walk = lt.walk_sample(g, 0, J=10)
     with pytest.raises(CoverageError) as err:
-        lt.walk_counts(walk, 10 ** 4, renewal=rn.renewal_sequence(g, 10 ** 4))
+        lt.walk_counts(walk, 10 ** 4)
     assert "J >= 10000" in str(err.value)
 
 
@@ -268,18 +267,18 @@ def test_walk_counts_horizon_past_J():
     for n_box in (101, reach):
         assert 100 < n_box <= reach
         with pytest.raises(CoverageError, match=f"J >= {n_box}"):
-            lt.walk_counts(walk, n_box, renewal=rn.renewal_sequence(g, n_box))
+            lt.walk_counts(walk, n_box)
 
 
 def test_walk_counts_mean_density():
     g = rn.Geometric(0.5)
     n = 10 ** 5
-    seq = rn.renewal_sequence(g, n)
+    a_u = float(rn.renewal_sequence(g, n).a_u[n])
     counts, ratios = [], []
     for seed in range(12):
         walk = lt.walk_sample(g, spawn(2, seed), J=n)
-        res = lt.walk_counts(walk, n, renewal=seq)
-        counts.append(res.count)
-        ratios.append(res.ratio_to_renewal)
+        count = lt.walk_counts(walk, n)
+        counts.append(count)
+        ratios.append(count / a_u)
     assert abs(np.mean(counts) / (2 * n + 1) - 0.5) <= 0.025
     assert 1.8 <= np.mean(ratios) <= 2.2

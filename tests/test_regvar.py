@@ -79,8 +79,7 @@ def test_er_telescoping_power_of_two():
 
 
 def _scaling_n_over_harmonic():
-    tm = rn.TruncatedMeanScaling(rn.PowerTail(1.0))
-    return tm.as_scaling()
+    return rn.truncated_mean_scaling(rn.PowerTail(1.0))
 
 
 def test_er_report_invariants():
@@ -109,14 +108,12 @@ def test_sv_constant():
 
 
 def test_sv_harmonic_length():
-    tm = rn.TruncatedMeanScaling(rn.PowerTail(1.0))
-    (row,) = rv.sv_diagnostic(tm.L, 2 ** 20, 2 ** 20)
+    (row,) = rv.sv_diagnostic(rn.PowerTail(1.0).truncated_mean, 2 ** 20, 2 ** 20)
     assert abs(row.ratio - 1.0) <= 0.05
 
 
 def test_sv_geometric_length():
-    tm = rn.TruncatedMeanScaling(rn.Geometric(0.5))
-    rows = rv.sv_diagnostic(tm.L, 30, 240)
+    rows = rv.sv_diagnostic(rn.Geometric(0.5).truncated_mean, 30, 240)
     # L(n) = 2(1 - 2^-n): doubling ratio is 1 + 2^-n, inside 1e-9 from n = 30
     assert [r.n for r in rows] == [30, 60, 120, 240]
     assert all(abs(r.ratio - 1.0) <= 1e-9 for r in rows)

@@ -23,6 +23,21 @@ ALL_KINDS = [
 ]
 
 
+def masses(f, n_max: int) -> np.ndarray:
+    """Array m with m[k] = f_k = F(k) - F(k+1) for 1 <= k <= n_max (m[0] = 0)."""
+    tails = f.tail(np.arange(1, n_max + 2, dtype=np.int64))
+    out = np.zeros(n_max + 1, dtype=np.float64)
+    out[1:] = tails[:-1] - tails[1:]
+    return out
+
+
+def mean(f) -> float:
+    """E nu: 1/p for a geometric lifetime, sum k f_k for a finite support."""
+    if isinstance(f, rn.Geometric):
+        return 1.0 / f.p
+    return math.fsum(k * p for k, p in zip(f.points, f.weights))
+
+
 # -- distribution surface -----------------------------------------------------
 
 
@@ -32,9 +47,9 @@ def test_tail_mass_consistency(f):
     tails = np.asarray(f.tail(ns), dtype=float)
     assert tails[0] == 1.0
     assert np.all(np.diff(tails) <= 0)
-    masses = f.masses(1998)
-    assert np.all(masses >= 0)
-    np.testing.assert_allclose(tails[:-1] - tails[1:], masses[1:1999],
+    mass = masses(f, 1998)
+    assert np.all(mass >= 0)
+    np.testing.assert_allclose(tails[:-1] - tails[1:], mass[1:1999],
                                rtol=0, atol=0)
 
 
@@ -42,7 +57,7 @@ def test_tail_mass_consistency(f):
 def test_mass_sums_to_one(f):
     # truncated evaluation: add the tail beyond the horizon analytically
     n = 10 ** 6
-    total = float(f.masses(n).sum()) + float(f.tail(n + 1))
+    total = float(masses(f, n).sum()) + float(f.tail(n + 1))
     assert abs(total - 1.0) <= 1e-12
 
 
@@ -76,6 +91,20 @@ def test_finite_validation():
         rn.FiniteSupport([(0, 1.0)])
     with pytest.raises(ConfigError):
         rn.FiniteSupport([(1, 0.5), (1, 0.5)])
+    for bad in (math.nan, math.inf, -0.5, 1e308):
+        with pytest.raises(ConfigError, match="masses must be in"):
+            rn.FiniteSupport([(1, bad), (2, 1.0)])
+    with pytest.raises(ConfigError, match="below 2"):
+        rn.FiniteSupport.delta(2 ** 63)
+
+
+def test_finite_atoms_up_to_int64_max():
+    # the largest atom that fits int64; queries past any atom need not fit
+    top = 2 ** 63 - 1
+    f = rn.FiniteSupport.delta(top)
+    assert float(f.tail(top)) == 1.0 and float(f.tail(top + 1)) == 0.0
+    assert float(f.tail(10 ** 30)) == 0.0
+    assert f.tail(np.array([1, top])).tolist() == [1.0, 1.0]
 
 
 @given(st.lists(st.integers(1, 30), min_size=1, max_size=6, unique=True),
@@ -90,7 +119,7 @@ def test_finite_tail_mass_random(points, raw_weights):
     ns = np.arange(1, max(points) + 3)
     tails = np.asarray(f.tail(ns), dtype=float)
     assert np.all(np.diff(tails) <= 1e-15)
-    assert abs(f.truncated_mean(max(points) + 5) - f.mean) < 1e-12
+    assert abs(f.truncated_mean(max(points) + 5) - mean(f)) < 1e-12
 
 
 @given(st.lists(st.integers(1, 30), min_size=1, max_size=6, unique=True),
@@ -252,7 +281,7 @@ def test_renewal_period_reduction_exact_zeros():
     n_max = 2 ** 15
     seq = rn.renewal_sequence(f, n_max)
     assert np.all(seq.u[1::2] == 0.0)
-    direct = _renewal_direct(f.masses(n_max), n_max)
+    direct = _renewal_direct(masses(f, n_max), n_max)
     assert np.max(np.abs(seq.u - direct)) <= 1e-14
 
 
@@ -262,7 +291,7 @@ def test_renewal_nearly_periodic_support():
     f = rn.FiniteSupport([(2, 0.999), (3, 0.001)])
     n_max = 2 ** 15
     seq = rn.renewal_sequence(f, n_max)
-    direct = _renewal_direct(f.masses(n_max), n_max)
+    direct = _renewal_direct(masses(f, n_max), n_max)
     assert np.max(np.abs(seq.u - direct)) <= 1e-13
 
 
@@ -283,7 +312,7 @@ def test_renewal_geometric_exact():
 
 def test_direct_recursion_geometric_exact_half():
     n = 4096
-    u = _renewal_direct(rn.Geometric(0.5).masses(n), n)
+    u = _renewal_direct(masses(rn.Geometric(0.5), n), n)
     assert u[0] == 1.0
     assert np.all(u[1:] == 0.5)
 
@@ -305,7 +334,7 @@ def _strided_recursion(mass, n_max):
 @pytest.mark.parametrize("f", ALL_KINDS, ids=lambda f: f.label)
 def test_direct_recursion_matches_strided_oracle(f):
     n_max = 3000
-    mass = f.masses(n_max)
+    mass = masses(f, n_max)
     assert np.array_equal(_renewal_direct(mass, n_max),
                           _strided_recursion(mass, n_max))
 
@@ -318,7 +347,7 @@ def test_direct_recursion_matches_strided_oracle_random(points, raw_weights, n_m
     weights = np.array(raw_weights[:len(points)])
     weights /= weights.sum()
     weights[-1] = 1.0 - math.fsum(weights[:-1])
-    mass = rn.FiniteSupport(list(zip(points, weights))).masses(n_max)
+    mass = masses(rn.FiniteSupport(list(zip(points, weights))), n_max)
     assert np.array_equal(_renewal_direct(mass, n_max),
                           _strided_recursion(mass, n_max))
 
@@ -341,14 +370,14 @@ def test_renewal_positive_recurrence_burnins():
     ]
     for f, burn_in in fixtures:
         seq = rn.renewal_sequence(f, 200)
-        assert np.all(np.abs(seq.u[burn_in:] - 1 / f.mean) <= 1e-6), f.label
+        assert np.all(np.abs(seq.u[burn_in:] - 1 / mean(f)) <= 1e-6), f.label
 
 
 @pytest.mark.parametrize("f", ALL_KINDS, ids=lambda f: f.label)
 def test_convolution_identity(f):
     n_max = 2000
     seq = rn.renewal_sequence(f, n_max)
-    mass = f.masses(n_max)
+    mass = masses(f, n_max)
     for n in range(1, n_max + 1):
         expected = float(np.dot(mass[1:n + 1], seq.u[n - 1::-1]))
         assert abs(seq.u[n] - expected) <= 1e-12
@@ -362,7 +391,7 @@ def test_convolution_identity_random(raw):
     weights[-1] = 1.0 - math.fsum(weights[:-1])
     f = rn.FiniteSupport(list(zip(range(1, len(raw) + 1), weights)))
     seq = rn.renewal_sequence(f, 300)
-    mass = f.masses(300)
+    mass = masses(f, 300)
     for n in (1, 2, 3, 17, 150, 300):
         expected = float(np.dot(mass[1:n + 1], seq.u[n - 1::-1]))
         assert abs(seq.u[n] - expected) <= 1e-12
@@ -374,7 +403,7 @@ def test_renewal_sequence_matches_direct():
     # and 1.7e-11 on a_u, both harmonic at 2**15
     top = 2 ** 15
     for f in ALL_KINDS:
-        direct = _renewal_direct(f.masses(top), top)
+        direct = _renewal_direct(masses(f, top), top)
         direct_a_u = np.cumsum(direct[1:], dtype=np.longdouble).astype(np.float64)
         for n_max in (20000, top):
             seq = rn.renewal_sequence(f, n_max)
@@ -425,46 +454,47 @@ def test_fft_accuracy_lattice(k):
 
 
 def test_scaling_delta_one():
-    tm = rn.TruncatedMeanScaling(rn.FiniteSupport.delta(1))
+    f = rn.FiniteSupport.delta(1)
+    a = rn.truncated_mean_scaling(f)
     for n in (1, 2, 7, 1000):
-        assert tm.L(n) == 1.0
-        assert tm.a(n) == n
+        assert f.truncated_mean(n) == 1.0
+        assert a(n) == n
     for y in (1, 2.5, 7.0, 99.01):
-        assert tm.b(y) == math.ceil(y)
+        assert invert_scaling(a, y) == math.ceil(y)
 
 
 def test_scaling_harmonic_values():
-    tm = rn.TruncatedMeanScaling(rn.PowerTail(1.0))
-    assert tm.L(1) == pytest.approx(1.0, abs=1e-12)
-    assert tm.L(4) == pytest.approx(25 / 12, abs=1e-12)
-    assert tm.b(10) == 44
+    f = rn.PowerTail(1.0)
+    assert f.truncated_mean(1) == pytest.approx(1.0, abs=1e-12)
+    assert f.truncated_mean(4) == pytest.approx(25 / 12, abs=1e-12)
+    assert invert_scaling(rn.truncated_mean_scaling(f), 10) == 44
 
 
 def test_scaling_monotonicity():
     for f in ALL_KINDS:
-        tm = rn.TruncatedMeanScaling(f)
-        lengths = [tm.L(n) for n in range(1, 300)]
+        scaling = rn.truncated_mean_scaling(f)
+        lengths = [f.truncated_mean(n) for n in range(1, 300)]
         assert all(b >= a for a, b in zip(lengths, lengths[1:]))
         assert all(l <= n for n, l in enumerate(lengths, start=1))
-        ratios = [tm.a(n) for n in range(1, 300)]
+        ratios = [scaling(n) for n in range(1, 300)]
         assert all(b >= a - 1e-12 for a, b in zip(ratios, ratios[1:]))
 
 
 @pytest.mark.parametrize("f", [rn.PowerTail(1.0), rn.Geometric(0.5),
                                rn.PowerTail(0.5)], ids=lambda f: f.label)
 def test_b_generalized_inverse_contract(f):
-    tm = rn.TruncatedMeanScaling(f)
+    a = rn.truncated_mean_scaling(f)
     for y in list(range(2, 50)) + [97, 311, 1000]:
-        b = tm.b(y)
-        assert tm.a(b) >= y
-        assert tm.a(b - 1) < y
+        b = invert_scaling(a, y)
+        assert a(b) >= y
+        assert a(b - 1) < y
 
 
 def test_b_horizon_error():
     # a(2**62) = 2**62 / H(2**62) is about 1.06e17 for harmonic lifetimes
-    tm = rn.TruncatedMeanScaling(rn.PowerTail(1.0))
+    a = rn.truncated_mean_scaling(rn.PowerTail(1.0))
     with pytest.raises(ScalingHorizonError):
-        tm.b(10 ** 18)
+        invert_scaling(a, 10 ** 18)
 
 
 # -- diagnostic series --------------------------------------------------------------
@@ -490,7 +520,7 @@ def test_queen_universal_majorization(f):
 
 def test_dyadic_delta_first_term_only():
     d1 = rn.FiniteSupport.delta(1)
-    sc = rn.TruncatedMeanScaling(d1).as_scaling()
+    sc = rn.truncated_mean_scaling(d1)
     ds = rn.dyadic_tail_series(d1, sc, 1.0, 8)
     assert ds.terms[0] == 1.0
     assert np.all(ds.terms[1:] == 0.0)
@@ -499,7 +529,7 @@ def test_dyadic_delta_first_term_only():
 
 def test_dyadic_geometric_frozen_values():
     g = rn.Geometric(0.5)
-    ds = rn.dyadic_tail_series(g, rn.TruncatedMeanScaling(g).as_scaling(), 1.0, 12)
+    ds = rn.dyadic_tail_series(g, rn.truncated_mean_scaling(g), 1.0, 12)
     assert ds.b_values[:4] == (1, 4, 8, 16)
     assert ds.terms[0] == 1.0
     assert ds.terms[1] == pytest.approx(1 / 32, abs=1e-15)   # 2 * F(4)^2
@@ -512,8 +542,7 @@ def test_dyadic_geometric_frozen_values():
 
 def test_dyadic_power_tail_matches_scan_oracle():
     p = rn.PowerTail(0.5)
-    tm = rn.TruncatedMeanScaling(p)
-    ds = rn.dyadic_tail_series(p, tm.as_scaling(), 1.0, 10)
+    ds = rn.dyadic_tail_series(p, rn.truncated_mean_scaling(p), 1.0, 10)
 
     def b_scan(y):
         t = 1
@@ -569,7 +598,7 @@ def test_trimmed_geometric_matches_numeric_expectation():
     res = rn.trimmed_sum_trials(g, n, 200, seed=3)
     ms = np.arange(1, 200)
     e_max = float(np.sum(1.0 - (1.0 - np.asarray(g.tail(ms))) ** n))
-    target = (n * g.mean - e_max) / res.b_n
+    target = (n * mean(g) - e_max) / res.b_n
     assert abs(res.mean - target) <= 0.05
 
 

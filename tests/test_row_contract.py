@@ -2,11 +2,12 @@
 
 The digest of a run covers every CSV file it writes, in name order: the
 file name, then its header and data rows with the '#' provenance lines
-dropped.  These runs write only integer counts and Python float
-divisions of them, or truncated means of geometric:0.5, whose powers of
-1/2 are exact, so the digests do not depend on SIMD, BLAS or the
-machine.  A change that moves one of these rows must say so in
-CHANGES.md and update the digest here.
+dropped.  These runs write only integer counts, Python float divisions
+of them and float statistics of a few such ratios, or quantities of
+geometric:0.5 and delta:3 whose powers of 1/2 and renewal prefix sums
+are exact (sequences of at most 64 terms take no transform), so the
+digests do not depend on SIMD, BLAS or the machine.  A change that moves
+one of these rows must say so in CHANGES.md and update the digest here.
 """
 
 import hashlib
@@ -65,6 +66,22 @@ CONTRACT = [
         ["regvar", "--scaling", "tm:geometric:0.5", "--sv", "--n-lo", "1", "--n-hi", "64"],
         "5429ef729fe335cfd70a5a5a4800fc0ee03a37773b57440f740bb9fc689be5cb",
         id="regvar-sv-geometric"),
+    pytest.param(
+        ["walk", "--dist", "geometric:0.5", "--N", "63", "--seeds", "4"],
+        "0495dd6fe928c11ccf621e8f29bb396cf94a485529ca356b640b7ef9bcd9bdb0",
+        id="walk-geometric"),
+    pytest.param(
+        ["walk", "--dist", "delta:3", "--N", "60", "--seeds", "2"],
+        "7fd6c2cd5a7548ba339f44b4b78bced2a2e852c8bb0b7436bc91485ac2002dd9",
+        id="walk-delta"),
+    pytest.param(
+        ["trimmed", "--dist", "geometric:0.5", "--n", "64", "--trials", "5"],
+        "2b9a4eff42ea0790fad691e53f05f8b4ab003bb1739fd4a569b98f8bfee40194",
+        id="trimmed-geometric"),
+    pytest.param(
+        ["dyadic-tail", "--dist", "geometric:0.5", "--n", "12"],
+        "ac1e18d15db0bd85276b525dabcd875a283057dd2491c24518007757ac6d3d3f",
+        id="dyadic-tail-geometric"),
 ]
 
 
