@@ -7,10 +7,10 @@ integer inequality, the admissible second generator powers for each first
 power k form an integer interval whose clamped ends are floor terms linear
 in k, and a floor sum adds them up with no loop over k.  Walk orbits are
 counted by binary search over the monotone partial sums of the sampled
-steps.  A walk draws only the steps its horizon reads, up to the first
-partial sum past it on each side, and jumps the generator past the rest of
-the forward block.  The stream layout is unchanged, so every count equals
-that of drawing both blocks whole.  A walk count is a plain integer; its
+steps.  Each side of a walk draws from its own stream, the backward one
+jumped from the forward one, and only the steps its horizon reads, up to
+the first partial sum past it; neither side depends on the horizon, so a
+trial is one orbit at every horizon.  A walk count is a plain integer; its
 normalizer, the renewal prefix sum a_u(N) of the step distribution, is one
 number per run, read once by the caller.
 """
@@ -191,12 +191,12 @@ class WalkSample:
         return np.diff(self.s_backward_mag, prepend=0)
 
 
-def _kept_sums(f: LifetimeDistribution, rng, J: int) -> tuple[np.ndarray, int]:
+def _kept_sums(f: LifetimeDistribution, rng, J: int) -> np.ndarray:
     """Partial sums of draws from ``rng`` up to and including the first one
-    past J, at most J of them, and the number of draws made.
+    past J, at most J of them.
 
-    The draws come in chunks whose sizes depend only on the values drawn,
-    and the concatenated chunks are the first draws of one block.
+    The draws come in chunks, and the concatenated chunks are the first
+    draws of the stream.
     """
     parts, total, drawn = [], 0, 0
     size = min(J, _FIRST_CHUNK)
@@ -223,24 +223,22 @@ def _kept_sums(f: LifetimeDistribution, rng, J: int) -> tuple[np.ndarray, int]:
         total = int(sums[-1])
         size = min(J - drawn, 4 * drawn,
                    max(_FIRST_CHUNK, -(-(J - total) * drawn // total)))
-    return np.concatenate(parts), drawn
+    return np.concatenate(parts)
 
 
 def walk_sample(f: LifetimeDistribution, seed, J: int) -> WalkSample:
     """Sample a two-sided walk for horizons up to J.
 
-    The stream holds a forward block of J draws, then a backward block of
-    J.  Each side draws only until its partial sums pass J, and the
-    generator jumps past the rest of the forward block, so the kept sums
-    equal those of drawing both blocks whole.
+    The forward steps omega_0, omega_1, ... are the draws of the trial's
+    stream; the backward steps omega_{-1}, omega_{-2}, ... those of the
+    stream its bit generator's ``jumped()`` starts.  Neither depends on J,
+    so a smaller J keeps a prefix of the same sums.
     """
     if J < 1:
         raise ValueError("J must be >= 1")
     rng = normalize(seed)
-    fwd, drawn = _kept_sums(f, rng, J)
-    f.skip(rng, J - drawn)
-    bwd, _ = _kept_sums(f, rng, J)  # nothing follows the backward block
-    return WalkSample(J, fwd, bwd)
+    backward = np.random.Generator(rng.bit_generator.jumped())
+    return WalkSample(J, _kept_sums(f, rng, J), _kept_sums(f, backward, J))
 
 
 def walk_counts(sample: WalkSample, n_box: int) -> int:

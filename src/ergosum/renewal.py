@@ -12,13 +12,14 @@ verdict is attached), and trimmed-sum Monte Carlo.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import ClassVar, Sequence
 
 import numpy as np
 
-from .errors import ConfigError, SamplingHorizonError
+from .errors import ConfigError, ResourceLimitError, SamplingHorizonError
 from .regvar import ScalingSequence, invert_scaling
 from .streams import spawn
 
@@ -30,8 +31,8 @@ _NEWTON_BASE = 64
 _INT64_VALUE_LIMIT = 2 ** 62
 # a float sum of int64 draws at or above this may overflow its int64 cumsum
 INT64_SUM_LIMIT = 4.0e18
-# draws made at a time when skipping draws means making them
-_SKIP_CHUNK = 1 << 16
+# NumPy refuses an array of more than sys.maxsize bytes
+_MAX_TABLE_LEN = sys.maxsize // 8
 # NumPy draws geometric lifetimes from p = 1/3 up by a search over one uniform
 _SEARCH_MIN_P = 1.0 / 3.0
 # buckets of the guide table that starts that search; 4096 u is exact
@@ -47,14 +48,11 @@ _BERNOULLI = (Fraction(1, 6), Fraction(-1, 30), Fraction(1, 42), Fraction(-1, 30
 class LifetimeDistribution:
     """Distribution of a positive-integer lifetime.
 
-    Subclasses implement ``tail`` (vectorized), ``truncated_mean`` and
-    ``sample``; everything here is derived.  Every shipped kind samples
-    exactly, by inversion: power tails in closed form, finite supports and
-    geometric p >= 1/3 by a search of their float CDF sums, and geometric
-    p < 1/3 as NumPy's ceil(-E / log1p(-p)) of an exponential E.  A kind
-    whose draws each read one 64-bit output of the generator overrides
-    ``skip`` with ``bit_generator.advance``, which PCG64, the generator of
-    every trial stream, has.
+    Subclasses implement ``tail`` (vectorized), ``truncated_mean``,
+    ``sample`` and ``label``; the parsers are shared.  Every shipped kind
+    samples exactly, by inversion: power tails in closed form, finite
+    supports and geometric p >= 1/3 by a search of their float CDF sums, and
+    geometric p < 1/3 as NumPy's ceil(-E / log1p(-p)) of an exponential E.
     """
 
     # -- core surface ---------------------------------------------------
@@ -78,17 +76,7 @@ class LifetimeDistribution:
     def label(self) -> str:
         raise NotImplementedError
 
-    # -- derived ---------------------------------------------------------
-
-    def skip(self, rng, count: int) -> None:
-        """Leave ``rng`` where ``sample(rng, count)`` would, without keeping the draws.
-
-        This default makes the draws, at most ``_SKIP_CHUNK`` at a time.
-        """
-        while count > 0:
-            size = min(count, _SKIP_CHUNK)
-            self.sample(rng, size)
-            count -= size
+    # -- parsing ---------------------------------------------------------
 
     @staticmethod
     def from_spec(doc: dict) -> "LifetimeDistribution":
@@ -182,14 +170,6 @@ class Geometric(LifetimeDistribution):
                     "rerun with a different stream")
             pos = pos[np.take(sums, ks) < np.take(u, pos)]
         return k
-
-    def skip(self, rng, count: int) -> None:
-        # the search reads one uniform per draw; below p = 1/3, NumPy's
-        # ziggurat exponential reads a varying number
-        if self.p >= _SEARCH_MIN_P:
-            rng.bit_generator.advance(count)
-        else:
-            super().skip(rng, count)
 
     @property
     def label(self) -> str:
@@ -289,9 +269,6 @@ class PowerTail(LifetimeDistribution):
                 "rerun with a different stream or a lighter tail")
         return nu.astype(np.int64)
 
-    def skip(self, rng, count: int) -> None:
-        rng.bit_generator.advance(count)  # one uniform per draw
-
     @property
     def label(self) -> str:
         return "harmonic" if self.gamma == 1.0 else f"power:{self.gamma!r}"
@@ -353,9 +330,6 @@ class FiniteSupport(LifetimeDistribution):
         idx = np.minimum(np.searchsorted(self._cum, u, side="right"),
                          len(self.points) - 1)
         return self._ks[idx]
-
-    def skip(self, rng, count: int) -> None:
-        rng.bit_generator.advance(count)  # one uniform per draw
 
     @property
     def label(self) -> str:
@@ -447,6 +421,15 @@ def _reciprocal(g: np.ndarray) -> np.ndarray:
     return v
 
 
+def _check_horizon(n: int) -> None:
+    """Refuse a horizon whose tables of n + 2 float64 values no array holds,
+    before any is built; past int64, ``np.arange(1, n + 2)`` would wrap."""
+    if n + 2 > _MAX_TABLE_LEN:
+        raise ResourceLimitError(
+            f"horizon n = {n} needs tables of {n + 2} values; "
+            f"an array holds at most {_MAX_TABLE_LEN}")
+
+
 def renewal_sequence(f: LifetimeDistribution, n_max: int) -> RenewalSequence:
     """Renewal sequence u with u_0 = 1 and its prefix sums.
 
@@ -468,6 +451,7 @@ def renewal_sequence(f: LifetimeDistribution, n_max: int) -> RenewalSequence:
     """
     if n_max < 0:
         raise ValueError("n_max must be >= 0")
+    _check_horizon(n_max)
     tails = np.asarray(f.tail(np.arange(1, n_max + 2, dtype=np.int64)),
                        dtype=np.float64)
     # gcd of the k <= n_max with f_k != 0; n_max + 1 if there are none
@@ -511,6 +495,7 @@ def queen_series(f: LifetimeDistribution, n_max: int) -> QueenSeries:
     """Partial sums of (F(n)/L(n))^2 for n = 1..n_max; data, not a verdict."""
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
+    _check_horizon(n_max)
     ns = np.arange(1, n_max + 1, dtype=np.int64)
     tails = np.asarray(f.tail(ns), dtype=np.float64)
     lengths = np.cumsum(tails)
@@ -544,7 +529,11 @@ def dyadic_tail_series(f: LifetimeDistribution, scaling: ScalingSequence,
     terms = np.empty(n_max + 1)
     for n in range(n_max + 1):
         b_n = invert_scaling(scaling, 2 ** n)
-        m = math.ceil(t * b_n)
+        reach = t * b_n
+        if not math.isfinite(reach):
+            raise ConfigError(f"t * b(2^n) overflows a float at t = {t!r}, dyadic "
+                              f"index n = {n} (b = {b_n}); its ceiling is the threshold")
+        m = math.ceil(reach)
         b_values.append(b_n)
         thresholds.append(m)
         terms[n] = (2.0 ** n) * float(f.tail(m)) ** 2

@@ -3,7 +3,10 @@
 A master seed splits into per-trial streams via
 ``SeedSequence(master, spawn_key=(trial_index,))`` feeding PCG64.  The
 derivation is stable across platforms and numpy versions, so any trial can
-be reproduced in isolation from ``(master, index)``.
+be reproduced in isolation from ``(master, index)``.  A walk's backward
+steps read a second stream, ``Generator(rng.bit_generator.jumped())``,
+taken from the trial's stream before its first draw; ``jumped()`` belongs
+to the bit generator, whose streams NEP 19 keeps fixed across releases.
 """
 
 from __future__ import annotations

@@ -61,9 +61,11 @@ def test_walk_and_renewal_oracle_surface():
     sample = lattice.walk_sample(f, spawn(5, 0), J=64)
     assert sample.J == 64
     # the oracle recounts from the steps: each side's, up to the first
-    # partial sum past J, are the first of its block in a full replay
+    # partial sum past J, are the first draws of its stream, the trial's
+    # own forward and the one jumped from it backward
     rng = spawn(5, 0)
-    blocks = f.sample(rng, 64), f.sample(rng, 64)
+    backward = np.random.Generator(rng.bit_generator.jumped())
+    blocks = f.sample(rng, 64), f.sample(backward, 64)
     for steps, block in zip((sample.omega_forward, sample.omega_backward), blocks):
         kept = min(int(np.count_nonzero(np.cumsum(block) <= 64)) + 1, 64)
         assert np.array_equal(steps, block[:kept])

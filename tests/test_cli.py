@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 import ergosum
-from ergosum import cli, rankone
+from ergosum import cli, lattice, rankone
 from ergosum.errors import PrecisionWarning
 from ergosum.streams import spawn
 
@@ -156,21 +156,37 @@ def test_walk_table(tmp_path):
 
 
 def test_walk_reads_only_its_steps(tmp_path):
-    # trial 1 of master seed 4 draws a step near 2**62 in its backward
-    # block, past the first partial sum beyond N; drawn, it would overflow
-    # the int64 sums, so the walk draws only the steps it reads
+    # a heavy-tailed walk stops each side at its first partial sum past N;
+    # test_walk_sample_overflow_guard covers an overflow among the draws
+    # after it
     n_box = 262144
     code, out = run_cli(["walk", "--dist", "power:0.5", "--N", str(n_box),
                          "--seeds", "40", "--seed", "4"], tmp_path)
     assert code == 0
     _, rows = read_table(out / "walk.csv")
-    # independent recount: the trial's 2N uniforms as power:0.5 steps in
+    # independent recount: N uniforms of the trial's stream (forward) and
+    # of the stream jumped from it (backward) as power:0.5 steps in
     # float64, whose partial sums are exact below 2**53
-    u = 1.0 - spawn(4, 1).random(2 * n_box)
-    steps = np.maximum(np.ceil(u ** -2.0 - 1.0), 1.0)
-    want = 1 + sum(int(np.count_nonzero(np.cumsum(block) <= n_box))
-                   for block in (steps[:n_box], steps[n_box:]))
+    rng = spawn(4, 1)
+    backward = np.random.Generator(rng.bit_generator.jumped())
+    want = 1
+    for side in (rng, backward):
+        steps = np.maximum(np.ceil((1.0 - side.random(n_box)) ** -2.0 - 1.0), 1.0)
+        want += int(np.count_nonzero(np.cumsum(steps) <= n_box))
     assert rows[1]["seed"] == "1" and rows[1]["count"] == str(want)
+
+
+def test_walk_rows_are_one_orbit_at_every_horizon(tmp_path):
+    # each trial's row at N = 1000 is the count at 1000 of the same trial
+    # sampled for a horizon a hundred times longer
+    f = cli.parse_distribution("power:0.75")
+    code, out = run_cli(["walk", "--dist", "power:0.75", "--N", "1000",
+                         "--seeds", "6", "--seed", "3"], tmp_path)
+    assert code == 0
+    _, rows = read_table(out / "walk.csv")
+    want = [lattice.walk_counts(lattice.walk_sample(f, spawn(3, i), J=10 ** 5), 1000)
+            for i in range(6)]
+    assert [row["count"] for row in rows] == [str(c) for c in want]
 
 
 def test_regvar_tables(tmp_path):
@@ -267,7 +283,9 @@ def test_renewal_rows_independent_of_blas_threads(tmp_path):
 
 def test_walk_counts_independent_of_cpu_dispatch(tmp_path):
     # NPY_DISABLE_CPU_FEATURES makes NumPy take the loops of an AVX2-only,
-    # then of a baseline x86-64 CPU; no walk count may depend on that
+    # then of a baseline x86-64 CPU; no walk count may depend on that,
+    # whether the steps come from the guide-table search (p >= 1/3) or from
+    # NumPy's own rng.geometric (p < 1/3)
     from numpy._core._multiarray_umath import __cpu_dispatch__
     groups = ["X86_V4", "AVX512_ICL", "AVX512_SPR", "X86_V3"]
     if not set(groups) <= set(__cpu_dispatch__):
@@ -275,16 +293,17 @@ def test_walk_counts_independent_of_cpu_dispatch(tmp_path):
     src = str(Path(ergosum.__file__).resolve().parents[1])
     counts = []
     for disabled in (groups[:3], groups):
-        out = tmp_path / str(len(disabled))
         env = dict(os.environ, NPY_DISABLE_CPU_FEATURES=",".join(disabled))
         env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-        subprocess.run([sys.executable, "-m", "ergosum.cli", "walk", "--dist",
-                        "geometric:0.5", "--N", "4096", "--seeds", "8", "--out", str(out)],
-                       env=env, check=True, capture_output=True, timeout=120)
-        _, rows = read_table(out / "walk.csv")
-        counts.append([row["count"] for row in rows])
-    assert len(counts[0]) == 8
-    assert counts[0] == counts[1]
+        for dist in ("geometric:0.5", "geometric:0.1"):
+            out = tmp_path / f"{len(disabled)}-{dist}"
+            subprocess.run([sys.executable, "-m", "ergosum.cli", "walk", "--dist",
+                            dist, "--N", "4096", "--seeds", "8", "--out", str(out)],
+                           env=env, check=True, capture_output=True, timeout=120)
+            _, rows = read_table(out / "walk.csv")
+            counts.append([row["count"] for row in rows])
+    assert [len(c) for c in counts] == [8] * 4
+    assert counts[:2] == counts[2:]
 
 
 def test_json_mirror_matches_csv(tmp_path):
@@ -669,6 +688,31 @@ def test_exit_code_refused_allocation(tmp_path, capsys):
     assert code == cli.EXIT_RESOURCE
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("resource limit: "), err
+
+
+@pytest.mark.parametrize("n", [2 ** 62, 2 ** 63 - 1, 2 ** 63])
+@pytest.mark.parametrize("args", [
+    "renewal --dist delta:1 --n {n}",
+    "queen --dist delta:1 --n {n}",
+    "walk --dist delta:1 --N {n}",
+    "regvar --scaling au:delta:1:{n}",
+], ids=lambda args: args.split()[0])
+def test_exit_code_huge_horizon(args, n, tmp_path, capsys):
+    # refused before any array is built: NumPy would call a table this
+    # long too big (exit 2), and past int64 its range wraps
+    code = cli.main([*args.format(n=n).split(), "--out", str(tmp_path / "out")])
+    assert code == cli.EXIT_RESOURCE
+    assert f"horizon n = {n} " in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_dyadic_tail_threshold_overflowing_float(tmp_path, capsys):
+    # t * b(2^n) is inf, so the integer threshold ceil(t b) does not exist
+    code = cli.main(["dyadic-tail", "--dist", "delta:2", "--n", "3", "--t", "1e308",
+                     "--out", str(tmp_path / "out")])
+    assert code == cli.EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "t = 1e+308" in err and "dyadic index n = 1" in err
 
 
 def test_exit_code_missing_inputs(tmp_path):

@@ -130,10 +130,11 @@ def _omega(walk, j):
 
 
 def _replay(f, rng, J):
-    """An independent replay of the trial stream: the partial sums of the
-    forward block of J draws, then of the backward block."""
-    fwd = np.cumsum(f.sample(rng, J))
-    return fwd, np.cumsum(f.sample(rng, J))
+    """An independent replay of the trial's two streams: the partial sums
+    of J draws of the trial stream, and of J draws of the stream jumped
+    from it."""
+    backward = np.random.Generator(rng.bit_generator.jumped())
+    return np.cumsum(f.sample(rng, J)), np.cumsum(f.sample(backward, J))
 
 
 def _check_kept(walk, replay):
@@ -192,6 +193,22 @@ def test_walk_monotone_and_lln():
     assert np.all(np.diff(walk.s_backward_mag) >= 1)
     # mean step 2: the first sum past J comes after about J/2 steps
     assert abs(len(walk.s_forward) / 10 ** 6 - 0.5) <= 0.025
+
+
+@pytest.mark.parametrize("f", [
+    rn.Geometric(0.5), rn.Geometric(0.1), rn.PowerTail(0.75),
+    rn.FiniteSupport(((2, 0.3), (7, 0.7))),
+], ids=lambda f: f.label)
+def test_walk_is_one_orbit_at_every_horizon(f):
+    # neither side's draws depend on J, so a shorter walk keeps a prefix of
+    # the sums of a longer one, and both count the same at its horizon
+    for i in range(8):
+        short = lt.walk_sample(f, spawn(1, i), J=1000)
+        long = lt.walk_sample(f, spawn(1, i), J=10 ** 5)
+        for kept, more in ((short.s_forward, long.s_forward),
+                           (short.s_backward_mag, long.s_backward_mag)):
+            assert np.array_equal(kept, more[:len(kept)]), i
+        assert lt.walk_counts(short, 1000) == lt.walk_counts(long, 1000), i
 
 
 def test_walk_sample_validation():

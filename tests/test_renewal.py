@@ -187,22 +187,6 @@ def test_sampling_matches_tail(f, checks):
         assert abs(emp - tail) <= 4 * se + 1e-9, (n, emp, tail)
 
 
-@pytest.mark.parametrize("f", [
-    *(rn.Geometric(p) for p in (1.0, 0.5, 1 / 3, 0.3, 0.2, 0.01)),
-    rn.PowerTail(0.5), rn.PowerTail(0.75), rn.PowerTail(1.0),
-    rn.FiniteSupport([(2, 0.3), (7, 0.7)]), rn.FiniteSupport.delta(3),
-], ids=lambda f: f.label)
-def test_skip_leaves_the_stream_where_sample_does(f):
-    # a walk skips the unread rest of its forward block; were a NumPy
-    # sampler to read a different number of outputs, every later draw of
-    # the trial would move
-    for n in (0, 1, 10_000, 100_000):
-        drawn, skipped = np.random.default_rng(n), np.random.default_rng(n)
-        f.sample(drawn, n)
-        f.skip(skipped, n)
-        assert skipped.bit_generator.state == drawn.bit_generator.state, n
-
-
 @pytest.mark.parametrize("p", [1 / 3, 0.3333333333333334, 0.4, 0.5, 0.7, 0.9, 0.999, 1.0])
 def test_geometric_search_matches_numpy(p):
     # the guide-table search gives NumPy's draws from the same uniforms

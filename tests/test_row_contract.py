@@ -68,7 +68,7 @@ CONTRACT = [
         id="regvar-sv-geometric"),
     pytest.param(
         ["walk", "--dist", "geometric:0.5", "--N", "63", "--seeds", "4"],
-        "0495dd6fe928c11ccf621e8f29bb396cf94a485529ca356b640b7ef9bcd9bdb0",
+        "e8b61a369507a323251ea8a5e661b412971490ec96507549fcf3b544937a9f98",
         id="walk-geometric"),
     pytest.param(
         ["walk", "--dist", "delta:3", "--N", "60", "--seeds", "2"],
