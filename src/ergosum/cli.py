@@ -25,6 +25,7 @@ import sys
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, fields
 from datetime import datetime, timezone
+from itertools import chain
 from pathlib import Path
 from typing import NamedTuple, get_type_hints
 
@@ -34,7 +35,7 @@ from .errors import (
     InvariantViolationError,
     ResourceLimitError,
 )
-from .streams import GENERATOR_NAME, spawn
+from .streams import BACKWARD_NAME, GENERATOR_NAME, spawn
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -270,7 +271,19 @@ def _load_construction(preset: str | None, data_file: str | None) -> rankone.Con
 
 
 # -- runners ------------------------------------------------------------------
-# Each returns a list of (table_name, fieldnames, rows).
+# Each returns a list of (table_name, fieldnames, rows); rows is an iterable
+# that write_outputs reads once.
+
+# rows of a table built from arrays are converted this many at a time
+_ROW_BLOCK = 4096
+
+
+def _array_rows(first, *columns):
+    """Rows (first + i, column_1[i], ...) of equal-length arrays, converted a
+    block at a time, so a long table never holds all its tuples."""
+    for lo in range(0, len(columns[0]), _ROW_BLOCK):
+        yield from zip(range(first + lo, first + lo + _ROW_BLOCK),
+                       *(c[lo:lo + _ROW_BLOCK].tolist() for c in columns))
 
 
 def _map_trials(cfg: ExperimentConfig, fn):
@@ -325,7 +338,7 @@ def run_renewal(cfg: ExperimentConfig):
     f = parse_distribution(v["dist"])
     n_max = v["n"]
     seq = renewal.renewal_sequence(f, n_max)
-    rows = list(zip(range(n_max + 1), seq.u.tolist(), seq.a_u.tolist()))
+    rows = _array_rows(0, seq.u, seq.a_u)
     return [("renewal", ("n", "u", "a_u"), rows)]
 
 
@@ -334,8 +347,7 @@ def run_queen(cfg: ExperimentConfig):
     f = parse_distribution(v["dist"])
     n_max = v["n"]
     qs = renewal.queen_series(f, n_max)
-    rows = list(zip(range(1, n_max + 1), qs.tails.tolist(), qs.lengths.tolist(),
-                    qs.terms.tolist(), qs.partial_sums.tolist()))
+    rows = _array_rows(1, qs.tails, qs.lengths, qs.terms, qs.partial_sums)
     return [("queen", ("n", "tail", "L", "term", "Q"), rows)]
 
 
@@ -441,6 +453,8 @@ def provenance_lines(cfg: ExperimentConfig) -> list[str]:
         f"trials: {cfg.trials}",
         f"rng: {GENERATOR_NAME}",
     ]
+    if cfg.kind == "walk":
+        lines.append(f"rng-backward: {BACKWARD_NAME}")
     if cfg.stamp:
         lines.append(f"timestamp: {datetime.now(timezone.utc).isoformat()}")
     return lines
@@ -452,12 +466,15 @@ def write_outputs(cfg: ExperimentConfig, tables) -> list[Path]:
     header = provenance_lines(cfg)
     written = []
     for name, fields, rows in tables:
+        if cfg.json_mirror:
+            rows = list(rows)  # read by both writers
         path = outdir / f"{name}.csv"
         with open(path, "w", newline="") as fh:
             for line in header:
                 fh.write(f"# {line}\n")
             # every cell is an int, a float or "": none needs quoting
-            fh.writelines(",".join(map(str, row)) + "\r\n" for row in (fields, *rows))
+            fh.writelines(",".join(map(str, row)) + "\r\n"
+                          for row in chain((fields,), rows))
         written.append(path)
         if cfg.json_mirror:
             jpath = outdir / f"{name}.json"

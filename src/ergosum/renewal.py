@@ -141,7 +141,15 @@ class Geometric(LifetimeDistribution):
 
     def tail(self, n):
         n = np.asarray(n, dtype=np.float64)
-        return np.power(1.0 - self.p, n - 1.0)
+        q = 1.0 - self.p
+        if n.ndim == 0 or q == 1.0:
+            return np.power(q, n - 1.0)
+        # q^e rounds to 0 from e = 1075 log 2 / -log q on, and NumPy's
+        # underflow path is slow: raise only the e below 1100 log 2 / -log q
+        out = np.zeros_like(n)
+        live = n - 1.0 < (1100 * math.log(2.0) / -math.log(q) if q else 1.0)
+        out[live] = np.power(q, n[live] - 1.0)
+        return out
 
     def truncated_mean(self, n: int) -> float:
         if n < 1 or self.p == 1.0:
@@ -392,37 +400,45 @@ def _reciprocal(g: np.ndarray) -> np.ndarray:
     ascending order, each at most doubling the one below, so no step
     transforms at full size for a few extra terms.  The first size of at
     most _NEWTON_BASE comes from the plain recurrence
-    v_k = -sum_{j=1..k} g_j v_{k-j}.
+    v_k = -sum_{j=1..k} g_j v_{k-j}.  Every step runs in prefixes of one
+    work area sized for the last step, one real buffer and two spectra,
+    about 4.5 arrays of len(g); v is returned as a view of the real buffer.
     """
     sizes = [len(g)]
     while sizes[-1] > _NEWTON_BASE:
         sizes.append(-(-sizes[-1] // 2))
+    # the last step, from sizes[1] to sizes[0] terms, has the longest transforms
+    top = _next_fast_len(sizes[0] + sizes[1] - 1) if len(sizes) > 1 else sizes[0]
     m = sizes.pop()
-    v = np.empty(m)
+    buf = np.empty(top)
+    v = buf[:m]
     v[0] = 1.0
     for k in range(1, m):
         v[k] = -np.dot(g[1:k + 1], v[k - 1::-1])
+    fv_area = np.empty(top // 2 + 1, dtype=np.complex128)
+    spec_area = np.empty_like(fv_area)
     for m2 in reversed(sizes):
         # v <- v (2 - g v) mod z^m2.  g*v and v*t both have length
         # m2 + m - 1, so one transform of v serves both: five transforms per
-        # step.  Each product is formed in place with its operand order
-        # spelled out, since complex products are not bitwise commutative
-        # (NumPy turns x * tmp into tmp *= x when tmp is an unnamed
-        # temporary of 256 KiB or more).
+        # step, each of a short operand zero-padded to size.  Each product is
+        # formed in place with its operand order spelled out, since complex
+        # products are not bitwise commutative.
         size = _next_fast_len(m2 + m - 1)
-        fv = np.fft.rfft(v, size)
-        spec = np.fft.rfft(g[:m2], size)
-        t = -np.fft.irfft(np.multiply(spec, fv, out=spec), size)[:m2]
+        fv = np.fft.rfft(buf[:m], size, out=fv_area[:size // 2 + 1])
+        spec = np.fft.rfft(g[:m2], size, out=spec_area[:size // 2 + 1])
+        t = np.fft.irfft(np.multiply(spec, fv, out=spec), size, out=buf[:size])[:m2]
+        np.negative(t, out=t)
         t[0] += 2.0
-        spec = np.fft.rfft(t, size)
-        v = np.fft.irfft(np.multiply(fv, spec, out=spec), size)[:m2]
+        spec = np.fft.rfft(t, size, out=spec)
+        np.fft.irfft(np.multiply(fv, spec, out=spec), size, out=buf[:size])
         m = m2
+    v = buf[:m]
     v[0] = 1.0  # 1/g[0], exactly; the transforms leave it an ulp off
     return v
 
 
 def _check_horizon(n: int) -> None:
-    """Refuse a horizon whose tables of n + 2 float64 values no array holds,
+    """Refuse a horizon whose tables of n + 2 8-byte values no array holds,
     before any is built; past int64, ``np.arange(1, n + 2)`` would wrap."""
     if n + 2 > _MAX_TABLE_LEN:
         raise ResourceLimitError(
@@ -447,7 +463,14 @@ def renewal_sequence(f: LifetimeDistribution, n_max: int) -> RenewalSequence:
     n = 2**15.  Where u_n tends to 0 the cumulative sum cancels: for
     power:0.5 at n = 10**5, u is within 2.4e-16 of the direct recursion
     but a_u only within 5.5e-14 relative.  u and a_u are accumulated in
-    long double.
+    long double, in place in one buffer.
+
+    Tails below the least normal float are zeroed after d is taken from the
+    raw tails: they change no bit of u, and the transforms would spend
+    subnormal arithmetic on them (geometric:0.7 has 30 from n = 618 on).
+    The inversion runs in one work area (``_reciprocal``), so at peak the
+    arrays that NumPy allocates hold about 5.5 times n float64 values: the
+    tails, the real buffer and the two spectra.
     """
     if n_max < 0:
         raise ValueError("n_max must be >= 0")
@@ -457,18 +480,26 @@ def renewal_sequence(f: LifetimeDistribution, n_max: int) -> RenewalSequence:
     # gcd of the k <= n_max with f_k != 0; n_max + 1 if there are none
     d = int(np.gcd.reduce(np.flatnonzero(tails[:-1] != tails[1:]) + 1)) or n_max + 1
     tails[0] = 1.0
+    tails[tails < np.finfo(np.float64).tiny] = 0.0
     reduced = tails[::d]
-    if reduced.size == 1 or reduced[1] == 0.0:
-        values = 1.0  # nu = d within the window
-    else:
-        values = np.cumsum(_reciprocal(reduced), dtype=np.longdouble)
+    # None where nu = d within the window, and u is the indicator of dZ
+    v = None if reduced.size == 1 or reduced[1] == 0.0 else _reciprocal(reduced)
+    del tails, reduced
+    sums = np.empty(n_max + 1, dtype=np.longdouble)
     u = np.zeros(n_max + 1)
-    u[::d] = values
+    u[::d] = 1.0 if v is None else _long_cumsum(v, sums[:len(v)])
+    del v
     a_u = np.empty(n_max + 1)
     a_u[0] = 0.0
-    if n_max:
-        a_u[1:] = np.cumsum(u[1:], dtype=np.longdouble).astype(np.float64)
+    a_u[1:] = _long_cumsum(u[1:], sums[1:])
     return RenewalSequence(f, u, a_u)
+
+
+def _long_cumsum(x: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Prefix sums of x in place in the long-double array out, which
+    ``np.cumsum(x, dtype=np.longdouble)`` would allocate beside a copy of x."""
+    out[...] = x
+    return np.cumsum(out, out=out)
 
 
 # -- truncated-mean scaling ------------------------------------------------
@@ -524,6 +555,7 @@ def dyadic_tail_series(f: LifetimeDistribution, scaling: ScalingSequence,
         raise ValueError("t must be positive")
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
+    _check_horizon(n_max)
     b_values = []
     thresholds = []
     terms = np.empty(n_max + 1)
@@ -568,6 +600,7 @@ def trimmed_sum_trials(f: LifetimeDistribution, n: int, trials: int,
         raise ValueError("n must be >= 2")
     if trials < 1:
         raise ValueError("trials must be >= 1")
+    _check_horizon(n)
     b_n = invert_scaling(truncated_mean_scaling(f), n)
     ratios = np.empty(trials)
     for i in range(trials):

@@ -14,6 +14,8 @@ from __future__ import annotations
 import numpy as np
 
 GENERATOR_NAME = "PCG64(SeedSequence(master, spawn_key=(trial,)))"
+# the stream of a walk trial's backward steps
+BACKWARD_NAME = "Generator(bit_generator.jumped()) of the trial's stream"
 
 
 def spawn(master: int, index: int) -> np.random.Generator:

@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 import ergosum
-from ergosum import cli, lattice, rankone
+from ergosum import cli, lattice, rankone, renewal
 from ergosum.errors import PrecisionWarning
 from ergosum.streams import spawn
 
@@ -230,6 +230,19 @@ def test_provenance_header_fields(tmp_path):
     assert "timestamp" not in text  # stamp-free by default
 
 
+def test_walk_header_names_the_backward_stream(tmp_path):
+    _, out = run_cli(["walk", "--dist", "geometric:0.5", "--N", "20", "--seeds", "2"],
+                     tmp_path)
+    header, rows = read_table(out / "walk.csv")
+    assert "# rng-backward: Generator(bit_generator.jumped()) of the trial's stream\n" \
+        in header
+    assert header[-2] == "# rng: PCG64(SeedSequence(master, spawn_key=(trial,)))\n"
+    assert len(rows) == 2
+    _, out = run_cli(["renewal", "--dist", "delta:1", "--n", "3"], tmp_path, "other")
+    header, _ = read_table(out / "renewal.csv")
+    assert not any("rng-backward" in line for line in header)
+
+
 def test_stamp_flag_adds_timestamp(tmp_path):
     _, out = run_cli(["renewal", "--dist", "delta:1", "--n", "3", "--stamp"],
                      tmp_path)
@@ -304,6 +317,26 @@ def test_walk_counts_independent_of_cpu_dispatch(tmp_path):
             counts.append([row["count"] for row in rows])
     assert [len(c) for c in counts] == [8] * 4
     assert counts[:2] == counts[2:]
+
+
+def test_long_tables_written_block_by_block(tmp_path):
+    # 9001 and 9000 rows cross two block boundaries of the row builder
+    n_max = 9000
+    _, out = run_cli(["renewal", "--dist", "power:0.5", "--n", str(n_max), "--json"],
+                     tmp_path)
+    seq = renewal.renewal_sequence(renewal.PowerTail(0.5), n_max)
+    _, rows = read_table(out / "renewal.csv")
+    assert [row["n"] for row in rows] == [str(n) for n in range(n_max + 1)]
+    assert [row["u"] for row in rows] == [repr(x) for x in seq.u.tolist()]
+    assert [row["a_u"] for row in rows] == [repr(x) for x in seq.a_u.tolist()]
+    doc = json.loads((out / "renewal.json").read_text())
+    assert doc["rows"] == [[int(r["n"]), float(r["u"]), float(r["a_u"])] for r in rows]
+    _, out = run_cli(["queen", "--dist", "harmonic", "--n", str(n_max)], tmp_path, "q")
+    qs = renewal.queen_series(renewal.PowerTail(1.0), n_max)
+    _, rows = read_table(out / "queen.csv")
+    assert [row["n"] for row in rows] == [str(n) for n in range(1, n_max + 1)]
+    assert [row["Q"] for row in rows] == [repr(x) for x in qs.partial_sums.tolist()]
+    assert [row["tail"] for row in rows] == [repr(x) for x in qs.tails.tolist()]
 
 
 def test_json_mirror_matches_csv(tmp_path):
@@ -703,6 +736,19 @@ def test_exit_code_huge_horizon(args, n, tmp_path, capsys):
     code = cli.main([*args.format(n=n).split(), "--out", str(tmp_path / "out")])
     assert code == cli.EXIT_RESOURCE
     assert f"horizon n = {n} " in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("args", [
+    "trimmed --dist delta:1 --n 4611686018427387904 --trials 1",
+    "dyadic-tail --dist delta:1 --n 4611686018427387904",
+], ids=lambda args: args.split()[0])
+def test_exit_code_huge_sample_or_index(args, tmp_path, capsys):
+    # 2^62 draws, or 2^62 + 1 dyadic terms: refused before any is sampled
+    # or allocated, where NumPy would call the array too big (exit 2)
+    code = cli.main([*args.split(), "--out", str(tmp_path / "out")])
+    assert code == cli.EXIT_RESOURCE
+    assert "resource limit: horizon n = 4611686018427387904 " in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
 
 

@@ -1,6 +1,7 @@
 """Lifetime distributions, renewal sequences, scalings, series, trimmed sums."""
 
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -400,19 +401,76 @@ def test_newton_steps_halve_the_length(monkeypatch):
     # terms, so no transform is longer than _next_fast_len(L + ceil(L/2) - 1);
     # doubling to 2**15 and then to L would transform at 2**16
     lengths = []
-    rfft = np.fft.rfft
 
-    def recording_rfft(a, n=None, *args, **kwargs):
-        lengths.append(n)
-        return rfft(a, n, *args, **kwargs)
+    def recording(transform):
+        def run(a, n=None, *args, out=None, **kwargs):
+            # every transform writes into the work area, at the length given
+            assert out is not None and n is not None
+            lengths.append(n)
+            return transform(a, n, *args, out=out, **kwargs)
+        return run
 
-    monkeypatch.setattr(np.fft, "rfft", recording_rfft)
+    monkeypatch.setattr(np.fft, "rfft", recording(np.fft.rfft))
+    monkeypatch.setattr(np.fft, "irfft", recording(np.fft.irfft))
     n_max = 2 ** 15
     rn.renewal_sequence(rn.Geometric(0.7), n_max)
     length = n_max + 1
     longest = rn._next_fast_len(length + -(-length // 2) - 1)
     assert longest == 50000
-    assert lengths and max(lengths) <= longest
+    assert lengths and max(lengths) == longest
+
+
+def test_renewal_peak_memory():
+    # one work area (a real buffer and two spectra of about 1.5 n) beside
+    # the tails; measured 5.5 arrays of n + 1, against 9.0 when every
+    # Newton step allocated its own transforms
+    n_max = 2 ** 20
+    rn.renewal_sequence(rn.Geometric(0.7), 64)
+    tracemalloc.start()
+    try:
+        rn.renewal_sequence(rn.Geometric(0.7), n_max)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 8 * 8 * (n_max + 1), peak / (8 * (n_max + 1))
+
+
+@pytest.mark.parametrize("p", [1.0, 0.999999, 0.7, 0.5, 0.3, 0.1, 1e-3, 1e-300])
+def test_geometric_tail_matches_numpy_power(p):
+    # only exponents whose power can be nonzero are raised; the rest are 0
+    f = rn.Geometric(p)
+    n = np.arange(1, 2 ** 20 + 2)
+    tails = f.tail(n)
+    assert tails.dtype == np.float64
+    assert np.array_equal(tails, np.power(1 - p, n - 1.0))
+    for k in (1, 2, 3, 700, 1076, 2 ** 20, 2 ** 62):
+        assert np.array_equal(f.tail(k), np.power(1 - p, k - 1.0)), k
+    assert np.array_equal(f.tail(n[::-7]), np.power(1 - p, n[::-7] - 1.0))
+
+
+@pytest.mark.parametrize("length", [2 ** 12 + 1, 2 ** 15 + 1])
+@pytest.mark.parametrize("p", [0.999, 0.7, 0.5, 0.3])
+def test_reciprocal_ignores_subnormal_tails(p, length):
+    # renewal_sequence zeroes the subnormal tails before the inversion
+    tails = rn.Geometric(p).tail(np.arange(1, length + 1))
+    subnormal = (tails > 0.0) & (tails < np.finfo(np.float64).tiny)
+    assert subnormal.any()
+    zeroed = np.where(subnormal, 0.0, tails)
+    assert np.array_equal(rn._reciprocal(tails), rn._reciprocal(zeroed))
+
+
+def test_renewal_subnormal_last_mass_keeps_period():
+    # the atom at 5 makes d = 1; with its subnormal tails zeroed the rest
+    # has period 2, but d comes from the raw tails, so the odd u_n are
+    # the inversion's, bit for bit, not exact zeros
+    f = rn.FiniteSupport([(2, 0.5), (4, 0.5), (5, 1e-310)])
+    n_max = 5000
+    tails = np.asarray(f.tail(np.arange(1, n_max + 2)))
+    tails[0] = 1.0
+    raw = np.cumsum(rn._reciprocal(tails), dtype=np.longdouble).astype(np.float64)
+    u = rn.renewal_sequence(f, n_max).u
+    assert np.array_equal(u, raw)
+    assert np.any(u[1::2] != 0.0)
 
 
 def test_fft_accuracy_geometric():
