@@ -465,9 +465,6 @@ def renewal_sequence(f: LifetimeDistribution, n_max: int) -> RenewalSequence:
     but a_u only within 5.5e-14 relative.  u and a_u are accumulated in
     long double, in place in one buffer.
 
-    Tails below the least normal float are zeroed after d is taken from the
-    raw tails: they change no bit of u, and the transforms would spend
-    subnormal arithmetic on them (geometric:0.7 has 30 from n = 618 on).
     The inversion runs in one work area (``_reciprocal``), so at peak the
     arrays that NumPy allocates hold about 5.5 times n float64 values: the
     tails, the real buffer and the two spectra.
@@ -480,7 +477,6 @@ def renewal_sequence(f: LifetimeDistribution, n_max: int) -> RenewalSequence:
     # gcd of the k <= n_max with f_k != 0; n_max + 1 if there are none
     d = int(np.gcd.reduce(np.flatnonzero(tails[:-1] != tails[1:]) + 1)) or n_max + 1
     tails[0] = 1.0
-    tails[tails < np.finfo(np.float64).tiny] = 0.0
     reduced = tails[::d]
     # None where nu = d within the window, and u is the indicator of dZ
     v = None if reduced.size == 1 or reduced[1] == 0.0 else _reciprocal(reduced)

@@ -422,8 +422,7 @@ def test_newton_steps_halve_the_length(monkeypatch):
 
 def test_renewal_peak_memory():
     # one work area (a real buffer and two spectra of about 1.5 n) beside
-    # the tails; measured 5.5 arrays of n + 1, against 9.0 when every
-    # Newton step allocated its own transforms
+    # the tails: about 5.5 arrays of n + 1 at peak
     n_max = 2 ** 20
     rn.renewal_sequence(rn.Geometric(0.7), 64)
     tracemalloc.start()
@@ -446,31 +445,6 @@ def test_geometric_tail_matches_numpy_power(p):
     for k in (1, 2, 3, 700, 1076, 2 ** 20, 2 ** 62):
         assert np.array_equal(f.tail(k), np.power(1 - p, k - 1.0)), k
     assert np.array_equal(f.tail(n[::-7]), np.power(1 - p, n[::-7] - 1.0))
-
-
-@pytest.mark.parametrize("length", [2 ** 12 + 1, 2 ** 15 + 1])
-@pytest.mark.parametrize("p", [0.999, 0.7, 0.5, 0.3])
-def test_reciprocal_ignores_subnormal_tails(p, length):
-    # renewal_sequence zeroes the subnormal tails before the inversion
-    tails = rn.Geometric(p).tail(np.arange(1, length + 1))
-    subnormal = (tails > 0.0) & (tails < np.finfo(np.float64).tiny)
-    assert subnormal.any()
-    zeroed = np.where(subnormal, 0.0, tails)
-    assert np.array_equal(rn._reciprocal(tails), rn._reciprocal(zeroed))
-
-
-def test_renewal_subnormal_last_mass_keeps_period():
-    # the atom at 5 makes d = 1; with its subnormal tails zeroed the rest
-    # has period 2, but d comes from the raw tails, so the odd u_n are
-    # the inversion's, bit for bit, not exact zeros
-    f = rn.FiniteSupport([(2, 0.5), (4, 0.5), (5, 1e-310)])
-    n_max = 5000
-    tails = np.asarray(f.tail(np.arange(1, n_max + 2)))
-    tails[0] = 1.0
-    raw = np.cumsum(rn._reciprocal(tails), dtype=np.longdouble).astype(np.float64)
-    u = rn.renewal_sequence(f, n_max).u
-    assert np.array_equal(u, raw)
-    assert np.any(u[1::2] != 0.0)
 
 
 def test_fft_accuracy_geometric():
