@@ -1,10 +1,9 @@
 """Reproducible experiment runner.
 
 Every experiment is described by a config (kind, parameters, master seed,
-trial count); outputs are CSV files whose data rows are byte-identical
-across reruns and thread counts, with '#'-prefixed provenance headers
-(tool version, config hash, seed, generator).  A JSON
-mirror of each table is written with --json.
+trial count); its outputs are CSV files only, byte-identical across
+reruns and thread counts, each opening with '#'-prefixed provenance
+lines (tool version, config hash, seed, generator).
 
 Each subcommand takes only the run settings its runner reads: rank-one and
 walk take their trial count as --seeds, trimmed as --trials, and only walk
@@ -24,7 +23,6 @@ import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, fields
-from datetime import datetime, timezone
 from itertools import chain
 from pathlib import Path
 from typing import NamedTuple, get_type_hints
@@ -68,7 +66,6 @@ PARAMS = {
     "rank-one": ("tower orbit series and ratio statistics", {
         "preset": Param(str, help="one of " + ", ".join(rankone.PRESETS)),
         "data": Param(str, help="construction data JSON file"),
-        "radius": Param(int, help="single checkpoint radius"),
         "checkpoints": Param(str, "dyadic:10:24", "dyadic:LO:HI or comma list"),
         "burn_in": Param(int, 4096),
     }),
@@ -128,8 +125,6 @@ class ExperimentConfig:
     trials: int = 1
     threads: int = 0
     out: str = "."
-    json_mirror: bool = False
-    stamp: bool = False
 
     def __post_init__(self):
         # a saved config is free-form JSON: check it before anything runs
@@ -303,10 +298,7 @@ def _map_trials(cfg: ExperimentConfig, fn):
 def run_rank_one(cfg: ExperimentConfig):
     v = cfg.values()
     data = _load_construction(v["preset"], v["data"])
-    if v["radius"] is not None:
-        cps = (v["radius"],)
-    else:
-        cps = parse_checkpoints(v["checkpoints"])
+    cps = parse_checkpoints(v["checkpoints"])
     burn_in = v["burn_in"]
     if not any(n >= burn_in for n in cps):
         burn_in = cps[0] if cps[0] >= 1 else 1
@@ -413,6 +405,11 @@ def run_walk(cfg: ExperimentConfig):
 def run_regvar(cfg: ExperimentConfig):
     v = cfg.values()
     spec, n_lo, n_hi, factor = v["scaling"], v["n_lo"], v["n_hi"], v["factor"]
+    p_spec = v["p"]
+    try:
+        p_values = tuple(int(tok) for tok in p_spec.split(","))
+    except ValueError as exc:
+        raise ConfigError(f"bad p list {p_spec!r}") from exc
     if v["sv"]:
         head, _, rest = spec.partition(":")
         if head != "tm":
@@ -420,11 +417,6 @@ def run_regvar(cfg: ExperimentConfig):
         length = parse_distribution(rest).truncated_mean
         rows = regvar.sv_diagnostic(length, n_lo, n_hi, factor)
         return [("regvar_sv", regvar.SVRow._fields, rows)]
-    p_spec = v["p"]
-    try:
-        p_values = tuple(int(tok) for tok in p_spec.split(","))
-    except ValueError as exc:
-        raise ConfigError(f"bad p list {p_spec!r}") from exc
     report = regvar.er_diagnostic(parse_scaling(spec), p_values, n_lo, n_hi, factor)
     return [("regvar_er", regvar.ERRow._fields, report.rows)]
 
@@ -455,8 +447,6 @@ def provenance_lines(cfg: ExperimentConfig) -> list[str]:
     ]
     if cfg.kind == "walk":
         lines.append(f"rng-backward: {BACKWARD_NAME}")
-    if cfg.stamp:
-        lines.append(f"timestamp: {datetime.now(timezone.utc).isoformat()}")
     return lines
 
 
@@ -466,8 +456,6 @@ def write_outputs(cfg: ExperimentConfig, tables) -> list[Path]:
     header = provenance_lines(cfg)
     written = []
     for name, fields, rows in tables:
-        if cfg.json_mirror:
-            rows = list(rows)  # read by both writers
         path = outdir / f"{name}.csv"
         with open(path, "w", newline="") as fh:
             for line in header:
@@ -476,15 +464,6 @@ def write_outputs(cfg: ExperimentConfig, tables) -> list[Path]:
             fh.writelines(",".join(map(str, row)) + "\r\n"
                           for row in chain((fields,), rows))
         written.append(path)
-        if cfg.json_mirror:
-            jpath = outdir / f"{name}.json"
-            doc = {
-                "provenance": header,
-                "columns": list(fields),
-                "rows": [list(r) for r in rows],
-            }
-            jpath.write_text(json.dumps(doc, sort_keys=True, default=str))
-            written.append(jpath)
     return written
 
 
@@ -510,10 +489,6 @@ def _add_common(sub, kind):
         sub.add_argument("--threads", type=int, default=ExperimentConfig.threads,
                          help="threads for the trials (0 = all cores); "
                               "never changes output rows")
-    sub.add_argument("--json", action="store_true", dest="json_mirror",
-                     help="also write JSON mirrors")
-    sub.add_argument("--stamp", action="store_true",
-                     help="include a timestamp header line (breaks diffability)")
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -485,6 +485,8 @@ def renewal_sequence(f: LifetimeDistribution, n_max: int) -> RenewalSequence:
     u = np.zeros(n_max + 1)
     u[::d] = 1.0 if v is None else _long_cumsum(v, sums[:len(v)])
     del v
+    # every u_n is a probability; near-periodic tails round a few past 0 or 1
+    np.clip(u, 0.0, 1.0, out=u)
     a_u = np.empty(n_max + 1)
     a_u[0] = 0.0
     a_u[1:] = _long_cumsum(u[1:], sums[1:])

@@ -40,7 +40,7 @@ def read_table(path):
 
 def test_rank_one_radius_example(tmp_path):
     with pytest.warns(UserWarning, match="beta_lower_hat"):
-        code, out = run_cli(["rank-one", "--preset", "chacon", "--radius", "13",
+        code, out = run_cli(["rank-one", "--preset", "chacon", "--checkpoints", "13",
                              "--seeds", "1"], tmp_path)
     assert code == 0
     _, rows = read_table(out / "series_000.csv")
@@ -208,7 +208,7 @@ def test_construction_data_file(tmp_path):
     data_file = tmp_path / "heavy.json"
     data_file.write_text(json.dumps(doc))
     with pytest.warns(UserWarning, match="beta_lower_hat"):
-        code, out = run_cli(["rank-one", "--data", str(data_file), "--radius", "16",
+        code, out = run_cli(["rank-one", "--data", str(data_file), "--checkpoints", "16",
                              "--seeds", "1"], tmp_path)
     assert code == 0
     _, rows = read_table(out / "series_000.csv")
@@ -227,7 +227,7 @@ def test_provenance_header_fields(tmp_path):
     assert "# config-sha256: " in text
     assert "# seed: 9" in text
     assert "# rng: PCG64" in text
-    assert "timestamp" not in text  # stamp-free by default
+    assert "timestamp" not in text  # nothing that differs between reruns
 
 
 def test_walk_header_names_the_backward_stream(tmp_path):
@@ -241,13 +241,6 @@ def test_walk_header_names_the_backward_stream(tmp_path):
     _, out = run_cli(["renewal", "--dist", "delta:1", "--n", "3"], tmp_path, "other")
     header, _ = read_table(out / "renewal.csv")
     assert not any("rng-backward" in line for line in header)
-
-
-def test_stamp_flag_adds_timestamp(tmp_path):
-    _, out = run_cli(["renewal", "--dist", "delta:1", "--n", "3", "--stamp"],
-                     tmp_path)
-    header, _ = read_table(out / "renewal.csv")
-    assert any("timestamp" in line for line in header)
 
 
 def test_rerun_byte_identical(tmp_path):
@@ -322,31 +315,18 @@ def test_walk_counts_independent_of_cpu_dispatch(tmp_path):
 def test_long_tables_written_block_by_block(tmp_path):
     # 9001 and 9000 rows cross two block boundaries of the row builder
     n_max = 9000
-    _, out = run_cli(["renewal", "--dist", "power:0.5", "--n", str(n_max), "--json"],
-                     tmp_path)
+    _, out = run_cli(["renewal", "--dist", "power:0.5", "--n", str(n_max)], tmp_path)
     seq = renewal.renewal_sequence(renewal.PowerTail(0.5), n_max)
     _, rows = read_table(out / "renewal.csv")
     assert [row["n"] for row in rows] == [str(n) for n in range(n_max + 1)]
     assert [row["u"] for row in rows] == [repr(x) for x in seq.u.tolist()]
     assert [row["a_u"] for row in rows] == [repr(x) for x in seq.a_u.tolist()]
-    doc = json.loads((out / "renewal.json").read_text())
-    assert doc["rows"] == [[int(r["n"]), float(r["u"]), float(r["a_u"])] for r in rows]
     _, out = run_cli(["queen", "--dist", "harmonic", "--n", str(n_max)], tmp_path, "q")
     qs = renewal.queen_series(renewal.PowerTail(1.0), n_max)
     _, rows = read_table(out / "queen.csv")
     assert [row["n"] for row in rows] == [str(n) for n in range(1, n_max + 1)]
     assert [row["Q"] for row in rows] == [repr(x) for x in qs.partial_sums.tolist()]
     assert [row["tail"] for row in rows] == [repr(x) for x in qs.tails.tolist()]
-
-
-def test_json_mirror_matches_csv(tmp_path):
-    _, out = run_cli(["renewal", "--dist", "geometric:0.5", "--n", "5", "--json"],
-                     tmp_path)
-    doc = json.loads((out / "renewal.json").read_text())
-    _, rows = read_table(out / "renewal.csv")
-    assert doc["columns"] == ["n", "u", "a_u"]
-    assert len(doc["rows"]) == len(rows)
-    assert float(doc["rows"][1][1]) == float(rows[1]["u"])
 
 
 def test_config_roundtrip_and_file(tmp_path):
@@ -408,7 +388,7 @@ def test_hash_ignores_execution_knobs():
     a = cli.ExperimentConfig(kind="renewal", params={"dist": "delta:1", "n": 2},
                              threads=1, out="x")
     b = cli.ExperimentConfig(kind="renewal", params={"dist": "delta:1", "n": 2},
-                             threads=8, out="y", json_mirror=True)
+                             threads=8, out="y")
     assert a.config_hash() == b.config_hash()
 
 
@@ -433,12 +413,14 @@ def _arg_id(arg):
     ["renewal", "--dist", "geometric:0.5", "--n", "-1"],
     ["regvar", "--scaling", "au:geometric:0.5:xx"],
     ["regvar", "--scaling", "tm:harmonic", "--p", "2,x"],
+    # --p is checked with --sv too, which does not use it
+    ["regvar", "--scaling", "tm:harmonic", "--sv", "--p", "2,x"],
     ["regvar", "--scaling", "tm:harmonic", "--n-lo", "0"],
     ["queen", "--dist", "harmonic", "--n", "0"],
     ["walk", "--dist", "geometric:0.5", "--N", "0"],
     ["trimmed", "--dist", "harmonic", "--n", "1"],
     ["dyadic-tail", "--dist", "harmonic", "--n", "3", "--t", "-1"],
-    ["rank-one", "--preset", "chacon", "--radius", "-3"],
+    ["rank-one", "--preset", "chacon", "--checkpoints", "-3"],
     ["renewal", "--dist", {"kind": "finite", "mass": [[1, "x"]]}, "--n", "5"],
     ["renewal", "--dist", {"kind": "geometric"}, "--n", "5"],
     # an atom is a JSON integer: 1.5 does not run as 1, nor true as delta:1
@@ -500,9 +482,15 @@ def test_exit_code_bad_grid(args, named, tmp_path, capsys):
     ({"kind": "renewal", "params": {"dist": "geometric:0.5", "n": 4, "nn": 9}}, "'nn'"),
     ({"kind": "translate", "params": {"alpha": "golden", "N": 4, "x": 10 ** 400}},
      "'x'"),
+    # retired keys: --json, --stamp and rank-one's --radius
+    ({"kind": "renewal", "params": {"dist": "geometric:0.5", "n": 4},
+      "json_mirror": False}, "'json_mirror'"),
+    ({"kind": "renewal", "params": {"dist": "geometric:0.5", "n": 4}, "stamp": True},
+     "'stamp'"),
+    ({"kind": "rank-one", "params": {"preset": "chacon", "radius": 13}}, "'radius'"),
 ], ids=["params-null", "missing-n", "null-n", "trials-string", "unknown-kind",
         "dist-int", "n-list", "checkpoints-int", "n-float", "N-bool", "unknown-key",
-        "x-too-large"])
+        "x-too-large", "json-mirror", "stamp", "radius"])
 def test_exit_code_malformed_config(doc, named, tmp_path, capsys):
     cfg_file = tmp_path / "cfg.json"
     doc = {**doc, "out": str(tmp_path / "out")}
@@ -533,7 +521,8 @@ def test_exit_code_non_finite_real(args, named, tmp_path, capsys):
     (["walk", "--dist", "geometric:0.5", "--N", "10", "--seeds", "0"], "'trials'"),
     (["walk", "--dist", "geometric:0.5", "--N", "10", "--seeds", "-3"], "'trials'"),
     (["trimmed", "--dist", "harmonic", "--n", "100", "--trials", "0"], "'trials'"),
-    (["rank-one", "--preset", "chacon", "--radius", "13", "--seeds", "0"], "'trials'"),
+    (["rank-one", "--preset", "chacon", "--checkpoints", "13", "--seeds", "0"],
+     "'trials'"),
     (["walk", "--dist", "geometric:0.5", "--N", "10", "--seed", "-1"], "'seed'"),
     (["walk", "--dist", "geometric:0.5", "--N", "10", "--threads", "-1"], "'threads'"),
     (["translate", "--alpha", "golden", "--N", "5", "--grid", "dyadic:0:2"], "--grid"),
@@ -567,9 +556,15 @@ def test_exit_code_saved_run_setting(doc, named, tmp_path, capsys):
 
 @pytest.mark.parametrize("args,flag", [
     (["renewal", "--dist", "geometric:0.5", "--n", "4", "--trials", "2"], "--trials 2"),
-    (["rank-one", "--preset", "chacon", "--radius", "13", "--threads", "2"],
+    (["rank-one", "--preset", "chacon", "--checkpoints", "13", "--threads", "2"],
      "--threads 2"),
-], ids=["renewal-trials", "rank-one-threads"])
+    # retired flags: --json, --stamp and rank-one's --radius
+    (["renewal", "--dist", "geometric:0.5", "--n", "4", "--json"], "--json"),
+    (["renewal", "--dist", "geometric:0.5", "--n", "4", "--stamp"], "--stamp"),
+    (["rank-one", "--preset", "chacon", "--checkpoints", "13", "--radius", "13"],
+     "--radius 13"),
+], ids=["renewal-trials", "rank-one-threads", "renewal-json", "renewal-stamp",
+        "rank-one-radius"])
 def test_run_setting_a_run_does_not_read(args, flag, capsys):
     with pytest.raises(SystemExit) as exc:
         cli.main(args)
@@ -580,10 +575,9 @@ def test_run_setting_a_run_does_not_read(args, flag, capsys):
 
 def test_option_strings_pinned():
     # a flag that no run reads shows up here
-    common = ["--config", "--out", "--seed", "--json", "--stamp"]
+    common = ["--config", "--out", "--seed"]
     pins = {
-        "rank-one": ["--seeds", "--preset", "--data", "--radius", "--checkpoints",
-                     "--burn-in"],
+        "rank-one": ["--seeds", "--preset", "--data", "--checkpoints", "--burn-in"],
         "renewal": ["--dist", "--n"],
         "queen": ["--dist", "--n"],
         "dyadic-tail": ["--dist", "--n", "--t", "--scaling"],
@@ -601,7 +595,7 @@ def test_option_strings_pinned():
                          if opt not in ("-h", "--help"))
         assert options == sorted(common + pins[kind]), kind
         total += len(options)
-    assert total == 73
+    assert total == 56
 
 
 def test_walk_threads_zero_uses_all_cores(tmp_path, monkeypatch):
@@ -631,7 +625,7 @@ def test_walk_threads_zero_uses_all_cores(tmp_path, monkeypatch):
 def test_construction_data_holds_integers(doc, named, tmp_path, capsys):
     data_file = tmp_path / "data.json"
     data_file.write_text(json.dumps(doc))
-    code = cli.main(["rank-one", "--data", str(data_file), "--radius", "13",
+    code = cli.main(["rank-one", "--data", str(data_file), "--checkpoints", "13",
                      "--out", str(tmp_path / "out")])
     assert code == cli.EXIT_CONFIG
     err = capsys.readouterr().err.splitlines()
@@ -762,7 +756,7 @@ def test_dyadic_tail_threshold_overflowing_float(tmp_path, capsys):
 
 
 def test_exit_code_missing_inputs(tmp_path):
-    assert cli.main(["rank-one", "--radius", "5",
+    assert cli.main(["rank-one", "--checkpoints", "5",
                      "--out", str(tmp_path)]) == cli.EXIT_CONFIG
     assert cli.main(["translate", "--alpha", "golden",
                      "--out", str(tmp_path)]) == cli.EXIT_CONFIG

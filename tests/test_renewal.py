@@ -280,6 +280,21 @@ def test_renewal_nearly_periodic_support():
     assert np.max(np.abs(seq.u - direct)) <= 1e-13
 
 
+@pytest.mark.parametrize("points", [
+    [(3, 1.0), (7, 5e-324)],
+    [(2, 0.5), (4, 0.5), (5, 1e-310)],
+], ids=["period-3-subnormal-7", "period-2-subnormal-5"])
+def test_renewal_probabilities_in_unit_interval(points):
+    # periodic but for a negligible atom: unclipped, the inversion's
+    # rounding put hundreds of u_n up to 1e-12 below 0 or above 1
+    f = rn.FiniteSupport(points)
+    n_max = 5000
+    seq = rn.renewal_sequence(f, n_max)
+    assert np.all((seq.u >= 0.0) & (seq.u <= 1.0))
+    direct = _renewal_direct(masses(f, n_max), n_max)
+    assert np.max(np.abs(seq.u - direct)) <= 2e-12
+
+
 def test_renewal_first_term_is_one():
     # tail(1) sums the weights to 1 - 1 ulp; u_0 = 1 regardless
     f = rn.FiniteSupport([(1, 0.1), (2, 0.2), (3, 0.7)])

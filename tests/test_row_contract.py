@@ -45,7 +45,7 @@ CONTRACT = [
         "8c5b5d07953f62c7a696784ac63785e693c236699a5cfbadd32ec7e6ff220e1d",
         id="chacon-past-int64"),
     pytest.param(
-        ["rank-one", "--preset", "chacon", "--seeds", "3", "--radius", "13"],
+        ["rank-one", "--preset", "chacon", "--seeds", "3", "--checkpoints", "13"],
         "5eee3df47b08f77b3f0badefc1370c831ea363f36048507bf14c61302753e9c8",
         id="chacon-radius"),
     pytest.param(
