@@ -23,7 +23,7 @@ import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, fields
-from itertools import chain
+from itertools import chain, islice
 from pathlib import Path
 from typing import NamedTuple, get_type_hints
 
@@ -267,10 +267,10 @@ def _load_construction(preset: str | None, data_file: str | None) -> rankone.Con
 
 # -- runners ------------------------------------------------------------------
 # Each returns a list of (table_name, fieldnames, rows); rows is an iterable
-# that write_outputs reads once.
+# of tuples of len(fieldnames) cells that write_outputs reads once.
 
-# rows of a table built from arrays are converted this many at a time
-_ROW_BLOCK = 4096
+# rows are converted from arrays, and formatted, this many at a time
+_ROW_BLOCK = 256
 
 
 def _array_rows(first, *columns):
@@ -410,6 +410,9 @@ def run_regvar(cfg: ExperimentConfig):
         p_values = tuple(int(tok) for tok in p_spec.split(","))
     except ValueError as exc:
         raise ConfigError(f"bad p list {p_spec!r}") from exc
+    # checked with --sv too, which does not use p
+    if any(p <= 1 for p in p_values):
+        raise ConfigError("p values must exceed 1")
     if v["sv"]:
         head, _, rest = spec.partition(":")
         if head != "tm":
@@ -457,12 +460,17 @@ def write_outputs(cfg: ExperimentConfig, tables) -> list[Path]:
     written = []
     for name, fields, rows in tables:
         path = outdir / f"{name}.csv"
+        # every cell is a field name, a number or "": none needs quoting,
+        # and "%s" of a cell is its str
+        line = ",".join(["%s"] * len(fields)) + "\r\n"
+        rows = chain((fields,), rows)
         with open(path, "w", newline="") as fh:
-            for line in header:
-                fh.write(f"# {line}\n")
-            # every cell is an int, a float or "": none needs quoting
-            fh.writelines(",".join(map(str, row)) + "\r\n"
-                          for row in chain((fields,), rows))
+            for text in header:
+                fh.write(f"# {text}\n")
+            # one format per block: a row of the wrong width would shift
+            # the cells of the rows after it, so runners keep every width
+            while block := list(islice(rows, _ROW_BLOCK)):
+                fh.write(line * len(block) % tuple(chain.from_iterable(block)))
         written.append(path)
     return written
 

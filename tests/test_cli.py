@@ -2,18 +2,22 @@
 
 import argparse
 import csv
+import itertools
 import json
 import math
 import os
 import shlex
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import ergosum
 from ergosum import cli, lattice, rankone, renewal
@@ -313,7 +317,8 @@ def test_walk_counts_independent_of_cpu_dispatch(tmp_path):
 
 
 def test_long_tables_written_block_by_block(tmp_path):
-    # 9001 and 9000 rows cross two block boundaries of the row builder
+    # 9001 and 9000 rows cross 35 block boundaries of the row builder and
+    # of the writer
     n_max = 9000
     _, out = run_cli(["renewal", "--dist", "power:0.5", "--n", str(n_max)], tmp_path)
     seq = renewal.renewal_sequence(renewal.PowerTail(0.5), n_max)
@@ -327,6 +332,88 @@ def test_long_tables_written_block_by_block(tmp_path):
     assert [row["n"] for row in rows] == [str(n) for n in range(1, n_max + 1)]
     assert [row["Q"] for row in rows] == [repr(x) for x in qs.partial_sums.tolist()]
     assert [row["tail"] for row in rows] == [repr(x) for x in qs.tails.tolist()]
+
+
+# one small run of each subcommand (two of regvar: the band and --sv)
+_TINY_RUNS = [
+    ["rank-one", "--preset", "chacon", "--checkpoints", "dyadic:4:10", "--seeds", "2",
+     "--burn-in", "16"],
+    ["renewal", "--dist", "geometric:0.5", "--n", "600"],
+    ["queen", "--dist", "harmonic", "--n", "600"],
+    ["dyadic-tail", "--dist", "harmonic", "--n", "10"],
+    ["trimmed", "--dist", "harmonic", "--n", "100", "--trials", "5"],
+    ["translate", "--alpha", "golden", "--grid", "dyadic:2:5"],
+    ["walk", "--dist", "geometric:0.5", "--N", "64", "--seeds", "3", "--threads", "1"],
+    ["regvar", "--scaling", "tm:harmonic", "--n-lo", "8", "--n-hi", "256"],
+    ["regvar", "--scaling", "tm:harmonic", "--sv", "--n-lo", "8", "--n-hi", "256"],
+]
+
+
+def test_tiny_runs_cover_every_subcommand():
+    assert {argv[0] for argv in _TINY_RUNS} == set(cli.RUNNERS)
+
+
+@pytest.mark.parametrize("argv", _TINY_RUNS, ids=" ".join)
+def test_every_row_has_one_cell_per_field(argv):
+    # write_outputs formats a block of rows at once: a row of the wrong
+    # width would shift the cells of the rows after it, not stand out
+    cfg = cli.config_from_args(cli.build_parser().parse_args(argv))
+    for name, fields, rows in cli.RUNNERS[cfg.kind](cfg):
+        rows = list(rows)
+        assert rows, name
+        assert {len(row) for row in rows} == {len(fields)}, name
+
+
+_B = cli._ROW_BLOCK
+_CELLS = st.one_of(
+    st.integers(-2 ** 70, 2 ** 70),
+    st.sampled_from([2 ** 63 - 1, 2 ** 63, -2 ** 63 - 1, 2 ** 64]),
+    st.floats(),
+    st.sampled_from([math.inf, -math.inf, math.nan, -0.0, 5e-324, 1e-310, 1e16, 1e-5]),
+    st.integers(-2 ** 63, 2 ** 63 - 1).map(np.int64),
+    st.floats().map(np.float64),
+    st.just(""),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(cells=st.lists(_CELLS, min_size=1, max_size=40),
+       width=st.integers(1, 7),
+       count=st.sampled_from([0, 1, _B - 1, _B, _B + 1, 2 * _B + 1]))
+def test_write_outputs_bytes_match_row_by_row_writer(cells, width, count,
+                                                     tmp_path_factory):
+    # the block format writes what joining each row's str cells did
+    cfg = cli.ExperimentConfig(kind="renewal", params={"dist": "harmonic", "n": 1},
+                               out=str(tmp_path_factory.mktemp("blocks")))
+    fields = tuple(f"c{j}" for j in range(width))
+    rows = [tuple(cells[(i * width + j) % len(cells)] for j in range(width))
+            for i in range(count)]
+    [path] = cli.write_outputs(cfg, [("table", fields, iter(rows))])
+    expected = "".join(f"# {line}\n" for line in cli.provenance_lines(cfg))
+    expected += "".join(",".join(map(str, row)) + "\r\n" for row in [fields, *rows])
+    assert path.read_bytes() == expected.encode()
+
+
+def test_write_outputs_streams_its_rows(tmp_path):
+    # no table is held whole: 2^18 rows from a generator peak at no more
+    # traced memory than four blocks do (a list of the rows alone takes
+    # 2 MB); the cells are str, which formatting copies without allocating,
+    # so tracing stays fast
+    cfg = cli.ExperimentConfig(kind="renewal", params={"dist": "harmonic", "n": 1},
+                               out=str(tmp_path))
+    cells = ("9223372036854775808", "-0.3333333333333333", "")
+
+    def peak(count):
+        rows = (row for row in itertools.repeat(cells, count))
+        tracemalloc.start()
+        try:
+            cli.write_outputs(cfg, [("long", ("n", "x", "y"), rows)])
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    peak(4 * _B)  # first writes allocate once for the process
+    assert peak(2 ** 18) <= 2 * peak(4 * _B)
 
 
 def test_config_roundtrip_and_file(tmp_path):
@@ -415,6 +502,7 @@ def _arg_id(arg):
     ["regvar", "--scaling", "tm:harmonic", "--p", "2,x"],
     # --p is checked with --sv too, which does not use it
     ["regvar", "--scaling", "tm:harmonic", "--sv", "--p", "2,x"],
+    ["regvar", "--scaling", "tm:harmonic", "--sv", "--p", "0", "--n-hi", "4096"],
     ["regvar", "--scaling", "tm:harmonic", "--n-lo", "0"],
     ["queen", "--dist", "harmonic", "--n", "0"],
     ["walk", "--dist", "geometric:0.5", "--N", "0"],
