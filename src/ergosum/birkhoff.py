@@ -19,6 +19,7 @@ import math
 import warnings
 from bisect import bisect_left
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Sequence
 
 from .errors import InvariantViolationError
@@ -53,7 +54,7 @@ class BirkhoffSeries:
                 raise InvariantViolationError(
                     f"sigma = {sg} exceeds window size {2 * n + 1} at {n}")
 
-    @property
+    @cached_property
     def sigma(self) -> tuple[int, ...]:
         return tuple(sp + sm - 1 for sp, sm in zip(self.s_plus, self.s_minus))
 
@@ -70,9 +71,10 @@ def series_from_names(samplers: Sequence[NameSampler],
     cps = tuple(int(n) for n in checkpoints)
     counts = [([], []) for _ in samplers]
     for n in cps:
-        for (s_plus, s_minus), w in zip(counts, ensemble_window_counts(samplers, n)):
-            s_plus.append(w.s_plus)
-            s_minus.append(w.s_minus)
+        for (s_plus, s_minus), (left, center, right) in zip(
+                counts, ensemble_window_counts(samplers, n)):
+            s_plus.append(center + right)
+            s_minus.append(center + left)
     return [BirkhoffSeries(cps, tuple(s_plus), tuple(s_minus))
             for s_plus, s_minus in counts]
 

@@ -23,7 +23,7 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from importlib import resources
 from itertools import accumulate
-from typing import NamedTuple, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -90,6 +90,8 @@ class ConstructionData:
     def __post_init__(self):
         if not self.stages:
             raise ConfigError("at least one stage is required")
+        if self.name is not None and not isinstance(self.name, str):
+            raise ConfigError(f"construction 'name' must be a string, got {self.name!r}")
         r = self.repeat_from
         if r is not None and not (isinstance(r, int) and not isinstance(r, bool)
                                   and 0 <= r < len(self.stages)):
@@ -104,19 +106,26 @@ class ConstructionData:
         if n <= len(self.stages):
             return self.stages[n - 1]
         if self.repeat_from is None:
+            listed = len(self.stages)
             raise StageDataExhaustedError(
-                f"construction {self.name or ''} lists {len(self.stages)} stages "
-                f"without a repeating suffix; stage {n} is undefined")
+                f"construction {self.name or 'custom'} lists {listed} "
+                f"stage{'' if listed == 1 else 's'} without a repeating suffix; "
+                f"stage {n} is undefined")
         cycle = len(self.stages) - self.repeat_from
         return self.stages[self.repeat_from + (n - 1 - self.repeat_from) % cycle]
 
     @classmethod
     def from_dict(cls, doc: dict, name: str | None = None) -> "ConstructionData":
+        """Data from a JSON object; a key the format does not define is an error."""
+        _check_keys(doc, ("stages", "repeat_from", "name"), "construction data")
         try:
-            stages = tuple(Stage(st["c"], tuple(st["spacers"])) for st in doc["stages"])
+            stages = []
+            for st in doc["stages"]:
+                _check_keys(st, ("c", "spacers"), "a stage")
+                stages.append(Stage(st["c"], tuple(st["spacers"])))
         except (KeyError, TypeError) as exc:
             raise ConfigError(f"malformed construction data: {exc}") from exc
-        return cls(stages, doc.get("repeat_from"), doc.get("name", name))
+        return cls(tuple(stages), doc.get("repeat_from"), doc.get("name", name))
 
     @classmethod
     def from_json(cls, text: str, name: str | None = None) -> "ConstructionData":
@@ -125,6 +134,15 @@ class ConstructionData:
         except json.JSONDecodeError as exc:
             raise ConfigError(f"construction data is not valid JSON: {exc}") from exc
         return cls.from_dict(doc, name)
+
+
+def _check_keys(doc, allowed: tuple[str, ...], what: str) -> None:
+    if not isinstance(doc, dict):
+        raise ConfigError(f"{what} must be a JSON object, got {doc!r}")
+    for key in doc:
+        if key not in allowed:
+            raise ConfigError(f"{what} has unknown key {key!r}; "
+                              f"allowed: {', '.join(allowed)}")
 
 
 def load_preset(name: str) -> ConstructionData:
@@ -328,17 +346,29 @@ class NameSampler:
     """Lazy bi-infinite symbolic name of a random base point.
 
     Stage-n columns have equal width, so conditioned on the base the
-    column choices k_n are i.i.d. uniform on {1..c_n}; they are drawn on
-    demand, one per level, in level order, making every downstream count
-    deterministic given the seed.  The tower is read through and extended
-    on demand; many samplers may share one, within one thread, since their
-    choices never depend on how far it is resolved.
+    column choices k_n are i.i.d. uniform on {1..c_n}.  They are drawn in
+    level order, each from the sampler's next accepted 32-bit word w by
+    Lemire's multiply-shift rule: k = (c w >> 32) + 1, and w is rejected
+    while (c w) mod 2^32 < (2^32 - c) mod c.  The words are the low, then
+    the high half of each 64-bit output of the stream's PCG64 bit
+    generator, read a block of outputs at a time.  These are the draws of
+    ``int(rng.integers(1, c + 1))`` on the stream, call by call, but they
+    depend on the bit generator's stream alone, which NumPy keeps fixed
+    across releases (NEP 19).  A sampler owns its stream: it reads ahead
+    of the choices it has made, and it starts at the stream's next whole
+    output.  The tower is read through and extended on demand; many
+    samplers may share one, within one thread, since their choices never
+    depend on how far it is resolved.
     """
 
     def __init__(self, tower: Tower, seed,
                  choices: Sequence[int] | None = None):
         self.tower = tower
-        self._rng = normalize(seed)
+        bit_generator = normalize(seed).bit_generator
+        if not isinstance(bit_generator, np.random.PCG64):
+            raise TypeError(f"names are drawn from PCG64 streams, "
+                            f"not {type(bit_generator).__name__}")
+        self._words = _stream_words(bit_generator)
         self._forced = list(choices or ())
         self._offsets: list[int] = [0]
 
@@ -353,16 +383,20 @@ class NameSampler:
         return self._offsets[level - 1]
 
     def ensure_level(self, level: int) -> None:
-        while self.level < level:
-            starts = self.tower.starts(self.level)
+        offsets, tower = self._offsets, self.tower
+        while len(offsets) < level:
+            stage = len(offsets)
+            if stage > len(tower._starts):
+                tower.ensure_stage(stage)
+            starts = tower._starts[stage - 1]
             c = len(starts)
             if self._forced:
                 k = int(self._forced.pop(0))
                 if not 1 <= k <= c:
                     raise ConfigError(f"forced choice {k} outside 1..{c}")
             else:
-                k = int(self._rng.integers(1, c + 1))
-            self._offsets.append(self._offsets[-1] + starts[k - 1])
+                k = _choose(c, self._words)
+            offsets.append(offsets[-1] + starts[k - 1])
 
     def ensure_window(self, radius: int, depth_cap: int = DEFAULT_DEPTH_CAP) -> int:
         """Extend levels until [center-radius, center+radius] sits inside the word.
@@ -373,14 +407,45 @@ class NameSampler:
         """
         if radius < 0:
             raise ValueError("radius must be >= 0")
+        offsets, q = self._offsets, self.tower._q
         while True:
-            lev = self.level
-            off = self._offsets[-1]
-            if off >= radius and off + radius <= self.tower.q(lev) - 1:
+            lev = len(offsets)
+            off = offsets[-1]
+            # the sampler has resolved stage lev - 1, so q holds q_lev
+            if radius <= off < q[lev - 1] - radius:
                 return lev
             if lev >= depth_cap:
                 raise DepthCapError(radius, depth_cap)
             self.ensure_level(lev + 1)
+
+
+# 64-bit outputs a sampler reads from its stream at a time: 32 words, more
+# than the ~26 levels a window of radius 2^40 needs on chacon
+_RAW_BLOCK = 16
+_WORD_MASK = 2 ** 32 - 1
+
+
+def _stream_words(bit_generator: np.random.PCG64) -> Iterator[int]:
+    """The low, then the high 32-bit half of each of the bit generator's
+    outputs, read a block of outputs at a time."""
+    while True:
+        raw = bit_generator.random_raw(_RAW_BLOCK)
+        yield from raw.astype("<u8", copy=False).view("<u4").tolist()
+
+
+def _choose(c: int, words: Iterator[int]) -> int:
+    """k in 1..c from the next accepted word, by Lemire's multiply-shift rule.
+
+    For 2 <= c <= 2^32 this is NumPy's bounded 32-bit draw, the one
+    ``Generator.integers(1, c + 1)`` makes; a stage lists its c spacers,
+    so c never comes near 2^32.
+    """
+    m = c * next(words)
+    if m & _WORD_MASK < c:  # below c, and only there, lies the rejection zone
+        threshold = (_WORD_MASK + 1 - c) % c
+        while m & _WORD_MASK < threshold:
+            m = c * next(words)
+    return (m >> 32) + 1
 
 
 def sample_name(data: ConstructionData, seed,
@@ -408,11 +473,10 @@ def ensemble_window_counts(samplers: Sequence[NameSampler], radius: int,
     tower = samplers[0].tower
     if any(s.tower is not tower for s in samplers):
         raise ValueError("samplers must share one tower")
-    levels, positions = [], []
+    positions = []
     for sampler in samplers:
-        lev = sampler.ensure_window(radius, depth_cap)
-        off = sampler.center_offset(lev)
-        levels.append(lev)
+        sampler.ensure_window(radius, depth_cap)
+        off = sampler._offsets[-1]
         positions += (off - radius, off, off + 1, off + radius + 1)
     counts = tower.prefix_counts(positions)
     windows = []
@@ -420,8 +484,8 @@ def ensemble_window_counts(samplers: Sequence[NameSampler], radius: int,
         start, before, after, end = counts[i:i + 4]
         if after - before != 1:
             raise InvariantViolationError(
-                f"center symbol at level {levels[i // 4]} offset {positions[i + 1]} "
-                f"is not base")
+                f"center symbol at level {samplers[i // 4].level} offset "
+                f"{positions[i + 1]} is not base")
         windows.append(WindowCounts(before - start, 1, end - after))
     return windows
 

@@ -711,6 +711,22 @@ def test_walk_threads_zero_uses_all_cores(tmp_path, monkeypatch):
     ({"stages": [{"c": 2, "spacers": [0, 0.9]}], "repeat_from": 0}, "spacer"),
 ], ids=["c-float", "repeat-from-list", "c-bool", "spacer-float"])
 def test_construction_data_holds_integers(doc, named, tmp_path, capsys):
+    _assert_construction_refused(doc, named, tmp_path, capsys)
+
+
+@pytest.mark.parametrize("doc,named", [
+    ({"stages": [{"c": 2, "spacers": [0, 0], "x": 1}], "repeat_from": 0}, "'x'"),
+    ({"stages": [{"c": 2, "spacers": [0, 0]}], "repeat_from": 0, "repat_from": 1},
+     "'repat_from'"),
+    ({"stages": [{"c": 2, "spacers": [0, 0]}], "repeat_from": 0, "name": 5}, "'name'"),
+    ([{"c": 2, "spacers": [0, 0]}], "construction data must be a JSON object"),
+    ({"stages": [[2, [0, 0]]], "repeat_from": 0}, "a stage must be a JSON object"),
+], ids=["stage-key", "top-level-typo", "name-int", "not-an-object", "stage-list"])
+def test_construction_data_names_only_known_keys(doc, named, tmp_path, capsys):
+    _assert_construction_refused(doc, named, tmp_path, capsys)
+
+
+def _assert_construction_refused(doc, named, tmp_path, capsys):
     data_file = tmp_path / "data.json"
     data_file.write_text(json.dumps(doc))
     code = cli.main(["rank-one", "--data", str(data_file), "--checkpoints", "13",
@@ -719,6 +735,26 @@ def test_construction_data_holds_integers(doc, named, tmp_path, capsys):
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("config error: ") and named in err[0], err
     assert not (tmp_path / "out").exists()
+
+
+def test_presets_hold_only_known_keys():
+    for name in rankone.PRESETS:
+        text = (Path(rankone.__file__).parent / "presets" / f"{name}.json").read_text()
+        doc = json.loads(text)
+        assert set(doc) == {"name", "stages", "repeat_from"} and doc["name"] == name
+        assert all(set(stage) == {"c", "spacers"} for stage in doc["stages"])
+
+
+def test_unnamed_finite_data_exhausts_as_custom(tmp_path, capsys):
+    doc = {"stages": [{"c": 2, "spacers": [0, 0]}]}
+    data_file = tmp_path / "data.json"
+    data_file.write_text(json.dumps(doc))
+    code = cli.main(["rank-one", "--data", str(data_file), "--checkpoints", "13",
+                     "--out", str(tmp_path / "out")])
+    assert code == cli.EXIT_CONFIG
+    assert capsys.readouterr().err.splitlines() == [
+        "config error: construction custom lists 1 stage without a repeating "
+        "suffix; stage 2 is undefined"]
 
 
 def test_readme_commands_parse():

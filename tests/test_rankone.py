@@ -1,6 +1,7 @@
 """Tower construction, symbolic words, lazy window counting."""
 
 import csv
+import itertools
 import json
 import math
 import warnings
@@ -54,8 +55,12 @@ def test_stage_validation():
 
 def test_finite_data_exhausts():
     data = rk.ConstructionData((rk.Stage(2, (0, 0)),), repeat_from=None)
-    with pytest.raises(StageDataExhaustedError):
+    with pytest.raises(StageDataExhaustedError,
+                       match="^construction custom lists 1 stage without"):
         rk.Tower(data).q(5)
+    named = rk.ConstructionData(data.stages * 2, name="two")
+    with pytest.raises(StageDataExhaustedError, match="^construction two lists 2 stages "):
+        rk.Tower(named).q(5)
 
 
 def test_repeating_suffix_cycles():
@@ -371,6 +376,84 @@ def test_samplers_share_one_tower(presets):
                 rows[k].append((w.s_plus, w.s_minus, w.sigma))
         for i, got in enumerate(rows):
             assert got == _scalar_series(data, spawn(19, i), cps)
+
+
+@pytest.mark.parametrize("c", [2, 3, 5, 7, 40, 2 ** 31 + 11])
+def test_choice_rule_is_generator_integers(c):
+    # call by call, the rule on the stream's words draws what
+    # Generator.integers draws; at c = 2^31 + 11 nearly half the words are
+    # rejected, low and high halves alike
+    draws = 10 ** 4
+    for i in range(3):
+        rng = spawn(7, i)
+        read = itertools.count()  # its next value is the number of words read
+        words = (w for w, _ in zip(rk._stream_words(spawn(7, i).bit_generator), read))
+        assert ([rk._choose(c, words) for _ in range(draws)]
+                == [int(rng.integers(1, c + 1)) for _ in range(draws)])
+        if c > 2 ** 31:
+            assert next(read) > 1.5 * draws
+
+
+def test_choice_rule_rejects_into_the_next_half_word(presets):
+    # at c = 3 only the zero word is rejected ((2^32 - 3) mod 3 = 1): the
+    # draw moves on to the next 32-bit word, the stream's next half output
+    words = iter([0, 2 ** 32 - 1, 7])
+    assert rk._choose(3, words) == 3 and next(words) == 7
+    assert rk._choose(3, iter([1])) == 1
+    # 3 * 0xAAAAAAAB = 2^33 + 1: the threshold itself is accepted
+    assert rk._choose(3, iter([0xAAAAAAAB])) == 3
+    sampler = rk.NameSampler(rk.Tower(presets["chacon"]), 0)
+    sampler._words = iter([0, 2 ** 31, 0, 0, 2 ** 32 - 1])
+    sampler.ensure_level(3)
+    # chacon's stage starts are (0, q + 0, 2q + 1): k = 2 at level 1, then 3
+    assert [sampler.center_offset(lev) for lev in (1, 2, 3)] == [0, 1, 1 + 2 * 4 + 1]
+
+
+@pytest.mark.parametrize("block", [1, 64])
+def test_rows_do_not_depend_on_the_raw_block(presets, monkeypatch, block):
+    cps = tuple(2 ** e for e in range(0, 41, 4))
+
+    def rows():
+        out = []
+        for name in ("chacon", "heavy2q"):
+            tower = rk.Tower(presets[name])
+            ensemble = series_from_names(
+                [rk.NameSampler(tower, spawn(5, i)) for i in range(6)], cps)
+            out.append([(s.s_plus, s.s_minus) for s in ensemble])
+        return out
+
+    want = rows()
+    monkeypatch.setattr(rk, "_RAW_BLOCK", block)
+    assert rows() == want
+
+
+def test_names_come_from_pcg64_streams(presets):
+    with pytest.raises(TypeError, match="MT19937"):
+        rk.NameSampler(rk.Tower(presets["chacon"]),
+                       np.random.Generator(np.random.MT19937(1)))
+
+
+@settings(max_examples=30, deadline=None)
+@given(name=st.sampled_from(("chacon", "heavy2q")),
+       exponents=st.lists(st.integers(0, 62), min_size=1, max_size=6, unique=True),
+       seeds=st.lists(st.integers(0, 2 ** 64 - 1), min_size=1, max_size=3),
+       order=st.randoms(use_true_random=False))
+def test_window_counts_do_not_depend_on_counting_order(presets, name, exponents,
+                                                       seeds, order):
+    # samplers sharing a tower count checkpoints of dyadic:0:62 in a random
+    # order: a window counted after wider ones fits at once at a higher
+    # level, and its counts are those of the scalar descents, radius by
+    # radius, on a fresh tower (as perfbench's output check replays them)
+    data = presets[name]
+    cps = sorted(2 ** e for e in exponents)
+    tower = rk.Tower(data)
+    samplers = [rk.NameSampler(tower, seed) for seed in seeds]
+    shuffled = list(cps)
+    order.shuffle(shuffled)
+    got = {n: rk.ensemble_window_counts(samplers, n) for n in shuffled}
+    for i, seed in enumerate(seeds):
+        assert [(got[n][i].s_plus, got[n][i].s_minus, got[n][i].sigma) for n in cps] == (
+            _scalar_series(data, seed, cps))
 
 
 def test_center_symbol_is_base_every_level(presets):
