@@ -9,6 +9,10 @@ Each subcommand takes only the run settings its runner reads: rank-one and
 walk take their trial count as --seeds, trimmed as --trials, and only walk
 takes --threads; the other subcommands run one deterministic table.
 
+Each run input has one spelling, and every spec grammar lives here:
+lifetimes (parse_distribution), scalings (parse_scaling), checkpoint and
+radius grids (parse_checkpoints) and reals (parse_real).
+
 Exit codes: 0 success, 2 config error, 3 resource/horizon error (or an
 allocation the machine refuses), 4 internal invariant violation.
 """
@@ -32,6 +36,7 @@ from .errors import (
     ConfigError,
     InvariantViolationError,
     ResourceLimitError,
+    check_keys,
 )
 from .streams import BACKWARD_NAME, GENERATOR_NAME, spawn
 
@@ -82,8 +87,8 @@ PARAMS = {
         "alpha": Param(str, help="number or golden/sqrt2", required=True),
         "beta": Param(str, "1.0", "number or golden/sqrt2"),
         "x": Param(float, 0.0),
-        "N": Param(int),
-        "grid": Param(str, help="dyadic:LO:HI of box radii"),
+        "grid": Param(str, help="box radius, comma list or dyadic:LO:HI",
+                      required=True),
         # kept so saved configs and their hashes stay valid
         "exact": Param(bool, False, "no effect: counts are always exact"),
     }),
@@ -151,7 +156,8 @@ class ExperimentConfig:
             value = self.params.get(name)
             if value is None:
                 if p.required:
-                    raise ConfigError(f"{self.kind} config misses parameter {name!r}")
+                    raise ConfigError(f"{self.kind} config misses parameter {name!r} "
+                                      f"(--{name.replace('_', '-')})")
             # the types the parser produces; an int stands for a float
             elif type(value) is not p.type and (p.type, type(value)) != (float, int):
                 raise ConfigError(f"{self.kind} parameter {name!r} must be "
@@ -162,9 +168,6 @@ class ExperimentConfig:
                 if not abs(real) <= sys.float_info.max:
                     raise ConfigError(f"{self.kind} parameter {name!r} must be finite, "
                                       f"got {value!r}")
-        if self.kind == "translate" and (
-                (self.params.get("N") is None) == (self.params.get("grid") is None)):
-            raise ConfigError("translate needs exactly one of --N and --grid")
 
     def values(self) -> dict:
         """Each parameter of this kind, typed as the parser types it, or its default."""
@@ -196,7 +199,7 @@ class ExperimentConfig:
 
 
 def parse_checkpoints(spec: str) -> tuple[int, ...]:
-    """'dyadic:LO:HI' -> (2^LO, ..., 2^HI); otherwise a comma list of ints."""
+    """'dyadic:LO:HI' -> (2^LO, ..., 2^HI); otherwise one int or a comma list."""
     if spec.startswith("dyadic:"):
         try:
             _, lo, hi = spec.split(":")
@@ -225,14 +228,52 @@ def parse_real(text: str) -> float:
 
 
 def parse_distribution(spec: str) -> renewal.LifetimeDistribution:
-    if spec.startswith("finite:@"):
-        path = spec[len("finite:@"):]
-        try:
-            doc = json.loads(Path(path).read_text())
-        except OSError as exc:
-            raise ConfigError(f"cannot read distribution file {path!r}: {exc}") from exc
-        return renewal.LifetimeDistribution.from_spec(doc)
-    return renewal.LifetimeDistribution.parse(spec)
+    """'geometric:p', 'power:gamma', 'harmonic', 'delta:k' or 'finite:@FILE'."""
+    head, _, rest = spec.partition(":")
+    try:
+        if spec == "harmonic":
+            return renewal.PowerTail(1.0)
+        if head == "geometric":
+            return renewal.Geometric(float(rest))
+        if head == "power":
+            return renewal.PowerTail(float(rest))
+        if head == "delta":
+            return renewal.FiniteSupport.delta(int(rest))
+    except ValueError as exc:
+        raise ConfigError(f"cannot parse lifetime distribution {spec!r}: {exc}") from exc
+    if head == "finite" and rest.startswith("@"):
+        return _read_finite(rest[1:])
+    raise ConfigError(f"cannot parse lifetime distribution {spec!r}")
+
+
+# the lifetime kinds that are given by a spec of their own, not by a file
+_SHORTHANDS = {"geometric": "geometric:p", "power_tail": "power:gamma",
+               "harmonic": "harmonic"}
+
+
+def _read_finite(path: str) -> renewal.FiniteSupport:
+    """A distribution file: {"kind": "finite", "mass": [[k, p], ...]}, each
+    atom k a JSON integer."""
+    try:
+        doc = json.loads(Path(path).read_text())
+    except (OSError, json.JSONDecodeError) as exc:
+        raise ConfigError(f"cannot read distribution file {path!r}: {exc}") from exc
+    kind = doc.get("kind") if isinstance(doc, dict) else None
+    if isinstance(kind, str) and kind in _SHORTHANDS:
+        raise ConfigError(f"a distribution file holds kind 'finite' only; "
+                          f"for kind {kind!r} use the spec {_SHORTHANDS[kind]!r}")
+    check_keys(doc, ("kind", "mass"), "distribution file")
+    if kind != "finite":
+        raise ConfigError(f"distribution file kind must be 'finite', got {kind!r}")
+    try:
+        mass = [(k, float(p)) for k, p in doc["mass"]]
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ConfigError(f"malformed distribution file {path!r}: "
+                          f"{type(exc).__name__}: {exc}") from exc
+    for k, _ in mass:
+        if type(k) is not int:  # a float or a bool is no atom
+            raise ConfigError(f"finite atoms must be integers, got {k!r}")
+    return renewal.FiniteSupport(mass)
 
 
 def parse_scaling(spec: str) -> regvar.ScalingSequence:
@@ -373,12 +414,8 @@ def run_translate(cfg: ExperimentConfig):
     v = cfg.values()
     action = lattice.TranslationAction(
         alpha=parse_real(v["alpha"]), beta=parse_real(v["beta"]), x=v["x"])
-    if v["grid"] is not None:
-        horizons = parse_checkpoints(v["grid"])
-    else:
-        horizons = (v["N"],)
     rows = []
-    for n_box in horizons:
+    for n_box in parse_checkpoints(v["grid"]):
         res = lattice.translate_counts(action, n_box)
         rows.append((n_box, res.count, res.ratio))
     return [("translate", ("N", "count", "ratio"), rows)]

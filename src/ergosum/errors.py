@@ -13,6 +13,16 @@ class ConfigError(ErgosumError):
     """Invalid configuration, malformed input data, or bad parameters."""
 
 
+def check_keys(doc, allowed: tuple[str, ...], what: str) -> None:
+    """Raise ConfigError unless doc is a JSON object whose keys are all allowed."""
+    if not isinstance(doc, dict):
+        raise ConfigError(f"{what} must be a JSON object, got {doc!r}")
+    for key in doc:
+        if key not in allowed:
+            raise ConfigError(f"{what} has unknown key {key!r}; "
+                              f"allowed: {', '.join(allowed)}")
+
+
 class StageDataExhaustedError(ConfigError):
     """A finitely listed construction without a repeating suffix ran out of stages."""
 

@@ -33,6 +33,7 @@ from .errors import (
     ExpansionBudgetError,
     InvariantViolationError,
     StageDataExhaustedError,
+    check_keys,
 )
 from .regvar import ScalingSequence
 from .streams import normalize
@@ -117,11 +118,11 @@ class ConstructionData:
     @classmethod
     def from_dict(cls, doc: dict, name: str | None = None) -> "ConstructionData":
         """Data from a JSON object; a key the format does not define is an error."""
-        _check_keys(doc, ("stages", "repeat_from", "name"), "construction data")
+        check_keys(doc, ("stages", "repeat_from", "name"), "construction data")
         try:
             stages = []
             for st in doc["stages"]:
-                _check_keys(st, ("c", "spacers"), "a stage")
+                check_keys(st, ("c", "spacers"), "a stage")
                 stages.append(Stage(st["c"], tuple(st["spacers"])))
         except (KeyError, TypeError) as exc:
             raise ConfigError(f"malformed construction data: {exc}") from exc
@@ -136,15 +137,6 @@ class ConstructionData:
         return cls.from_dict(doc, name)
 
 
-def _check_keys(doc, allowed: tuple[str, ...], what: str) -> None:
-    if not isinstance(doc, dict):
-        raise ConfigError(f"{what} must be a JSON object, got {doc!r}")
-    for key in doc:
-        if key not in allowed:
-            raise ConfigError(f"{what} has unknown key {key!r}; "
-                              f"allowed: {', '.join(allowed)}")
-
-
 def load_preset(name: str) -> ConstructionData:
     """Load one of the shipped fixtures: odometer, chacon, heavy2q."""
     if name not in PRESETS:
@@ -157,7 +149,8 @@ class Tower:
     """Lazily extended tower bookkeeping for one construction.
 
     Each stage is resolved once into plain lists: exact heights q_n, cut
-    products C_n, resolved spacer rows and the block starts of the stage.
+    products C_n and the block starts of the stage, from which the spacer
+    runs follow (the run after copy k ends where copy k + 1 or B_{n+1} does).
     Every level word begins with the word below it, so the prefix count
     P(j), the number of base symbols among the first j positions, depends
     on j alone.  The levels n with q_n < 2^62, at most 62 since
@@ -174,23 +167,22 @@ class Tower:
         self.data = data
         self._q: list[int] = [1]            # q_n, level n = index + 1
         self._cut_product: list[int] = [1]  # C_n, n = index: base count of level n + 1
-        self._spacers: list[tuple[int, ...]] = []   # stage n = index + 1
-        self._starts: list[tuple[int, ...]] = []    # k*q_n + S_{n,1} + ... + S_{n,k}
+        # stage n = index + 1: k*q_n + S_{n,1} + ... + S_{n,k} for k < c_n
+        self._starts: list[tuple[int, ...]] = []
         self._table = np.ones((1, 2), dtype=np.int64)   # row = level - 1: q_1 = C_0 = 1
 
     # -- stage/height access (1-based) --------------------------------
 
     def ensure_stage(self, n: int) -> None:
         """Resolve stages 1..n (and heights q_1..q_{n+1})."""
-        resolved = len(self._spacers)
+        resolved = len(self._starts)
         if resolved >= n:
             return
-        while len(self._spacers) < n:
-            stage = self.data.stage(len(self._spacers) + 1)
+        while len(self._starts) < n:
+            stage = self.data.stage(len(self._starts) + 1)
             q_m = self._q[-1]
             row = tuple(2 * q_m if s == SPACER_TOKEN else s for s in stage.spacers)
             starts = tuple(accumulate((q_m + s for s in row[:-1]), initial=0))
-            self._spacers.append(row)
             self._starts.append(starts)
             self._q.append(starts[-1] + q_m + row[-1])
             self._cut_product.append(self._cut_product[-1] * stage.c)
@@ -210,15 +202,6 @@ class Tower:
         self.ensure_stage(level - 1)
         return self._q[level - 1]
 
-    def spacers(self, stage: int) -> tuple[int, ...]:
-        self.ensure_stage(stage)
-        return self._spacers[stage - 1]
-
-    def starts(self, stage: int) -> tuple[int, ...]:
-        """Offsets of the c_n copies of B_n inside B_{n+1}."""
-        self.ensure_stage(stage)
-        return self._starts[stage - 1]
-
     # -- hierarchical prefix counting ----------------------------------
 
     def prefix_counts(self, positions: Sequence[int]) -> list[int]:
@@ -237,7 +220,7 @@ class Tower:
             raise ValueError(f"prefix index {min(positions)} is negative")
         reach = max(positions)
         while self._q[-1] < reach:
-            self.ensure_stage(len(self._spacers) + 1)
+            self.ensure_stage(len(self._starts) + 1)
         top = self._top()
         counts = [0] * len(positions)
         if reach > top:
@@ -295,14 +278,14 @@ class SymbolicWord:
 
 
 def _expand(tower: Tower, n: int) -> np.ndarray:
+    """The level-n word of a tower resolved to stage n - 1: each B_{m+1}
+    holds copies of B_m at stage m's block starts and spacers elsewhere."""
     word = np.ones(1, dtype=np.uint8)
     for m in range(1, n):
-        parts = []
-        for s in tower.spacers(m):
-            parts.append(word)
-            if s:
-                parts.append(np.zeros(s, dtype=np.uint8))
-        word = np.concatenate(parts)
+        upper = np.zeros(tower._q[m], dtype=np.uint8)
+        for start in tower._starts[m - 1]:
+            upper[start:start + len(word)] = word
+        word = upper
     return word
 
 
@@ -501,7 +484,7 @@ def rank_one_scaling(tower: Tower) -> ScalingSequence:
         if n < 1:
             raise ValueError("scaling index must be >= 1")
         while tower._q[-1] <= n:
-            tower.ensure_stage(len(tower._spacers) + 1)
+            tower.ensure_stage(len(tower._starts) + 1)
         return tower._cut_product[bisect_right(tower._q, n)]
 
     return ScalingSequence(query, name=f"rankone[{tower.data.name or 'custom'}]")

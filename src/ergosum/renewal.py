@@ -49,13 +49,12 @@ class LifetimeDistribution:
     """Distribution of a positive-integer lifetime.
 
     Subclasses implement ``tail`` (vectorized), ``truncated_mean``,
-    ``sample`` and ``label``; the parsers are shared.  Every shipped kind
+    ``sample`` and ``label``.  They hold no spec grammar: the one lifetime
+    parser is ``cli.parse_distribution``.  Every shipped kind
     samples exactly, by inversion: power tails in closed form, finite
     supports and geometric p >= 1/3 by a search of their float CDF sums, and
     geometric p < 1/3 as NumPy's ceil(-E / log1p(-p)) of an exponential E.
     """
-
-    # -- core surface ---------------------------------------------------
 
     def tail(self, n):
         """F(n) = P(nu >= n); accepts scalars or integer arrays.
@@ -75,45 +74,6 @@ class LifetimeDistribution:
     @property
     def label(self) -> str:
         raise NotImplementedError
-
-    # -- parsing ---------------------------------------------------------
-
-    @staticmethod
-    def from_spec(doc: dict) -> "LifetimeDistribution":
-        try:
-            kind = doc.get("kind")
-            if kind == "geometric":
-                return Geometric(float(doc["p"]))
-            if kind == "power_tail":
-                return PowerTail(float(doc["gamma"]))
-            if kind == "harmonic":
-                return PowerTail(1.0)
-            if kind == "finite":
-                for k, _ in doc["mass"]:
-                    if type(k) is not int:  # a float or a bool is no atom
-                        raise ConfigError(f"finite atoms must be integers, got {k!r}")
-                return FiniteSupport(tuple((k, float(p)) for k, p in doc["mass"]))
-        except (AttributeError, KeyError, TypeError, ValueError) as exc:
-            raise ConfigError(f"malformed lifetime distribution {doc!r}: "
-                              f"{type(exc).__name__}: {exc}") from exc
-        raise ConfigError(f"unknown lifetime distribution kind {kind!r}")
-
-    @staticmethod
-    def parse(text: str) -> "LifetimeDistribution":
-        """CLI shorthand: geometric:p, power:gamma, harmonic, delta:k."""
-        head, _, rest = text.partition(":")
-        try:
-            if head == "geometric":
-                return Geometric(float(rest))
-            if head == "power":
-                return PowerTail(float(rest))
-            if head == "harmonic":
-                return PowerTail(1.0)
-            if head == "delta":
-                return FiniteSupport.delta(int(rest))
-        except ValueError as exc:
-            raise ConfigError(f"cannot parse lifetime distribution {text!r}: {exc}") from exc
-        raise ConfigError(f"cannot parse lifetime distribution {text!r}")
 
 
 class Geometric(LifetimeDistribution):

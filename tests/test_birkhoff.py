@@ -6,6 +6,7 @@ import warnings
 import pytest
 
 from ergosum import birkhoff as bk
+from ergosum import cli
 from ergosum import rankone as rk
 from ergosum import renewal as rn
 from ergosum.errors import InvariantViolationError
@@ -195,7 +196,7 @@ def test_scaling_evaluated_once_per_checkpoint(chacon):
 def test_checkpoint_past_burn_in_below_domain():
     # a_u of delta:5 starts at n = 5: a checkpoint below that but past the
     # burn-in is an error, one below the burn-in gets empty cells
-    scaling = rn.renewal_sequence(rn.LifetimeDistribution.parse("delta:5"), 100).as_scaling()
+    scaling = rn.renewal_sequence(cli.parse_distribution("delta:5"), 100).as_scaling()
     visits = (2, 3, 4, 6, 11)
     series = bk.BirkhoffSeries((1, 2, 3, 5, 10), visits, visits)
     with pytest.raises(ValueError, match="checkpoint 1 .* domain_min 5"):

@@ -93,7 +93,7 @@ def test_renewal_far_delta(tmp_path):
 
 def test_translate_golden_example(tmp_path):
     code, out = run_cli(["translate", "--alpha", "golden", "--x", "0.3",
-                         "--N", "0"], tmp_path)
+                         "--grid", "0"], tmp_path)
     assert code == 0
     _, rows = read_table(out / "translate.csv")
     assert rows[0]["count"] == "1"
@@ -463,12 +463,12 @@ def test_config_hash_pinned():
 
 def test_config_values_defaults_and_types():
     cfg = cli.ExperimentConfig(kind="translate",
-                               params={"alpha": "golden", "N": 3, "x": 0})
+                               params={"alpha": "golden", "grid": "3", "x": 0})
     values = cfg.values()
-    assert values == {"alpha": "golden", "beta": "1.0", "x": 0.0, "N": 3,
-                      "grid": None, "exact": False}
+    assert values == {"alpha": "golden", "beta": "1.0", "x": 0.0, "grid": "3",
+                      "exact": False}
     assert type(values["x"]) is float
-    assert cfg.params == {"alpha": "golden", "N": 3, "x": 0}
+    assert cfg.params == {"alpha": "golden", "grid": "3", "x": 0}
 
 
 def test_hash_ignores_execution_knobs():
@@ -497,6 +497,9 @@ def _arg_id(arg):
 @pytest.mark.parametrize("args", [
     ["renewal", "--dist", "geometric:abc", "--n", "5"],
     ["renewal", "--dist", "power:", "--n", "5"],
+    # harmonic takes no argument
+    ["renewal", "--dist", "harmonic:junk", "--n", "3"],
+    ["renewal", "--dist", "harmonic:0.5", "--n", "3"],
     ["renewal", "--dist", "geometric:0.5", "--n", "-1"],
     ["regvar", "--scaling", "au:geometric:0.5:xx"],
     ["regvar", "--scaling", "tm:harmonic", "--p", "2,x"],
@@ -511,6 +514,10 @@ def _arg_id(arg):
     ["rank-one", "--preset", "chacon", "--checkpoints", "-3"],
     ["renewal", "--dist", {"kind": "finite", "mass": [[1, "x"]]}, "--n", "5"],
     ["renewal", "--dist", {"kind": "geometric"}, "--n", "5"],
+    # a key the file format does not define
+    ["renewal", "--dist", {"kind": "finite", "mass": [[1, 0.5], [2, 0.5]],
+                           "masss": [[3, 1.0]]}, "--n", "5"],
+    ["renewal", "--dist", {"kind": "finite", "mass": [[1, 1.0]], "p": 0.5}, "--n", "5"],
     # an atom is a JSON integer: 1.5 does not run as 1, nor true as delta:1
     ["renewal", "--dist", {"kind": "finite", "mass": [[1.5, 0.5], [2.9, 0.5]]}, "--n", "5"],
     ["renewal", "--dist", {"kind": "finite", "mass": [[True, 1.0]]}, "--n", "5"],
@@ -568,7 +575,7 @@ def test_exit_code_bad_grid(args, named, tmp_path, capsys):
     ({"kind": "renewal", "params": {"dist": "geometric:0.5", "n": 4.7}}, "'n'"),
     ({"kind": "walk", "params": {"dist": "geometric:0.5", "N": True}}, "'N'"),
     ({"kind": "renewal", "params": {"dist": "geometric:0.5", "n": 4, "nn": 9}}, "'nn'"),
-    ({"kind": "translate", "params": {"alpha": "golden", "N": 4, "x": 10 ** 400}},
+    ({"kind": "translate", "params": {"alpha": "golden", "grid": "4", "x": 10 ** 400}},
      "'x'"),
     # retired keys: --json, --stamp and rank-one's --radius
     ({"kind": "renewal", "params": {"dist": "geometric:0.5", "n": 4},
@@ -591,9 +598,9 @@ def test_exit_code_malformed_config(doc, named, tmp_path, capsys):
 
 
 @pytest.mark.parametrize("args,named", [
-    (["translate", "--alpha", "inf", "--N", "4"], "alpha"),
-    (["translate", "--alpha", "golden", "--beta=-1e400", "--N", "4"], "beta"),
-    (["translate", "--alpha", "golden", "--x", "inf", "--N", "4"], "'x'"),
+    (["translate", "--alpha", "inf", "--grid", "4"], "alpha"),
+    (["translate", "--alpha", "golden", "--beta=-1e400", "--grid", "4"], "beta"),
+    (["translate", "--alpha", "golden", "--x", "inf", "--grid", "4"], "'x'"),
     (["dyadic-tail", "--dist", "harmonic", "--n", "3", "--t", "inf"], "'t'"),
     (["dyadic-tail", "--dist", "harmonic", "--n", "3", "--t", "nan"], "'t'"),
 ], ids=["alpha-inf", "beta-overflow", "x-inf", "t-inf", "t-nan"])
@@ -613,9 +620,8 @@ def test_exit_code_non_finite_real(args, named, tmp_path, capsys):
      "'trials'"),
     (["walk", "--dist", "geometric:0.5", "--N", "10", "--seed", "-1"], "'seed'"),
     (["walk", "--dist", "geometric:0.5", "--N", "10", "--threads", "-1"], "'threads'"),
-    (["translate", "--alpha", "golden", "--N", "5", "--grid", "dyadic:0:2"], "--grid"),
 ], ids=["walk-seeds-0", "walk-seeds-negative", "trimmed-trials-0", "rank-one-seeds-0",
-        "walk-seed-negative", "walk-threads-negative", "translate-N-and-grid"])
+        "walk-seed-negative", "walk-threads-negative"])
 def test_exit_code_bad_run_setting(args, named, tmp_path, capsys):
     code = cli.main([*args, "--out", str(tmp_path / "out")])
     assert code == cli.EXIT_CONFIG
@@ -628,7 +634,7 @@ def test_exit_code_bad_run_setting(args, named, tmp_path, capsys):
     ({"kind": "renewal", "params": {"dist": "geometric:0.5", "n": 4}, "trials": 3},
      "'trials'"),
     ({"kind": "translate", "params": {"alpha": "golden", "N": 5, "grid": "dyadic:0:2"}},
-     "--grid"),
+     "translate has no parameter 'N'"),
     ({"kind": "translate", "params": {"alpha": "golden"}}, "--grid"),
 ], ids=["renewal-trials-3", "translate-N-and-grid", "translate-no-horizon"])
 def test_exit_code_saved_run_setting(doc, named, tmp_path, capsys):
@@ -651,8 +657,10 @@ def test_exit_code_saved_run_setting(doc, named, tmp_path, capsys):
     (["renewal", "--dist", "geometric:0.5", "--n", "4", "--stamp"], "--stamp"),
     (["rank-one", "--preset", "chacon", "--checkpoints", "13", "--radius", "13"],
      "--radius 13"),
+    # translate's radii are --grid alone
+    (["translate", "--alpha", "golden", "--N", "5"], "--N 5"),
 ], ids=["renewal-trials", "rank-one-threads", "renewal-json", "renewal-stamp",
-        "rank-one-radius"])
+        "rank-one-radius", "translate-N"])
 def test_run_setting_a_run_does_not_read(args, flag, capsys):
     with pytest.raises(SystemExit) as exc:
         cli.main(args)
@@ -670,7 +678,7 @@ def test_option_strings_pinned():
         "queen": ["--dist", "--n"],
         "dyadic-tail": ["--dist", "--n", "--t", "--scaling"],
         "trimmed": ["--trials", "--dist", "--n"],
-        "translate": ["--alpha", "--beta", "--x", "--N", "--grid", "--exact"],
+        "translate": ["--alpha", "--beta", "--x", "--grid", "--exact"],
         "walk": ["--seeds", "--threads", "--dist", "--N"],
         "regvar": ["--scaling", "--p", "--n-lo", "--n-hi", "--factor", "--sv"],
     }
@@ -683,7 +691,7 @@ def test_option_strings_pinned():
                          if opt not in ("-h", "--help"))
         assert options == sorted(common + pins[kind]), kind
         total += len(options)
-    assert total == 56
+    assert total == 55
 
 
 def test_walk_threads_zero_uses_all_cores(tmp_path, monkeypatch):
@@ -758,19 +766,38 @@ def test_unnamed_finite_data_exhausts_as_custom(tmp_path, capsys):
 
 
 def test_readme_commands_parse():
-    # every ergosum line of README's CLI block names only flags the parser has
+    # every ergosum line of README's sh blocks names only flags the parser
+    # has and builds a valid config, without running it
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
-    block = readme.split("## CLI", 1)[1].split("```sh", 1)[1].split("```", 1)[0]
-    commands = [shlex.split(line)[1:] for line in block.splitlines()
+    blocks = [part.split("```", 1)[0] for part in readme.split("```sh")[1:]]
+    commands = [shlex.split(line)[1:] for block in blocks for line in block.splitlines()
                 if line.startswith("ergosum ")]
     assert len(commands) >= 8
     parser = cli.build_parser()
-    assert {parser.parse_args(argv).kind for argv in commands} == cli.RUNNERS.keys()
+    kinds = {cli.config_from_args(parser.parse_args(argv)).kind for argv in commands}
+    assert kinds == cli.RUNNERS.keys()
+
+
+@pytest.mark.parametrize("doc,named", [
+    ({"kind": "finite", "mass": [[1, 0.5], [2, 0.5]], "masss": [[3, 1.0]]}, "'masss'"),
+    ({"kind": "finite", "mass": [[1, 1.0]], "name": "one"}, "'name'"),
+    ([[1, 1.0]], "must be a JSON object"),
+    ({"mass": [[1, 1.0]]}, "kind must be 'finite', got None"),
+], ids=["masss", "name", "list", "no-kind"])
+def test_distribution_file_names_its_fault(doc, named, tmp_path, capsys):
+    path = tmp_path / "dist.json"
+    path.write_text(json.dumps(doc))
+    code = cli.main(["renewal", "--dist", f"finite:@{path}", "--n", "3",
+                     "--out", str(tmp_path / "out")])
+    assert code == cli.EXIT_CONFIG
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("config error: ") and named in err[0], err
+    assert not (tmp_path / "out").exists()
 
 
 def test_translate_overflowing_ratio(tmp_path):
     # alpha/beta overflows to inf: not a small rational, and the count is exact
-    code, out = run_cli(["translate", "--alpha", "1e308", "--beta", "1e-308", "--N", "4"],
+    code, out = run_cli(["translate", "--alpha", "1e308", "--beta", "1e-308", "--grid", "4"],
                         tmp_path)
     assert code == 0
     _, rows = read_table(out / "translate.csv")

@@ -122,9 +122,12 @@ def test_tower_recursion_deep(presets):
         q, C = _heights_and_cuts(data, 64)
         assert _tower_heights_and_cuts(data, 64) == (q, C)
         tower = rk.Tower(data)
+        tower.ensure_stage(63)
         for n in range(1, 64):
-            assert tower.spacers(n) == tuple(2 * q[n - 1] if s == rk.SPACER_TOKEN else s
-                                             for s in data.stage(n).spacers)
+            # copy k of B_n starts after k copies and the first k spacer runs
+            row = [2 * q[n - 1] if s == rk.SPACER_TOKEN else s for s in data.stage(n).spacers]
+            assert tower._starts[n - 1] == tuple(k * q[n - 1] + sum(row[:k])
+                                                 for k in range(len(row)))
         assert all(b > a for a, b in zip(C, C[1:]))
 
 
@@ -168,14 +171,14 @@ def test_prefix_count_every_index(stage_specs):
 def _scalar_prefix(tower, level, j):
     """The one-position descent, one bisection per level, in Python ints."""
     def bases(lev):
-        return math.prod(len(tower.starts(m)) for m in range(1, lev))
+        return math.prod(len(tower._starts[m - 1]) for m in range(1, lev))
 
     total = 0
     while j > 0:
         if j >= tower.q(level):
             return total + bases(level)
         level -= 1
-        row = tower.starts(level)
+        row = tower._starts[level - 1]
         k = bisect_right(row, j) - 1
         total += k * bases(level)
         j -= row[k]

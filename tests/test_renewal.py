@@ -1,5 +1,6 @@
 """Lifetime distributions, renewal sequences, scalings, series, trimmed sums."""
 
+import json
 import math
 import tracemalloc
 from fractions import Fraction
@@ -9,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ergosum import cli
 from ergosum import renewal as rn
 from ergosum.errors import ConfigError, SamplingHorizonError, ScalingHorizonError
 from ergosum.regvar import invert_scaling
@@ -62,27 +64,34 @@ def test_mass_sums_to_one(f):
     assert abs(total - 1.0) <= 1e-12
 
 
-def test_spec_roundtrip():
-    # the documents of a finite:@FILE spec, one per kind in ALL_KINDS
-    docs = [{"kind": "geometric", "p": 0.5}, {"kind": "geometric", "p": 0.25},
-            {"kind": "harmonic"}, {"kind": "power_tail", "gamma": 0.5},
-            {"kind": "finite", "mass": [[1, 1.0]]},
+def test_spec_roundtrip(tmp_path):
+    # the documents of a finite:@FILE spec, one per finite kind in ALL_KINDS
+    docs = [{"kind": "finite", "mass": [[1, 1.0]]},
             {"kind": "finite", "mass": [[2, 0.5], [1, 0.5]]},
             {"kind": "finite", "mass": [[1, 0.3], [2, 0.3], [3, 0.4]]}]
-    again = [rn.LifetimeDistribution.from_spec(doc) for doc in docs]
-    assert [f.label for f in again] == [f.label for f in ALL_KINDS]
-    assert rn.LifetimeDistribution.from_spec({"kind": "power_tail", "gamma": 1}).label == (
-        "harmonic")
+    path = tmp_path / "dist.json"
+    labels = []
+    for doc in docs:
+        path.write_text(json.dumps(doc))
+        labels.append(cli.parse_distribution(f"finite:@{path}").label)
+    assert labels == [f.label for f in ALL_KINDS if isinstance(f, rn.FiniteSupport)]
+    # every other kind has a spec of its own, and a file of it names that spec
+    for doc, shorthand in [({"kind": "geometric", "p": 0.5}, "'geometric:p'"),
+                           ({"kind": "harmonic"}, "'harmonic'"),
+                           ({"kind": "power_tail", "gamma": 0.5}, "'power:gamma'")]:
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ConfigError, match=shorthand):
+            cli.parse_distribution(f"finite:@{path}")
 
 
 def test_parse_shorthand():
-    assert rn.LifetimeDistribution.parse("geometric:0.5").p == 0.5
-    assert rn.LifetimeDistribution.parse("power:0.5").gamma == 0.5
-    assert rn.LifetimeDistribution.parse("harmonic").gamma == 1.0
-    d = rn.LifetimeDistribution.parse("delta:3")
+    assert cli.parse_distribution("geometric:0.5").p == 0.5
+    assert cli.parse_distribution("power:0.5").gamma == 0.5
+    assert cli.parse_distribution("harmonic").gamma == 1.0
+    d = cli.parse_distribution("delta:3")
     assert d.points == (3,) and d.weights == (1.0,)
     with pytest.raises(ConfigError):
-        rn.LifetimeDistribution.parse("zipf:2")
+        cli.parse_distribution("zipf:2")
 
 
 def test_finite_validation():
