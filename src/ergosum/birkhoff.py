@@ -69,14 +69,11 @@ def series_from_names(samplers: Sequence[NameSampler],
     if not samplers:
         return []
     cps = tuple(int(n) for n in checkpoints)
-    counts = [([], []) for _ in samplers]
-    for n in cps:
-        for (s_plus, s_minus), (left, center, right) in zip(
-                counts, ensemble_window_counts(samplers, n)):
-            s_plus.append(center + right)
-            s_minus.append(center + left)
-    return [BirkhoffSeries(cps, tuple(s_plus), tuple(s_minus))
-            for s_plus, s_minus in counts]
+    # counts[j][i] is sampler i's (s_minus, s_plus) at checkpoint j
+    counts = [ensemble_window_counts(samplers, n) for n in cps]
+    return [BirkhoffSeries(cps, s_plus=tuple(c[i][1] for c in counts),
+                           s_minus=tuple(c[i][0] for c in counts))
+            for i in range(len(samplers))]
 
 
 @dataclass(frozen=True)

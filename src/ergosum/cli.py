@@ -89,7 +89,8 @@ PARAMS = {
         "x": Param(float, 0.0),
         "grid": Param(str, help="box radius, comma list or dyadic:LO:HI",
                       required=True),
-        # kept so saved configs and their hashes stay valid
+        # kept for saved configs that hold it, and because perfbench's
+        # orbit_count workload passes --exact; it goes with that workload
         "exact": Param(bool, False, "no effect: counts are always exact"),
     }),
     "walk": ("random-walk skew-product orbit counts", {"dist": _DIST, "N": _N}),
@@ -100,7 +101,6 @@ PARAMS = {
         "n_lo": Param(int, 2 ** 10),
         "n_hi": Param(int, 2 ** 20),
         "factor": Param(int, 2),
-        "sv": Param(bool, False, "tabulate L(2n)/L(n) instead of the band"),
     }),
 }
 
@@ -120,8 +120,9 @@ class ExperimentConfig:
     ``params`` holds the kind-specific knobs (``PARAMS``); a missing or
     null one takes its default.  ``trials`` is 1 for a kind outside
     ``TRIAL_FLAGS``, and ``threads`` 0 means all cores.  The config hash
-    covers only the semantic payload (kind, params, seed, trials), so thread
-    count and output location never change the recorded provenance.
+    covers only the semantic payload (kind, ``values()``, seed, trials), so
+    a default given or left out, thread count and output location never
+    change the recorded provenance.
     """
 
     kind: str
@@ -176,7 +177,7 @@ class ExperimentConfig:
                 for name, p in PARAMS[self.kind][1].items()}
 
     def payload(self) -> dict:
-        return {"kind": self.kind, "params": self.params,
+        return {"kind": self.kind, "params": _given(self.values()),
                 "seed": self.seed, "trials": self.trials}
 
     def to_json(self) -> str:
@@ -193,6 +194,11 @@ class ExperimentConfig:
     def config_hash(self) -> str:
         canon = json.dumps(self.payload(), sort_keys=True, separators=(",", ":"))
         return hashlib.sha256(canon.encode()).hexdigest()
+
+
+def _given(values: dict) -> dict:
+    """The values without None (no flag given) and False (a switch not set)."""
+    return {k: v for k, v in values.items() if v is not None and v is not False}
 
 
 # -- small parsers -----------------------------------------------------------
@@ -228,22 +234,31 @@ def parse_real(text: str) -> float:
 
 
 def parse_distribution(spec: str) -> renewal.LifetimeDistribution:
-    """'geometric:p', 'power:gamma', 'harmonic', 'delta:k' or 'finite:@FILE'."""
+    """'geometric:p', 'power:gamma', 'harmonic', 'delta:k' or 'finite:@FILE'.
+
+    A spec other than a file is the ``label`` of the lifetime it builds, so
+    one lifetime has one spelling: 'power:1' is 'harmonic', and
+    'geometric:5e-1' is 'geometric:0.5'.
+    """
     head, _, rest = spec.partition(":")
-    try:
-        if spec == "harmonic":
-            return renewal.PowerTail(1.0)
-        if head == "geometric":
-            return renewal.Geometric(float(rest))
-        if head == "power":
-            return renewal.PowerTail(float(rest))
-        if head == "delta":
-            return renewal.FiniteSupport.delta(int(rest))
-    except ValueError as exc:
-        raise ConfigError(f"cannot parse lifetime distribution {spec!r}: {exc}") from exc
     if head == "finite" and rest.startswith("@"):
         return _read_finite(rest[1:])
-    raise ConfigError(f"cannot parse lifetime distribution {spec!r}")
+    try:
+        if spec == "harmonic":
+            f = renewal.PowerTail(1.0)
+        elif head == "geometric":
+            f = renewal.Geometric(float(rest))
+        elif head == "power":
+            f = renewal.PowerTail(float(rest))
+        elif head == "delta":
+            f = renewal.FiniteSupport.delta(int(rest))
+        else:
+            raise ConfigError(f"cannot parse lifetime distribution {spec!r}")
+    except ValueError as exc:
+        raise ConfigError(f"cannot parse lifetime distribution {spec!r}: {exc}") from exc
+    if spec != f.label:
+        raise ConfigError(f"lifetime distribution {spec!r} is spelled {f.label!r}")
+    return f
 
 
 # the lifetime kinds that are given by a spec of their own, not by a file
@@ -323,13 +338,14 @@ def _array_rows(first, *columns):
 
 
 def _map_trials(cfg: ExperimentConfig, fn):
-    """Run fn(0..trials-1) on cfg.threads threads (0: os.cpu_count()),
-    results in index order.
+    """Run fn(0..trials-1) on cfg.threads threads, at most os.cpu_count()
+    (0: that many), results in index order.
 
     Only walk trials use it: they spend their time in NumPy, which
     releases the GIL.
     """
-    threads = cfg.threads or os.cpu_count() or 1
+    cores = os.cpu_count() or 1
+    threads = min(cfg.threads or cores, cores)
     if threads == 1 or cfg.trials == 1:
         return [fn(i) for i in range(cfg.trials)]
     with ThreadPoolExecutor(max_workers=threads) as pool:
@@ -341,8 +357,10 @@ def run_rank_one(cfg: ExperimentConfig):
     data = _load_construction(v["preset"], v["data"])
     cps = parse_checkpoints(v["checkpoints"])
     burn_in = v["burn_in"]
-    if not any(n >= burn_in for n in cps):
-        burn_in = cps[0] if cps[0] >= 1 else 1
+    # the default burn-in gives way to a grid that ends before it; a burn-in
+    # given past every checkpoint is refused by normalized_stats
+    if burn_in == PARAMS["rank-one"][1]["burn_in"].default and cps[-1] < burn_in:
+        burn_in = max(cps[0], 1)
     # the scaling and every sampler share one lazily extended tower, so the
     # trials run in this thread (they hold the GIL; a pool would not help)
     tower = rankone.Tower(data)
@@ -447,16 +465,6 @@ def run_regvar(cfg: ExperimentConfig):
         p_values = tuple(int(tok) for tok in p_spec.split(","))
     except ValueError as exc:
         raise ConfigError(f"bad p list {p_spec!r}") from exc
-    # checked with --sv too, which does not use p
-    if any(p <= 1 for p in p_values):
-        raise ConfigError("p values must exceed 1")
-    if v["sv"]:
-        head, _, rest = spec.partition(":")
-        if head != "tm":
-            raise ConfigError("--sv needs a truncated-mean scaling (tm:DIST)")
-        length = parse_distribution(rest).truncated_mean
-        rows = regvar.sv_diagnostic(length, n_lo, n_hi, factor)
-        return [("regvar_sv", regvar.SVRow._fields, rows)]
     report = regvar.er_diagnostic(parse_scaling(spec), p_values, n_lo, n_hi, factor)
     return [("regvar_er", regvar.ERRow._fields, report.rows)]
 
@@ -562,8 +570,7 @@ def config_from_args(args: argparse.Namespace) -> ExperimentConfig:
         except OSError as exc:
             raise ConfigError(f"cannot read config {args.config!r}: {exc}") from exc
         return ExperimentConfig.from_json(text)
-    given = {name: getattr(args, name) for name in PARAMS[args.kind][1]}
-    params = {k: v for k, v in given.items() if v is not None and v is not False}
+    params = _given({name: getattr(args, name) for name in PARAMS[args.kind][1]})
     # the run settings this subcommand takes; the others keep their defaults
     settings = {f.name: getattr(args, f.name) for f in fields(ExperimentConfig)
                 if f.name not in ("kind", "params") and hasattr(args, f.name)}

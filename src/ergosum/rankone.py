@@ -23,7 +23,7 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from importlib import resources
 from itertools import accumulate
-from typing import Iterator, NamedTuple, Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -305,26 +305,6 @@ def expand_word(data: ConstructionData, n: int,
     return SymbolicWord(_expand(tower, n), n)
 
 
-class WindowCounts(NamedTuple):
-    """Base occurrences left of, at, and right of the window center."""
-
-    left: int
-    center: int
-    right: int
-
-    @property
-    def sigma(self) -> int:
-        return self.left + self.center + self.right
-
-    @property
-    def s_plus(self) -> int:
-        return self.center + self.right
-
-    @property
-    def s_minus(self) -> int:
-        return self.center + self.left
-
-
 class NameSampler:
     """Lazy bi-infinite symbolic name of a random base point.
 
@@ -443,9 +423,11 @@ def sample_name(data: ConstructionData, seed,
 
 
 def ensemble_window_counts(samplers: Sequence[NameSampler], radius: int,
-                           depth_cap: int = DEFAULT_DEPTH_CAP) -> list[WindowCounts]:
-    """Base occurrences in [-radius, -1], {0}, [1, radius] around each
-    sampler's center, with one prefix descent for them all.
+                           depth_cap: int = DEFAULT_DEPTH_CAP) -> list[tuple[int, int]]:
+    """(s_minus, s_plus) of each sampler, the base occurrences in
+    [-radius, 0] and [0, radius] around its center at offset off:
+    P(off + 1) - P(off - radius) and P(off + radius + 1) - P(off), from one
+    prefix descent for all the samplers.
 
     The samplers share one tower.  Each extends its own name first, in
     sampler order; the centre-is-base check then covers every sampler,
@@ -469,7 +451,7 @@ def ensemble_window_counts(samplers: Sequence[NameSampler], radius: int,
             raise InvariantViolationError(
                 f"center symbol at level {samplers[i // 4].level} offset "
                 f"{positions[i + 1]} is not base")
-        windows.append(WindowCounts(before - start, 1, end - after))
+        windows.append((after - start, end - before))
     return windows
 
 

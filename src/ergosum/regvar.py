@@ -100,26 +100,13 @@ class ERReport(NamedTuple):
     m_hat: float
 
 
-def _geometric_grid(n_lo: int, n_hi: int, factor: int) -> list[int]:
-    if n_lo < 1:
-        raise ValueError("n_lo must be >= 1")
-    if n_hi < n_lo:
-        raise ValueError(f"empty grid: n_hi = {n_hi} < n_lo = {n_lo}")
-    if factor < 2:
-        raise ValueError("grid factor must be >= 2")
-    grid = []
-    n = n_lo
-    while n <= n_hi:
-        grid.append(n)
-        n *= factor
-    return grid
-
-
 def er_diagnostic(a: ScalingSequence, p_values: Sequence[int],
                   n_lo: int, n_hi: int, grid_factor: int = 2) -> ERReport:
     """Tabulate r(p, n) = a(pn)/(p a(n)) on a geometric grid, p-major.
 
-    The rows carry the table; ``m_hat`` summarizes its two-sided band.
+    The rows carry the table; ``m_hat`` summarizes its two-sided band.  For
+    a(n) = n/L(n), r(2, n) = L(n)/L(2n): the p = 2 band tabulates the slow
+    variation of L.
     """
     p_values = tuple(int(p) for p in p_values)
     for p in p_values:
@@ -127,7 +114,15 @@ def er_diagnostic(a: ScalingSequence, p_values: Sequence[int],
             raise ValueError("p values must exceed 1")
         if n_hi < p * n_lo:
             raise ValueError(f"n_hi = {n_hi} < p*n_lo = {p * n_lo}")
-    grid = _geometric_grid(n_lo, n_hi, grid_factor)
+    if n_lo < 1:
+        raise ValueError("n_lo must be >= 1")
+    if grid_factor < 2:
+        raise ValueError("grid factor must be >= 2")
+    grid = []
+    n = n_lo
+    while n <= n_hi:
+        grid.append(n)
+        n *= grid_factor
     rows = []
     m_hat = 1.0
     for p in p_values:
@@ -141,27 +136,3 @@ def er_diagnostic(a: ScalingSequence, p_values: Sequence[int],
             rows.append(ERRow(p, n, float(a_n), float(a_pn), r))
             m_hat = max(m_hat, r, 1.0 / r)
     return ERReport(rows, m_hat)
-
-
-class SVRow(NamedTuple):
-    """One doubling ratio L(2n)/L(n); the field names are the CSV header."""
-
-    n: int
-    L_n: float
-    L_2n: float
-    ratio: float
-
-
-def sv_diagnostic(length_fn, n_lo: int, n_hi: int, grid_factor: int = 2) -> list[SVRow]:
-    """Slow-variation table: L(n), L(2n) and L(2n)/L(n) on a geometric grid.
-
-    ``length_fn`` may be a plain callable or a ScalingSequence.
-    """
-    rows = []
-    for n in _geometric_grid(n_lo, n_hi, grid_factor):
-        l_n = float(length_fn(n))
-        l_2n = float(length_fn(2 * n))
-        if l_n <= 0:
-            raise ValueError(f"nonpositive L({n})")
-        rows.append(SVRow(n, l_n, l_2n, l_2n / l_n))
-    return rows

@@ -11,6 +11,7 @@ import ast
 import dataclasses
 import importlib.util
 import inspect
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -50,10 +51,45 @@ def test_rank_one_oracle_surface():
     off = sampler.center_offset(level)
     word = rankone.expand_word(data, level).symbols
     assert len(word) == sampler.tower.q(level)
-    left = int(word[off - radius:off].sum(dtype=np.int64))
-    right = int(word[off + 1:off + radius + 1].sum(dtype=np.int64))
-    (w,) = rankone.ensemble_window_counts([sampler], radius)
-    assert (w.left, w.center, w.right) == (left, int(word[off]), right)
+    assert word[off] == rankone.BASE
+    s_minus = int(word[off - radius:off + 1].sum(dtype=np.int64))
+    s_plus = int(word[off:off + radius + 1].sum(dtype=np.int64))
+    assert rankone.ensemble_window_counts([sampler], radius) == [(s_minus, s_plus)]
+
+
+# the files each workload's subcommands write, and their headers: perfbench
+# digests every file a run writes, and its oracles and accuracy measures
+# index columns by position (series n..sigma, translate N and count, walk
+# seed, N, count and a_u, renewal n, u and a_u, regvar_er p, n, a_n, a_pn)
+_SERIES = ["n", "s_plus", "s_minus", "sigma", "a_n", "ratio_sym", "ratio_plus"]
+_OUTPUTS = [
+    (["rank-one", "--preset", "chacon", "--seeds", "2", "--checkpoints", "dyadic:4:8",
+      "--burn-in", "16"],
+     {"series_000.csv": _SERIES, "series_001.csv": _SERIES,
+      "summary.csv": ["seed", "alpha_hat", "beta_hat", "beta_lower_hat", "oscillation"]}),
+    (["renewal", "--dist", "geometric:0.5", "--n", "16"],
+     {"renewal.csv": ["n", "u", "a_u"]}),
+    (["regvar", "--scaling", "au:geometric:0.5:64", "--p", "2,4", "--n-lo", "4",
+      "--n-hi", "16"],
+     {"regvar_er.csv": ["p", "n", "a_n", "a_pn", "ratio"]}),
+    (["translate", "--alpha", "golden", "--grid", "dyadic:2:4", "--exact"],
+     {"translate.csv": ["N", "count", "ratio"]}),
+    (["walk", "--dist", "power:0.75", "--N", "64", "--seeds", "2", "--threads", "1"],
+     {"walk.csv": ["seed", "N", "count", "a_u", "ratio"]}),
+]
+
+
+@pytest.mark.parametrize("argv,headers", _OUTPUTS, ids=[argv[0] for argv, _ in _OUTPUTS])
+def test_outputs_the_benchmark_reads(argv, headers, tmp_path):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)  # rank-one's review flag
+        assert cli.main([*argv, "--out", str(tmp_path)]) == 0
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(headers)
+    for name, header in headers.items():
+        lines = (tmp_path / name).read_text().splitlines()
+        data = [line for line in lines if not line.startswith("#")]
+        assert data[0].split(",") == header, name
+        assert len(data) > 1, name
 
 
 def test_walk_and_renewal_oracle_surface():

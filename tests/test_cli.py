@@ -2,6 +2,7 @@
 
 import argparse
 import csv
+import dataclasses
 import itertools
 import json
 import math
@@ -52,6 +53,28 @@ def test_rank_one_radius_example(tmp_path):
     assert rows[0]["n"] == "13"
     assert 9 <= int(rows[0]["sigma"]) <= 27
     assert (out / "summary.csv").exists()
+
+
+def test_default_burn_in_gives_way_to_a_short_grid(tmp_path):
+    # no checkpoint reaches the default 4096: the first one serves
+    summaries = []
+    for extra in ([], ["--burn-in", "13"]):
+        with pytest.warns(UserWarning, match="beta_lower_hat"):
+            code, out = run_cli(["rank-one", "--preset", "chacon", "--checkpoints", "13",
+                                 "--seeds", "2", *extra], tmp_path, f"b{len(extra)}")
+        assert code == 0
+        summaries.append(read_table(out / "summary.csv")[1])
+    assert summaries[0] == summaries[1]
+
+
+@pytest.mark.parametrize("burn_in", ["4097", "100000000"])
+def test_given_burn_in_past_every_checkpoint_exits(burn_in, tmp_path, capsys):
+    code = cli.main(["rank-one", "--preset", "chacon", "--checkpoints", "dyadic:4:12",
+                     "--burn-in", burn_in, "--out", str(tmp_path / "out")])
+    assert code == cli.EXIT_CONFIG
+    assert capsys.readouterr().err.splitlines() == [
+        f"config error: no checkpoints at or past burn-in {burn_in}"]
+    assert not (tmp_path / "out").exists()
 
 
 def test_rank_one_run_builds_one_tower(tmp_path, monkeypatch):
@@ -200,10 +223,12 @@ def test_regvar_tables(tmp_path):
     _, rows = read_table(out / "regvar_er.csv")
     assert all(r["ratio"] == "1.0" for r in rows)
 
-    code, out = run_cli(["regvar", "--scaling", "tm:geometric:0.5", "--sv",
+    # the p = 2 band of n/L(n) is L(n)/L(2n): here L(n) = 2(1 - 2^-n)
+    code, out = run_cli(["regvar", "--scaling", "tm:geometric:0.5", "--p", "2",
                          "--n-lo", "30", "--n-hi", "120"], tmp_path, "sv")
     assert code == 0
-    _, rows = read_table(out / "regvar_sv.csv")
+    _, rows = read_table(out / "regvar_er.csv")
+    assert [r["n"] for r in rows] == ["30", "60", "120"]
     assert all(abs(float(r["ratio"]) - 1.0) <= 1e-9 for r in rows)
 
 
@@ -334,7 +359,7 @@ def test_long_tables_written_block_by_block(tmp_path):
     assert [row["tail"] for row in rows] == [repr(x) for x in qs.tails.tolist()]
 
 
-# one small run of each subcommand (two of regvar: the band and --sv)
+# one small run of each subcommand
 _TINY_RUNS = [
     ["rank-one", "--preset", "chacon", "--checkpoints", "dyadic:4:10", "--seeds", "2",
      "--burn-in", "16"],
@@ -345,12 +370,37 @@ _TINY_RUNS = [
     ["translate", "--alpha", "golden", "--grid", "dyadic:2:5"],
     ["walk", "--dist", "geometric:0.5", "--N", "64", "--seeds", "3", "--threads", "1"],
     ["regvar", "--scaling", "tm:harmonic", "--n-lo", "8", "--n-hi", "256"],
-    ["regvar", "--scaling", "tm:harmonic", "--sv", "--n-lo", "8", "--n-hi", "256"],
 ]
 
 
 def test_tiny_runs_cover_every_subcommand():
-    assert {argv[0] for argv in _TINY_RUNS} == set(cli.RUNNERS)
+    assert sorted(argv[0] for argv in _TINY_RUNS) == sorted(cli.RUNNERS)
+
+
+@pytest.mark.parametrize("argv", _TINY_RUNS, ids=" ".join)
+def test_saved_config_of_the_given_flags_hashes_as_the_flags(argv):
+    # flags fill in every default; a saved config that holds only the
+    # given flags names the same run, so it gets the same hash
+    args = cli.build_parser().parse_args(argv)
+    flags = {arg.partition("=")[0] for arg in argv if arg.startswith("--")}
+    params = {name: getattr(args, name) for name in cli.PARAMS[argv[0]][1]
+              if "--" + name.replace("_", "-") in flags}
+    from_flags = cli.config_from_args(args)
+    saved = cli.ExperimentConfig(kind=argv[0], params=params, seed=from_flags.seed,
+                                 trials=from_flags.trials)
+    assert saved.config_hash() == from_flags.config_hash()
+
+
+def test_config_hash_does_not_see_how_defaults_are_spelled():
+    parser = cli.build_parser()
+    rank_one = cli.config_from_args(parser.parse_args(["rank-one", "--preset", "chacon"]))
+    assert rank_one.config_hash() == cli.ExperimentConfig.from_json(
+        '{"kind":"rank-one","params":{"preset":"chacon"}}').config_hash()
+    translate = cli.config_from_args(
+        parser.parse_args(["translate", "--alpha", "golden", "--grid", "4"]))
+    assert translate.config_hash() == cli.ExperimentConfig(
+        kind="translate", params={"alpha": "golden", "grid": "4", "exact": False,
+                                  "beta": None, "x": 0}).config_hash()
 
 
 @pytest.mark.parametrize("argv", _TINY_RUNS, ids=" ".join)
@@ -447,8 +497,8 @@ def test_config_hash_pinned():
         (["translate", "--alpha", "golden", "--beta", "1", "--x", "0.3", "--exact",
           "--grid", "dyadic:6:13"],
          "cdc79dc0b24edd5e63b53012139061aef738866bf4f1495ff210eb4a5a3c133f"),
-        (["regvar", "--scaling", "tm:harmonic", "--sv"],
-         "d56319e45216e68155af305e235251561f2fdcf694aca9c22af5b0f52cab2f2d"),
+        (["regvar", "--scaling", "tm:harmonic", "--p", "2"],
+         "e2b3fe08e7a30280863f585dcda60f023e6d24a4004daf87446b1970b1706e86"),
     ]
     for argv, digest in pins:
         cfg = cli.config_from_args(parser.parse_args(argv))
@@ -503,9 +553,7 @@ def _arg_id(arg):
     ["renewal", "--dist", "geometric:0.5", "--n", "-1"],
     ["regvar", "--scaling", "au:geometric:0.5:xx"],
     ["regvar", "--scaling", "tm:harmonic", "--p", "2,x"],
-    # --p is checked with --sv too, which does not use it
-    ["regvar", "--scaling", "tm:harmonic", "--sv", "--p", "2,x"],
-    ["regvar", "--scaling", "tm:harmonic", "--sv", "--p", "0", "--n-hi", "4096"],
+    ["regvar", "--scaling", "tm:harmonic", "--p", "0", "--n-hi", "4096"],
     ["regvar", "--scaling", "tm:harmonic", "--n-lo", "0"],
     ["queen", "--dist", "harmonic", "--n", "0"],
     ["walk", "--dist", "geometric:0.5", "--N", "0"],
@@ -528,6 +576,17 @@ def _arg_id(arg):
      "--n", "3"],
     ["walk", "--dist", {"kind": "finite", "mass": [[1, math.nan], [2, 1.0]]},
      "--N", "5"],
+    # a lifetime has one spelling, its label, in --dist and in scalings
+    ["renewal", "--dist", "power:1", "--n", "3"],
+    ["renewal", "--dist", "power:1.0", "--n", "3"],
+    ["renewal", "--dist", "delta:03", "--n", "3"],
+    ["renewal", "--dist", "delta:+3", "--n", "3"],
+    ["renewal", "--dist", "geometric:5e-1", "--n", "3"],
+    ["renewal", "--dist", "geometric:1", "--n", "3"],
+    ["walk", "--dist", "power:0.50", "--N", "8"],
+    ["regvar", "--scaling", "tm:power:1", "--n-lo", "8", "--n-hi", "64"],
+    ["regvar", "--scaling", "au:geometric:5e-1:64", "--n-lo", "8", "--n-hi", "64"],
+    ["dyadic-tail", "--dist", "harmonic", "--n", "3", "--scaling", "tm:delta:03"],
     # atoms past int64
     ["renewal", "--dist", "delta:9223372036854775808", "--n", "3"],
     ["renewal", "--dist", {"kind": "finite", "mass": [[2 ** 70, 1.0]]}, "--n", "3"],
@@ -549,9 +608,9 @@ def test_exit_code_bad_value(args, tmp_path, capsys):
 @pytest.mark.parametrize("args,named", [
     (["translate", "--alpha", "golden", "--grid", "dyadic:-1:3"], "'dyadic:-1:3'"),
     (["rank-one", "--preset", "chacon", "--checkpoints", "dyadic:-2:3"], "'dyadic:-2:3'"),
-    (["regvar", "--scaling", "tm:harmonic", "--sv", "--n-lo", "100", "--n-hi", "10"],
-     "n_hi = 10 < n_lo = 100"),
-], ids=["translate-negative-exponent", "rank-one-negative-exponent", "regvar-sv-empty"])
+    (["regvar", "--scaling", "tm:harmonic", "--p", "2", "--n-lo", "100", "--n-hi", "10"],
+     "n_hi = 10 < p*n_lo = 200"),
+], ids=["translate-negative-exponent", "rank-one-negative-exponent", "regvar-empty"])
 def test_exit_code_bad_grid(args, named, tmp_path, capsys):
     # a negative dyadic exponent or an empty grid writes no table
     code = cli.main([*args, "--out", str(tmp_path / "out")])
@@ -680,7 +739,7 @@ def test_option_strings_pinned():
         "trimmed": ["--trials", "--dist", "--n"],
         "translate": ["--alpha", "--beta", "--x", "--grid", "--exact"],
         "walk": ["--seeds", "--threads", "--dist", "--N"],
-        "regvar": ["--scaling", "--p", "--n-lo", "--n-hi", "--factor", "--sv"],
+        "regvar": ["--scaling", "--p", "--n-lo", "--n-hi", "--factor"],
     }
     subs = next(a for a in cli.build_parser()._actions
                 if isinstance(a, argparse._SubParsersAction))
@@ -691,7 +750,7 @@ def test_option_strings_pinned():
                          if opt not in ("-h", "--help"))
         assert options == sorted(common + pins[kind]), kind
         total += len(options)
-    assert total == 55
+    assert total == 54
 
 
 def test_walk_threads_zero_uses_all_cores(tmp_path, monkeypatch):
@@ -710,6 +769,33 @@ def test_walk_threads_zero_uses_all_cores(tmp_path, monkeypatch):
     rows = cli.run_walk(cfg)[0][2]
     assert workers == [3]
     assert [row[0] for row in rows] == [0, 1, 2, 3]
+
+
+def test_walk_threads_capped_at_cores(tmp_path, monkeypatch):
+    # a pool starts one thread per task up to max_workers: the count asked
+    # for is capped at the cores, and the tasks here run serially
+    workers = []
+
+    class Serial:
+        def __init__(self, max_workers):
+            workers.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(cli, "ThreadPoolExecutor", Serial)
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
+    cfg = cli.ExperimentConfig(kind="walk", params={"dist": "delta:1", "N": 5},
+                               trials=5, threads=10 ** 5, out=str(tmp_path))
+    rows = cli.run_walk(cfg)[0][2]
+    assert workers == [2]
+    assert rows == cli.run_walk(dataclasses.replace(cfg, threads=1))[0][2]
 
 
 @pytest.mark.parametrize("doc,named", [
@@ -828,9 +914,6 @@ def test_no_cell_needs_quoting():
     configs = [cli.ExperimentConfig(kind=kind, params=p,
                                     trials=2 if kind in cli.TRIAL_FLAGS else 1)
                for kind, p in params.items()]
-    configs.append(cli.ExperimentConfig(
-        kind="regvar", params={"scaling": "tm:harmonic", "sv": True,
-                               "n_lo": 8, "n_hi": 64}))
     for cfg in configs:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")

@@ -283,12 +283,12 @@ def test_window_counts_at_top_level_of_finite_construction():
     tower = rk.Tower(data)
     samplers = [rk.NameSampler(tower, 0, choices=c) for c in ([2, 1], [1, 2])]
     windows = rk.ensemble_window_counts(samplers, 1)
-    assert windows == [(1, 1, 0), (0, 1, 1)]
+    assert windows == [(2, 1), (1, 2)]
     for sampler, w in zip(samplers, windows):
         assert sampler.level == 3
         off = sampler.center_offset()
         start, before, after, end = _scalar_prefixes(tower, (off - 1, off, off + 1, off + 2))
-        assert w == (before - start, after - before, end - after)
+        assert after - before == 1 and w == (after - start, end - before)
     assert tower._top() == tower.q(3) == 5
 
 
@@ -376,9 +376,9 @@ def test_samplers_share_one_tower(presets):
             order = [(step + k) % len(samplers) for k in range(len(samplers))]
             windows = rk.ensemble_window_counts([samplers[k] for k in order], n)
             for k, w in zip(order, windows):
-                rows[k].append((w.s_plus, w.s_minus, w.sigma))
+                rows[k].append(w)
         for i, got in enumerate(rows):
-            assert got == _scalar_series(data, spawn(19, i), cps)
+            assert got == [(sm, sp) for sp, sm, _ in _scalar_series(data, spawn(19, i), cps)]
 
 
 @pytest.mark.parametrize("c", [2, 3, 5, 7, 40, 2 ** 31 + 11])
@@ -455,8 +455,8 @@ def test_window_counts_do_not_depend_on_counting_order(presets, name, exponents,
     order.shuffle(shuffled)
     got = {n: rk.ensemble_window_counts(samplers, n) for n in shuffled}
     for i, seed in enumerate(seeds):
-        assert [(got[n][i].s_plus, got[n][i].s_minus, got[n][i].sigma) for n in cps] == (
-            _scalar_series(data, seed, cps))
+        assert [got[n][i] for n in cps] == [
+            (sm, sp) for sp, sm, _ in _scalar_series(data, seed, cps)]
 
 
 def test_center_symbol_is_base_every_level(presets):
@@ -491,16 +491,15 @@ def _windows(data, seeds, radius):
 
 
 def test_window_counts_trivia(presets):
-    for w in _windows(presets["odometer"], range(3), 8):
-        assert (w.left, w.center, w.right) == (8, 1, 8)
-        assert w.sigma == 17
+    # (s_minus, s_plus): the centre counts on both sides
+    assert _windows(presets["odometer"], range(3), 8) == [(9, 9)] * 3
     for data in presets.values():
-        assert [w.sigma for w in _windows(data, range(3), 0)] == [1, 1, 1]
+        assert _windows(data, range(3), 0) == [(1, 1)] * 3
 
 
 def test_window_counts_chacon_bracket(presets):
-    for w in _windows(presets["chacon"], range(10), 13):
-        assert 9 <= w.sigma <= 27
+    for s_minus, s_plus in _windows(presets["chacon"], range(10), 13):
+        assert 9 <= s_minus + s_plus - 1 <= 27
 
 
 def test_bracketing_all_presets(presets):
@@ -511,8 +510,8 @@ def test_bracketing_all_presets(presets):
         samplers = [rk.NameSampler(tower, spawn(11, seed)) for seed in range(5)]
         for n in range(2, 8):
             c_prev = C[n - 2]
-            for w in rk.ensemble_window_counts(samplers, q[n - 1]):
-                assert c_prev <= w.sigma <= 3 * c_prev
+            for s_minus, s_plus in rk.ensemble_window_counts(samplers, q[n - 1]):
+                assert c_prev <= s_minus + s_plus - 1 <= 3 * c_prev
 
 
 def test_window_oracle_equivalence(presets):
@@ -536,8 +535,8 @@ def test_window_oracle_equivalence(presets):
         word = rk.expand_word(presets[name], level, budget=10 ** 6).symbols
         off = s.center_offset(level)
         (w,) = rk.ensemble_window_counts([s], radius)
-        assert w.left == int(word[off - radius:off].sum())
-        assert w.right == int(word[off + 1:off + radius + 1].sum())
+        assert w == (int(word[off - radius:off + 1].sum()),
+                     int(word[off:off + radius + 1].sum()))
         assert word[off] == rk.BASE
         checked += 1
 
@@ -609,4 +608,5 @@ def test_window_oracle_random_constructions(data_strategy):
             continue
         word = rk.expand_word(data, level, budget=10 ** 5).symbols
         off = s.center_offset(level)
-        assert w.sigma == int(word[off - radius:off + radius + 1].sum())
+        assert w == (int(word[off - radius:off + 1].sum()),
+                     int(word[off:off + radius + 1].sum()))

@@ -98,28 +98,46 @@ def test_er_validation():
         rv.er_diagnostic(_identity(), (2,), 0, 64)
 
 
-# -- slow variation ------------------------------------------------------------------
+# -- slow variation: the p = 2 band of n/L(n) is L(n)/L(2n) ---------------------
+
+
+def _doubling_band(length, n_lo, n_hi):
+    """The p = 2 rows of a(n) = n/L(n); each ratio is L(n)/L(2n)."""
+    a = rv.ScalingSequence(lambda n: n / length(n), "n/L")
+    return rv.er_diagnostic(a, (2,), n_lo, n_hi).rows
 
 
 def test_sv_constant():
-    rows = rv.sv_diagnostic(lambda n: 1.0, 1, 1024)
+    rows = _doubling_band(lambda n: 1.0, 1, 1024)
     assert len(rows) == 11
     assert all(r.ratio == 1.0 for r in rows)
 
 
 def test_sv_harmonic_length():
-    (row,) = rv.sv_diagnostic(rn.PowerTail(1.0).truncated_mean, 2 ** 20, 2 ** 20)
-    assert abs(row.ratio - 1.0) <= 0.05
+    rows = _doubling_band(rn.PowerTail(1.0).truncated_mean, 2 ** 20, 2 ** 21)
+    assert all(abs(r.ratio - 1.0) <= 0.05 for r in rows)
 
 
 def test_sv_geometric_length():
-    rows = rv.sv_diagnostic(rn.Geometric(0.5).truncated_mean, 30, 240)
-    # L(n) = 2(1 - 2^-n): doubling ratio is 1 + 2^-n, inside 1e-9 from n = 30
+    rows = _doubling_band(rn.Geometric(0.5).truncated_mean, 30, 240)
+    # L(n) = 2(1 - 2^-n): the doubling ratio is 1 + 2^-n, inside 1e-9 from n = 30
     assert [r.n for r in rows] == [30, 60, 120, 240]
     assert all(abs(r.ratio - 1.0) <= 1e-9 for r in rows)
 
 
 def test_sv_identity_not_slowly_varying():
-    rows = rv.sv_diagnostic(lambda n: float(n), 4, 256)
-    assert all(r.ratio == 2.0 for r in rows)
-    assert max(abs(r.ratio - 1.0) for r in rows) == 1.0
+    # L(n) = n: a(n) = 1, and L doubles with n
+    rows = _doubling_band(lambda n: float(n), 4, 256)
+    assert all(r.ratio == 0.5 for r in rows)
+
+
+@pytest.mark.parametrize("f", [rn.Geometric(0.5), rn.PowerTail(1.0), rn.PowerTail(0.75)],
+                         ids=lambda f: f.label)
+def test_doubling_band_is_the_reciprocal_length_ratio(f):
+    # the band of the truncated-mean scaling at p = 2 times L(2n)/L(n) is 1
+    # within 2 ulp, on the dyadic grid 8..2^20
+    rows = rv.er_diagnostic(rn.truncated_mean_scaling(f), (2,), 8, 2 ** 20).rows
+    assert [r.n for r in rows] == [2 ** e for e in range(3, 21)]
+    for r in rows:
+        sv = f.truncated_mean(2 * r.n) / f.truncated_mean(r.n)
+        assert abs(r.ratio * sv - 1.0) <= 2 * math.ulp(1.0), r

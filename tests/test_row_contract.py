@@ -63,9 +63,9 @@ CONTRACT = [
         "0a3f9c0c2cc06c7c6b7d3592f0a570962cb7bce9d9d14cf7097ccd161ebacf48",
         id="regvar-rankone-heavy2q"),
     pytest.param(
-        ["regvar", "--scaling", "tm:geometric:0.5", "--sv", "--n-lo", "1", "--n-hi", "64"],
-        "5429ef729fe335cfd70a5a5a4800fc0ee03a37773b57440f740bb9fc689be5cb",
-        id="regvar-sv-geometric"),
+        ["regvar", "--scaling", "tm:geometric:0.5", "--p", "2", "--n-lo", "1", "--n-hi", "64"],
+        "583cc93d348971d73e4ba8a9733ec38ed221b5ca74fe8dff7fa722ef4a176d4f",
+        id="regvar-doubling-geometric"),
     pytest.param(
         ["walk", "--dist", "geometric:0.5", "--N", "63", "--seeds", "4"],
         "e8b61a369507a323251ea8a5e661b412971490ec96507549fcf3b544937a9f98",
