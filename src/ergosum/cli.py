@@ -122,7 +122,8 @@ class ExperimentConfig:
     ``TRIAL_FLAGS``, and ``threads`` 0 means all cores.  The config hash
     covers only the semantic payload (kind, ``values()``, seed, trials), so
     a default given or left out, thread count and output location never
-    change the recorded provenance.
+    change the recorded provenance; a 'finite:@FILE' lifetime enters as
+    the label of its masses, not as its path.
     """
 
     kind: str
@@ -177,7 +178,11 @@ class ExperimentConfig:
                 for name, p in PARAMS[self.kind][1].items()}
 
     def payload(self) -> dict:
-        return {"kind": self.kind, "params": _given(self.values()),
+        params = _given(self.values())
+        for name in ("dist", "scaling"):
+            if name in params:
+                params[name] = _hashed_spec(params[name])
+        return {"kind": self.kind, "params": params,
                 "seed": self.seed, "trials": self.trials}
 
     def to_json(self) -> str:
@@ -194,6 +199,20 @@ class ExperimentConfig:
     def config_hash(self) -> str:
         canon = json.dumps(self.payload(), sort_keys=True, separators=(",", ":"))
         return hashlib.sha256(canon.encode()).hexdigest()
+
+
+def _hashed_spec(spec: str) -> str:
+    """A lifetime or scaling spec with each 'finite:@FILE' replaced by the
+    label of the masses in the file, so that a hash covers the masses."""
+    head, _, rest = spec.partition(":")
+    if head == "finite" and rest.startswith("@"):
+        return _read_finite(rest[1:]).label
+    if head == "tm":
+        return f"tm:{_hashed_spec(rest)}"
+    if head == "au":
+        dist_spec, _, nmax = rest.rpartition(":")
+        return f"au:{_hashed_spec(dist_spec)}:{nmax}"
+    return spec
 
 
 def _given(values: dict) -> dict:
@@ -406,6 +425,7 @@ def run_dyadic_tail(cfg: ExperimentConfig):
     v = cfg.values()
     f = parse_distribution(v["dist"])
     n_max = v["n"]
+    renewal.check_dyadic_tail(v["t"], n_max)
     scaling = (parse_scaling(v["scaling"]) if v["scaling"]
                else renewal.truncated_mean_scaling(f))
     ds = renewal.dyadic_tail_series(f, scaling, v["t"], n_max)
@@ -465,6 +485,7 @@ def run_regvar(cfg: ExperimentConfig):
         p_values = tuple(int(tok) for tok in p_spec.split(","))
     except ValueError as exc:
         raise ConfigError(f"bad p list {p_spec!r}") from exc
+    regvar.check_band(p_values, n_lo, n_hi, factor)
     report = regvar.er_diagnostic(parse_scaling(spec), p_values, n_lo, n_hi, factor)
     return [("regvar_er", regvar.ERRow._fields, report.rows)]
 

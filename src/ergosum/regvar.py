@@ -100,15 +100,10 @@ class ERReport(NamedTuple):
     m_hat: float
 
 
-def er_diagnostic(a: ScalingSequence, p_values: Sequence[int],
-                  n_lo: int, n_hi: int, grid_factor: int = 2) -> ERReport:
-    """Tabulate r(p, n) = a(pn)/(p a(n)) on a geometric grid, p-major.
-
-    The rows carry the table; ``m_hat`` summarizes its two-sided band.  For
-    a(n) = n/L(n), r(2, n) = L(n)/L(2n): the p = 2 band tabulates the slow
-    variation of L.
-    """
-    p_values = tuple(int(p) for p in p_values)
+def check_band(p_values: Sequence[int], n_lo: int, n_hi: int,
+               grid_factor: int = 2) -> None:
+    """The range checks of ``er_diagnostic`` (ValueError), which a caller
+    runs before it builds a costly scaling."""
     for p in p_values:
         if p <= 1:
             raise ValueError("p values must exceed 1")
@@ -118,6 +113,18 @@ def er_diagnostic(a: ScalingSequence, p_values: Sequence[int],
         raise ValueError("n_lo must be >= 1")
     if grid_factor < 2:
         raise ValueError("grid factor must be >= 2")
+
+
+def er_diagnostic(a: ScalingSequence, p_values: Sequence[int],
+                  n_lo: int, n_hi: int, grid_factor: int = 2) -> ERReport:
+    """Tabulate r(p, n) = a(pn)/(p a(n)) on a geometric grid, p-major.
+
+    The rows carry the table; ``m_hat`` summarizes its two-sided band.  For
+    a(n) = n/L(n), r(2, n) = L(n)/L(2n): the p = 2 band tabulates the slow
+    variation of L.
+    """
+    p_values = tuple(int(p) for p in p_values)
+    check_band(p_values, n_lo, n_hi, grid_factor)
     grid = []
     n = n_lo
     while n <= n_hi:

@@ -620,6 +620,65 @@ def test_exit_code_bad_grid(args, named, tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("args,named", [
+    (["regvar", "--scaling", "au:harmonic:4194304", "--p", "0"], "p values must exceed 1"),
+    (["regvar", "--scaling", "au:harmonic:4194304", "--n-lo", "0"], "n_lo must be >= 1"),
+    (["regvar", "--scaling", "au:harmonic:4194304", "--factor", "1"],
+     "grid factor must be >= 2"),
+    (["regvar", "--scaling", "au:harmonic:4194304", "--p", "2", "--n-lo", "100",
+      "--n-hi", "10"], "n_hi = 10 < p*n_lo = 200"),
+    (["dyadic-tail", "--dist", "harmonic", "--n", "3", "--t", "-1",
+      "--scaling", "au:harmonic:4194304"], "t must be positive"),
+    (["dyadic-tail", "--dist", "harmonic", "--n", "0",
+      "--scaling", "au:harmonic:4194304"], "n_max must be >= 1"),
+], ids=["regvar-p", "regvar-n-lo", "regvar-factor", "regvar-empty", "dyadic-t", "dyadic-n"])
+def test_range_checks_run_before_the_scaling_is_built(args, named, tmp_path, capsys,
+                                                       monkeypatch):
+    # an au: scaling costs a renewal inversion, which a bad value never reaches
+    def refuse(*_):
+        raise AssertionError("renewal_sequence called")
+    monkeypatch.setattr(renewal, "renewal_sequence", refuse)
+    code = cli.main([*args, "--out", str(tmp_path / "out")])
+    assert code == cli.EXIT_CONFIG
+    err = capsys.readouterr().err.splitlines()
+    assert err == [f"config error: {named}"], err
+
+
+def test_config_hash_covers_finite_masses(tmp_path):
+    # a finite:@FILE lifetime is hashed by the masses the file holds, in
+    # --dist and inside tm: and au: scalings, not by its path
+    one, other = tmp_path / "one.json", tmp_path / "other.json"
+
+    def hashes():
+        argvs = [["renewal", "--dist", f"finite:@{one}", "--n", "4"],
+                 ["regvar", "--scaling", f"tm:finite:@{one}"],
+                 ["dyadic-tail", "--dist", "harmonic", "--n", "3",
+                  "--scaling", f"au:finite:@{one}:64"]]
+        parser = cli.build_parser()
+        return [cli.config_from_args(parser.parse_args(argv)).config_hash()
+                for argv in argvs]
+
+    def write(path, mass):
+        path.write_text(json.dumps({"kind": "finite", "mass": mass}))
+
+    write(one, [[1, 0.5], [2, 0.5]])
+    first = hashes()
+    write(one, [[1, 0.25], [2, 0.75]])
+    second = hashes()
+    assert all(a != b for a, b in zip(first, second))
+    # the same masses under another path: the same hashes
+    write(other, [[1, 0.25], [2, 0.75]])
+    one, other = other, one
+    assert hashes() == second
+    # one atom is the lifetime delta:3, and hashes as its spec does
+    write(one, [[3, 1.0]])
+    parser = cli.build_parser()
+    assert (cli.config_from_args(parser.parse_args(
+        ["renewal", "--dist", f"finite:@{one}", "--n", "4"])).config_hash()
+        == cli.config_from_args(parser.parse_args(
+            ["renewal", "--dist", "delta:3", "--n", "4"])).config_hash())
+
+
 @pytest.mark.parametrize("doc,named", [
     ({"kind": "renewal", "params": None}, "'params'"),
     ({"kind": "renewal", "params": {"dist": "geometric:0.5"}}, "'n'"),

@@ -408,8 +408,9 @@ def test_convolution_identity_random(raw):
 
 def test_renewal_sequence_matches_direct():
     # 20001 and 2**15 + 1 coefficients: at neither length do halved Newton
-    # sizes coincide with doubled ones; measured worst cases 1.9e-15 on u
-    # and 1.7e-11 on a_u, both harmonic at 2**15
+    # sizes coincide with doubled ones; measured worst cases 1.6e-15 on u
+    # and 1.5e-11 on a_u, both harmonic at 2**15, where the float direct
+    # recursion itself is 1.6e-15 from a long-double one
     top = 2 ** 15
     for f in ALL_KINDS:
         direct = _renewal_direct(masses(f, top), top)
@@ -420,15 +421,94 @@ def test_renewal_sequence_matches_direct():
             assert np.max(np.abs(seq.a_u[1:] - direct_a_u[:n_max])) <= 1e-9, (f.label, n_max)
 
 
-def test_newton_steps_halve_the_length(monkeypatch):
-    # L = 2**15 + 1 coefficients: the largest step goes from ceil(L/2) to L
-    # terms, so no transform is longer than _next_fast_len(L + ceil(L/2) - 1);
-    # doubling to 2**15 and then to L would transform at 2**16
+def _newton_steps(length):
+    """The (m, m2) steps of _reciprocal for length coefficients."""
+    sizes = [length]
+    while sizes[-1] > rn._NEWTON_BASE:
+        sizes.append(-(-sizes[-1] // 2))
+    sizes.reverse()
+    return list(zip(sizes, sizes[1:]))
+
+
+def _sparse_recursion(f, n_max):
+    # the recursion of _renewal_direct over the atoms alone: the products
+    # with zero masses that it leaves out are exact zeros
+    atoms = list(zip(f.points, f.weights))
+    u = [1.0] + [0.0] * n_max
+    for n in range(1, n_max + 1):
+        total = 0.0
+        for k, w in atoms:  # ascending
+            if k > n:
+                break
+            total += w * u[n - k]
+        u[n] = total
+    return np.array(u)
+
+
+def _prefix_lengths(n_max):
+    """m - 1, m and m + 1 of every Newton step m -> m2 for n_max + 1
+    coefficients, and the last m2."""
+    steps = _newton_steps(n_max + 1)
+    return sorted({m + i for m, _ in steps for i in (-1, 0, 1)} | {steps[-1][1]})
+
+
+@pytest.mark.parametrize("weights,bound_u,bound_a_u", [
+    # test_renewal_sequence_matches_direct's bounds (measured 7.5e-15 on u
+    # and 1.3e-10 on a_u)
+    ((0.49, 0.5, 0.01), 1e-14, 1e-9),
+    # a heavy far atom L puts poles of 1/T within about ln(4)/L of the unit
+    # circle (measured 1.2e-11 and 1.9e-8; the full Newton step read 1.4e-9
+    # and 2.9e-6)
+    ((0.3, 0.3, 0.4), 1e-10, 1e-7),
+], ids=["light-far-atom", "heavy-far-atom"])
+def test_zero_prefix_boundaries(weights, bound_u, bound_a_u):
+    # the tails' nonzero prefix has the length L of the largest atom; at
+    # L = m - 1, m, m + 1 and m2 a Newton step m -> m2 has its residual on
+    # either side of the zero tails
+    for n_max in (2 ** 12, 2 ** 15 + 1):
+        for length in _prefix_lengths(n_max):
+            f = rn.FiniteSupport(list(zip((1, 2, length), weights)))
+            seq = rn.renewal_sequence(f, n_max)
+            oracle = _sparse_recursion(f, n_max)
+            oracle_a_u = np.cumsum(oracle[1:], dtype=np.longdouble).astype(np.float64)
+            assert np.max(np.abs(seq.u - oracle)) <= bound_u, (n_max, length)
+            assert np.max(np.abs(seq.a_u[1:] - oracle_a_u)) <= bound_a_u, (n_max, length)
+
+
+def test_zero_prefix_boundaries_geometric_and_lattice():
+    # geometric tails end at L = 619 (p = 0.7) and 2090 (p = 0.3)
+    top = 2 ** 15 + 1
+    for f in (rn.Geometric(0.7), rn.Geometric(0.3)):
+        direct = _renewal_direct(masses(f, top), top)
+        direct_a_u = np.cumsum(direct[1:], dtype=np.longdouble).astype(np.float64)
+        for n_max in (2 ** 12, top):
+            seq = rn.renewal_sequence(f, n_max)
+            assert np.max(np.abs(seq.u - direct[:n_max + 1])) <= 1e-14, (f.label, n_max)
+            assert np.max(np.abs(seq.a_u[1:] - direct_a_u[:n_max])) <= 1e-9, (f.label, n_max)
+    # a lattice support: exact 0/1 rows
+    for n_max in (2 ** 12, top):
+        for length in _prefix_lengths(n_max):
+            exact = (np.arange(n_max + 1) % length == 0).astype(np.float64)
+            u = rn.renewal_sequence(rn.FiniteSupport.delta(length), n_max).u
+            assert np.array_equal(u, exact), (n_max, length)
+
+
+def test_sparse_recursion_is_the_direct_recursion():
+    f = rn.FiniteSupport([(1, 0.3), (2, 0.3), (129, 0.4)])
+    n_max = 2 ** 12
+    direct = _renewal_direct(masses(f, n_max), n_max)
+    assert np.max(np.abs(_sparse_recursion(f, n_max) - direct)) <= 1e-15
+
+
+def test_newton_transforms_span_the_nonzero_prefix(monkeypatch):
+    # every transform writes into the work area.  Over tails without zeros
+    # (harmonic) a step from m to m2 terms transforms at about m2, never
+    # past L = 2**15 + 1 terms; behind a nonzero prefix of 619 tails
+    # (geometric:0.7) the last step transforms at about m2 - m + 619
     lengths = []
 
     def recording(transform):
         def run(a, n=None, *args, out=None, **kwargs):
-            # every transform writes into the work area, at the length given
             assert out is not None and n is not None
             lengths.append(n)
             return transform(a, n, *args, out=out, **kwargs)
@@ -437,25 +517,30 @@ def test_newton_steps_halve_the_length(monkeypatch):
     monkeypatch.setattr(np.fft, "rfft", recording(np.fft.rfft))
     monkeypatch.setattr(np.fft, "irfft", recording(np.fft.irfft))
     n_max = 2 ** 15
-    rn.renewal_sequence(rn.Geometric(0.7), n_max)
     length = n_max + 1
-    longest = rn._next_fast_len(length + -(-length // 2) - 1)
-    assert longest == 50000
-    assert lengths and max(lengths) == longest
+    rn.renewal_sequence(rn.PowerTail(1.0), n_max)
+    assert lengths and max(lengths) <= rn._next_fast_len(length)
+    lengths.clear()
+    assert np.count_nonzero(rn.Geometric(0.7).tail(np.arange(1, length + 1))) == 619
+    rn.renewal_sequence(rn.Geometric(0.7), n_max)
+    assert lengths and max(lengths) <= rn._next_fast_len(-(-length // 2) + 619)
 
 
 def test_renewal_peak_memory():
-    # one work area (a real buffer and two spectra of about 1.5 n) beside
-    # the tails: about 5.5 arrays of n + 1 at peak
+    # one work area (a real buffer of about 1.5 n and two spectra of about
+    # n reals each, at most) beside the tails: 4.0 arrays of n + 1 at peak
+    # for geometric:0.7, whose zero tails shorten the products, and 4.56
+    # for harmonic
     n_max = 2 ** 20
-    rn.renewal_sequence(rn.Geometric(0.7), 64)
-    tracemalloc.start()
-    try:
-        rn.renewal_sequence(rn.Geometric(0.7), n_max)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak <= 8 * 8 * (n_max + 1), peak / (8 * (n_max + 1))
+    for f in (rn.Geometric(0.7), rn.PowerTail(1.0)):
+        rn.renewal_sequence(f, 64)
+        tracemalloc.start()
+        try:
+            rn.renewal_sequence(f, n_max)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 6 * 8 * (n_max + 1), (f.label, peak / (8 * (n_max + 1)))
 
 
 @pytest.mark.parametrize("p", [1.0, 0.999999, 0.7, 0.5, 0.3, 0.1, 1e-3, 1e-300])
@@ -472,12 +557,22 @@ def test_geometric_tail_matches_numpy_power(p):
 
 
 def test_fft_accuracy_geometric():
-    # at most 4.4e-16 at each size; the mass-form inversion read 7.6e-12
-    # at 2**18 and up to 1.1e-10 at 2**20 - 1
+    # exact (0) at each size; the full Newton step read up to 4.4e-16, and
+    # the mass-form inversion 7.6e-12 at 2**18 and 1.1e-10 at 2**20 - 1
     for n_max in (2 ** 18 - 1, 2 ** 18, 2 ** 20 - 1, 2 ** 20):
         seq = rn.renewal_sequence(rn.Geometric(0.7), n_max)
         assert seq.u[0] == 1.0
         assert np.max(np.abs(seq.u[1:] - 0.7)) <= 1e-14, n_max
+
+
+@pytest.mark.parametrize("p", [0.002, 0.01, 0.05, 0.3, 0.5, 0.7, 0.99])
+def test_geometric_accuracy_claim(p):
+    # README: for geometric lifetimes the largest |u_n - p| is at most
+    # 4.4e-16 (measured 2.1e-16, at p = 0.01; the full Newton step read
+    # 5.1e-16 at p = 0.002)
+    for n_max in (2 ** 12, 2 ** 16, 2 ** 18):
+        u = rn.renewal_sequence(rn.Geometric(p), n_max).u
+        assert np.max(np.abs(u[1:] - p)) <= 4.4e-16, n_max
 
 
 @pytest.mark.parametrize("k", [1, 2, 3, 7])
