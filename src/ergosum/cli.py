@@ -341,19 +341,50 @@ def _load_construction(preset: str | None, data_file: str | None) -> rankone.Con
 
 
 # -- runners ------------------------------------------------------------------
-# Each returns a list of (table_name, fieldnames, rows); rows is an iterable
-# of tuples of len(fieldnames) cells that write_outputs reads once.
+# Each returns a list of (table_name, fieldnames, blocks); blocks is an
+# iterable, read once, of flat lists of cells, each holding up to
+# _ROW_BLOCK whole rows of len(fieldnames) cells one after another.
 
-# rows are converted from arrays, and formatted, this many at a time
+# Tables are built, and formatted, this many rows at a time: a long table
+# never holds all its cells or all its text, and larger blocks cost peak RSS.
 _ROW_BLOCK = 256
 
 
-def _array_rows(first, *columns):
-    """Rows (first + i, column_1[i], ...) of equal-length arrays, converted a
-    block at a time, so a long table never holds all its tuples."""
-    for lo in range(0, len(columns[0]), _ROW_BLOCK):
-        yield from zip(range(first + lo, first + lo + _ROW_BLOCK),
-                       *(c[lo:lo + _ROW_BLOCK].tolist() for c in columns))
+def _row_blocks(rows):
+    """The cells of rows (tuples), flattened _ROW_BLOCK rows at a time."""
+    rows = iter(rows)
+    while block := list(islice(rows, _ROW_BLOCK)):
+        yield list(chain.from_iterable(block))
+
+
+def _array_blocks(first, *columns):
+    """Blocks of the rows (first + i, column_1[i], ...) of equal-length
+    arrays, filled a column at a time by slice assignment.
+
+    Formatting floats is most of the time of a long table, and real
+    columns repeat whole blocks: a renewal sequence settles to the bits of
+    1/mu, and one whose period divides _ROW_BLOCK repeats from the start.
+    A column block whose bytes are those of the same column's previous
+    block is that block's values, formatted once and reused as strings;
+    comparing bytes keeps 0.0 and -0.0 apart.  Blocks that do not repeat
+    hand write_outputs their values.
+    """
+    width = 1 + len(columns)
+    size = len(columns[0])
+    # each column's previous block: its bytes, and its values or their str
+    last = [(b"", None)] * len(columns)
+    for lo in range(0, size, _ROW_BLOCK):
+        hi = min(lo + _ROW_BLOCK, size)
+        cells = [None] * (width * (hi - lo))
+        cells[::width] = range(first + lo, first + hi)
+        for j, column in enumerate(columns):
+            bits = column[lo:hi].tobytes()
+            if bits != last[j][0]:
+                last[j] = bits, column[lo:hi].tolist()
+            elif type(last[j][1][0]) is not str:
+                last[j] = bits, list(map(str, last[j][1]))
+            cells[j + 1::width] = last[j][1]
+        yield cells
 
 
 def _map_trials(cfg: ExperimentConfig, fn):
@@ -390,16 +421,17 @@ def run_rank_one(cfg: ExperimentConfig):
     stats = birkhoff.normalized_stats(ensemble, scaling, burn_in)
     tables = []
     for i, series in enumerate(ensemble):
+        rows = birkhoff.series_rows(series, stats.series[i], stats.a_n)
         tables.append((f"series_{i:03d}",
                        ("n", "s_plus", "s_minus", "sigma", "a_n",
                         "ratio_sym", "ratio_plus"),
-                       birkhoff.series_rows(series, stats.series[i], stats.a_n)))
+                       _row_blocks(rows)))
     summary = [(i, s.sup_plus, s.sup_sym, s.inf_sym, s.oscillation)
                for i, s in enumerate(stats.series)]
     tables.append(("summary",
                    ("seed", "alpha_hat", "beta_hat", "beta_lower_hat",
                     "oscillation"),
-                   summary))
+                   _row_blocks(summary)))
     return tables
 
 
@@ -408,8 +440,7 @@ def run_renewal(cfg: ExperimentConfig):
     f = parse_distribution(v["dist"])
     n_max = v["n"]
     seq = renewal.renewal_sequence(f, n_max)
-    rows = _array_rows(0, seq.u, seq.a_u)
-    return [("renewal", ("n", "u", "a_u"), rows)]
+    return [("renewal", ("n", "u", "a_u"), _array_blocks(0, seq.u, seq.a_u))]
 
 
 def run_queen(cfg: ExperimentConfig):
@@ -417,8 +448,8 @@ def run_queen(cfg: ExperimentConfig):
     f = parse_distribution(v["dist"])
     n_max = v["n"]
     qs = renewal.queen_series(f, n_max)
-    rows = _array_rows(1, qs.tails, qs.lengths, qs.terms, qs.partial_sums)
-    return [("queen", ("n", "tail", "L", "term", "Q"), rows)]
+    blocks = _array_blocks(1, qs.tails, qs.lengths, qs.terms, qs.partial_sums)
+    return [("queen", ("n", "tail", "L", "term", "Q"), blocks)]
 
 
 def run_dyadic_tail(cfg: ExperimentConfig):
@@ -432,7 +463,8 @@ def run_dyadic_tail(cfg: ExperimentConfig):
     rows = [(n, 2 ** n, ds.b_values[n], ds.thresholds[n],
              float(ds.terms[n]), float(ds.partial_sums[n]))
             for n in range(n_max + 1)]
-    return [("dyadic_tail", ("n", "pow2", "b", "threshold", "term", "D"), rows)]
+    return [("dyadic_tail", ("n", "pow2", "b", "threshold", "term", "D"),
+             _row_blocks(rows))]
 
 
 def run_trimmed(cfg: ExperimentConfig):
@@ -442,10 +474,10 @@ def run_trimmed(cfg: ExperimentConfig):
     rows = [(i, float(r)) for i, r in enumerate(res.ratios)]
     summary = [(v["n"], cfg.trials, res.b_n, res.mean, res.std,
                 *res.quantiles.values())]
-    return [("trimmed", ("trial", "ratio"), rows),
+    return [("trimmed", ("trial", "ratio"), _row_blocks(rows)),
             ("trimmed_summary",
              ("n", "trials", "b_n", "mean", "std", *res.quantiles),
-             summary)]
+             _row_blocks(summary))]
 
 
 def run_translate(cfg: ExperimentConfig):
@@ -456,7 +488,7 @@ def run_translate(cfg: ExperimentConfig):
     for n_box in parse_checkpoints(v["grid"]):
         res = lattice.translate_counts(action, n_box)
         rows.append((n_box, res.count, res.ratio))
-    return [("translate", ("N", "count", "ratio"), rows)]
+    return [("translate", ("N", "count", "ratio"), _row_blocks(rows))]
 
 
 def run_walk(cfg: ExperimentConfig):
@@ -474,7 +506,7 @@ def run_walk(cfg: ExperimentConfig):
         return (i, n_box, count, a_u, count / a_u)
 
     rows = _map_trials(cfg, trial)
-    return [("walk", ("seed", "N", "count", "a_u", "ratio"), rows)]
+    return [("walk", ("seed", "N", "count", "a_u", "ratio"), _row_blocks(rows))]
 
 
 def run_regvar(cfg: ExperimentConfig):
@@ -487,7 +519,7 @@ def run_regvar(cfg: ExperimentConfig):
         raise ConfigError(f"bad p list {p_spec!r}") from exc
     regvar.check_band(p_values, n_lo, n_hi, factor)
     report = regvar.er_diagnostic(parse_scaling(spec), p_values, n_lo, n_hi, factor)
-    return [("regvar_er", regvar.ERRow._fields, report.rows)]
+    return [("regvar_er", regvar.ERRow._fields, _row_blocks(report.rows))]
 
 
 RUNNERS = {
@@ -524,19 +556,19 @@ def write_outputs(cfg: ExperimentConfig, tables) -> list[Path]:
     outdir.mkdir(parents=True, exist_ok=True)
     header = provenance_lines(cfg)
     written = []
-    for name, fields, rows in tables:
+    for name, fields, blocks in tables:
         path = outdir / f"{name}.csv"
         # every cell is a field name, a number or "": none needs quoting,
         # and "%s" of a cell is its str
         line = ",".join(["%s"] * len(fields)) + "\r\n"
-        rows = chain((fields,), rows)
         with open(path, "w", newline="") as fh:
             for text in header:
                 fh.write(f"# {text}\n")
+            fh.write(line % tuple(fields))
             # one format per block: a row of the wrong width would shift
             # the cells of the rows after it, so runners keep every width
-            while block := list(islice(rows, _ROW_BLOCK)):
-                fh.write(line * len(block) % tuple(chain.from_iterable(block)))
+            for block in blocks:
+                fh.write(line * (len(block) // len(fields)) % tuple(block))
         written.append(path)
     return written
 

@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import ergosum
@@ -404,14 +404,26 @@ def test_config_hash_does_not_see_how_defaults_are_spelled():
 
 
 @pytest.mark.parametrize("argv", _TINY_RUNS, ids=" ".join)
-def test_every_row_has_one_cell_per_field(argv):
-    # write_outputs formats a block of rows at once: a row of the wrong
-    # width would shift the cells of the rows after it, not stand out
-    cfg = cli.config_from_args(cli.build_parser().parse_args(argv))
-    for name, fields, rows in cli.RUNNERS[cfg.kind](cfg):
+def test_every_row_has_one_cell_per_field(argv, monkeypatch):
+    # write_outputs formats a block of cells at once: a block that is not a
+    # whole number of rows, or a row of the wrong width within a block,
+    # would shift the cells of the rows after it, not stand out
+    row_widths = {}
+    flatten = cli._row_blocks
+
+    def recorded(rows):
         rows = list(rows)
-        assert rows, name
-        assert {len(row) for row in rows} == {len(fields)}, name
+        blocks = flatten(rows)
+        row_widths[id(blocks)] = {len(row) for row in rows}
+        return blocks
+
+    monkeypatch.setattr(cli, "_row_blocks", recorded)
+    cfg = cli.config_from_args(cli.build_parser().parse_args(argv))
+    for name, fields, blocks in cli.RUNNERS[cfg.kind](cfg):
+        assert row_widths.pop(id(blocks), {len(fields)}) == {len(fields)}, name
+        blocks = list(blocks)
+        assert blocks, name
+        assert all(block and len(block) % len(fields) == 0 for block in blocks), name
 
 
 _B = cli._ROW_BLOCK
@@ -438,32 +450,93 @@ def test_write_outputs_bytes_match_row_by_row_writer(cells, width, count,
     fields = tuple(f"c{j}" for j in range(width))
     rows = [tuple(cells[(i * width + j) % len(cells)] for j in range(width))
             for i in range(count)]
-    [path] = cli.write_outputs(cfg, [("table", fields, iter(rows))])
-    expected = "".join(f"# {line}\n" for line in cli.provenance_lines(cfg))
-    expected += "".join(",".join(map(str, row)) + "\r\n" for row in [fields, *rows])
-    assert path.read_bytes() == expected.encode()
+    [path] = cli.write_outputs(cfg, [("table", fields, cli._row_blocks(rows))])
+    assert path.read_bytes() == _row_by_row(cfg, fields, rows)
+
+
+def _row_by_row(cfg, fields, rows):
+    """The bytes of a table written one row at a time, joining str cells."""
+    text = "".join(f"# {line}\n" for line in cli.provenance_lines(cfg))
+    text += "".join(",".join(map(str, row)) + "\r\n" for row in [fields, *rows])
+    return text.encode()
+
+
+# a NaN with another payload, which str does not show
+_NAN_PAYLOAD = float(np.int64(0x7FF8000000000001).view(np.float64))
+_FLOAT_VALUES = st.one_of(
+    st.sampled_from([0.0, -0.0, math.nan, _NAN_PAYLOAD, math.inf, -math.inf,
+                     5e-324, -1e-310, 0.7, 1e16]),
+    st.floats())
+
+
+@st.composite
+def _array_columns(draw):
+    """Equal-length columns, each a pattern of 1 to 5 values repeated, so
+    blocks repeat where the period divides the block.  Some float columns
+    have the zeros of chosen blocks negated: those blocks equal their
+    neighbours as floats but not as bits."""
+    size = draw(st.sampled_from([1, _B - 1, _B, 2 * _B + 1, 4 * _B + 3]))
+    columns = []
+    for _ in range(draw(st.integers(1, 4))):
+        if draw(st.booleans()):
+            pattern = draw(st.lists(st.integers(-2 ** 63, 2 ** 63 - 1),
+                                    min_size=1, max_size=5))
+            columns.append(np.resize(np.array(pattern, dtype=np.int64), size))
+            continue
+        pattern = draw(st.lists(_FLOAT_VALUES, min_size=1, max_size=5))
+        column = np.resize(np.array(pattern, dtype=np.float64), size)
+        for b in draw(st.lists(st.integers(0, 4), max_size=3)):
+            block = column[b * _B:(b + 1) * _B]
+            block[block == 0.0] *= -1.0
+        columns.append(column)
+    return columns
+
+
+@settings(max_examples=80, deadline=None)
+@given(columns=_array_columns(), first=st.integers(0, 1))
+# 0.0 in one block and -0.0 in the next: equal as floats, apart as bits
+@example(columns=[np.repeat([0.0, -0.0, 0.0], [_B, _B, _B // 2])], first=0)
+def test_array_tables_match_row_by_row_writer(columns, first, tmp_path_factory):
+    # array tables, with their repeated blocks formatted once, write the
+    # bytes of joining each row's str cells
+    cfg = cli.ExperimentConfig(kind="renewal", params={"dist": "harmonic", "n": 1},
+                               out=str(tmp_path_factory.mktemp("arrays")))
+    fields = ("n", *(f"c{j}" for j in range(len(columns))))
+    blocks = cli._array_blocks(first, *columns)
+    [path] = cli.write_outputs(cfg, [("table", fields, blocks)])
+    rows = zip(range(first, first + len(columns[0])), *(c.tolist() for c in columns))
+    assert path.read_bytes() == _row_by_row(cfg, fields, rows)
 
 
 def test_write_outputs_streams_its_rows(tmp_path):
-    # no table is held whole: 2^18 rows from a generator peak at no more
-    # traced memory than four blocks do (a list of the rows alone takes
-    # 2 MB); the cells are str, which formatting copies without allocating,
-    # so tracing stays fast
+    # no table is held whole: 2^18 rows peak at no more traced memory than
+    # four blocks do (a list of the rows alone takes 2 MB), both rows from
+    # a generator and an array table, whose repeated column keeps only its
+    # previous block; the row cells are str, which formatting copies
+    # without allocating, so tracing stays fast
     cfg = cli.ExperimentConfig(kind="renewal", params={"dist": "harmonic", "n": 1},
                                out=str(tmp_path))
     cells = ("9223372036854775808", "-0.3333333333333333", "")
+    u = np.full(2 ** 18, 0.7)
+    x = np.arange(2 ** 18, dtype=np.int64)
 
-    def peak(count):
-        rows = (row for row in itertools.repeat(cells, count))
+    def rows(count):
+        return ("long", ("n", "x", "y"), cli._row_blocks(itertools.repeat(cells, count)))
+
+    def arrays(count):
+        return ("long", ("n", "u", "x"), cli._array_blocks(0, u[:count], x[:count]))
+
+    def peak(table, count):
         tracemalloc.start()
         try:
-            cli.write_outputs(cfg, [("long", ("n", "x", "y"), rows)])
+            cli.write_outputs(cfg, [table(count)])
             return tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
 
-    peak(4 * _B)  # first writes allocate once for the process
-    assert peak(2 ** 18) <= 2 * peak(4 * _B)
+    for table in (rows, arrays):
+        peak(table, 4 * _B)  # first writes allocate once for the process
+        assert peak(table, 2 ** 18) <= 2 * peak(table, 4 * _B), table.__name__
 
 
 def test_config_roundtrip_and_file(tmp_path):
@@ -825,9 +898,9 @@ def test_walk_threads_zero_uses_all_cores(tmp_path, monkeypatch):
     cfg = cli.ExperimentConfig(kind="walk", params={"dist": "delta:1", "N": 5},
                                trials=4, out=str(tmp_path))
     assert cfg.threads == 0
-    rows = cli.run_walk(cfg)[0][2]
+    [block] = cli.run_walk(cfg)[0][2]
     assert workers == [3]
-    assert [row[0] for row in rows] == [0, 1, 2, 3]
+    assert block[::5] == [0, 1, 2, 3]
 
 
 def test_walk_threads_capped_at_cores(tmp_path, monkeypatch):
@@ -852,9 +925,9 @@ def test_walk_threads_capped_at_cores(tmp_path, monkeypatch):
     monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
     cfg = cli.ExperimentConfig(kind="walk", params={"dist": "delta:1", "N": 5},
                                trials=5, threads=10 ** 5, out=str(tmp_path))
-    rows = cli.run_walk(cfg)[0][2]
+    blocks = list(cli.run_walk(cfg)[0][2])
     assert workers == [2]
-    assert rows == cli.run_walk(dataclasses.replace(cfg, threads=1))[0][2]
+    assert blocks == list(cli.run_walk(dataclasses.replace(cfg, threads=1))[0][2])
 
 
 @pytest.mark.parametrize("doc,named", [
@@ -977,11 +1050,12 @@ def test_no_cell_needs_quoting():
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             tables = cli.RUNNERS[cfg.kind](cfg)
-        for name, fields, rows in tables:
-            assert rows, name
-            for row in (fields, *rows):
-                for cell in row:
-                    assert not set(str(cell)) & set(',"\r\n'), (name, row)
+        for name, fields, blocks in tables:
+            blocks = list(blocks)
+            assert blocks, name
+            for cells in (fields, *blocks):
+                for cell in cells:
+                    assert not set(str(cell)) & set(',"\r\n'), (name, cell)
 
 
 def test_exit_code_resource_error(tmp_path, capsys):

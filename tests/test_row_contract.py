@@ -5,8 +5,10 @@ file name, then its header and data rows with the '#' provenance lines
 dropped.  These runs write only integer counts, Python float divisions
 of them and float statistics of a few such ratios, or quantities of
 geometric:0.5 and delta:3 whose powers of 1/2 and renewal prefix sums
-are exact (sequences of at most 64 terms take no transform), so the
-digests do not depend on SIMD, BLAS or the machine.  A change that moves
+are exact (sequences of at most 64 terms take no transform), or renewal
+tables of a single atom, the exact indicator of its multiples with their
+integer counts, so the digests do not depend on SIMD, BLAS or the
+machine.  A change that moves
 one of these rows must say so in CHANGES.md and update the digest here.
 """
 
@@ -82,6 +84,16 @@ CONTRACT = [
         ["dyadic-tail", "--dist", "geometric:0.5", "--n", "12"],
         "ac1e18d15db0bd85276b525dabcd875a283057dd2491c24518007757ac6d3d3f",
         id="dyadic-tail-geometric"),
+    # 4 divides the 256-row block, so every u block after the first repeats
+    pytest.param(
+        ["renewal", "--dist", "delta:4", "--n", "5000"],
+        "a12d462ea7d264eaea2b97c3c071dbd9c13def403d51469186496a8a6ff2552f",
+        id="renewal-delta4-repeated-blocks"),
+    # 3 does not, so no u block repeats its neighbour
+    pytest.param(
+        ["renewal", "--dist", "delta:3", "--n", "5000"],
+        "b75ec815804f32adf6cd06c64efb146c554989f7cd31039b4b69679c4971a2c0",
+        id="renewal-delta3-no-repeats"),
 ]
 
 
