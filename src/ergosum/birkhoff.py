@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Sequence
 
-from .errors import InvariantViolationError
+from .errors import ConfigError, InvariantViolationError
 from .rankone import NameSampler, ensemble_window_counts
 from .regvar import ScalingSequence
 
@@ -43,10 +43,10 @@ class BirkhoffSeries:
     def __post_init__(self):
         cps = self.checkpoints
         if any(b <= a for a, b in zip(cps, cps[1:])):
-            raise ValueError("checkpoints must be strictly increasing")
+            raise ConfigError("checkpoints must be strictly increasing")
         for seq, name in ((self.s_plus, "s_plus"), (self.s_minus, "s_minus")):
             if len(seq) != len(cps):
-                raise ValueError(f"{name} length does not match checkpoints")
+                raise ConfigError(f"{name} length does not match checkpoints")
             if any(b < a for a, b in zip(seq, seq[1:])):
                 raise InvariantViolationError(f"{name} is not nondecreasing")
         for n, sg in zip(cps, self.sigma):
@@ -141,17 +141,17 @@ def normalized_stats(ensemble: Sequence[BirkhoffSeries], scaling: ScalingSequenc
     the run deserves review, not an exception.
     """
     if not ensemble:
-        raise ValueError("ensemble must be nonempty")
+        raise ConfigError("ensemble must be nonempty")
     if burn_in < 1:
-        raise ValueError("burn_in must be >= 1")
+        raise ConfigError("burn_in must be >= 1")
     cps = ensemble[0].checkpoints
     if any(s.checkpoints != cps for s in ensemble):
-        raise ValueError("the series of an ensemble must share their checkpoints")
+        raise ConfigError("the series of an ensemble must share their checkpoints")
     a_n = []
     for n in cps:
         if n < max(1, scaling.domain_min):
             if n >= burn_in:
-                raise ValueError(
+                raise ConfigError(
                     f"checkpoint {n} is at or past the burn-in {burn_in} but below "
                     f"{scaling.name}'s domain_min {scaling.domain_min}")
             a_n.append(None)
@@ -162,7 +162,7 @@ def normalized_stats(ensemble: Sequence[BirkhoffSeries], scaling: ScalingSequenc
         a_n.append(a)
     start = bisect_left(cps, burn_in)
     if start == len(cps):
-        raise ValueError(f"no checkpoints at or past burn-in {burn_in}")
+        raise ConfigError(f"no checkpoints at or past burn-in {burn_in}")
     stats = tuple(_series_stats(s, a_n, start) for s in ensemble)
     alpha_hat = max(s.sup_plus for s in stats)
     beta_hat = max(s.sup_sym for s in stats)

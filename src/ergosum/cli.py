@@ -13,8 +13,8 @@ Each run input has one spelling, and every spec grammar lives here:
 lifetimes (parse_distribution), scalings (parse_scaling), checkpoint and
 radius grids (parse_checkpoints) and reals (parse_real).
 
-Exit codes: 0 success, 2 config error, 3 resource/horizon error (or an
-allocation the machine refuses), 4 internal invariant violation.
+Exit codes: 0 success, 2 ConfigError, 3 ResourceLimitError or MemoryError,
+4 InvariantViolationError; any other exception is a defect (traceback, 1).
 """
 
 from __future__ import annotations
@@ -636,8 +636,7 @@ def main(argv=None) -> int:
     try:
         cfg = config_from_args(args)
         written = run(cfg)
-    except (ConfigError, ValueError) as exc:
-        # the library's ValueErrors are range checks on the parameters
+    except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except (ResourceLimitError, MemoryError) as exc:

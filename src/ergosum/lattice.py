@@ -25,7 +25,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import ConfigError, CoverageError, PrecisionWarning
+from .errors import ConfigError, PrecisionWarning, ResourceLimitError
 from .renewal import INT64_SUM_LIMIT, LifetimeDistribution, int64_sum_may_overflow
 from .streams import normalize
 
@@ -132,7 +132,7 @@ def _translate_count(alpha: float, beta: float, x: float, n_box: int) -> int:
     in the box, and each clamped end is a floor term nondecreasing in k.
     """
     if alpha == 0.0 or beta == 0.0:
-        raise ValueError("alpha and beta must be nonzero")
+        raise ConfigError("alpha and beta must be nonzero")
     n_box = int(n_box)
     ratios = [float(v).as_integer_ratio() for v in (alpha, beta, x)]
     den = max(d for _, d in ratios)  # all powers of two
@@ -155,7 +155,7 @@ def translate_counts(action: TranslationAction, n_box: int) -> TranslateCount:
     N, and takes O(log N) big-integer steps.
     """
     if n_box < 0:
-        raise ValueError("box radius must be >= 0")
+        raise ConfigError("box radius must be >= 0")
     count = _translate_count(action.alpha, action.beta, action.x, n_box)
     return TranslateCount(count, count / (2 * n_box + 1))
 
@@ -216,7 +216,7 @@ def _kept_sums(f: LifetimeDistribution, rng, J: int) -> np.ndarray:
             parts.append(sums[:kept + 1])
             break
         if may_overflow:
-            raise CoverageError("walk partial sums would overflow int64")
+            raise ResourceLimitError("walk partial sums would overflow int64")
         parts.append(sums)
         if drawn == J:
             break
@@ -235,7 +235,7 @@ def walk_sample(f: LifetimeDistribution, seed, J: int) -> WalkSample:
     so a smaller J keeps a prefix of the same sums.
     """
     if J < 1:
-        raise ValueError("J must be >= 1")
+        raise ConfigError("J must be >= 1")
     rng = normalize(seed)
     backward = np.random.Generator(rng.bit_generator.jumped())
     return WalkSample(J, _kept_sums(f, rng, J), _kept_sums(f, backward, J))
@@ -249,7 +249,7 @@ def walk_counts(sample: WalkSample, n_box: int) -> int:
     |s_k| <= J.
     """
     if n_box > sample.J:
-        raise CoverageError(
+        raise ResourceLimitError(
             f"walk sampled for J = {sample.J} but the horizon needs +-{n_box}; "
             f"resample with J >= {n_box} "
             "(steps are >= 1, so J = horizon always covers)")

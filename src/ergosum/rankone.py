@@ -29,10 +29,8 @@ import numpy as np
 
 from .errors import (
     ConfigError,
-    DepthCapError,
-    ExpansionBudgetError,
     InvariantViolationError,
-    StageDataExhaustedError,
+    ResourceLimitError,
     check_keys,
 )
 from .regvar import ScalingSequence
@@ -81,7 +79,7 @@ class ConstructionData:
 
     ``repeat_from`` is a 0-based index into ``stages``; stages from that
     index onward repeat cyclically forever.  Without it the data is finite
-    and deep queries raise StageDataExhaustedError.
+    and deep queries raise ConfigError.
     """
 
     stages: tuple[Stage, ...]
@@ -103,12 +101,12 @@ class ConstructionData:
     def stage(self, n: int) -> Stage:
         """Stage n (1-based)."""
         if n < 1:
-            raise ValueError("stage index is 1-based")
+            raise ConfigError("stage index is 1-based")
         if n <= len(self.stages):
             return self.stages[n - 1]
         if self.repeat_from is None:
             listed = len(self.stages)
-            raise StageDataExhaustedError(
+            raise ConfigError(
                 f"construction {self.name or 'custom'} lists {listed} "
                 f"stage{'' if listed == 1 else 's'} without a repeating suffix; "
                 f"stage {n} is undefined")
@@ -217,7 +215,7 @@ class Tower:
         if not positions:
             return []
         if min(positions) < 0:
-            raise ValueError(f"prefix index {min(positions)} is negative")
+            raise ConfigError(f"prefix index {min(positions)} is negative")
         reach = max(positions)
         while self._q[-1] < reach:
             self.ensure_stage(len(self._starts) + 1)
@@ -297,11 +295,12 @@ def expand_word(data: ConstructionData, n: int,
     benchmark's output check (``perfbench/oracles.py``) read its symbols.
     """
     if n < 1:
-        raise ValueError("level must be >= 1")
+        raise ConfigError("level must be >= 1")
     tower = Tower(data)
     height = tower.q(n)
     if height > budget:
-        raise ExpansionBudgetError(n, height, budget)
+        raise ResourceLimitError(f"level {n} word has q_{n} = {height} symbols, "
+                                 f"exceeding the expansion budget {budget}")
     return SymbolicWord(_expand(tower, n), n)
 
 
@@ -342,7 +341,7 @@ class NameSampler:
     def center_offset(self, level: int | None = None) -> int:
         level = self.level if level is None else level
         if level > self.level:
-            raise ValueError("level not realized yet")
+            raise ConfigError("level not realized yet")
         return self._offsets[level - 1]
 
     def ensure_level(self, level: int) -> None:
@@ -364,12 +363,12 @@ class NameSampler:
     def ensure_window(self, radius: int, depth_cap: int = DEFAULT_DEPTH_CAP) -> int:
         """Extend levels until [center-radius, center+radius] sits inside the word.
 
-        Returns the embedding level.  Raises DepthCapError past depth_cap
+        Returns the embedding level.  Raises ResourceLimitError past depth_cap
         levels (possible only while the point keeps landing within radius
         of a word boundary, probability <= 2**(1-extra levels)).
         """
         if radius < 0:
-            raise ValueError("radius must be >= 0")
+            raise ConfigError("radius must be >= 0")
         offsets, q = self._offsets, self.tower._q
         while True:
             lev = len(offsets)
@@ -378,7 +377,9 @@ class NameSampler:
             if radius <= off < q[lev - 1] - radius:
                 return lev
             if lev >= depth_cap:
-                raise DepthCapError(radius, depth_cap)
+                raise ResourceLimitError(
+                    f"window of radius {radius} did not embed within {depth_cap} "
+                    f"levels (residual probability <= 2**(1-{depth_cap}))")
             self.ensure_level(lev + 1)
 
 
@@ -437,7 +438,7 @@ def ensemble_window_counts(samplers: Sequence[NameSampler], radius: int,
         return []
     tower = samplers[0].tower
     if any(s.tower is not tower for s in samplers):
-        raise ValueError("samplers must share one tower")
+        raise ConfigError("samplers must share one tower")
     positions = []
     for sampler in samplers:
         sampler.ensure_window(radius, depth_cap)
@@ -464,7 +465,7 @@ def rank_one_scaling(tower: Tower) -> ScalingSequence:
     """
     def query(n: int) -> int:
         if n < 1:
-            raise ValueError("scaling index must be >= 1")
+            raise ConfigError("scaling index must be >= 1")
         while tower._q[-1] <= n:
             tower.ensure_stage(len(tower._starts) + 1)
         return tower._cut_product[bisect_right(tower._q, n)]

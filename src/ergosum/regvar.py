@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from typing import Callable, NamedTuple, Sequence
 
-from .errors import ScalingHorizonError
+from .errors import ConfigError, InvariantViolationError, ResourceLimitError
 
 # the generalized inverse searches no further than this index
 SEARCH_HORIZON = 2 ** 62
@@ -44,10 +44,10 @@ class ScalingSequence:
     def __call__(self, n: int):
         n = int(n)
         if n < self.domain_min:
-            raise ValueError(
+            raise ConfigError(
                 f"{self.name}: index {n} below domain start {self.domain_min}")
         if self.domain_max is not None and n > self.domain_max:
-            raise ScalingHorizonError(
+            raise ResourceLimitError(
                 f"{self.name}: index {n} beyond domain end {self.domain_max}")
         return self._fn(n)
 
@@ -59,7 +59,7 @@ def invert_scaling(a: ScalingSequence, y) -> int:
     """Smallest integer t with a(t) >= y, for nondecreasing a.
 
     Exponential search followed by integer bisection; raises
-    ScalingHorizonError when y is not reached by t = SEARCH_HORIZON or the
+    ResourceLimitError when y is not reached by t = SEARCH_HORIZON or the
     end of the sequence's own domain.
     """
     lo = a.domain_min
@@ -71,7 +71,7 @@ def invert_scaling(a: ScalingSequence, y) -> int:
     hi = lo
     while a(hi) < y:
         if hi >= limit:
-            raise ScalingHorizonError(
+            raise ResourceLimitError(
                 f"{a.name}: a({hi}) = {a(hi)} < {y} at search horizon")
         hi = min(hi * 2, limit) if hi > 0 else 1
     while lo + 1 < hi:
@@ -102,17 +102,17 @@ class ERReport(NamedTuple):
 
 def check_band(p_values: Sequence[int], n_lo: int, n_hi: int,
                grid_factor: int = 2) -> None:
-    """The range checks of ``er_diagnostic`` (ValueError), which a caller
+    """The range checks of ``er_diagnostic`` (ConfigError), which a caller
     runs before it builds a costly scaling."""
     for p in p_values:
         if p <= 1:
-            raise ValueError("p values must exceed 1")
+            raise ConfigError("p values must exceed 1")
         if n_hi < p * n_lo:
-            raise ValueError(f"n_hi = {n_hi} < p*n_lo = {p * n_lo}")
+            raise ConfigError(f"n_hi = {n_hi} < p*n_lo = {p * n_lo}")
     if n_lo < 1:
-        raise ValueError("n_lo must be >= 1")
+        raise ConfigError("n_lo must be >= 1")
     if grid_factor < 2:
-        raise ValueError("grid factor must be >= 2")
+        raise ConfigError("grid factor must be >= 2")
 
 
 def er_diagnostic(a: ScalingSequence, p_values: Sequence[int],
@@ -137,7 +137,8 @@ def er_diagnostic(a: ScalingSequence, p_values: Sequence[int],
             a_n = a(n)
             a_pn = a(p * n)
             if a_n <= 0 or a_pn <= 0:
-                raise ValueError(f"{a.name}: nonpositive value in table at n={n}")
+                raise InvariantViolationError(
+                    f"{a.name}: nonpositive value in table at n={n}")
             # int/int division handles values beyond float range correctly
             r = a_pn / (p * a_n)
             rows.append(ERRow(p, n, float(a_n), float(a_pn), r))

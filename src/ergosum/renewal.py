@@ -19,7 +19,7 @@ from typing import ClassVar, Sequence
 
 import numpy as np
 
-from .errors import ConfigError, ResourceLimitError, SamplingHorizonError
+from .errors import ConfigError, ResourceLimitError
 from .regvar import ScalingSequence, invert_scaling
 from .streams import spawn
 
@@ -93,7 +93,7 @@ class Geometric(LifetimeDistribution):
     each search at the least k with s_k >= floor(4096 u) / 4096.  Where
     the sums stop below 1 (0.9999999999999997 at p = 0.7), NumPy's search
     never ends for a uniform above the last one; ``sample`` raises
-    SamplingHorizonError there.
+    ResourceLimitError there.
     """
 
     def __init__(self, p: float):
@@ -136,7 +136,7 @@ class Geometric(LifetimeDistribution):
             ks = np.take(k, pos) + 1
             k[pos] = ks
             if ks.max() == len(sums) - 1:
-                raise SamplingHorizonError(
+                raise ResourceLimitError(
                     f"geometric p={self.p!r} drew a uniform above its last CDF "
                     f"sum {float(sums[-2])!r}, where NumPy's search never returns; "
                     "rerun with a different stream")
@@ -236,7 +236,7 @@ class PowerTail(LifetimeDistribution):
         np.ceil(nu, out=nu)
         np.maximum(nu, 1.0, out=nu)
         if nu.max(initial=1.0) >= _INT64_VALUE_LIMIT:
-            raise SamplingHorizonError(
+            raise ResourceLimitError(
                 f"power tail gamma={self.gamma} drew a lifetime >= 2**62; "
                 "rerun with a different stream or a lighter tail")
         return nu.astype(np.int64)
@@ -476,7 +476,7 @@ def renewal_sequence(f: LifetimeDistribution, n_max: int) -> RenewalSequence:
     peak to v, u and the long-double sums.
     """
     if n_max < 0:
-        raise ValueError("n_max must be >= 0")
+        raise ConfigError("n_max must be >= 0")
     _check_horizon(n_max)
     tails = np.asarray(f.tail(np.arange(1, n_max + 2, dtype=np.int64)),
                        dtype=np.float64)
@@ -529,7 +529,7 @@ class QueenSeries:
 def queen_series(f: LifetimeDistribution, n_max: int) -> QueenSeries:
     """Partial sums of (F(n)/L(n))^2 for n = 1..n_max; data, not a verdict."""
     if n_max < 1:
-        raise ValueError("n_max must be >= 1")
+        raise ConfigError("n_max must be >= 1")
     _check_horizon(n_max)
     ns = np.arange(1, n_max + 1, dtype=np.int64)
     tails = np.asarray(f.tail(ns), dtype=np.float64)
@@ -552,9 +552,9 @@ def check_dyadic_tail(t: float, n_max: int) -> None:
     """The range checks of ``dyadic_tail_series``, which a caller runs
     before it builds a costly scaling."""
     if t <= 0:
-        raise ValueError("t must be positive")
+        raise ConfigError("t must be positive")
     if n_max < 1:
-        raise ValueError("n_max must be >= 1")
+        raise ConfigError("n_max must be >= 1")
     _check_horizon(n_max)
 
 
@@ -607,16 +607,16 @@ def trimmed_sum_trials(f: LifetimeDistribution, n: int, trials: int,
     reproducible in isolation.
     """
     if n < 2:
-        raise ValueError("n must be >= 2")
+        raise ConfigError("n must be >= 2")
     if trials < 1:
-        raise ValueError("trials must be >= 1")
+        raise ConfigError("trials must be >= 1")
     _check_horizon(n)
     b_n = invert_scaling(truncated_mean_scaling(f), n)
     ratios = np.empty(trials)
     for i in range(trials):
         nu = f.sample(spawn(seed, i), n)
         if int64_sum_may_overflow(nu):
-            raise SamplingHorizonError(
+            raise ResourceLimitError(
                 "partial sums would overflow int64; reduce n or lighten the tail")
         ratios[i] = (int(nu.sum()) - int(nu.max())) / b_n
     qs = np.quantile(ratios, _QUANTILE_LEVELS)

@@ -9,7 +9,7 @@ from ergosum import birkhoff as bk
 from ergosum import cli
 from ergosum import rankone as rk
 from ergosum import renewal as rn
-from ergosum.errors import InvariantViolationError
+from ergosum.errors import ConfigError, InvariantViolationError
 from ergosum.regvar import ScalingSequence
 from ergosum.streams import spawn
 
@@ -63,9 +63,9 @@ def test_series_consistency_identity(chacon):
 
 
 def test_series_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(ConfigError, match="strictly increasing"):
         bk.BirkhoffSeries((2, 1), (1, 1), (1, 1))
-    with pytest.raises(ValueError):
+    with pytest.raises(ConfigError, match="s_minus length does not match"):
         bk.BirkhoffSeries((1, 2), (1, 1), (1,))
     with pytest.raises(InvariantViolationError):
         bk.BirkhoffSeries((1, 2), (2, 2), (3, 2))
@@ -149,13 +149,13 @@ def test_sanity_flag_raised_for_synthetic_violation():
 
 def test_normalized_stats_validation(chacon):
     scaling = rk.rank_one_scaling(rk.Tower(chacon))
-    with pytest.raises(ValueError):
+    with pytest.raises(ConfigError, match="ensemble must be nonempty"):
         bk.normalized_stats([], scaling, burn_in=16)
     (series,) = _ensemble(chacon, [1], (4, 8))
-    with pytest.raises(ValueError):
+    with pytest.raises(ConfigError, match="no checkpoints at or past burn-in 100"):
         bk.normalized_stats([series], scaling, burn_in=100)
     (other,) = _ensemble(chacon, [2], (4, 16))
-    with pytest.raises(ValueError, match="share their checkpoints"):
+    with pytest.raises(ConfigError, match="share their checkpoints"):
         bk.normalized_stats([series, other], scaling, burn_in=4)
 
 
@@ -199,7 +199,7 @@ def test_checkpoint_past_burn_in_below_domain():
     scaling = rn.renewal_sequence(cli.parse_distribution("delta:5"), 100).as_scaling()
     visits = (2, 3, 4, 6, 11)
     series = bk.BirkhoffSeries((1, 2, 3, 5, 10), visits, visits)
-    with pytest.raises(ValueError, match="checkpoint 1 .* domain_min 5"):
+    with pytest.raises(ConfigError, match="checkpoint 1 .* domain_min 5"):
         bk.normalized_stats([series], scaling, burn_in=1)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")

@@ -22,7 +22,7 @@ from hypothesis import strategies as st
 
 import ergosum
 from ergosum import cli, lattice, rankone, renewal
-from ergosum.errors import PrecisionWarning
+from ergosum.errors import InvariantViolationError, PrecisionWarning
 from ergosum.streams import spawn
 
 
@@ -56,15 +56,16 @@ def test_rank_one_radius_example(tmp_path):
 
 
 def test_default_burn_in_gives_way_to_a_short_grid(tmp_path):
-    # no checkpoint reaches the default 4096: the first one serves
+    # no checkpoint reaches the default 4096: the first one serves, and
+    # 4096 given is the default, as the config hash reads it
     summaries = []
-    for extra in ([], ["--burn-in", "13"]):
+    for i, extra in enumerate(([], ["--burn-in", "13"], ["--burn-in", "4096"])):
         with pytest.warns(UserWarning, match="beta_lower_hat"):
             code, out = run_cli(["rank-one", "--preset", "chacon", "--checkpoints", "13",
-                                 "--seeds", "2", *extra], tmp_path, f"b{len(extra)}")
+                                 "--seeds", "2", *extra], tmp_path, f"b{i}")
         assert code == 0
         summaries.append(read_table(out / "summary.csv")[1])
-    assert summaries[0] == summaries[1]
+    assert summaries[0] == summaries[1] == summaries[2]
 
 
 @pytest.mark.parametrize("burn_in", ["4097", "100000000"])
@@ -663,6 +664,12 @@ def _arg_id(arg):
     # atoms past int64
     ["renewal", "--dist", "delta:9223372036854775808", "--n", "3"],
     ["renewal", "--dist", {"kind": "finite", "mass": [[2 ** 70, 1.0]]}, "--n", "3"],
+    ["translate", "--alpha", "x", "--grid", "4"],
+    ["regvar", "--scaling", "nosuch:1"],
+    # a directory is no readable file
+    ["rank-one", "--data", ".", "--checkpoints", "13"],
+    ["renewal", "--config", "."],
+    ["renewal", "--dist", "finite:@.", "--n", "3"],
 ], ids=lambda args: " ".join(map(_arg_id, args)))
 def test_exit_code_bad_value(args, tmp_path, capsys):
     argv = []
@@ -683,9 +690,16 @@ def test_exit_code_bad_value(args, tmp_path, capsys):
     (["rank-one", "--preset", "chacon", "--checkpoints", "dyadic:-2:3"], "'dyadic:-2:3'"),
     (["regvar", "--scaling", "tm:harmonic", "--p", "2", "--n-lo", "100", "--n-hi", "10"],
      "n_hi = 10 < p*n_lo = 200"),
-], ids=["translate-negative-exponent", "rank-one-negative-exponent", "regvar-empty"])
+    (["translate", "--alpha", "golden", "--grid", "dyadic:1:x"], "'dyadic:1:x'"),
+    (["translate", "--alpha", "golden", "--grid", "4,x"], "'4,x'"),
+    (["rank-one", "--preset", "chacon", "--checkpoints", "5,3"],
+     "checkpoints must be strictly increasing"),
+], ids=["translate-negative-exponent", "rank-one-negative-exponent", "regvar-empty",
+        "translate-dyadic-not-integer", "translate-list-not-integer",
+        "rank-one-decreasing"])
 def test_exit_code_bad_grid(args, named, tmp_path, capsys):
-    # a negative dyadic exponent or an empty grid writes no table
+    # a negative dyadic exponent, a malformed or decreasing grid or an
+    # empty grid writes no table
     code = cli.main([*args, "--out", str(tmp_path / "out")])
     assert code == cli.EXIT_CONFIG
     err = capsys.readouterr().err.splitlines()
@@ -1072,6 +1086,27 @@ def test_trimmed_tiny_geometric_reaches_the_horizon(tmp_path, capsys):
                      "--trials", "1", "--out", str(tmp_path)])
     assert code == cli.EXIT_RESOURCE
     assert "at search horizon" in capsys.readouterr().err
+
+
+def test_exit_code_invariant_and_defect(tmp_path, capsys, monkeypatch):
+    # a broken invariant exits 4; an exception outside the three classes
+    # is a defect, and leaves main as it was raised
+    def raising(exc):
+        def runner(cfg):
+            raise exc
+        return runner
+
+    args = ["renewal", "--dist", "geometric:0.5", "--n", "4",
+            "--out", str(tmp_path / "out")]
+    monkeypatch.setitem(cli.RUNNERS, "renewal",
+                        raising(InvariantViolationError("broken identity")))
+    assert cli.main(args) == cli.EXIT_INVARIANT
+    assert capsys.readouterr().err.splitlines() == ["invariant violation: broken identity"]
+    monkeypatch.setitem(cli.RUNNERS, "renewal", raising(ValueError("a defect")))
+    with pytest.raises(ValueError, match="^a defect$"):
+        cli.main(args)
+    assert capsys.readouterr().err == ""
+    assert not (tmp_path / "out").exists()
 
 
 def test_exit_code_refused_allocation(tmp_path, capsys):

@@ -15,6 +15,7 @@ import pytest
 import ergosum
 from ergosum import lattice as lt
 from ergosum import renewal as rn
+from ergosum.errors import ConfigError
 
 
 # -- floor-sum orbit counting ----------------------------------------------------
@@ -43,7 +44,7 @@ def test_translate_count_brute_force():
 
 
 def test_translate_count_rejects_zero_beta():
-    with pytest.raises(ValueError):
+    with pytest.raises(ConfigError, match="alpha and beta must be nonzero"):
         lt._translate_count(1.0, 0.0, 0.0, 5)
 
 

@@ -7,7 +7,7 @@ import pytest
 
 from ergosum import regvar as rv
 from ergosum import renewal as rn
-from ergosum.errors import ScalingHorizonError
+from ergosum.errors import ConfigError, InvariantViolationError, ResourceLimitError
 
 
 def _identity():
@@ -24,9 +24,9 @@ def _sqrt_ceil():
 def test_scaling_domain_checks():
     seq = rv.ScalingSequence(lambda n: n, "identity", domain_min=2, domain_max=10)
     assert seq(2) == 2
-    with pytest.raises(ValueError):
+    with pytest.raises(ConfigError, match="index 1 below domain start 2"):
         seq(1)
-    with pytest.raises(ScalingHorizonError):
+    with pytest.raises(ResourceLimitError, match="index 11 beyond domain end 10"):
         seq(11)
 
 
@@ -36,10 +36,10 @@ def test_invert_scaling_basics():
     assert rv.invert_scaling(seq, 17) == 17
     assert rv.invert_scaling(seq, 16.5) == 17
     assert rv.invert_scaling(seq, rv.SEARCH_HORIZON) == rv.SEARCH_HORIZON
-    with pytest.raises(ScalingHorizonError):
+    with pytest.raises(ResourceLimitError, match="at search horizon"):
         rv.invert_scaling(seq, rv.SEARCH_HORIZON + 1)
     bounded = rv.ScalingSequence(lambda n: n, "identity", domain_max=50)
-    with pytest.raises(ScalingHorizonError):
+    with pytest.raises(ResourceLimitError, match="at search horizon"):
         rv.invert_scaling(bounded, 100)
 
 
@@ -90,12 +90,18 @@ def test_er_report_invariants():
 
 
 def test_er_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(ConfigError, match="p values must exceed 1"):
         rv.er_diagnostic(_identity(), (1,), 8, 64)
-    with pytest.raises(ValueError):
+    with pytest.raises(ConfigError, match=r"n_hi = 128 < p\*n_lo = 256"):
         rv.er_diagnostic(_identity(), (4,), 64, 128)
-    with pytest.raises(ValueError):
+    with pytest.raises(ConfigError, match="n_lo must be >= 1"):
         rv.er_diagnostic(_identity(), (2,), 0, 64)
+    # a scaling is positive by contract: a zero breaks it, as it does
+    # for normalized_stats
+    zero = rv.ScalingSequence(lambda n: 0, "zero")
+    with pytest.raises(InvariantViolationError,
+                       match="^zero: nonpositive value in table at n=8$"):
+        rv.er_diagnostic(zero, (2,), 8, 64)
 
 
 # -- slow variation: the p = 2 band of n/L(n) is L(n)/L(2n) ---------------------
