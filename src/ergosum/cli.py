@@ -120,10 +120,10 @@ class ExperimentConfig:
     ``params`` holds the kind-specific knobs (``PARAMS``); a missing or
     null one takes its default.  ``trials`` is 1 for a kind outside
     ``TRIAL_FLAGS``, and ``threads`` 0 means all cores.  The config hash
-    covers only the semantic payload (kind, ``values()``, seed, trials), so
-    a default given or left out, thread count and output location never
-    change the recorded provenance; a 'finite:@FILE' lifetime enters as
-    the label of its masses, not as its path.
+    covers only the semantic payload (kind, ``values()``, trials, and the
+    seed of a trial kind), so defaults given or left out, thread count,
+    output location and a deterministic table's seed never change it; a
+    'finite:@FILE' lifetime enters as the label of its masses, not its path.
     """
 
     kind: str
@@ -182,8 +182,8 @@ class ExperimentConfig:
         for name in ("dist", "scaling"):
             if name in params:
                 params[name] = _hashed_spec(params[name])
-        return {"kind": self.kind, "params": params,
-                "seed": self.seed, "trials": self.trials}
+        seed = {"seed": self.seed} if self.kind in TRIAL_FLAGS else {}
+        return {"kind": self.kind, "params": params, **seed, "trials": self.trials}
 
     def to_json(self) -> str:
         return json.dumps(asdict(self), sort_keys=True, separators=(",", ":"))

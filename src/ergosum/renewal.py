@@ -14,7 +14,9 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
+from decimal import Decimal, localcontext
 from fractions import Fraction
+from itertools import accumulate
 from typing import ClassVar, Sequence
 
 import numpy as np
@@ -42,8 +44,8 @@ _SEARCH_MIN_P = 1.0 / 3.0
 # buckets of the guide table that starts that search; 4096 u is exact
 _GUIDE_SIZE = 4096
 
-# power sums are added up directly to here; beyond, the first Euler-Maclaurin
-# term left out is below 1e-20
+# power sums are added up directly to here, to 40 digits; beyond, the first
+# Euler-Maclaurin term left out is below 1e-20
 _POWER_SUM_HEAD = 64
 # B_2k for k = 1..4
 _BERNOULLI = (Fraction(1, 6), Fraction(-1, 30), Fraction(1, 42), Fraction(-1, 30))
@@ -175,41 +177,46 @@ class PowerTail(LifetimeDistribution):
 
     gamma = 1 is the harmonic lifetime, f_k = 1/(k(k+1)), labelled
     ``harmonic``.  L(n) is the power sum S(n) = 1^-gamma + ... + n^-gamma,
-    one routine for every gamma: up to n = 64 a cumulative sum in long
-    double, rounded once; beyond, the Euler-Maclaurin expansion (Graham,
-    Knuth and Patashnik, Concrete Mathematics, section 9.5)
+    one routine for every gamma: up to n = 64 a cumulative sum in 40-digit
+    decimal arithmetic, rounded once; beyond, the Euler-Maclaurin expansion
+    (Graham, Knuth and Patashnik, Concrete Mathematics, section 9.5)
 
         S(n) = C + lead(n) + n^-gamma / 2 - sum_{k=1..4} c_k n^(1-gamma-2k),
 
     with lead(n) = (n^(1-gamma) - 1) / (1-gamma), or ln n at gamma = 1, and
     c_k = B_2k (gamma)_(2k-1) / (2k)!, exact rationals rounded once.  The
     constant C = zeta(gamma) + 1/(1-gamma), Euler's constant at gamma = 1,
-    is calibrated against the sum at n = 64, in long double, on
-    construction.  Against a 40-digit oracle, for 1 <= n <= 2**62, S is
-    within 1.1 ulp at gamma = 1 and 2.2 ulp at gamma = 0.5, 0.75 and 0.9.
-    Near gamma = 1 the rounding of n^(1-gamma) is divided by 1 - gamma:
-    13 ulp at gamma = 0.99.
+    is calibrated against the sum at n = 64 in the same 40 digits, on
+    construction (about 4 ms).  Against a 40-digit oracle, for
+    1 <= n <= 2**62, S is within 1.1 ulp at gamma = 1 and 2.2 ulp at
+    gamma = 0.5, 0.75 and 0.9.  Near gamma = 1 the rounding of n^(1-gamma)
+    is divided by 1 - gamma: 13 ulp at gamma = 0.99.
     """
 
     def __init__(self, gamma: float):
         if not 0.0 < gamma <= 1.0:
             raise ConfigError(f"tail exponent must be in (0, 1], got {gamma}")
         self.gamma = g = float(gamma)
-        ks = np.arange(1, _POWER_SUM_HEAD + 1, dtype=np.longdouble)
-        head = np.cumsum(ks ** -np.longdouble(g))
-        self._head = [0.0] + head.astype(np.float64).tolist()
-        series = []
+        coeffs = []
         q = rising = Fraction(g)  # rising is (gamma)_(2k-1), exactly
         for k, b in enumerate(_BERNOULLI, start=1):
-            series.append(float(b / math.factorial(2 * k) * rising))
+            coeffs.append(b / math.factorial(2 * k) * rising)
             rising *= (q + 2 * k - 1) * (q + 2 * k)
-        self._series = tuple(series)
-        x, gl = np.longdouble(_POWER_SUM_HEAD), np.longdouble(g)
-        lead = np.log(x) if g == 1.0 else (x ** (1 - gl) - 1) / (1 - gl)
-        self._const = float(head[-1] - lead - self._corrections(x, gl))
+        self._series = tuple(float(c) for c in coeffs)
+        with localcontext(prec=40):
+            dg, x = Decimal(g), Decimal(_POWER_SUM_HEAD)
+            # k^-gamma as exp(-gamma ln k): Decimal's own power is slower
+            terms = [(-dg * Decimal(k).ln()).exp() for k in range(1, _POWER_SUM_HEAD + 1)]
+            ln_x = x.ln()
+            lead = ln_x if g == 1.0 else (((1 - dg) * ln_x).exp() - 1) / (1 - dg)
+            c1, c2, c3, c4 = (Decimal(c.numerator) / c.denominator for c in coeffs)
+            s, r = terms[-1], 1 / (x * x)
+            corrections = s / 2 - s / x * (c1 + r * (c2 + r * (c3 + r * c4)))
+            self._head = [0.0] + [float(h) for h in accumulate(terms)]
+            self._const = float(sum(terms) - lead - corrections)
 
-    def _corrections(self, x, g):
-        """n^-g / 2 minus the Bernoulli terms, at x = n in the precision of x."""
+    def _corrections(self, x: float, g: float) -> float:
+        """n^-g / 2 minus the Bernoulli terms, at x = n."""
         s = x ** -g
         r = 1 / (x * x)
         c1, c2, c3, c4 = self._series
@@ -463,17 +470,18 @@ def renewal_sequence(f: LifetimeDistribution, n_max: int) -> RenewalSequence:
     it: geometric:0.7 gives u_n = 0.7 exactly at n = 2**18 - 1, 2**18,
     2**20 - 1 and 2**20, the largest |u_n - p| for p from 0.002 to 0.99 and
     n up to 2**20 is 2.1e-16 (at p = 0.01), and for harmonic at n = 2**15,
-    u is within 7e-17 of a long-double direct recursion (the float one is
-    1.6e-15 off).  Where u_n tends to 0 the cumulative sum cancels: for
-    power:0.5 at n = 10**5, u is within 1.4e-16 of a long-double direct
-    recursion but a_u only within 2.7e-14 relative.  u and a_u are
-    accumulated in long double, in place in one buffer.
+    u is within 7e-17 of an 80-bit direct recursion (the float one is
+    1.6e-15 off).  Where u_n tends to 0 the terms of 1/T cancel in u: for
+    power:0.5 at n = 10**5, u is within 1.4e-16 of that recursion but a_u
+    only within 2.7e-14 relative.  u and a_u are compensated float64 prefix
+    sums (``_prefix_sum``): geometric:0.7's a_u(n) is 0.7 n rounded once at
+    every n up to 2**18.
 
     The inversion runs in one work area, so at n = 2**20 the arrays that
     NumPy allocates peak at about 4.5 times n float64 values for tails
     without zeros (harmonic: the tails, the real buffer and the two
     spectra) and at 4 for geometric:0.7, whose short products leave the
-    peak to v, u and the long-double sums.
+    peak to v, u, a_u and the prefix sum's one temporary.
     """
     if n_max < 0:
         raise ConfigError("n_max must be >= 0")
@@ -487,23 +495,38 @@ def renewal_sequence(f: LifetimeDistribution, n_max: int) -> RenewalSequence:
     # None where nu = d within the window, and u is the indicator of dZ
     v = None if reduced.size == 1 or reduced[1] == 0.0 else _reciprocal(reduced)
     del tails, reduced
-    sums = np.empty(n_max + 1, dtype=np.longdouble)
     u = np.zeros(n_max + 1)
-    u[::d] = 1.0 if v is None else _long_cumsum(v, sums[:len(v)])
+    a_u = np.empty(n_max + 1)
+    if v is None:
+        u[::d] = 1.0
+    else:
+        _prefix_sum(v, u[::d], a_u[:len(v)])
     del v
     # every u_n is a probability; near-periodic tails round a few past 0 or 1
     np.clip(u, 0.0, 1.0, out=u)
-    a_u = np.empty(n_max + 1)
     a_u[0] = 0.0
-    a_u[1:] = _long_cumsum(u[1:], sums[1:])
+    _prefix_sum(u[1:], a_u[1:], np.empty(n_max))
     return RenewalSequence(f, u, a_u)
 
 
-def _long_cumsum(x: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """Prefix sums of x in place in the long-double array out, which
-    ``np.cumsum(x, dtype=np.longdouble)`` would allocate beside a copy of x."""
-    out[...] = x
-    return np.cumsum(out, out=out)
+def _prefix_sum(x: np.ndarray, out: np.ndarray, work: np.ndarray) -> np.ndarray:
+    """Prefix sums of x into out, in float64, with work as long as x.
+
+    ``np.cumsum`` adds in order, s_i = fl(s_{i-1} + x_i).  TwoSum (Knuth,
+    TAOCP vol. 2, section 4.2.2) gives each addition's error exactly, and
+    the errors' own prefix sums are added back, as in Sum2 (Ogita, Rump and
+    Oishi, "Accurate sum and dot product", 2005): each sum is as accurate
+    as if formed in twice the working precision and rounded once.
+    """
+    np.cumsum(x, out=out)
+    # with z = s_i - s_{i-1}, the error is (x_i - z) - ((s_i - z) - s_{i-1})
+    z = np.subtract(out[1:], out[:-1], out=work[1:])
+    t = out[1:] - z
+    t -= out[:-1]
+    np.subtract(x[1:], z, out=z)
+    z -= t
+    out[1:] += np.cumsum(z, out=z)
+    return out
 
 
 # -- truncated-mean scaling ------------------------------------------------
@@ -533,9 +556,10 @@ def queen_series(f: LifetimeDistribution, n_max: int) -> QueenSeries:
     _check_horizon(n_max)
     ns = np.arange(1, n_max + 1, dtype=np.int64)
     tails = np.asarray(f.tail(ns), dtype=np.float64)
-    lengths = np.cumsum(tails)
+    work = np.empty(n_max)
+    lengths = _prefix_sum(tails, np.empty(n_max), work)
     terms = (tails / lengths) ** 2
-    return QueenSeries(terms, np.cumsum(terms), tails, lengths)
+    return QueenSeries(terms, _prefix_sum(terms, np.empty(n_max), work), tails, lengths)
 
 
 @dataclass(frozen=True)

@@ -1,11 +1,13 @@
-"""Numeric kernels: exact floor-sum orbit counting, power sums, FFT lengths."""
+"""Numeric kernels: exact floor-sum orbit counting, power sums, compensated
+prefix sums, FFT lengths; float64 is the one numeric type in src."""
 
+import ast
 import itertools
 import math
 import os
 import subprocess
 import sys
-from decimal import Decimal, localcontext
+from decimal import Decimal, Inexact, localcontext
 from fractions import Fraction
 from pathlib import Path
 
@@ -136,6 +138,102 @@ def test_power_sum_decimal_oracle(gamma):
           + [int(2 ** e) for e in rng.uniform(11, 62, size=200)])
     for n in ns:
         assert _ulps(f.truncated_mean(n), oracle(n)) <= 8, (gamma, n)
+
+
+@pytest.mark.parametrize("gamma, const", [
+    (1.0, "0x1.2788cfc6fb619p-1"),
+    (0.5, "0x1.144c69f031802p-1"),
+    (0.75, "0x1.1e0fd77dbc312p-1"),
+    (0.9, "0x1.23c818623b80cp-1"),
+])
+def test_power_sum_constant_pinned(gamma, const):
+    # formed in 40-digit decimal arithmetic and rounded once; the 80-bit
+    # long-double calibration it replaced gave the same bits at these gammas
+    assert rn.PowerTail(gamma)._const.hex() == const
+
+
+# -- compensated prefix sums --------------------------------------------------------
+
+
+def _exact_prefix_sums(x):
+    """Every prefix sum of x in decimal, exactly (the Inexact trap is set)."""
+    with localcontext(prec=200) as ctx:
+        ctx.traps[Inexact] = True
+        return list(itertools.accumulate(map(Decimal, x.tolist())))
+
+
+@pytest.mark.parametrize("kind", ["positive", "mixed"])
+def test_prefix_sum_correctly_rounded(kind):
+    rng = np.random.default_rng(29)
+    n = 2 ** 20
+    x = rng.random(n) if kind == "positive" else rng.standard_normal(n)
+    out = rn._prefix_sum(x, np.empty(n), np.empty(n))
+    exact = _exact_prefix_sums(x)
+    for i in np.sort(rng.choice(n, size=40, replace=False)):
+        assert out[i] == float(exact[i]), i
+
+
+def test_cumsum_adds_in_order():
+    # _prefix_sum's TwoSum errors assume np.cumsum forms s_i = s_{i-1} + x_i
+    rng = np.random.default_rng(31)
+    for x in (rng.random(2 ** 16), rng.standard_normal(2 ** 16),
+              rn.PowerTail(0.5).tail(np.arange(1, 2 ** 16 + 1))):
+        s = np.cumsum(x)
+        assert np.array_equal(s[1:], s[:-1] + x[1:])
+
+
+def test_prefix_sum_short_and_strided():
+    for n in (0, 1, 2):
+        x = np.arange(1.0, n + 1)
+        assert np.array_equal(rn._prefix_sum(x, np.empty(n), np.empty(n)), np.cumsum(x))
+    out = np.zeros(9)
+    rn._prefix_sum(np.full(3, 0.1), out[::4], np.empty(3))
+    assert out.tolist() == [0.1, 0, 0, 0, 0.2, 0, 0, 0, 0.30000000000000004]
+
+
+# -- one numeric type ----------------------------------------------------------------
+
+# the names of NumPy's extended-precision types, and their dtype strings
+_EXTENDED = {"longdouble", "clongdouble", "float128", "complex256", "longfloat",
+             "clongfloat", "float96", "complex192"}
+_EXTENDED_CODES = {"g", "G", "f16", "c32", "f12", "c24"}
+
+
+def _extended_uses(source: str) -> list[str]:
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Attribute):
+            name = node.attr
+        elif isinstance(node, ast.Name):
+            name = node.id
+        elif isinstance(node, ast.alias):
+            name = node.name.rpartition(".")[2]
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            name = node.value.lstrip("<>=|")
+            if name in _EXTENDED_CODES:
+                found.append(f"{getattr(node, 'lineno', '?')}: {node.value!r}")
+                continue
+        else:
+            continue
+        if name in _EXTENDED:
+            found.append(f"{getattr(node, 'lineno', '?')}: {name}")
+    return found
+
+
+def test_guard_sees_extended_types():
+    source = ("import numpy as np\nfrom numpy import longdouble\n"
+              "a = np.longdouble(1)\nb = np.zeros(2, dtype='float128')\n"
+              "c = np.dtype('<g')\nd = x.astype(np.clongdouble)\n")
+    assert len(_extended_uses(source)) == 5
+
+
+def test_src_uses_float64_only():
+    # one numeric type: NumPy's long double is 80-bit on x86, 64-bit on
+    # Windows and macOS arm64 and 128-bit on aarch64 Linux
+    package = Path(ergosum.__file__).parent
+    stray = [f"{path.name}:{use}" for path in sorted(package.glob("*.py"))
+             for use in _extended_uses(path.read_text())]
+    assert not stray, stray
 
 
 # -- FFT lengths and dependencies ------------------------------------------------------

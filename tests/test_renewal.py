@@ -565,6 +565,17 @@ def test_fft_accuracy_geometric():
         assert np.max(np.abs(seq.u[1:] - 0.7)) <= 1e-14, n_max
 
 
+def test_geometric_prefix_sums_exact():
+    # u_n = 0.7 exactly for n >= 1, so a_u(n) is 0.7 n rounded once: the
+    # compensated sums give it at every n, where long-double sums were off
+    # at 243,594 of these n, by up to 16 ulps
+    n_max = 2 ** 18
+    a_u = rn.renewal_sequence(rn.Geometric(0.7), n_max).a_u
+    num, den = Fraction(0.7).as_integer_ratio()  # den is a power of two
+    exact = np.array([float(num * n) for n in range(n_max + 1)]) / den
+    assert np.array_equal(a_u, exact)
+
+
 @pytest.mark.parametrize("p", [0.002, 0.01, 0.05, 0.3, 0.5, 0.7, 0.99])
 def test_geometric_accuracy_claim(p):
     # README: for geometric lifetimes the largest |u_n - p| is at most
@@ -644,6 +655,16 @@ def test_queen_geometric_values():
 def test_queen_delta_constant():
     qs = rn.queen_series(rn.FiniteSupport.delta(1), 50)
     assert np.all(qs.partial_sums == 1.0)
+
+
+def test_queen_lengths_match_truncated_mean():
+    # the L column is a compensated prefix sum of the tails; a plain float
+    # cumulative sum drifts to 420 ulps by 2**20 for harmonic
+    n_max = 2 ** 16
+    f = rn.PowerTail(1.0)
+    lengths = rn.queen_series(f, n_max).lengths
+    mean = np.array([f.truncated_mean(n) for n in range(1, n_max + 1)])
+    assert np.max(np.abs(lengths - mean) / np.spacing(mean)) <= 2
 
 
 @pytest.mark.parametrize("f", ALL_KINDS, ids=lambda f: f.label)
