@@ -3,7 +3,9 @@
 Every experiment is described by a config (kind, parameters, master seed,
 trial count); its outputs are CSV files only, byte-identical across
 reruns and thread counts, each opening with '#'-prefixed provenance
-lines (tool version, config hash, seed, generator).
+lines (tool version, config hash; a trial kind's seed, trials, generator).
+Each runner hands write_outputs its tables as columns, and write_outputs
+alone cuts them into rows, checks their shape and formats them.
 
 Each subcommand takes only the run settings its runner reads: rank-one and
 walk take their trial count as --seeds, trimmed as --trials, and only walk
@@ -27,9 +29,10 @@ import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, fields
-from itertools import chain, islice
 from pathlib import Path
 from typing import NamedTuple, get_type_hints
+
+import numpy as np
 
 from . import __version__, birkhoff, lattice, rankone, regvar, renewal
 from .errors import (
@@ -182,6 +185,10 @@ class ExperimentConfig:
         for name in ("dist", "scaling"):
             if name in params:
                 params[name] = _hashed_spec(params[name])
+        if "data" in params:
+            data = _load_construction(None, params["data"])
+            params["data"] = {"stages": [asdict(s) for s in data.stages],
+                              "repeat_from": data.repeat_from}
         seed = {"seed": self.seed} if self.kind in TRIAL_FLAGS else {}
         return {"kind": self.kind, "params": params, **seed, "trials": self.trials}
 
@@ -341,59 +348,15 @@ def _load_construction(preset: str | None, data_file: str | None) -> rankone.Con
 
 
 # -- runners ------------------------------------------------------------------
-# Each returns a list of (table_name, fieldnames, blocks); blocks is an
-# iterable, read once, of flat lists of cells, each holding up to
-# _ROW_BLOCK whole rows of len(fieldnames) cells one after another.
-
-# Tables are built, and formatted, this many rows at a time: a long table
-# never holds all its cells or all its text, and larger blocks cost peak RSS.
-_ROW_BLOCK = 256
-
-
-def _row_blocks(rows):
-    """The cells of rows (tuples), flattened _ROW_BLOCK rows at a time."""
-    rows = iter(rows)
-    while block := list(islice(rows, _ROW_BLOCK)):
-        yield list(chain.from_iterable(block))
-
-
-def _array_blocks(first, *columns):
-    """Blocks of the rows (first + i, column_1[i], ...) of equal-length
-    arrays, filled a column at a time by slice assignment.
-
-    Formatting floats is most of the time of a long table, and real
-    columns repeat whole blocks: a renewal sequence settles to the bits of
-    1/mu, and one whose period divides _ROW_BLOCK repeats from the start.
-    A column block whose bytes are those of the same column's previous
-    block is that block's values, formatted once and reused as strings;
-    comparing bytes keeps 0.0 and -0.0 apart.  Blocks that do not repeat
-    hand write_outputs their values.
-    """
-    width = 1 + len(columns)
-    size = len(columns[0])
-    # each column's previous block: its bytes, and its values or their str
-    last = [(b"", None)] * len(columns)
-    for lo in range(0, size, _ROW_BLOCK):
-        hi = min(lo + _ROW_BLOCK, size)
-        cells = [None] * (width * (hi - lo))
-        cells[::width] = range(first + lo, first + hi)
-        for j, column in enumerate(columns):
-            bits = column[lo:hi].tobytes()
-            if bits != last[j][0]:
-                last[j] = bits, column[lo:hi].tolist()
-            elif type(last[j][1][0]) is not str:
-                last[j] = bits, list(map(str, last[j][1]))
-            cells[j + 1::width] = last[j][1]
-        yield cells
+# Each returns a list of (table_name, fieldnames, columns): one column per
+# field, all of one length, each a range, a list or tuple of cells, or a
+# NumPy array.  write_outputs alone cuts them into rows.
 
 
 def _map_trials(cfg: ExperimentConfig, fn):
     """Run fn(0..trials-1) on cfg.threads threads, at most os.cpu_count()
-    (0: that many), results in index order.
-
-    Only walk trials use it: they spend their time in NumPy, which
-    releases the GIL.
-    """
+    (0: that many), results in index order.  Only walk trials use it: they
+    spend their time in NumPy, which releases the GIL."""
     cores = os.cpu_count() or 1
     threads = min(cfg.threads or cores, cores)
     if threads == 1 or cfg.trials == 1:
@@ -419,37 +382,27 @@ def run_rank_one(cfg: ExperimentConfig):
         [rankone.NameSampler(tower, spawn(cfg.seed, i)) for i in range(cfg.trials)],
         cps)
     stats = birkhoff.normalized_stats(ensemble, scaling, burn_in)
-    tables = []
-    for i, series in enumerate(ensemble):
-        rows = birkhoff.series_rows(series, stats.series[i], stats.a_n)
-        tables.append((f"series_{i:03d}",
-                       ("n", "s_plus", "s_minus", "sigma", "a_n",
-                        "ratio_sym", "ratio_plus"),
-                       _row_blocks(rows)))
-    summary = [(i, s.sup_plus, s.sup_sym, s.inf_sym, s.oscillation)
-               for i, s in enumerate(stats.series)]
-    tables.append(("summary",
-                   ("seed", "alpha_hat", "beta_hat", "beta_lower_hat",
-                    "oscillation"),
-                   _row_blocks(summary)))
-    return tables
+    fields = ("n", "s_plus", "s_minus", "sigma", "a_n", "ratio_sym", "ratio_plus")
+    tables = [(f"series_{i:03d}", fields,
+               list(zip(*birkhoff.series_rows(series, s, stats.a_n))))
+              for i, (series, s) in enumerate(zip(ensemble, stats.series))]
+    summary = [(s.sup_plus, s.sup_sym, s.inf_sym, s.oscillation) for s in stats.series]
+    return [*tables, ("summary",
+                      ("seed", "alpha_hat", "beta_hat", "beta_lower_hat", "oscillation"),
+                      (range(len(summary)), *zip(*summary)))]
 
 
 def run_renewal(cfg: ExperimentConfig):
     v = cfg.values()
-    f = parse_distribution(v["dist"])
-    n_max = v["n"]
-    seq = renewal.renewal_sequence(f, n_max)
-    return [("renewal", ("n", "u", "a_u"), _array_blocks(0, seq.u, seq.a_u))]
+    seq = renewal.renewal_sequence(parse_distribution(v["dist"]), v["n"])
+    return [("renewal", ("n", "u", "a_u"), (range(v["n"] + 1), seq.u, seq.a_u))]
 
 
 def run_queen(cfg: ExperimentConfig):
     v = cfg.values()
-    f = parse_distribution(v["dist"])
-    n_max = v["n"]
-    qs = renewal.queen_series(f, n_max)
-    blocks = _array_blocks(1, qs.tails, qs.lengths, qs.terms, qs.partial_sums)
-    return [("queen", ("n", "tail", "L", "term", "Q"), blocks)]
+    qs = renewal.queen_series(parse_distribution(v["dist"]), v["n"])
+    return [("queen", ("n", "tail", "L", "term", "Q"),
+             (range(1, v["n"] + 1), qs.tails, qs.lengths, qs.terms, qs.partial_sums))]
 
 
 def run_dyadic_tail(cfg: ExperimentConfig):
@@ -460,35 +413,31 @@ def run_dyadic_tail(cfg: ExperimentConfig):
     scaling = (parse_scaling(v["scaling"]) if v["scaling"]
                else renewal.truncated_mean_scaling(f))
     ds = renewal.dyadic_tail_series(f, scaling, v["t"], n_max)
-    rows = [(n, 2 ** n, ds.b_values[n], ds.thresholds[n],
-             float(ds.terms[n]), float(ds.partial_sums[n]))
-            for n in range(n_max + 1)]
     return [("dyadic_tail", ("n", "pow2", "b", "threshold", "term", "D"),
-             _row_blocks(rows))]
+             (range(n_max + 1), [2 ** n for n in range(n_max + 1)], ds.b_values,
+              ds.thresholds, ds.terms, ds.partial_sums))]
 
 
 def run_trimmed(cfg: ExperimentConfig):
     v = cfg.values()
     res = renewal.trimmed_sum_trials(parse_distribution(v["dist"]), v["n"],
                                      cfg.trials, cfg.seed)
-    rows = [(i, float(r)) for i, r in enumerate(res.ratios)]
-    summary = [(v["n"], cfg.trials, res.b_n, res.mean, res.std,
-                *res.quantiles.values())]
-    return [("trimmed", ("trial", "ratio"), _row_blocks(rows)),
+    summary = (v["n"], cfg.trials, res.b_n, res.mean, res.std,
+               *res.quantiles.values())
+    return [("trimmed", ("trial", "ratio"), (range(cfg.trials), res.ratios)),
             ("trimmed_summary",
              ("n", "trials", "b_n", "mean", "std", *res.quantiles),
-             _row_blocks(summary))]
+             [[cell] for cell in summary])]
 
 
 def run_translate(cfg: ExperimentConfig):
     v = cfg.values()
     action = lattice.TranslationAction(
         alpha=parse_real(v["alpha"]), beta=parse_real(v["beta"]), x=v["x"])
-    rows = []
-    for n_box in parse_checkpoints(v["grid"]):
-        res = lattice.translate_counts(action, n_box)
-        rows.append((n_box, res.count, res.ratio))
-    return [("translate", ("N", "count", "ratio"), _row_blocks(rows))]
+    grid = parse_checkpoints(v["grid"])
+    results = [lattice.translate_counts(action, n_box) for n_box in grid]
+    return [("translate", ("N", "count", "ratio"),
+             (grid, [r.count for r in results], [r.ratio for r in results]))]
 
 
 def run_walk(cfg: ExperimentConfig):
@@ -501,12 +450,14 @@ def run_walk(cfg: ExperimentConfig):
         raise ConfigError(f"a_u(N) = 0 at N = {n_box}: no renewal by N")
 
     def trial(i):
-        sample = lattice.walk_sample(f, spawn(cfg.seed, i), J=n_box)
-        count = lattice.walk_counts(sample, n_box)
-        return (i, n_box, count, a_u, count / a_u)
+        return lattice.walk_counts(lattice.walk_sample(f, spawn(cfg.seed, i), J=n_box),
+                                   n_box)
 
-    rows = _map_trials(cfg, trial)
-    return [("walk", ("seed", "N", "count", "a_u", "ratio"), _row_blocks(rows))]
+    counts = _map_trials(cfg, trial)
+    trials = cfg.trials
+    return [("walk", ("seed", "N", "count", "a_u", "ratio"),
+             (range(trials), [n_box] * trials, counts, [a_u] * trials,
+              [count / a_u for count in counts]))]
 
 
 def run_regvar(cfg: ExperimentConfig):
@@ -519,7 +470,7 @@ def run_regvar(cfg: ExperimentConfig):
         raise ConfigError(f"bad p list {p_spec!r}") from exc
     regvar.check_band(p_values, n_lo, n_hi, factor)
     report = regvar.er_diagnostic(parse_scaling(spec), p_values, n_lo, n_hi, factor)
-    return [("regvar_er", regvar.ERRow._fields, _row_blocks(report.rows))]
+    return [("regvar_er", regvar.ERRow._fields, list(zip(*report.rows)))]
 
 
 RUNNERS = {
@@ -538,25 +489,68 @@ RUNNERS = {
 
 
 def provenance_lines(cfg: ExperimentConfig) -> list[str]:
+    """The header lines; seed, trials and streams only where the rows read them."""
     lines = [
         f"tool: ergosum {__version__}",
         f"experiment: {cfg.kind}",
         f"config-sha256: {cfg.config_hash()}",
-        f"seed: {cfg.seed}",
-        f"trials: {cfg.trials}",
-        f"rng: {GENERATOR_NAME}",
     ]
+    if cfg.kind in TRIAL_FLAGS:
+        lines += [f"seed: {cfg.seed}", f"trials: {cfg.trials}", f"rng: {GENERATOR_NAME}"]
     if cfg.kind == "walk":
         lines.append(f"rng-backward: {BACKWARD_NAME}")
     return lines
 
 
+# Tables are formatted this many rows at a time: a long table never holds all
+# its cells or all its text, and larger blocks cost peak RSS.
+_ROW_BLOCK = 256
+
+
+def _blocks(columns):
+    """The rows of equal-length columns, _ROW_BLOCK at a time, each block
+    one flat list of cells filled a column at a time by slice assignment.
+
+    Formatting floats is most of the time of a long table, and arrays
+    repeat whole blocks: a renewal sequence settles to the bits of 1/mu,
+    and one whose period divides _ROW_BLOCK repeats from the start.  An
+    array block with the bytes of the one before reuses its values'
+    strings, formatted once; bytes keep 0.0 and -0.0 apart, and NaN
+    payloads too.  Other columns are sliced as they are.
+    """
+    width = len(columns)
+    size = len(columns[0])
+    # each column's previous block: its bytes, and its values or their str
+    last = [(b"", None)] * width
+    for lo in range(0, size, _ROW_BLOCK):
+        hi = min(lo + _ROW_BLOCK, size)
+        cells = [None] * (width * (hi - lo))
+        for j, column in enumerate(columns):
+            part = column[lo:hi]
+            if isinstance(part, np.ndarray):
+                bits = part.tobytes()
+                if bits != last[j][0]:
+                    last[j] = bits, part.tolist()
+                elif type(last[j][1][0]) is not str:
+                    last[j] = bits, list(map(str, last[j][1]))
+                part = last[j][1]
+            cells[j::width] = part
+        yield cells
+
+
 def write_outputs(cfg: ExperimentConfig, tables) -> list[Path]:
+    """Write the list tables of (name, fields, columns) to OUT/name.csv; unless
+    each has one column per field, all of one length, no file opens."""
+    for name, fields, columns in tables:
+        lengths = [len(column) for column in columns]
+        if len(columns) != len(fields) or len(set(lengths)) > 1:
+            raise InvariantViolationError(f"table {name!r} has {len(fields)} fields "
+                                          f"but columns of lengths {lengths}")
     outdir = Path(cfg.out)
     outdir.mkdir(parents=True, exist_ok=True)
     header = provenance_lines(cfg)
     written = []
-    for name, fields, blocks in tables:
+    for name, fields, columns in tables:
         path = outdir / f"{name}.csv"
         # every cell is a field name, a number or "": none needs quoting,
         # and "%s" of a cell is its str
@@ -565,9 +559,7 @@ def write_outputs(cfg: ExperimentConfig, tables) -> list[Path]:
             for text in header:
                 fh.write(f"# {text}\n")
             fh.write(line % tuple(fields))
-            # one format per block: a row of the wrong width would shift
-            # the cells of the rows after it, so runners keep every width
-            for block in blocks:
+            for block in _blocks(columns):
                 fh.write(line * (len(block) // len(fields)) % tuple(block))
         written.append(path)
     return written

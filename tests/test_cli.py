@@ -3,7 +3,6 @@
 import argparse
 import csv
 import dataclasses
-import itertools
 import json
 import math
 import os
@@ -249,15 +248,24 @@ def test_construction_data_file(tmp_path):
 
 
 def test_provenance_header_fields(tmp_path):
-    _, out = run_cli(["renewal", "--dist", "delta:1", "--n", "3", "--seed", "9"],
-                     tmp_path)
-    header, _ = read_table(out / "renewal.csv")
+    _, out = run_cli(["trimmed", "--dist", "delta:1", "--n", "3", "--trials", "2",
+                      "--seed", "9"], tmp_path)
+    header, _ = read_table(out / "trimmed.csv")
     text = "".join(header)
     assert "# tool: ergosum" in text
     assert "# config-sha256: " in text
-    assert "# seed: 9" in text
-    assert "# rng: PCG64" in text
+    assert "# seed: 9\n# trials: 2\n# rng: PCG64" in text
     assert "timestamp" not in text  # nothing that differs between reruns
+    # a deterministic table reads no stream: its header names none, so
+    # two seeds write one file
+    for seed in ("1", "2"):
+        run_cli(["renewal", "--dist", "geometric:0.5", "--n", "4", "--seed", seed],
+                tmp_path, seed)
+    header, _ = read_table(tmp_path / "1" / "renewal.csv")
+    assert [line.partition(":")[0] for line in header] == [
+        "# tool", "# experiment", "# config-sha256"]
+    assert ((tmp_path / "1" / "renewal.csv").read_bytes()
+            == (tmp_path / "2" / "renewal.csv").read_bytes())
 
 
 def test_walk_header_names_the_backward_stream(tmp_path):
@@ -405,26 +413,20 @@ def test_config_hash_does_not_see_how_defaults_are_spelled():
 
 
 @pytest.mark.parametrize("argv", _TINY_RUNS, ids=" ".join)
-def test_every_row_has_one_cell_per_field(argv, monkeypatch):
-    # write_outputs formats a block of cells at once: a block that is not a
-    # whole number of rows, or a row of the wrong width within a block,
-    # would shift the cells of the rows after it, not stand out
-    row_widths = {}
-    flatten = cli._row_blocks
-
-    def recorded(rows):
-        rows = list(rows)
-        blocks = flatten(rows)
-        row_widths[id(blocks)] = {len(row) for row in rows}
-        return blocks
-
-    monkeypatch.setattr(cli, "_row_blocks", recorded)
+def test_every_row_has_one_cell_per_field(argv):
+    # each table is one column per field, all of one length
     cfg = cli.config_from_args(cli.build_parser().parse_args(argv))
-    for name, fields, blocks in cli.RUNNERS[cfg.kind](cfg):
-        assert row_widths.pop(id(blocks), {len(fields)}) == {len(fields)}, name
-        blocks = list(blocks)
-        assert blocks, name
-        assert all(block and len(block) % len(fields) == 0 for block in blocks), name
+    for name, fields, columns in cli.RUNNERS[cfg.kind](cfg):
+        assert len(columns) == len(fields), name
+        assert len({len(column) for column in columns}) == 1, name
+        assert len(columns[0]) > 0, name
+
+
+def _row_by_row(cfg, fields, rows):
+    """The bytes of a table written one row at a time, joining str cells."""
+    text = "".join(f"# {line}\n" for line in cli.provenance_lines(cfg))
+    text += "".join(",".join(map(str, row)) + "\r\n" for row in [fields, *rows])
+    return text.encode()
 
 
 _B = cli._ROW_BLOCK
@@ -437,31 +439,6 @@ _CELLS = st.one_of(
     st.floats().map(np.float64),
     st.just(""),
 )
-
-
-@settings(max_examples=60, deadline=None)
-@given(cells=st.lists(_CELLS, min_size=1, max_size=40),
-       width=st.integers(1, 7),
-       count=st.sampled_from([0, 1, _B - 1, _B, _B + 1, 2 * _B + 1]))
-def test_write_outputs_bytes_match_row_by_row_writer(cells, width, count,
-                                                     tmp_path_factory):
-    # the block format writes what joining each row's str cells did
-    cfg = cli.ExperimentConfig(kind="renewal", params={"dist": "harmonic", "n": 1},
-                               out=str(tmp_path_factory.mktemp("blocks")))
-    fields = tuple(f"c{j}" for j in range(width))
-    rows = [tuple(cells[(i * width + j) % len(cells)] for j in range(width))
-            for i in range(count)]
-    [path] = cli.write_outputs(cfg, [("table", fields, cli._row_blocks(rows))])
-    assert path.read_bytes() == _row_by_row(cfg, fields, rows)
-
-
-def _row_by_row(cfg, fields, rows):
-    """The bytes of a table written one row at a time, joining str cells."""
-    text = "".join(f"# {line}\n" for line in cli.provenance_lines(cfg))
-    text += "".join(",".join(map(str, row)) + "\r\n" for row in [fields, *rows])
-    return text.encode()
-
-
 # a NaN with another payload, which str does not show
 _NAN_PAYLOAD = float(np.int64(0x7FF8000000000001).view(np.float64))
 _FLOAT_VALUES = st.one_of(
@@ -471,73 +448,92 @@ _FLOAT_VALUES = st.one_of(
 
 
 @st.composite
-def _array_columns(draw):
-    """Equal-length columns, each a pattern of 1 to 5 values repeated, so
-    blocks repeat where the period divides the block.  Some float columns
+def _columns(draw):
+    """Equal-length columns of every kind a runner hands write_outputs: a
+    range, a list or tuple of mixed cells, or an int64 or float64 array.
+    The lists and arrays are each a pattern of 1 to 5 values repeated, so
+    blocks repeat where the period divides the block.  Some float arrays
     have the zeros of chosen blocks negated: those blocks equal their
     neighbours as floats but not as bits."""
-    size = draw(st.sampled_from([1, _B - 1, _B, 2 * _B + 1, 4 * _B + 3]))
+    size = draw(st.sampled_from([1, _B - 1, _B, _B + 1, 2 * _B + 1, 4 * _B + 3]))
     columns = []
-    for _ in range(draw(st.integers(1, 4))):
-        if draw(st.booleans()):
+    for _ in range(draw(st.integers(1, 5))):
+        kind = draw(st.sampled_from(["range", "list", "tuple", "int64", "float64"]))
+        if kind == "range":
+            first = draw(st.integers(0, 2 ** 64))
+            columns.append(range(first, first + size))
+        elif kind in ("list", "tuple"):
+            pattern = draw(st.lists(_CELLS, min_size=1, max_size=5))
+            cells = [pattern[i % len(pattern)] for i in range(size)]
+            columns.append(cells if kind == "list" else tuple(cells))
+        elif kind == "int64":
             pattern = draw(st.lists(st.integers(-2 ** 63, 2 ** 63 - 1),
                                     min_size=1, max_size=5))
             columns.append(np.resize(np.array(pattern, dtype=np.int64), size))
-            continue
-        pattern = draw(st.lists(_FLOAT_VALUES, min_size=1, max_size=5))
-        column = np.resize(np.array(pattern, dtype=np.float64), size)
-        for b in draw(st.lists(st.integers(0, 4), max_size=3)):
-            block = column[b * _B:(b + 1) * _B]
-            block[block == 0.0] *= -1.0
-        columns.append(column)
+        else:
+            pattern = draw(st.lists(_FLOAT_VALUES, min_size=1, max_size=5))
+            column = np.resize(np.array(pattern, dtype=np.float64), size)
+            for b in draw(st.lists(st.integers(0, 4), max_size=3)):
+                block = column[b * _B:(b + 1) * _B]
+                block[block == 0.0] *= -1.0
+            columns.append(column)
     return columns
 
 
-@settings(max_examples=80, deadline=None)
-@given(columns=_array_columns(), first=st.integers(0, 1))
+@settings(max_examples=120, deadline=None)
+@given(columns=_columns())
 # 0.0 in one block and -0.0 in the next: equal as floats, apart as bits
-@example(columns=[np.repeat([0.0, -0.0, 0.0], [_B, _B, _B // 2])], first=0)
-def test_array_tables_match_row_by_row_writer(columns, first, tmp_path_factory):
-    # array tables, with their repeated blocks formatted once, write the
-    # bytes of joining each row's str cells
+@example(columns=[range(2 * _B + _B // 2),
+                  np.repeat([0.0, -0.0, 0.0], [_B, _B, _B // 2])])
+# a NaN payload in one block and the plain NaN in the next
+@example(columns=[np.repeat([_NAN_PAYLOAD, math.nan], [_B, _B]),
+                  [2 ** 64, np.float64(-0.0), ""] * (2 * _B // 3) + [np.int64(-1)] * 2])
+def test_write_outputs_bytes_match_row_by_row_writer(columns, tmp_path_factory):
+    # the block format, with an array's repeated blocks formatted once,
+    # writes the bytes of joining each row's str cells
     cfg = cli.ExperimentConfig(kind="renewal", params={"dist": "harmonic", "n": 1},
-                               out=str(tmp_path_factory.mktemp("arrays")))
-    fields = ("n", *(f"c{j}" for j in range(len(columns))))
-    blocks = cli._array_blocks(first, *columns)
-    [path] = cli.write_outputs(cfg, [("table", fields, blocks)])
-    rows = zip(range(first, first + len(columns[0])), *(c.tolist() for c in columns))
+                               out=str(tmp_path_factory.mktemp("blocks")))
+    fields = tuple(f"c{j}" for j in range(len(columns)))
+    [path] = cli.write_outputs(cfg, [("table", fields, columns)])
+    rows = zip(*(c.tolist() if isinstance(c, np.ndarray) else c for c in columns))
     assert path.read_bytes() == _row_by_row(cfg, fields, rows)
 
 
+@pytest.mark.parametrize("columns", [
+    [range(3), [1.0, 2.0, 3.0]],
+    [range(3), [1.0, 2.0, 3.0], np.arange(2)],
+    [range(3), (), np.arange(3)],
+], ids=["missing-column", "short-array", "empty-tuple"])
+def test_write_outputs_refuses_a_misshapen_table(columns, tmp_path):
+    # a table whose cells would not fill its rows is refused before any
+    # file of the run opens, the well-formed table listed first included
+    cfg = cli.ExperimentConfig(kind="renewal", params={"dist": "harmonic", "n": 1},
+                               out=str(tmp_path / "out"))
+    good = ("good", ("n",), [range(3)])
+    with pytest.raises(InvariantViolationError, match="'bad' has 3 fields"):
+        cli.write_outputs(cfg, [good, ("bad", ("n", "x", "y"), columns)])
+    assert not (tmp_path / "out").exists()
+
+
 def test_write_outputs_streams_its_rows(tmp_path):
-    # no table is held whole: 2^18 rows peak at no more traced memory than
-    # four blocks do (a list of the rows alone takes 2 MB), both rows from
-    # a generator and an array table, whose repeated column keeps only its
-    # previous block; the row cells are str, which formatting copies
-    # without allocating, so tracing stays fast
+    # no table is held whole: 2^18 rows, a range and an array that repeats
+    # one block, peak at no more traced memory than four blocks do (a list
+    # of the rows alone takes 2 MB); the repeated column keeps only its
+    # previous block's strings, which formatting copies without allocating
     cfg = cli.ExperimentConfig(kind="renewal", params={"dist": "harmonic", "n": 1},
                                out=str(tmp_path))
-    cells = ("9223372036854775808", "-0.3333333333333333", "")
     u = np.full(2 ** 18, 0.7)
-    x = np.arange(2 ** 18, dtype=np.int64)
 
-    def rows(count):
-        return ("long", ("n", "x", "y"), cli._row_blocks(itertools.repeat(cells, count)))
-
-    def arrays(count):
-        return ("long", ("n", "u", "x"), cli._array_blocks(0, u[:count], x[:count]))
-
-    def peak(table, count):
+    def peak(count):
         tracemalloc.start()
         try:
-            cli.write_outputs(cfg, [table(count)])
+            cli.write_outputs(cfg, [("long", ("n", "u"), (range(count), u[:count]))])
             return tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
 
-    for table in (rows, arrays):
-        peak(table, 4 * _B)  # first writes allocate once for the process
-        assert peak(table, 2 ** 18) <= 2 * peak(table, 4 * _B), table.__name__
+    peak(4 * _B)  # first writes allocate once for the process
+    assert peak(2 ** 18) <= 2 * peak(4 * _B)
 
 
 def test_config_roundtrip_and_file(tmp_path):
@@ -778,6 +774,36 @@ def test_config_hash_covers_finite_masses(tmp_path):
             ["renewal", "--dist", "delta:3", "--n", "4"])).config_hash())
 
 
+def test_config_hash_covers_construction_stages(tmp_path):
+    # a --data file is hashed by the stages and repeat_from it holds, not
+    # by its path, its name or its spelling
+    path = tmp_path / "d.json"
+    argv = ["rank-one", "--data", str(path), "--checkpoints", "13,100"]
+
+    def hash_and_row(text):
+        path.write_text(text)
+        with warnings.catch_warnings():
+            # the beta_lower_hat review flag fires on the heavy2q stages
+            warnings.simplefilter("ignore", UserWarning)
+            code, out = run_cli(argv, tmp_path, f"out{len(list(tmp_path.iterdir()))}")
+        assert code == 0
+        header, rows = read_table(out / "series_000.csv")
+        digest = cli.config_from_args(cli.build_parser().parse_args(argv)).config_hash()
+        assert f"# config-sha256: {digest}\n" in header
+        return digest, [rows[0][k] for k in ("s_plus", "s_minus", "sigma")]
+
+    chacon = hash_and_row('{"stages": [{"c": 3, "spacers": [0, 1, 0]}], "repeat_from": 0}')
+    heavy = hash_and_row('{"stages": [{"c": 2, "spacers": [0, "2q"]}], "repeat_from": 0}')
+    assert chacon[1] == ["10", "9", "18"] and heavy[1] == ["2", "3", "4"]
+    assert chacon[0] != heavy[0]
+    # the same stages, keys reordered, spaced otherwise and named
+    assert hash_and_row('{"repeat_from":0,"name":"mine",\n "stages":[{"spacers":[0,1,0],'
+                        '"c":3}]}') == chacon
+    # repeat_from is part of the construction
+    assert hash_and_row('{"stages": [{"c": 3, "spacers": [0, 1, 0]}, '
+                        '{"c": 3, "spacers": [0, 1, 0]}], "repeat_from": 1}')[0] != chacon[0]
+
+
 @pytest.mark.parametrize("doc,named", [
     ({"kind": "renewal", "params": None}, "'params'"),
     ({"kind": "renewal", "params": {"dist": "geometric:0.5"}}, "'n'"),
@@ -924,9 +950,9 @@ def test_walk_threads_zero_uses_all_cores(tmp_path, monkeypatch):
     cfg = cli.ExperimentConfig(kind="walk", params={"dist": "delta:1", "N": 5},
                                trials=4, out=str(tmp_path))
     assert cfg.threads == 0
-    [block] = cli.run_walk(cfg)[0][2]
+    seeds, _, counts, *_ = cli.run_walk(cfg)[0][2]
     assert workers == [3]
-    assert block[::5] == [0, 1, 2, 3]
+    assert list(seeds) == [0, 1, 2, 3] and len(counts) == 4
 
 
 def test_walk_threads_capped_at_cores(tmp_path, monkeypatch):
@@ -951,9 +977,9 @@ def test_walk_threads_capped_at_cores(tmp_path, monkeypatch):
     monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
     cfg = cli.ExperimentConfig(kind="walk", params={"dist": "delta:1", "N": 5},
                                trials=5, threads=10 ** 5, out=str(tmp_path))
-    blocks = list(cli.run_walk(cfg)[0][2])
+    columns = cli.run_walk(cfg)[0][2]
     assert workers == [2]
-    assert blocks == list(cli.run_walk(dataclasses.replace(cfg, threads=1))[0][2])
+    assert columns == cli.run_walk(dataclasses.replace(cfg, threads=1))[0][2]
 
 
 @pytest.mark.parametrize("doc,named", [
@@ -1076,10 +1102,8 @@ def test_no_cell_needs_quoting():
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             tables = cli.RUNNERS[cfg.kind](cfg)
-        for name, fields, blocks in tables:
-            blocks = list(blocks)
-            assert blocks, name
-            for cells in (fields, *blocks):
+        for name, fields, columns in tables:
+            for cells in (fields, *columns):
                 for cell in cells:
                     assert not set(str(cell)) & set(',"\r\n'), (name, cell)
 

@@ -94,6 +94,12 @@ CONTRACT = [
         ["renewal", "--dist", "delta:3", "--n", "5000"],
         "b75ec815804f32adf6cd06c64efb146c554989f7cd31039b4b69679c4971a2c0",
         id="renewal-delta3-no-repeats"),
+    # three blocks of IEEE quotients, squares and compensated sums of powers
+    # of 1/2: the same with NumPy's X86_V4 and X86_V3 dispatch disabled
+    pytest.param(
+        ["queen", "--dist", "geometric:0.5", "--n", "600"],
+        "283367dd5fe3475c2c3d28231ffc0b131d19e66df286b2229bd73b9c3fa79110",
+        id="queen-geometric"),
 ]
 
 
@@ -104,6 +110,10 @@ def data_digest(out) -> str:
         with open(path, "rb") as fh:
             h.update(b"".join(line for line in fh if not line.startswith(b"#")))
     return h.hexdigest()
+
+
+def test_every_subcommand_is_pinned():
+    assert {param.values[0][0] for param in CONTRACT} == set(cli.RUNNERS)
 
 
 @pytest.mark.parametrize("argv,digest", CONTRACT)
