@@ -447,10 +447,13 @@ _FLOAT_VALUES = st.one_of(
     st.floats())
 
 
+_KINDS = ("range", "list", "tuple", "int64", "float64")
+
+
 @st.composite
-def _columns(draw):
-    """Equal-length columns of every kind a runner hands write_outputs: a
-    range, a list or tuple of mixed cells, or an int64 or float64 array.
+def _columns(draw, kinds=_KINDS):
+    """Equal-length columns of the given kinds a runner hands write_outputs:
+    a range, a list or tuple of mixed cells, or an int64 or float64 array.
     The lists and arrays are each a pattern of 1 to 5 values repeated, so
     blocks repeat where the period divides the block.  Some float arrays
     have the zeros of chosen blocks negated: those blocks equal their
@@ -458,7 +461,7 @@ def _columns(draw):
     size = draw(st.sampled_from([1, _B - 1, _B, _B + 1, 2 * _B + 1, 4 * _B + 3]))
     columns = []
     for _ in range(draw(st.integers(1, 5))):
-        kind = draw(st.sampled_from(["range", "list", "tuple", "int64", "float64"]))
+        kind = draw(st.sampled_from(kinds))
         if kind == "range":
             first = draw(st.integers(0, 2 ** 64))
             columns.append(range(first, first + size))
@@ -496,6 +499,23 @@ def test_write_outputs_bytes_match_row_by_row_writer(columns, tmp_path_factory):
     fields = tuple(f"c{j}" for j in range(len(columns)))
     [path] = cli.write_outputs(cfg, [("table", fields, columns)])
     rows = zip(*(c.tolist() if isinstance(c, np.ndarray) else c for c in columns))
+    assert path.read_bytes() == _row_by_row(cfg, fields, rows)
+
+
+@settings(max_examples=80, deadline=None)
+@given(columns=_columns(kinds=("int64", "float64")), first=st.integers(0, 1))
+# 0.0 in one block and -0.0 in the next: equal as floats, apart as bits
+@example(columns=[np.repeat([0.0, -0.0, 0.0], [_B, _B, _B // 2])], first=0)
+def test_array_tables_match_row_by_row_writer(columns, first, tmp_path_factory):
+    # the runners' usual table, an index range and arrays, with the arrays'
+    # repeated blocks formatted once, writes the bytes of joining each
+    # row's str cells
+    cfg = cli.ExperimentConfig(kind="renewal", params={"dist": "harmonic", "n": 1},
+                               out=str(tmp_path_factory.mktemp("arrays")))
+    fields = ("n", *(f"c{j}" for j in range(len(columns))))
+    index = range(first, first + len(columns[0]))
+    [path] = cli.write_outputs(cfg, [("table", fields, [index, *columns])])
+    rows = zip(index, *(c.tolist() for c in columns))
     assert path.read_bytes() == _row_by_row(cfg, fields, rows)
 
 
