@@ -63,16 +63,15 @@ def series_from_names(samplers: Sequence[NameSampler],
                       checkpoints: Sequence[int]) -> list[BirkhoffSeries]:
     """Counts from each symbolic name at each checkpoint radius.
 
-    The samplers share one tower; at each checkpoint the windows of all of
-    them are counted together (``rankone.ensemble_window_counts``).
+    The samplers share one tower; the windows of all of them at every
+    checkpoint are counted together, in one prefix descent
+    (``rankone.ensemble_window_counts``).
     """
-    if not samplers:
-        return []
     cps = tuple(int(n) for n in checkpoints)
-    # counts[j][i] is sampler i's (s_minus, s_plus) at checkpoint j
-    counts = [ensemble_window_counts(samplers, n) for n in cps]
-    return [BirkhoffSeries(cps, s_plus=tuple(c[i][1] for c in counts),
-                           s_minus=tuple(c[i][0] for c in counts))
+    # counts[j, i] is sampler i's (s_minus, s_plus) at checkpoint j
+    counts = ensemble_window_counts(samplers, cps)
+    return [BirkhoffSeries(cps, s_plus=tuple(counts[:, i, 1].tolist()),
+                           s_minus=tuple(counts[:, i, 0].tolist()))
             for i in range(len(samplers))]
 
 

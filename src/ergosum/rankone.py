@@ -10,10 +10,10 @@ B_n, then S_{n,c_n} spacers.
 Occupation counts over windows of astronomical radius never materialize a
 word: they come from prefix counts computed down the block structure.
 Each level word begins with the one below it, so a prefix count depends
-on the position alone.  The prefix positions of a whole ensemble of names
-descend together, one level per step, on an int64 table of the block
-starts of the levels whose heights fit, at most 62; a longer position
-first descends with Python ints until the table holds it.
+on the position alone.  The prefix positions of a whole ensemble of names,
+at every radius of its checkpoint grid, descend in lockstep, one level
+per step, in int64 through the levels whose heights stay below 2^62, at
+most 62; a longer position first descends with Python ints to those.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ import json
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from importlib import resources
-from itertools import accumulate
+from itertools import accumulate, cycle
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -41,7 +41,7 @@ SPACER = 0
 SPACER_TOKEN = "2q"
 
 DEFAULT_EXPANSION_BUDGET = 10 ** 7
-# A level is tabled in int64 while its height stays below this.
+# Prefix counts descend in int64 through the levels below this height.
 _INT64_LIMIT = 2 ** 62
 DEFAULT_DEPTH_CAP = 10 ** 4
 
@@ -151,14 +151,10 @@ class Tower:
     runs follow (the run after copy k ends where copy k + 1 or B_{n+1} does).
     Every level word begins with the word below it, so the prefix count
     P(j), the number of base symbols among the first j positions, depends
-    on j alone.  The levels n with q_n < 2^62, at most 62 since
-    q_{n+1} >= 2 q_n, also fill an int64 table, one row per level
-    (q_n, C_{n-1}, then stage n's block starts, padded with q_{n+1}); the
-    top row, whose starts no descent reads, holds padding alone, so every
-    entry is exact.  Prefix counts descend that table one level per
-    step for a whole batch of positions at once.  One tower serves every
-    sampler of a construction; it extends itself lazily, so its samplers
-    must share one thread.
+    on j alone.  Prefix counts descend in int64 through the levels n with
+    q_n < 2^62, at most 62 since q_{n+1} >= 2 q_n, a whole batch of
+    positions in lockstep.  One tower serves every sampler of a construction;
+    it extends itself lazily, so its samplers must share one thread.
     """
 
     def __init__(self, data: ConstructionData):
@@ -167,15 +163,11 @@ class Tower:
         self._cut_product: list[int] = [1]  # C_n, n = index: base count of level n + 1
         # stage n = index + 1: k*q_n + S_{n,1} + ... + S_{n,k} for k < c_n
         self._starts: list[tuple[int, ...]] = []
-        self._table = np.ones((1, 2), dtype=np.int64)   # row = level - 1: q_1 = C_0 = 1
 
     # -- stage/height access (1-based) --------------------------------
 
     def ensure_stage(self, n: int) -> None:
         """Resolve stages 1..n (and heights q_1..q_{n+1})."""
-        resolved = len(self._starts)
-        if resolved >= n:
-            return
         while len(self._starts) < n:
             stage = self.data.stage(len(self._starts) + 1)
             q_m = self._q[-1]
@@ -184,17 +176,6 @@ class Tower:
             self._starts.append(starts)
             self._q.append(starts[-1] + q_m + row[-1])
             self._cut_product.append(self._cut_product[-1] * stage.c)
-        if len(self._table) == resolved + 1:
-            # every level so far fits: table the new ones that still do.  A
-            # descent reads only the rows below its first, so the top row's
-            # starts are never read and it holds padding alone.
-            rows = sum(q < _INT64_LIMIT for q in self._q)
-            blocks = self._starts[:rows - 1] + [()]
-            width = 2 + max(map(len, blocks))
-            self._table = np.array(
-                [[self._q[i], self._cut_product[i], *starts,
-                  *[self._q[min(i + 1, rows - 1)]] * (width - 2 - len(starts))]
-                 for i, starts in enumerate(blocks)], dtype=np.int64)
 
     def q(self, level: int) -> int:
         self.ensure_stage(level - 1)
@@ -202,53 +183,58 @@ class Tower:
 
     # -- hierarchical prefix counting ----------------------------------
 
-    def prefix_counts(self, positions: Sequence[int]) -> list[int]:
+    def prefix_counts(self, positions: Sequence[int]) -> np.ndarray:
         """P(j), the base symbols among the first j positions, for each j.
 
-        All positions descend together, one level per step, from the
-        lowest level whose height reaches them: each picks the copy of the
-        lower word that holds it from its row of block starts, and stops
-        once it covers that whole copy or reaches its start.  A position
-        past the table's top height first descends alone with Python ints.
+        The counts are int64, or exact Python ints (dtype object) once a
+        position passes 2^63 - 1.  All positions descend in lockstep from
+        one common top level, the lowest whose height reaches every one:
+        at each level each picks, from that stage's block starts, the copy
+        of the lower word that holds it, and stops once it covers that
+        whole copy or reaches its start.  A position past the top height
+        below 2^62 first descends alone with Python ints.
         """
-        positions = list(positions)
-        if not positions:
-            return []
-        if min(positions) < 0:
-            raise ConfigError(f"prefix index {min(positions)} is negative")
-        reach = max(positions)
+        try:
+            j = np.array(positions, dtype=np.int64)
+        except OverflowError:
+            j = np.array(positions, dtype=object)
+        if not len(j):
+            return j
+        if j.min() < 0:
+            raise ConfigError(f"prefix index {j.min()} is negative")
+        reach = j.max()
         while self._q[-1] < reach:
             self.ensure_stage(len(self._starts) + 1)
         top = self._top()
-        counts = [0] * len(positions)
-        if reach > top:
-            for i, j in enumerate(positions):
-                if j > top:
-                    positions[i], counts[i] = self._descend_wide(j, top)
-        table = self._table
-        j = np.array(positions, dtype=np.int64)
-        row = np.searchsorted(table[:, 0], j)
-        full = j == table[row, 0]
-        count = full * table[row, 1]
+        handed = {}
+        for i in np.flatnonzero(j > top):
+            j[i], handed[i] = self._descend_wide(int(j[i]), top)
+        dtype, j = j.dtype, j.astype(np.int64, copy=False)
+        q, bases = self._q, self._cut_product
+        level = bisect_left(q, int(j.max())) + 1
+        full = j == q[level - 1]
+        count = full * bases[level - 1]
         j[full] = 0
-        # column 2 holds every row's first start, 0; "clip" keeps finished
-        # positions (j = 0, which add nothing) on level 1 below the bottom
-        firsts = np.arange(len(j)) * table.shape[1] + 2
-        while j.any():
-            row -= 1
-            lower = np.take(table, row, axis=0, mode="clip")
-            k = np.zeros(len(j), dtype=np.int64)
-            for c in range(3, table.shape[1]):
-                k += lower[:, c] <= j
-            j -= np.take(lower, firsts + k)
-            full = j >= lower[:, 0]
-            count += (k + full) * lower[:, 1]
+        k = np.empty_like(j)
+        for n in range(level - 1, 0, -1):
+            starts = self._starts[n - 1]
+            k.fill(0)
+            for start in starts[1:]:
+                k += j >= start
+            j -= np.take(starts, k)
+            np.greater_equal(j, q[n - 1], out=full)
+            k += full
+            k *= bases[n - 1]
+            count += k
             j[full] = 0
-        return [a + b for a, b in zip(counts, count.tolist())]
+        count = count.astype(dtype, copy=False)
+        for i, wide in handed.items():
+            count[i] += wide
+        return count
 
     def _top(self) -> int:
-        """Height of the table's top level."""
-        return self._q[len(self._table) - 1]
+        """The highest resolved height below 2^62."""
+        return self._q[bisect_left(self._q, _INT64_LIMIT) - 1]
 
     def _descend_wide(self, j: int, top: int) -> tuple[int, int]:
         """Descend with Python ints until j <= top: (offset left, count so far)."""
@@ -423,37 +409,42 @@ def sample_name(data: ConstructionData, seed,
     return NameSampler(Tower(data), seed, choices=choices)
 
 
-def ensemble_window_counts(samplers: Sequence[NameSampler], radius: int,
-                           depth_cap: int = DEFAULT_DEPTH_CAP) -> list[tuple[int, int]]:
-    """(s_minus, s_plus) of each sampler, the base occurrences in
-    [-radius, 0] and [0, radius] around its center at offset off:
-    P(off + 1) - P(off - radius) and P(off + radius + 1) - P(off), from one
-    prefix descent for all the samplers.
+def ensemble_window_counts(samplers: Sequence[NameSampler], radii: Sequence[int],
+                           depth_cap: int = DEFAULT_DEPTH_CAP) -> np.ndarray:
+    """counts[r, i] = (s_minus, s_plus) of sampler i at radius radii[r]: the
+    base occurrences in [-radius, 0] and [0, radius] around its center at
+    offset off, P(off + 1) - P(off - radius) and P(off + radius + 1) - P(off).
 
-    The samplers share one tower.  Each extends its own name first, in
-    sampler order; the centre-is-base check then covers every sampler,
-    and the first failing one in that order raises.
+    The samplers share one tower.  Every window of the grid embeds first,
+    radius by radius and sampler by sampler; then one prefix descent counts
+    the ends of every window and, once, each distinct centre offset and the
+    position after it.  The centre-is-base check covers every window, and
+    the first failing one in grid order raises.  Counts are int64, or exact
+    Python ints (dtype object) where a window may end past int64.
     """
-    if not samplers:
-        return []
+    if not samplers or not radii:
+        return np.zeros((len(radii), len(samplers), 2), dtype=np.int64)
     tower = samplers[0].tower
     if any(s.tower is not tower for s in samplers):
         raise ConfigError("samplers must share one tower")
-    positions = []
-    for sampler in samplers:
-        sampler.ensure_window(radius, depth_cap)
-        off = sampler._offsets[-1]
-        positions += (off - radius, off, off + 1, off + radius + 1)
-    counts = tower.prefix_counts(positions)
-    windows = []
-    for i in range(0, len(counts), 4):
-        start, before, after, end = counts[i:i + 4]
-        if after - before != 1:
-            raise InvariantViolationError(
-                f"center symbol at level {samplers[i // 4].level} offset "
-                f"{positions[i + 1]} is not base")
-        windows.append((after - start, end - before))
-    return windows
+    levels = [s.ensure_window(r, depth_cap) for r in radii for s in samplers]
+    offsets = [s._offsets[lev - 1] for lev, s in zip(levels, cycle(samplers))]
+    dtype = np.int64 if max(offsets) + max(radii) < 2 ** 63 - 1 else object
+    off = np.array(offsets, dtype=dtype)
+    radius = np.repeat(np.array(radii, dtype=dtype), len(samplers))
+    centres, centre = np.unique(off, return_inverse=True)
+    m, n = len(centres), len(off)
+    counts = tower.prefix_counts(
+        np.concatenate([off - radius, centres, centres + 1, off + radius + 1]))
+    start, end = counts[:n], counts[n + 2 * m:]
+    before, after = counts[n:n + m][centre], counts[n + m:n + 2 * m][centre]
+    bad = np.flatnonzero(after - before != 1)
+    if len(bad):
+        raise InvariantViolationError(
+            f"center symbol at level {levels[bad[0]]} offset {offsets[bad[0]]} "
+            f"is not base")
+    return np.stack([after - start, end - before], axis=-1).reshape(
+        len(radii), len(samplers), 2)
 
 
 def rank_one_scaling(tower: Tower) -> ScalingSequence:

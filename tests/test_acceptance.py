@@ -85,7 +85,7 @@ def test_criterion_01_window_oracle_equivalence(presets):
             continue  # criterion scopes the oracle to q_n <= 1e5 levels
         word = rk.expand_word(presets[name], level).symbols
         off = sampler.center_offset(level)
-        ((s_minus, s_plus),) = rk.ensemble_window_counts([sampler], radius)
+        ((s_minus, s_plus),) = rk.ensemble_window_counts([sampler], [radius])[0].tolist()
         brute = int(word[off - radius:off + radius + 1].sum())
         if s_minus + s_plus - 1 != brute:
             mismatches += 1

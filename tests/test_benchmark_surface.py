@@ -54,7 +54,8 @@ def test_rank_one_oracle_surface():
     assert word[off] == rankone.BASE
     s_minus = int(word[off - radius:off + 1].sum(dtype=np.int64))
     s_plus = int(word[off:off + radius + 1].sum(dtype=np.int64))
-    assert rankone.ensemble_window_counts([sampler], radius) == [(s_minus, s_plus)]
+    counts = rankone.ensemble_window_counts([sampler], [radius])
+    assert counts.tolist() == [[[s_minus, s_plus]]]
 
 
 # the files each workload's subcommands write, and their headers: perfbench

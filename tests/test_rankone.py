@@ -4,6 +4,7 @@ import csv
 import itertools
 import json
 import math
+import tracemalloc
 import warnings
 from bisect import bisect_right
 from itertools import accumulate
@@ -160,7 +161,7 @@ def test_prefix_count_every_index(stage_specs):
     while tower.q(level) <= 2000:
         word = rk.expand_word(data, level).symbols
         want = [0, *np.cumsum(word, dtype=np.int64).tolist()]
-        assert tower.prefix_counts(range(tower.q(level) + 1)) == want
+        assert tower.prefix_counts(range(tower.q(level) + 1)).tolist() == want
         level += 1
     with pytest.raises(ConfigError, match="prefix index -1 is negative"):
         tower.prefix_counts([-1])
@@ -202,10 +203,16 @@ def _scalar_series(data, seed, cps):
     return rows
 
 
+def _counted(samplers, radius, **kwargs):
+    """(s_minus, s_plus) of each sampler at one radius, a grid of one."""
+    (row,) = rk.ensemble_window_counts(samplers, [radius], **kwargs).tolist()
+    return [tuple(w) for w in row]
+
+
 def test_prefix_counts_hand_off_past_int64(presets):
-    # heavy2q out to 2^60: levels reach q ~ 2^73 and the table tops out at
-    # q_31 = 2^60, so the widest windows start in Python ints and finish
-    # in the int64 descent
+    # heavy2q out to 2^60: levels reach q ~ 2^73 and the int64 descent
+    # starts at most from q_31 = 2^60, so the widest windows start in
+    # Python ints and finish in the int64 descent
     data = presets["heavy2q"]
     cps = tuple(2 ** e for e in range(10, 61))
     tower = rk.Tower(data)
@@ -214,12 +221,12 @@ def test_prefix_counts_hand_off_past_int64(presets):
     for i, series in enumerate(ensemble):
         assert list(zip(series.s_plus, series.s_minus, series.sigma)) == (
             _scalar_series(data, spawn(23, i), cps))
-    assert tower._top() == 2 ** 60
+    assert tower._top() == tower.q(31) == 2 ** 60 and tower.q(32) >= 2 ** 62
     # around 2^62 and 2^63, and the whole word
     level = next(lev for lev in range(1, 80) if tower.q(lev) > 2 ** 63)
     positions = [2 ** 62 - 1, 2 ** 62, 2 ** 62 + 1, 2 ** 63, tower.q(level) - 1,
                  tower.q(level)]
-    assert tower.prefix_counts(positions) == [
+    assert tower.prefix_counts(positions).tolist() == [
         _scalar_prefix(tower, level, j) for j in positions]
 
 
@@ -232,8 +239,8 @@ def test_prefix_counts_in_spacer_run_past_int64():
     tower = rk.Tower(rk.ConstructionData.from_dict(C3))
     j = 2 * tower.q(27) + 2 * 10 ** 18
     assert j >= 2 ** 62 and j - 2 * tower.q(27) > tower.q(27)
-    assert tower.prefix_counts([j]) == [3 * 3 ** 26] == [_scalar_prefix(tower, 28, j)]
-    assert len(tower._table) == 27
+    assert tower.prefix_counts([j]).tolist() == [3 * 3 ** 26] == [_scalar_prefix(tower, 28, j)]
+    assert tower._top() == tower.q(27) and tower.q(28) >= 2 ** 62
 
 
 def test_rank_one_c3_past_int64(tmp_path):
@@ -256,13 +263,13 @@ def test_rank_one_c3_past_int64(tmp_path):
 
 
 def test_prefix_counts_without_table():
-    # the first stage already passes 2^62: only level 1 is tabled
+    # the first stage already passes 2^62: the int64 descent holds only level 1
     data = rk.ConstructionData.from_dict(
         {"stages": [{"c": 2, "spacers": [0, 2 ** 63]}], "repeat_from": 0})
     tower = rk.Tower(data)
     positions = [0, 1, 2, 3, 2 ** 63, 2 ** 63 + 2, 2 ** 64 + 5]
-    assert tower.prefix_counts(positions) == [0, 1, 2, 2, 2, 2, 4]
-    assert len(tower._table) == 1
+    assert tower.prefix_counts(positions).tolist() == [0, 1, 2, 2, 2, 2, 4]
+    assert tower._top() == tower.q(1) == 1 and tower.q(2) >= 2 ** 62
     assert _scalar_prefixes(tower, positions) == [0, 1, 2, 2, 2, 2, 4]
     cps = (1, 2, 10, 2 ** 40)
     ensemble = series_from_names(
@@ -280,7 +287,7 @@ def test_window_counts_at_top_level_of_finite_construction():
         {"stages": [{"c": 2, "spacers": [0, 0]}, {"c": 2, "spacers": [1, 0]}]})
     tower = rk.Tower(data)
     samplers = [rk.NameSampler(tower, 0, choices=c) for c in ([2, 1], [1, 2])]
-    windows = rk.ensemble_window_counts(samplers, 1)
+    windows = _counted(samplers, 1)
     assert windows == [(2, 1), (1, 2)]
     for sampler, w in zip(samplers, windows):
         assert sampler.level == 3
@@ -288,6 +295,77 @@ def test_window_counts_at_top_level_of_finite_construction():
         start, before, after, end = _scalar_prefixes(tower, (off - 1, off, off + 1, off + 2))
         assert after - before == 1 and w == (after - start, end - before)
     assert tower._top() == tower.q(3) == 5
+
+
+@settings(max_examples=40, deadline=None)
+@given(stage_specs=st.lists(st.tuples(st.integers(2, 4),
+                                      st.lists(st.sampled_from((0, 1, 2, rk.SPACER_TOKEN)),
+                                               min_size=4, max_size=4)),
+                            min_size=1, max_size=3),
+       repeating=st.booleans(), data=st.data(),
+       seeds=st.lists(st.integers(0, 2 ** 32), min_size=1, max_size=3))
+def test_grid_oracle_random_constructions(stage_specs, repeating, data, seeds):
+    # a whole grid, sorted or shuffled, counted in one descent on a shared
+    # tower gives the scalar descents of each seed on a fresh tower.  A
+    # finite construction draws radii up to a quarter of its top height,
+    # and fails to embed a window in both or in neither
+    stages = tuple(rk.Stage(c, tuple(sp[:c])) for c, sp in stage_specs)
+    construction = rk.ConstructionData(stages, repeat_from=0 if repeating else None)
+    radius = (st.one_of(st.integers(0, 100), st.integers(0, 2 ** 62)) if repeating
+              else st.integers(0, rk.Tower(construction).q(len(stages) + 1) // 4))
+    radii = data.draw(st.lists(radius, min_size=1, max_size=8, unique=True))
+    if data.draw(st.booleans()):
+        radii.sort()
+    else:
+        data.draw(st.randoms(use_true_random=False)).shuffle(radii)
+    want = []
+    for seed in seeds:
+        try:
+            want.append(_scalar_series(construction, seed, radii))
+        except ConfigError:
+            assert not repeating
+            with pytest.raises(ConfigError, match="is undefined"):
+                _grid_rows(construction, seeds, radii)
+            return
+    assert _grid_rows(construction, seeds, radii) == want
+
+
+def _grid_rows(data, seeds, radii):
+    """(s_plus, s_minus, sigma) of each seed at each radius, from one grid on one tower."""
+    tower = rk.Tower(data)
+    counts = rk.ensemble_window_counts([rk.NameSampler(tower, s) for s in seeds], radii)
+    return [[(sp, sm, sp + sm - 1) for sm, sp in column]
+            for column in counts.transpose(1, 0, 2).tolist()]
+
+
+@pytest.mark.parametrize("name", ["chacon", "heavy2q"])
+def test_grid_straddles_int64_top_in_one_descent(presets, name, monkeypatch):
+    # dyadic:50:62 in one descent: some window ends pass the highest height
+    # below 2^62 and hand off from Python ints, others start under it
+    data = presets[name]
+    cps = tuple(2 ** e for e in range(50, 63))
+    tower = rk.Tower(data)
+    calls = []
+    descend, hand_off = tower.prefix_counts, tower._descend_wide
+
+    def spy(positions):
+        calls.append([int(j) for j in positions])
+        return descend(positions)
+
+    handed = []
+    monkeypatch.setattr(tower, "prefix_counts", spy)
+    monkeypatch.setattr(tower, "_descend_wide",
+                        lambda j, top: handed.append(j) or hand_off(j, top))
+    ensemble = series_from_names([rk.NameSampler(tower, spawn(29, i)) for i in range(6)],
+                                 cps)
+    for i, series in enumerate(ensemble):
+        assert list(zip(series.s_plus, series.s_minus, series.sigma)) == (
+            _scalar_series(data, spawn(29, i), cps))
+    (positions,) = calls
+    top = tower._top()
+    assert 0 < len(handed) < len(positions)
+    assert sorted(handed) == sorted(j for j in positions if j > top)
+    assert max(positions) >= 2 ** 63 and min(positions) < top
 
 
 # -- words ---------------------------------------------------------------------
@@ -349,8 +427,8 @@ def test_sampler_deterministic(presets):
     # a smaller radius, draw the same columns: the same centre at every level
     tower = rk.Tower(presets["chacon"])
     a, b = rk.NameSampler(tower, 42), rk.NameSampler(tower, 42)
-    rk.ensemble_window_counts([b], 10)
-    wa, wb = rk.ensemble_window_counts([a, b], 1000)
+    _counted([b], 10)
+    wa, wb = _counted([a, b], 1000)
     assert wa == wb and a.level == b.level
     assert ([a.center_offset(lev) for lev in range(1, a.level + 1)]
             == [b.center_offset(lev) for lev in range(1, b.level + 1)])
@@ -373,7 +451,7 @@ def test_samplers_share_one_tower(presets):
         for step, n in enumerate(cps):
             # a different sampler goes first at each checkpoint
             order = [(step + k) % len(samplers) for k in range(len(samplers))]
-            windows = rk.ensemble_window_counts([samplers[k] for k in order], n)
+            windows = _counted([samplers[k] for k in order], n)
             for k, w in zip(order, windows):
                 rows[k].append(w)
         for i, got in enumerate(rows):
@@ -442,9 +520,9 @@ def test_names_come_from_pcg64_streams(presets):
        order=st.randoms(use_true_random=False))
 def test_window_counts_do_not_depend_on_counting_order(presets, name, exponents,
                                                        seeds, order):
-    # samplers sharing a tower count checkpoints of dyadic:0:62 in a random
-    # order: a window counted after wider ones fits at once at a higher
-    # level, and its counts are those of the scalar descents, radius by
+    # samplers sharing a tower count a grid of checkpoints of dyadic:0:62 in
+    # a random order: a window embedded after wider ones fits at once at a
+    # higher level, and its counts are those of the scalar descents, radius by
     # radius, on a fresh tower (as perfbench's output check replays them)
     data = presets[name]
     cps = sorted(2 ** e for e in exponents)
@@ -452,9 +530,9 @@ def test_window_counts_do_not_depend_on_counting_order(presets, name, exponents,
     samplers = [rk.NameSampler(tower, seed) for seed in seeds]
     shuffled = list(cps)
     order.shuffle(shuffled)
-    got = {n: rk.ensemble_window_counts(samplers, n) for n in shuffled}
+    got = dict(zip(shuffled, rk.ensemble_window_counts(samplers, shuffled).tolist()))
     for i, seed in enumerate(seeds):
-        assert [got[n][i] for n in cps] == [
+        assert [tuple(got[n][i]) for n in cps] == [
             (sm, sp) for sp, sm, _ in _scalar_series(data, seed, cps)]
 
 
@@ -477,7 +555,22 @@ def test_center_invariant_checked_for_every_sampler(presets):
     samplers[1]._offsets[2] = 2
     samplers[2]._offsets[2] = 6
     with pytest.raises(InvariantViolationError, match="at level 3 offset 2 is not base"):
-        rk.ensemble_window_counts(samplers, 1)
+        rk.ensemble_window_counts(samplers, [1])
+
+
+def test_center_invariant_names_the_first_failing_window_of_a_grid(presets):
+    # every window of the grid embeds before the check, which runs radius by
+    # radius and sampler by sampler: the first failing pair is named
+    for grid in ([2, 1], [1, 2, 3]):
+        tower = rk.Tower(presets["chacon"])
+        samplers = [rk.NameSampler(tower, spawn(3, i)) for i in range(3)]
+        for sampler in samplers:
+            sampler.ensure_level(3)
+        samplers[1]._offsets[2] = 2
+        samplers[2]._offsets[2] = 6
+        with pytest.raises(InvariantViolationError,
+                           match="^center symbol at level 3 offset 2 is not base$"):
+            rk.ensemble_window_counts(samplers, grid)
 
 
 # -- window counting -------------------------------------------------------------
@@ -486,7 +579,7 @@ def test_center_invariant_checked_for_every_sampler(presets):
 def _windows(data, seeds, radius):
     """Window counts of the seeds' names, counted together on one tower."""
     tower = rk.Tower(data)
-    return rk.ensemble_window_counts([rk.NameSampler(tower, s) for s in seeds], radius)
+    return _counted([rk.NameSampler(tower, s) for s in seeds], radius)
 
 
 def test_window_counts_trivia(presets):
@@ -509,7 +602,7 @@ def test_bracketing_all_presets(presets):
         samplers = [rk.NameSampler(tower, spawn(11, seed)) for seed in range(5)]
         for n in range(2, 8):
             c_prev = C[n - 2]
-            for s_minus, s_plus in rk.ensemble_window_counts(samplers, q[n - 1]):
+            for s_minus, s_plus in _counted(samplers, q[n - 1]):
                 assert c_prev <= s_minus + s_plus - 1 <= 3 * c_prev
 
 
@@ -533,7 +626,7 @@ def test_window_oracle_equivalence(presets):
             continue
         word = rk.expand_word(presets[name], level, budget=10 ** 6).symbols
         off = s.center_offset(level)
-        (w,) = rk.ensemble_window_counts([s], radius)
+        (w,) = _counted([s], radius)
         assert w == (int(word[off - radius:off + 1].sum()),
                      int(word[off:off + radius + 1].sum()))
         assert word[off] == rk.BASE
@@ -545,7 +638,44 @@ def test_depth_cap(presets):
     with pytest.raises(ResourceLimitError,
                        match=r"^window of radius 4 did not embed within 30 levels "
                              r"\(residual probability <= 2\*\*\(1-30\)\)$"):
-        rk.ensemble_window_counts([s], 4, depth_cap=30)
+        _counted([s], 4, depth_cap=30)
+
+
+def test_depth_cap_of_a_later_radius(presets, monkeypatch):
+    # the whole grid embeds before any descent: radius 0 embeds at level 1,
+    # radius 4 raises its own depth-cap error, and nothing is counted
+    tower = rk.Tower(presets["odometer"])
+    samplers = [rk.NameSampler(tower, 0, choices=[1] * 50), rk.NameSampler(tower, 1)]
+    monkeypatch.setattr(tower, "prefix_counts", lambda positions: pytest.fail("counted"))
+    with pytest.raises(ResourceLimitError,
+                       match=r"^window of radius 4 did not embed within 30 levels "
+                             r"\(residual probability <= 2\*\*\(1-30\)\)$"):
+        rk.ensemble_window_counts(samplers, [0, 4], depth_cap=30)
+    assert samplers[0].level == 30 and samplers[1].level == 1
+
+
+# tracemalloc peak, in bytes, of series_from_names on chacon, 400 seeds,
+# dyadic:10:40, measured as below with one prefix descent per checkpoint
+_PEAK_PER_CHECKPOINT = 3_326_692
+
+
+def test_series_memory_peak(presets):
+    # the grid's positions and counts are int64 arrays; the peak stays
+    # within 10% of the checkpoint-by-checkpoint descents it replaced
+    cps = tuple(2 ** e for e in range(10, 41))
+
+    def peak(seeds):
+        tower = rk.Tower(presets["chacon"])
+        samplers = [rk.NameSampler(tower, spawn(1, i)) for i in range(seeds)]
+        tracemalloc.start()
+        try:
+            series_from_names(samplers, cps)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    peak(400)  # the first run also holds one-time allocations of NumPy
+    assert peak(400) <= 1.1 * _PEAK_PER_CHECKPOINT
 
 
 # -- scaling ----------------------------------------------------------------------
@@ -603,7 +733,7 @@ def test_window_oracle_random_constructions(data_strategy):
     data = rk.ConstructionData((rk.Stage(c, spacers),), repeat_from=0)
     tower = rk.Tower(data)
     samplers = [rk.NameSampler(tower, seed) for seed in seeds]
-    for s, w in zip(samplers, rk.ensemble_window_counts(samplers, radius)):
+    for s, w in zip(samplers, _counted(samplers, radius)):
         level = s.ensure_window(radius)
         if tower.q(level) > 10 ** 5:
             continue
