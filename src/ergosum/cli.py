@@ -5,7 +5,9 @@ trial count); its outputs are CSV files only, byte-identical across
 reruns and thread counts, each opening with '#'-prefixed provenance
 lines (tool version, config hash; a trial kind's seed, trials, generator).
 Each runner hands write_outputs its tables as columns, and write_outputs
-alone cuts them into rows, checks their shape and formats them.
+alone cuts them into rows, checks their shape and formats them (a row is its
+cells' str joined by commas): in NumPy where every column is a float64 or
+int64 array or a range, else with one `%` per block of cells.
 
 Each subcommand takes only the run settings its runner reads: rank-one and
 walk take their trial count as --seeds, trimmed as --trials, and only walk
@@ -505,42 +507,172 @@ def provenance_lines(cfg: ExperimentConfig) -> list[str]:
 # Tables are formatted this many rows at a time: a long table never holds all
 # its cells or all its text, and larger blocks cost peak RSS.
 _ROW_BLOCK = 256
+# A table of arrays alone is formatted in NumPy, this many rows at a time.
+_ARRAY_BLOCK = 8 * _ROW_BLOCK
+_POW10 = np.array([float(10 ** i) for i in range(23)])  # exact doubles
+_DIGIT = np.arange(21, dtype=np.int8)[:, None]
 
 
 def _blocks(columns):
     """The rows of equal-length columns, _ROW_BLOCK at a time, each block
-    one flat list of cells filled a column at a time by slice assignment.
-
-    Formatting floats is most of the time of a long table, and arrays
-    repeat whole blocks: a renewal sequence settles to the bits of 1/mu,
-    and one whose period divides _ROW_BLOCK repeats from the start.  An
-    array block with the bytes of the one before reuses its values'
-    strings, formatted once; bytes keep 0.0 and -0.0 apart, and NaN
-    payloads too.  Other columns are sliced as they are.
-    """
+    one flat list of cells filled a column at a time by slice assignment;
+    an array's cells are the Python numbers of its tolist()."""
     width = len(columns)
     size = len(columns[0])
-    # each column's previous block: its bytes, and its values or their str
-    last = [(b"", None)] * width
     for lo in range(0, size, _ROW_BLOCK):
-        hi = min(lo + _ROW_BLOCK, size)
-        cells = [None] * (width * (hi - lo))
+        cells = [None] * (width * (min(lo + _ROW_BLOCK, size) - lo))
         for j, column in enumerate(columns):
-            part = column[lo:hi]
-            if isinstance(part, np.ndarray):
-                bits = part.tobytes()
-                if bits != last[j][0]:
-                    last[j] = bits, part.tolist()
-                elif type(last[j][1][0]) is not str:
-                    last[j] = bits, list(map(str, last[j][1]))
-                part = last[j][1]
-            cells[j::width] = part
+            part = column[lo:lo + _ROW_BLOCK]
+            cells[j::width] = part.tolist() if isinstance(part, np.ndarray) else part
         yield cells
+
+
+def _is_array(column) -> bool:
+    """Whether _array_blocks takes the column: a 1-d float64 or int64 array,
+    or a range whose cells and step fit int64."""
+    if isinstance(column, range):
+        ends = (column[0], column[-1], column.step) if column else ()
+        return all(-2 ** 63 <= v < 2 ** 63 for v in ends)
+    return (isinstance(column, np.ndarray) and column.ndim == 1
+            and column.dtype in (np.float64, np.int64))
+
+
+def _digit_rows(q, width):
+    """The decimal digits of the integers 0 <= q < 10**width, most
+    significant first and zero-padded, as a (width, len(q)) uint8 array."""
+    pieces = np.empty((-(-width // 6), len(q)), np.int32)  # six digits each
+    for i in range(len(pieces) - 1, -1, -1):
+        high = q // 10 ** 6
+        pieces[i] = q - high * 10 ** 6
+        q = high
+    rows = np.empty((6, *pieces.shape), np.uint8)
+    for j in range(5, -1, -1):
+        high = pieces // 10
+        rows[j] = pieces - high * 10
+        pieces = high
+    return rows.transpose(1, 0, 2).reshape(-1, len(q))[-width:]
+
+
+def _int_slots(mag, neg, tail=b","):
+    """The slots of '-' where neg, then the digits of the uint64 mag with
+    its leading zeros NUL, then tail: a uint8 array of a row per cell."""
+    width = len(str(int(mag.max())))
+    # a digit is kept from the first nonzero one on, and the last always
+    first = np.array([10 ** i for i in range(width - 1, 0, -1)] + [0], np.uint64)
+    slots = np.empty((len(mag), 1 + width + len(tail)), np.uint8)
+    slots[:, 0] = neg * np.uint8(45)
+    slots[:, 1:1 + width] = ((_digit_rows(mag, width) + 48) * (mag >= first[:, None])).T
+    slots[:, 1 + width:] = np.frombuffer(tail, np.uint8)
+    return slots
+
+
+@np.errstate(invalid="ignore")  # a signaling NaN takes repr, quietly
+def _float_slots(x):
+    """The slots of repr of the float64 x, NUL-padded, then ',': a uint8
+    array of a row per cell.
+
+    An integral x below 1e16 is its integer's digits and ".0".  Otherwise
+    0, and each x with 1e-4 <= |x| < 1e16 (where repr is positional), get
+    the shortest digits that round to x, the nearest if several do: y =
+    |x| 10^k in [1e16, 1e17) is hi + lo exactly (Dekker's TwoProduct), and
+    of the integers in its rounding interval the nearest multiple of 100,
+    else of 10, else of 1, is taken.  Every fraction met is a multiple of
+    2^-48 below 16, so no step rounds.  In this range whether the ends of
+    the interval count decides nothing (they are integers only at k = 1,
+    where y is a multiple of 10 and no end one of 100), nor does the gap
+    below a power of two being half the one above (the tests take every
+    power of two).  Other values, and exact ties, take repr.
+    """
+    a = np.abs(x)
+    if ((a < 1e16) & (np.trunc(x) == x)).all():
+        return _int_slots(a.astype(np.uint64), np.signbit(x), b".0,")
+    zero = x == 0
+    fast = (a >= 1e-4) & (a < 1e16)
+    if not fast.any():
+        return _repr_slots(x)
+    a[~fast] = 1.0  # a zero is formatted as 1.0, then its digits cleared
+    k = 16 - np.floor(np.log10(a)).astype(np.int64)
+    hi = a * _POW10[k]
+    k += (hi < 1e16).view(np.int8) - (hi >= 1e17).view(np.int8)
+    p = _POW10[k]
+    hi = a * p
+    ah = (t := a * 134217729.0) - (t - a)  # the high halves of Dekker's split
+    ph = (t := p * 134217729.0) - (t - p)
+    lo = ((ah * ph - hi) + ah * (p - ph) + (a - ah) * ph) + (a - ah) * (p - ph)
+    fl = np.floor(lo)
+    yi = hi.astype(np.int64) + fl.astype(np.int64)
+    yf2 = 2 * (lo - fl)  # twice y - yi
+    g = np.spacing(a) * 0.5 * p  # the half-gap to x's neighbours, times 10^k
+    # the integers from cmin to cmax lie in y's rounding interval
+    cmin = yi + np.ceil(0.5 * yf2 - g).astype(np.int64)
+    cmax = yi + np.floor(0.5 * yf2 + g).astype(np.int64)
+    d, tie = yi + (yf2 > 1), yf2 == 1  # the nearest integer always lies inside
+    for b in (10, 100):
+        floor_b = yi // b * b
+        # y lies past the midpoint of floor_b and floor_b + b where yf2 > twice
+        twice = (b - 2 * (yi - floor_b)).astype(np.float64)
+        first, last = -(-cmin // b) * b, cmax // b * b
+        ok = first <= last
+        d = np.where(ok, np.clip(floor_b + b * (twice < yf2), first, last), d)
+        tie = np.where(ok, twice == yf2, tie)
+    bad = ~(fast | zero) | tie | (d < 10 ** 16) | (d >= 10 ** 17)
+    d[zero] = 0
+    # four zeros and d's 17 digits, the point after digit point + 3: kept
+    # are the digits from the integer part's first, or the zero before the
+    # point, to the first after the point, or the last nonzero one
+    point = (17 - k).astype(np.int8)
+    digits = _digit_rows(d, 21)
+    keep = _DIGIT <= point + 4
+    seen = np.zeros(len(x), bool)
+    for i in range(20, 3, -1):
+        seen |= digits[i] != 0
+        keep[i] |= seen
+    keep[:4] = seen & (_DIGIT[:4] >= point + 3)
+    slots = np.zeros((len(x), 43), np.uint8)  # sign, then each digit and a point or NUL
+    slots[:, 0] = np.signbit(x) * np.uint8(45)
+    slots[:, 1::2] = ((digits + 48) * keep).T
+    slots[np.arange(len(x)), 2 * point + 8] = 46
+    slots[:, 42] = 44
+    if bad.any():
+        slots[bad] = _repr_slots(x[bad])
+    return slots
+
+
+def _repr_slots(x):
+    """_float_slots by repr, a cell at a time."""
+    slots = np.zeros((len(x), 43), np.uint8)
+    slots[:, :24] = np.array(list(map(repr, x.tolist())), "S24")[:, None].view(np.uint8)
+    slots[:, 42] = 44
+    return slots
+
+
+def _array_blocks(columns):
+    """The rows of columns that _is_array takes, as bytes, _ARRAY_BLOCK rows
+    at a time: each cell fills a slot of its column's width, NUL-padded and
+    ending in ',', the row's last ',' becomes "\\r\\n", and the NULs are
+    deleted.  A block with the bits of its column's previous block reuses
+    that block's slots: a renewal sequence settles to the bits of 1/mu.
+    """
+    last = [(np.empty(0, np.int64), None)] * len(columns)
+    for lo in range(0, len(columns[0]), _ARRAY_BLOCK):
+        for j, column in enumerate(columns):
+            part = column[lo:lo + _ARRAY_BLOCK]
+            if isinstance(part, range):  # the products wrap; the cells fit int64
+                part = np.arange(len(part), dtype=np.int64) * part.step + part.start
+            bits = part.view(np.int64)
+            if not np.array_equal(bits, last[j][0]):
+                last[j] = bits, (_float_slots(part) if part.dtype == np.float64
+                                 else _int_slots(np.abs(part).view(np.uint64), part < 0))
+        rows = np.hstack([*(s for _, s in last), np.full((len(part), 1), 10, np.uint8)])
+        rows[:, -2] = 13
+        yield rows.tobytes().translate(None, b"\0")
 
 
 def write_outputs(cfg: ExperimentConfig, tables) -> list[Path]:
     """Write the list tables of (name, fields, columns) to OUT/name.csv; unless
-    each has one column per field, all of one length, no file opens."""
+    each has one column per field, all of one length, no file opens.  A row's
+    bytes join its cells' str with commas: by _array_blocks where _is_array
+    takes every column, else by one `%` of a row template per _blocks block."""
     for name, fields, columns in tables:
         lengths = [len(column) for column in columns]
         if len(columns) != len(fields) or len(set(lengths)) > 1:
@@ -548,19 +680,22 @@ def write_outputs(cfg: ExperimentConfig, tables) -> list[Path]:
                                           f"but columns of lengths {lengths}")
     outdir = Path(cfg.out)
     outdir.mkdir(parents=True, exist_ok=True)
-    header = provenance_lines(cfg)
+    head = "".join(f"# {text}\n" for text in provenance_lines(cfg))
     written = []
     for name, fields, columns in tables:
         path = outdir / f"{name}.csv"
-        # every cell is a field name, a number or "": none needs quoting,
-        # and "%s" of a cell is its str
-        line = ",".join(["%s"] * len(fields)) + "\r\n"
-        with open(path, "w", newline="") as fh:
-            for text in header:
-                fh.write(f"# {text}\n")
-            fh.write(line % tuple(fields))
-            for block in _blocks(columns):
-                fh.write(line * (len(block) // len(fields)) % tuple(block))
+        if all(map(_is_array, columns)):
+            blocks = _array_blocks(columns)
+        else:
+            # every cell is a field name, a number or "": none needs quoting,
+            # and "%s" of a cell is its str
+            line = ",".join(["%s"] * len(fields)) + "\r\n"
+            blocks = ((line * (len(cells) // len(fields)) % tuple(cells)).encode()
+                      for cells in _blocks(columns))
+        with open(path, "wb") as fh:
+            fh.write((head + ",".join(fields) + "\r\n").encode())
+            for block in blocks:
+                fh.write(block)
         written.append(path)
     return written
 

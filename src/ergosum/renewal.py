@@ -327,11 +327,15 @@ class FiniteSupport(LifetimeDistribution):
 
 
 def int64_sum_may_overflow(draws: np.ndarray, start: int = 0) -> bool:
-    """Whether the int64 partial sums of a block of draws, added to ``start``,
-    may overflow.
+    """Whether the int64 partial sums of a block of lifetime draws, added to
+    ``start``, may overflow.
 
-    The float64 sum is accumulated in place, with no float copy of the block.
+    Below the exact bound start + max * len < 2^61 no float sum reaches
+    INT64_SUM_LIMIT; above it the float64 sum decides, accumulated in place
+    with no float copy of the block.
     """
+    if start + int(draws.max()) * len(draws) < 2 ** 61:
+        return False
     return start + float(draws.sum(dtype=np.float64)) >= INT64_SUM_LIMIT
 
 

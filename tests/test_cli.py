@@ -430,6 +430,7 @@ def _row_by_row(cfg, fields, rows):
 
 
 _B = cli._ROW_BLOCK
+_A = cli._ARRAY_BLOCK
 _CELLS = st.one_of(
     st.integers(-2 ** 70, 2 ** 70),
     st.sampled_from([2 ** 63 - 1, 2 ** 63, -2 ** 63 - 1, 2 ** 64]),
@@ -456,9 +457,11 @@ def _columns(draw, kinds=_KINDS):
     a range, a list or tuple of mixed cells, or an int64 or float64 array.
     The lists and arrays are each a pattern of 1 to 5 values repeated, so
     blocks repeat where the period divides the block.  Some float arrays
-    have the zeros of chosen blocks negated: those blocks equal their
-    neighbours as floats but not as bits."""
-    size = draw(st.sampled_from([1, _B - 1, _B, _B + 1, 2 * _B + 1, 4 * _B + 3]))
+    have the zeros of chosen blocks, of the list writer's or of the array
+    writer's size, negated: those blocks equal their neighbours as floats
+    but not as bits."""
+    size = draw(st.sampled_from([1, _B - 1, _B, _B + 1, 2 * _B + 1, 4 * _B + 3,
+                                 _A - 1, _A + 1, 2 * _A + 1]))
     columns = []
     for _ in range(draw(st.integers(1, 5))):
         kind = draw(st.sampled_from(kinds))
@@ -476,8 +479,9 @@ def _columns(draw, kinds=_KINDS):
         else:
             pattern = draw(st.lists(_FLOAT_VALUES, min_size=1, max_size=5))
             column = np.resize(np.array(pattern, dtype=np.float64), size)
+            step = draw(st.sampled_from([_B, _A]))
             for b in draw(st.lists(st.integers(0, 4), max_size=3)):
-                block = column[b * _B:(b + 1) * _B]
+                block = column[b * step:(b + 1) * step]
                 block[block == 0.0] *= -1.0
             columns.append(column)
     return columns
@@ -506,6 +510,10 @@ def test_write_outputs_bytes_match_row_by_row_writer(columns, tmp_path_factory):
 @given(columns=_columns(kinds=("int64", "float64")), first=st.integers(0, 1))
 # 0.0 in one block and -0.0 in the next: equal as floats, apart as bits
 @example(columns=[np.repeat([0.0, -0.0, 0.0], [_B, _B, _B // 2])], first=0)
+# the same across the array writer's blocks, beside a NaN payload in one
+# block and the plain NaN in the next
+@example(columns=[np.repeat([0.0, -0.0, 0.0], [_A, _A, _A // 2]),
+                  np.repeat([_NAN_PAYLOAD, math.nan, 1.0], [_A, _A, _A // 2])], first=0)
 def test_array_tables_match_row_by_row_writer(columns, first, tmp_path_factory):
     # the runners' usual table, an index range and arrays, with the arrays'
     # repeated blocks formatted once, writes the bytes of joining each
@@ -517,6 +525,58 @@ def test_array_tables_match_row_by_row_writer(columns, first, tmp_path_factory):
     [path] = cli.write_outputs(cfg, [("table", fields, [index, *columns])])
     rows = zip(index, *(c.tolist() for c in columns))
     assert path.read_bytes() == _row_by_row(cfg, fields, rows)
+
+
+def _repr_oracle_values():
+    """Floats on which a shortest-digit routine is easily wrong: every power
+    of two and of ten with both neighbours, the subnormal and normal
+    boundaries, zeros and non-finite values, 0.7 n, and seeded uniform,
+    log-uniform and random-bit draws."""
+    rng = np.random.default_rng(20131)
+    edges = np.concatenate([np.ldexp(1.0, np.arange(-1074, 1024)),
+                            [float(f"1e{k}") for k in range(-325, 309)],
+                            [2.2250738585072014e-308, 2.2250738585072009e-308]])
+    edges = np.concatenate([edges, np.nextafter(edges, 0), np.nextafter(edges, math.inf)])
+    log_uniform = 10.0 ** rng.uniform(-320, 308, 200_000) * rng.choice([-1.0, 1.0], 200_000)
+    return np.concatenate([
+        edges, -edges, [0.0, -0.0, math.inf, -math.inf, math.nan, _NAN_PAYLOAD],
+        0.7 * np.arange(2 ** 18 + 1), rng.random(200_000), log_uniform,
+        rng.integers(0, 2 ** 64, 200_000, dtype=np.uint64).view(np.float64)])
+
+
+_ORACLE_WRITER = """
+import sys
+import numpy as np
+from ergosum import cli
+cfg = cli.ExperimentConfig(kind="renewal", params={"dist": "harmonic", "n": 1},
+                           out=sys.argv[2])
+cli.write_outputs(cfg, [("oracle", ("x",), (np.load(sys.argv[1]),))])
+"""
+
+
+def test_array_writer_matches_repr(tmp_path):
+    # every float cell of the array writer is repr of its value, also with
+    # NumPy's X86_V4 and X86_V3 loops disabled: the digits are computed
+    # with +, -, *, floor and integer division only
+    values = _repr_oracle_values()
+    cfg = cli.ExperimentConfig(kind="renewal", params={"dist": "harmonic", "n": 1},
+                               out=str(tmp_path / "native"))
+    [path] = cli.write_outputs(cfg, [("oracle", ("x",), (values,))])
+    rows = path.read_bytes().split(b"\r\n")
+    assert rows[0].endswith(b"\nx") and rows[-1] == b""
+    assert rows[1:-1] == [repr(x).encode() for x in values.tolist()]
+    from numpy._core._multiarray_umath import __cpu_dispatch__
+    groups = ["X86_V4", "AVX512_ICL", "AVX512_SPR", "X86_V3"]
+    if not set(groups) <= set(__cpu_dispatch__):
+        pytest.skip("NumPy dispatches no x86-64 feature groups here")
+    np.save(tmp_path / "values.npy", values)
+    src = str(Path(ergosum.__file__).resolve().parents[1])
+    env = dict(os.environ, NPY_DISABLE_CPU_FEATURES=",".join(groups))
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    subprocess.run([sys.executable, "-c", _ORACLE_WRITER, str(tmp_path / "values.npy"),
+                    str(tmp_path / "baseline")], env=env, check=True, capture_output=True,
+                   timeout=120)
+    assert (tmp_path / "baseline" / "oracle.csv").read_bytes() == path.read_bytes()
 
 
 @pytest.mark.parametrize("columns", [

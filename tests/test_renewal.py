@@ -790,6 +790,29 @@ def test_trimmed_sum_overflow_guard():
         rn.trimmed_sum_trials(f, 4, 2, seed=0)
 
 
+@pytest.mark.parametrize("start,size,step", [
+    (0, 1024, 2 ** 51 - 1),  # max * len one block under 2^61
+    (0, 1024, 2 ** 51),  # max * len at 2^61
+    (2 ** 61 - 1024, 1, 1023),  # under, by a start
+    (2 ** 61 - 1024, 1, 1024),
+    (4 * 10 ** 18 - 2 ** 40, 2, 2 ** 39),  # far over: the float sum decides
+    (4 * 10 ** 18 - 2 ** 40, 2, 2 ** 39 - 2 ** 20),
+])
+def test_overflow_bound_agrees_with_the_float_sum(start, size, step):
+    class Counted(np.ndarray):
+        sums = 0
+
+        def sum(self, *args, **kwargs):
+            Counted.sums += 1
+            return super().sum(*args, **kwargs)
+
+    draws = np.full(size, step, dtype=np.int64).view(Counted)
+    float_sum = start + float(np.asarray(draws).sum(dtype=np.float64))
+    assert rn.int64_sum_may_overflow(draws, start) == (float_sum >= rn.INT64_SUM_LIMIT)
+    # the float pass runs only where the exact bound does not decide
+    assert Counted.sums == (start + step * size >= 2 ** 61)
+
+
 def test_power_tail_overflow_guard():
     p = rn.PowerTail(0.5)
 

@@ -84,7 +84,8 @@ CONTRACT = [
         ["dyadic-tail", "--dist", "geometric:0.5", "--n", "12"],
         "ac1e18d15db0bd85276b525dabcd875a283057dd2491c24518007757ac6d3d3f",
         id="dyadic-tail-geometric"),
-    # 4 divides the 256-row block, so every u block after the first repeats
+    # 4 divides the array writer's 2,048-row block, so every u block after the
+    # first repeats
     pytest.param(
         ["renewal", "--dist", "delta:4", "--n", "5000"],
         "a12d462ea7d264eaea2b97c3c071dbd9c13def403d51469186496a8a6ff2552f",
