@@ -1,8 +1,8 @@
 """ergosum: desk-scale experiments on two-sided occupation statistics.
 
 Subpackages: rankone (cutting-and-stacking towers), renewal (lifetime
-distributions and renewal scalings), birkhoff (checkpointed occupation
-series and normalized-ratio statistics), lattice (planar group orbit
+distributions and renewal scalings), birkhoff (normalized-ratio
+statistics of occupation counts), lattice (planar group orbit
 counting), regvar (regular-variation diagnostics), cli (experiment runner).
 """
 

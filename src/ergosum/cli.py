@@ -380,18 +380,25 @@ def run_rank_one(cfg: ExperimentConfig):
     # trials run in this thread (they hold the GIL; a pool would not help)
     tower = rankone.Tower(data)
     scaling = rankone.rank_one_scaling(tower)
-    ensemble = birkhoff.series_from_names(
+    counts = rankone.ensemble_window_counts(
         [rankone.NameSampler(tower, spawn(cfg.seed, i)) for i in range(cfg.trials)],
         cps)
-    stats = birkhoff.normalized_stats(ensemble, scaling, burn_in)
+    stats = birkhoff.normalized_stats(counts, cps, scaling, burn_in)
+    # the checkpoints below the scaling's domain lead the grid; their a_n
+    # and ratio cells are empty
+    blank = [""] * stats.a_n.count(None)
+    a_n = blank + list(stats.a_n[len(blank):])
+    seeds = zip(counts[..., 1].T.tolist(), counts[..., 0].T.tolist(),
+                stats.sigma.T.tolist(), stats.ratio_sym[len(blank):].T.tolist(),
+                stats.ratio_plus[len(blank):].T.tolist())
     fields = ("n", "s_plus", "s_minus", "sigma", "a_n", "ratio_sym", "ratio_plus")
-    tables = [(f"series_{i:03d}", fields,
-               list(zip(*birkhoff.series_rows(series, s, stats.a_n))))
-              for i, (series, s) in enumerate(zip(ensemble, stats.series))]
-    summary = [(s.sup_plus, s.sup_sym, s.inf_sym, s.oscillation) for s in stats.series]
+    tables = [(f"series_{i:03d}", fields, (cps, s_plus, s_minus, sigma, a_n,
+                                           blank + ratio_sym, blank + ratio_plus))
+              for i, (s_plus, s_minus, sigma, ratio_sym, ratio_plus) in enumerate(seeds)]
     return [*tables, ("summary",
                       ("seed", "alpha_hat", "beta_hat", "beta_lower_hat", "oscillation"),
-                      (range(len(summary)), *zip(*summary)))]
+                      (range(cfg.trials), stats.sup_plus.tolist(), stats.sup_sym.tolist(),
+                       stats.inf_sym.tolist(), (stats.sup_sym - stats.inf_sym).tolist()))]
 
 
 def run_renewal(cfg: ExperimentConfig):

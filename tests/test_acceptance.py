@@ -60,11 +60,11 @@ def heavy_ensemble(presets):
     checkpoints = tuple(2 ** e for e in range(10, 25))
     start = time.perf_counter()
     tower = rk.Tower(data)
-    ensemble = bk.series_from_names(
+    counts = rk.ensemble_window_counts(
         [rk.NameSampler(tower, spawn(1, i)) for i in range(20)], checkpoints)
     elapsed = time.perf_counter() - start
     scaling = rk.rank_one_scaling(tower)
-    return ensemble, scaling, checkpoints, elapsed
+    return counts, scaling, checkpoints, elapsed
 
 
 def test_criterion_01_window_oracle_equivalence(presets):
@@ -125,13 +125,13 @@ def test_criterion_02_structural_identities(presets):
 
 
 def test_criterion_03_bounded_cut_sandwich(heavy_ensemble):
-    ensemble, scaling, checkpoints, elapsed = heavy_ensemble
+    counts, scaling, checkpoints, elapsed = heavy_ensemble
     j_bound = 2
     lo, hi = 1 / (2 * j_bound), 3 * j_bound
     violations = []
-    for i, series in enumerate(ensemble):
-        for n, sigma in zip(series.checkpoints, series.sigma):
-            ratio = sigma / scaling(n)
+    for i, rows in enumerate(counts.transpose(1, 0, 2).tolist()):
+        for n, (s_minus, s_plus) in zip(checkpoints, rows):
+            ratio = (s_plus + s_minus - 1) / scaling(n)
             if not lo <= ratio <= hi:
                 violations.append((i, n, ratio))
     ok = not violations and elapsed < 300.0
@@ -141,11 +141,11 @@ def test_criterion_03_bounded_cut_sandwich(heavy_ensemble):
 
 
 def test_criterion_04_oscillation(heavy_ensemble):
-    ensemble, scaling, _, _ = heavy_ensemble
+    counts, scaling, checkpoints, _ = heavy_ensemble
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        stats = bk.normalized_stats(ensemble, scaling, burn_in=2 ** 12)
-    spreads = [s.oscillation for s in stats.series]
+        stats = bk.normalized_stats(counts, checkpoints, scaling, burn_in=2 ** 12)
+    spreads = (stats.sup_sym - stats.inf_sym).tolist()
     hits = sum(o >= 0.25 for o in spreads)
     ok = hits >= 18
     report(4, ok, f"{hits}/20 seeds with oscillation >= 0.25 "

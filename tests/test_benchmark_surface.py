@@ -115,8 +115,7 @@ def test_walk_and_renewal_oracle_surface():
 
 def test_traced_functions_are_public():
     # perfbench/run.py reads these spans; the tracer wraps public functions
-    traced = [birkhoff.series_from_names, birkhoff.normalized_stats,
-              birkhoff.series_rows, rankone.ensemble_window_counts,
+    traced = [birkhoff.normalized_stats, rankone.ensemble_window_counts,
               regvar.er_diagnostic, regvar.invert_scaling,
               renewal.renewal_sequence, renewal.trimmed_sum_trials,
               lattice.translate_counts, lattice.walk_sample,

@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 
 from ergosum import cli
 from ergosum import rankone as rk
-from ergosum.birkhoff import series_from_names
+from ergosum.birkhoff import normalized_stats
 from ergosum.errors import (
     ConfigError,
     InvariantViolationError,
@@ -203,6 +203,12 @@ def _scalar_series(data, seed, cps):
     return rows
 
 
+def _series(samplers, cps):
+    """(s_plus, s_minus, sigma) per checkpoint of each sampler, from one descent."""
+    counts = rk.ensemble_window_counts(samplers, cps).transpose(1, 0, 2).tolist()
+    return [[(sp, sm, sm + sp - 1) for sm, sp in rows] for rows in counts]
+
+
 def _counted(samplers, radius, **kwargs):
     """(s_minus, s_plus) of each sampler at one radius, a grid of one."""
     (row,) = rk.ensemble_window_counts(samplers, [radius], **kwargs).tolist()
@@ -216,11 +222,9 @@ def test_prefix_counts_hand_off_past_int64(presets):
     data = presets["heavy2q"]
     cps = tuple(2 ** e for e in range(10, 61))
     tower = rk.Tower(data)
-    ensemble = series_from_names([rk.NameSampler(tower, spawn(23, i)) for i in range(20)],
-                                 cps)
-    for i, series in enumerate(ensemble):
-        assert list(zip(series.s_plus, series.s_minus, series.sigma)) == (
-            _scalar_series(data, spawn(23, i), cps))
+    ensemble = _series([rk.NameSampler(tower, spawn(23, i)) for i in range(20)], cps)
+    for i, rows in enumerate(ensemble):
+        assert rows == _scalar_series(data, spawn(23, i), cps)
     assert tower._top() == tower.q(31) == 2 ** 60 and tower.q(32) >= 2 ** 62
     # around 2^62 and 2^63, and the whole word
     level = next(lev for lev in range(1, 80) if tower.q(lev) > 2 ** 63)
@@ -272,11 +276,9 @@ def test_prefix_counts_without_table():
     assert tower._top() == tower.q(1) == 1 and tower.q(2) >= 2 ** 62
     assert _scalar_prefixes(tower, positions) == [0, 1, 2, 2, 2, 2, 4]
     cps = (1, 2, 10, 2 ** 40)
-    ensemble = series_from_names(
-        [rk.NameSampler(tower, spawn(3, i)) for i in range(5)], cps)
-    for i, series in enumerate(ensemble):
-        assert list(zip(series.s_plus, series.s_minus, series.sigma)) == (
-            _scalar_series(data, spawn(3, i), cps))
+    ensemble = _series([rk.NameSampler(tower, spawn(3, i)) for i in range(5)], cps)
+    for i, rows in enumerate(ensemble):
+        assert rows == _scalar_series(data, spawn(3, i), cps)
 
 
 def test_window_counts_at_top_level_of_finite_construction():
@@ -356,11 +358,9 @@ def test_grid_straddles_int64_top_in_one_descent(presets, name, monkeypatch):
     monkeypatch.setattr(tower, "prefix_counts", spy)
     monkeypatch.setattr(tower, "_descend_wide",
                         lambda j, top: handed.append(j) or hand_off(j, top))
-    ensemble = series_from_names([rk.NameSampler(tower, spawn(29, i)) for i in range(6)],
-                                 cps)
-    for i, series in enumerate(ensemble):
-        assert list(zip(series.s_plus, series.s_minus, series.sigma)) == (
-            _scalar_series(data, spawn(29, i), cps))
+    ensemble = _series([rk.NameSampler(tower, spawn(29, i)) for i in range(6)], cps)
+    for i, rows in enumerate(ensemble):
+        assert rows == _scalar_series(data, spawn(29, i), cps)
     (positions,) = calls
     top = tower._top()
     assert 0 < len(handed) < len(positions)
@@ -497,9 +497,8 @@ def test_rows_do_not_depend_on_the_raw_block(presets, monkeypatch, block):
         out = []
         for name in ("chacon", "heavy2q"):
             tower = rk.Tower(presets[name])
-            ensemble = series_from_names(
-                [rk.NameSampler(tower, spawn(5, i)) for i in range(6)], cps)
-            out.append([(s.s_plus, s.s_minus) for s in ensemble])
+            out.append(rk.ensemble_window_counts(
+                [rk.NameSampler(tower, spawn(5, i)) for i in range(6)], cps).tolist())
         return out
 
     want = rows()
@@ -654,22 +653,27 @@ def test_depth_cap_of_a_later_radius(presets, monkeypatch):
     assert samplers[0].level == 30 and samplers[1].level == 1
 
 
-# tracemalloc peak, in bytes, of series_from_names on chacon, 400 seeds,
-# dyadic:10:40, measured as below with one prefix descent per checkpoint
+# tracemalloc peak, in bytes, of counting chacon's windows, 400 seeds,
+# dyadic:10:40, with one prefix descent per checkpoint
 _PEAK_PER_CHECKPOINT = 3_326_692
 
 
 def test_series_memory_peak(presets):
-    # the grid's positions and counts are int64 arrays; the peak stays
-    # within 10% of the checkpoint-by-checkpoint descents it replaced
+    # the grid's positions and counts are int64 arrays, and the ratios are
+    # divided one checkpoint row at a time; counting and the statistics
+    # together stay within 10% of the checkpoint-by-checkpoint descents
     cps = tuple(2 ** e for e in range(10, 41))
 
     def peak(seeds):
         tower = rk.Tower(presets["chacon"])
+        scaling = rk.rank_one_scaling(tower)
         samplers = [rk.NameSampler(tower, spawn(1, i)) for i in range(seeds)]
         tracemalloc.start()
         try:
-            series_from_names(samplers, cps)
+            counts = rk.ensemble_window_counts(samplers, cps)
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", UserWarning)
+                normalized_stats(counts, cps, scaling, burn_in=cps[0])
             return tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -712,9 +716,9 @@ def test_scaling_sandwich(presets):
         max_c = max(stage.c for stage in data.stages)
         tower = rk.Tower(data)  # shared, as in a rank-one run
         sc = rk.rank_one_scaling(tower)
-        (series,) = series_from_names([rk.NameSampler(tower, 77)],
-                                      (3, 10, 50, 211, 1024, 5000))
-        for n, sigma in zip(series.checkpoints, series.sigma):
+        cps = (3, 10, 50, 211, 1024, 5000)
+        (rows,) = _series([rk.NameSampler(tower, 77)], cps)
+        for n, (_, _, sigma) in zip(cps, rows):
             ratio = sigma / sc(n)
             assert 1 / (2 * max_c) <= ratio <= 3 * max_c
 
