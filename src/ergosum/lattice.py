@@ -6,11 +6,13 @@ the common binary denominator of the inputs the window condition is an
 integer inequality, the admissible second generator powers for each first
 power k form an integer interval whose clamped ends are floor terms linear
 in k, and a floor sum adds them up with no loop over k.  Walk orbits are
-counted by binary search over the monotone partial sums of the sampled
-steps.  Each side of a walk draws from its own stream, the backward one
-jumped from the forward one, and only the steps its horizon reads, up to
-the first partial sum past it; neither side depends on the horizon, so a
-trial is one orbit at every horizon.  A walk count is a plain integer; its
+counted from the sampled steps by block sums: the prefix sums of
+1,024-step block totals locate the block where the monotone partial sums
+pass the horizon, and only that block is summed step by step.  Each side
+of a walk draws from its own stream, the backward one jumped from the
+forward one, and only the steps its horizon reads, up to the first
+partial sum past it; neither side depends on the horizon, so a trial is
+one orbit at every horizon.  A walk count is a plain integer; its
 normalizer, the renewal prefix sum a_u(N) of the step distribution, is one
 number per run, read once by the caller.
 """
@@ -164,36 +166,63 @@ def translate_counts(action: TranslationAction, n_box: int) -> TranslateCount:
 # left to the horizon at the mean step so far, and at most quadruples the
 # draws made, as a heavy tail's sample mean grows with the sample
 _FIRST_CHUNK = 64
+# steps per block of a partial-sum count; NumPy sums a block far faster than
+# it forms the block's running sums, so only one block is summed step by step
+_BLOCK = 1024
+
+
+def _count_sums_at_most(steps: np.ndarray, start: int, bound: int) -> int:
+    """#{i : start + steps[0] + ... + steps[i] <= bound}, for steps >= 0
+    whose sums with ``start`` fit int64.
+
+    The sums are nondecreasing, so they stay at most ``bound`` up to one
+    crossing.  The prefix sums of the full blocks' totals give every
+    _BLOCK-th sum; one search over them finds the block that holds the
+    crossing, and that block's own running sums place it.
+    """
+    rest = bound - start  # the bound on the steps' own partial sums
+    full = len(steps) // _BLOCK
+    b = 0  # blocks whose sums all stay at most the bound
+    if full:
+        ends = steps[:full * _BLOCK].reshape(full, _BLOCK).sum(axis=1)
+        np.cumsum(ends, out=ends)
+        b = int(np.searchsorted(ends, rest, side="right"))
+        if b:
+            rest -= int(ends[b - 1])
+    sums = np.cumsum(steps[b * _BLOCK:(b + 1) * _BLOCK])
+    return b * _BLOCK + int(np.searchsorted(sums, rest, side="right"))
 
 
 @dataclass(frozen=True)
 class WalkSample:
-    """Partial sums s_k of two-sided i.i.d. steps omega_j: on each side, those
-    up to and including the first one past J, at most J of them.
+    """Two-sided i.i.d. steps omega_j: on each side, those up to and including
+    the one whose partial sum is the first past J, at most J of them.
 
-    s_k follows the three-case definition: sum of omega_0..omega_{k-1} for
-    k >= 1, zero at k = 0, and -(omega_{-1} + ... + omega_{-|k|}) for
-    k <= -1.  Steps are >= 1, so s is strictly increasing in k, and the
-    kept sums hold every s_k with |s_k| <= J.  Only the sums are kept;
-    every step is a difference omega_j = s_{j+1} - s_j.
+    The partial sums s_k follow the three-case definition: sum of
+    omega_0..omega_{k-1} for k >= 1, zero at k = 0, and
+    -(omega_{-1} + ... + omega_{-|k|}) for k <= -1.  Steps are >= 1, so s
+    is strictly increasing in k, and the kept steps reach every s_k with
+    |s_k| <= J.  Only the steps are kept; ``walk_counts`` counts from them
+    without forming every sum, and ``s_forward`` and ``s_backward_mag``
+    form the sums on each call.
     """
 
     J: int
-    s_forward: np.ndarray = field(repr=False)       # s_1, s_2, ...
-    s_backward_mag: np.ndarray = field(repr=False)  # |s_{-1}|, |s_{-2}|, ...
+    omega_forward: np.ndarray = field(repr=False)   # omega_0, omega_1, ...
+    omega_backward: np.ndarray = field(repr=False)  # omega_{-1}, omega_{-2}, ...
 
     @property
-    def omega_forward(self) -> np.ndarray:  # omega_0, omega_1, ...
-        return np.diff(self.s_forward, prepend=0)
+    def s_forward(self) -> np.ndarray:  # s_1, s_2, ...
+        return np.cumsum(self.omega_forward)
 
     @property
-    def omega_backward(self) -> np.ndarray:  # omega_{-1}, omega_{-2}, ...
-        return np.diff(self.s_backward_mag, prepend=0)
+    def s_backward_mag(self) -> np.ndarray:  # |s_{-1}|, |s_{-2}|, ...
+        return np.cumsum(self.omega_backward)
 
 
-def _kept_sums(f: LifetimeDistribution, rng, J: int) -> np.ndarray:
-    """Partial sums of draws from ``rng`` up to and including the first one
-    past J, at most J of them.
+def _kept_steps(f: LifetimeDistribution, rng, J: int) -> np.ndarray:
+    """Draws from ``rng`` up to and including the one whose partial sum is
+    the first past J, at most J of them.
 
     The draws come in chunks, and the concatenated chunks are the first
     draws of the stream.
@@ -209,18 +238,16 @@ def _kept_sums(f: LifetimeDistribution, rng, J: int) -> np.ndarray:
             # one of those sums passes J, the first that does may overflow
             below = total + np.cumsum(steps, dtype=np.float64) < INT64_SUM_LIMIT
             steps = steps[:int(np.count_nonzero(below))]
-        sums = np.cumsum(steps, out=steps)
-        sums += total
-        kept = int(np.searchsorted(sums, J, side="right"))
-        if kept < len(sums):
-            parts.append(sums[:kept + 1])
+        chunk = int(steps.sum())
+        if total + chunk > J:
+            parts.append(steps[:_count_sums_at_most(steps, total, J) + 1])
             break
         if may_overflow:
             raise ResourceLimitError("walk partial sums would overflow int64")
-        parts.append(sums)
+        parts.append(steps)
         if drawn == J:
             break
-        total = int(sums[-1])
+        total += chunk
         size = min(J - drawn, 4 * drawn,
                    max(_FIRST_CHUNK, -(-(J - total) * drawn // total)))
     return np.concatenate(parts)
@@ -232,27 +259,29 @@ def walk_sample(f: LifetimeDistribution, seed, J: int) -> WalkSample:
     The forward steps omega_0, omega_1, ... are the draws of the trial's
     stream; the backward steps omega_{-1}, omega_{-2}, ... those of the
     stream its bit generator's ``jumped()`` starts.  Neither depends on J,
-    so a smaller J keeps a prefix of the same sums.
+    so a smaller J keeps a prefix of the same steps.
     """
     if J < 1:
         raise ConfigError("J must be >= 1")
     rng = normalize(seed)
     backward = np.random.Generator(rng.bit_generator.jumped())
-    return WalkSample(J, _kept_sums(f, rng, J), _kept_sums(f, backward, J))
+    return WalkSample(J, _kept_steps(f, rng, J), _kept_steps(f, backward, J))
 
 
 def walk_counts(sample: WalkSample, n_box: int) -> int:
     """Box count #{k in [-N, N] : |s_k| <= N}.
 
-    Steps are >= 1, so |s_k| <= N already forces |k| <= N; the count comes
-    from two binary searches over the kept sums, which hold every s_k with
-    |s_k| <= J.
+    Steps are >= 1, so |s_k| <= N already forces |k| <= N; each side's
+    count of partial sums at most N comes from its kept steps by block
+    sums, which sum every step once and form the running sums of one
+    block only.
     """
+    if n_box < 0:
+        raise ConfigError("box radius must be >= 0")
     if n_box > sample.J:
         raise ResourceLimitError(
             f"walk sampled for J = {sample.J} but the horizon needs +-{n_box}; "
             f"resample with J >= {n_box} "
             "(steps are >= 1, so J = horizon always covers)")
-    fwd = int(np.searchsorted(sample.s_forward, n_box, side="right"))
-    bwd = int(np.searchsorted(sample.s_backward_mag, n_box, side="right"))
-    return bwd + 1 + fwd
+    return (_count_sums_at_most(sample.omega_backward, 0, n_box) + 1
+            + _count_sums_at_most(sample.omega_forward, 0, n_box))

@@ -66,8 +66,10 @@ class LifetimeDistribution:
     ``sample`` and ``label``.  They hold no spec grammar: the one lifetime
     parser is ``cli.parse_distribution``.  Every shipped kind
     samples exactly, by inversion: power tails in closed form, finite
-    supports and geometric p >= 1/3 by a search of their float CDF sums, and
-    geometric p < 1/3 as NumPy's ceil(-E / log1p(-p)) of an exponential E.
+    supports by a search of their float CDF sums, geometric p >= 1/3 by a
+    guide-table lookup, followed by such a search only for the draws near a
+    CDF sum, and geometric p < 1/3 as NumPy's ceil(-E / log1p(-p)) of an
+    exponential E.
     """
 
     def tail(self, n):
@@ -98,9 +100,12 @@ class Geometric(LifetimeDistribution):
     the least k with u <= s_k, where s_1 = p and s_k = s_{k-1} +
     p (1-p)^(k-1) are float sums formed in a fixed order.  Those sums are
     tabulated here until they reach 1 or stop changing (54 at p = 0.5, 90
-    at p = 1/3), and a guide table (Chen and Asau 1974; Devroye,
-    Non-Uniform Random Variate Generation, 1986, section III.2.4) starts
-    each search at the least k with s_k >= floor(4096 u) / 4096.  Where
+    at p = 1/3).  A guide table (Chen and Asau 1974; Devroye,
+    Non-Uniform Random Variate Generation, 1986, section III.2.4) maps
+    bucket floor(4096 u) to the least k with s_k >= floor(4096 u) / 4096.
+    In a bucket that holds no sum that k is every uniform's draw, and one
+    lookup settles it; only the draws in the few buckets that a sum splits
+    take theirs from a binary search of the sums.  Where
     the sums stop below 1 (0.9999999999999997 at p = 0.7), NumPy's search
     never ends for a uniform above the last one; ``sample`` raises
     ResourceLimitError there.
@@ -140,17 +145,16 @@ class Geometric(LifetimeDistribution):
         sums = self._sums
         u = rng.random(size)
         k = np.take(self._guide, (u * _GUIDE_SIZE).astype(np.intp))
-        # step on only the draws that still have u > s_k
-        pos = np.flatnonzero(np.take(sums, k) < u)
-        while pos.size:
-            ks = np.take(k, pos) + 1
-            k[pos] = ks
-            if ks.max() == len(sums) - 1:
-                raise ResourceLimitError(
-                    f"geometric p={self.p!r} drew a uniform above its last CDF "
-                    f"sum {float(sums[-2])!r}, where NumPy's search never returns; "
-                    "rerun with a different stream")
-            pos = pos[np.take(sums, ks) < np.take(u, pos)]
+        # a negative entry marks a bucket that a sum splits: its draws take
+        # the least k with u <= s_k from a search of the sums
+        pos = np.flatnonzero(k < 0)
+        ks = np.searchsorted(sums, np.take(u, pos))
+        if ks.max(initial=0) == len(sums) - 1:
+            raise ResourceLimitError(
+                f"geometric p={self.p!r} drew a uniform above its last CDF "
+                f"sum {float(sums[-2])!r}, where NumPy's search never returns; "
+                "rerun with a different stream")
+        k[pos] = ks
         return k
 
     @property
@@ -160,9 +164,17 @@ class Geometric(LifetimeDistribution):
 
 def _search_table(p: float) -> tuple[np.ndarray, np.ndarray]:
     """NumPy's geometric search sums s_1..s_K, between a placeholder s_0 and
-    a sentinel s_{K+1} = inf, and the int64 guide g[b] = min(K, least k
-    with s_k >= b / _GUIDE_SIZE).  The cap at K makes a uniform above s_K
-    step onto the sentinel, where ``Geometric.sample`` reports it.
+    a sentinel s_{K+1} = inf, and an int64 guide entry +-g[b] per bucket,
+    with g[b] = min(K, least k with s_k >= b / _GUIDE_SIZE).
+
+    Every uniform u of bucket b, b / _GUIDE_SIZE <= u < (b + 1) /
+    _GUIDE_SIZE, draws at least g[b].  Where s_{g[b]} reaches the largest
+    float below (b + 1) / _GUIDE_SIZE, every u of the bucket draws g[b],
+    and the entry is g[b]; elsewhere a sum splits the bucket, and the entry
+    is -g[b], whose draws ``Geometric.sample`` finds by a search of the sums
+    (12 of the 4096 buckets at p = 0.5, 20 at p = 1/3, none at p = 1).  The
+    cap at K keeps a bucket above s_K split, so that its uniforms find the
+    sentinel, where ``sample`` reports them.
     """
     q = 1.0 - p
     total = prod = p
@@ -175,9 +187,11 @@ def _search_table(p: float) -> tuple[np.ndarray, np.ndarray]:
         sums.append(total)
     sums.append(math.inf)
     sums = np.array(sums)
-    cuts = np.arange(_GUIDE_SIZE) / _GUIDE_SIZE
-    guide = np.searchsorted(sums[1:-1], cuts, side="left") + 1
-    return sums, np.minimum(guide, len(sums) - 2).astype(np.int64)
+    cuts = np.arange(_GUIDE_SIZE + 1) / _GUIDE_SIZE
+    guide = np.searchsorted(sums[1:-1], cuts[:-1], side="left") + 1
+    guide = np.minimum(guide, len(sums) - 2).astype(np.int64)
+    split = sums[guide] < np.nextafter(cuts[1:], 0.0)
+    return sums, np.where(split, -guide, guide)
 
 
 class PowerTail(LifetimeDistribution):

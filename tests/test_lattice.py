@@ -1,11 +1,14 @@
 """Translation orbit counting and random-walk skew-product counting."""
 
 import math
+import tracemalloc
 import warnings
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from ergosum import lattice as lt
 from ergosum import renewal as rn
@@ -211,6 +214,29 @@ def test_walk_is_one_orbit_at_every_horizon(f):
         assert lt.walk_counts(short, 1000) == lt.walk_counts(long, 1000), i
 
 
+# tracemalloc peak, in bytes, of one geometric:0.5 trial at J = 2^18 when
+# each side kept the running sums of its steps
+_WALK_TRIAL_PEAK = 3_668_579
+
+
+def test_walk_memory_peak():
+    # each side keeps its steps, and a count forms the running sums of one
+    # block only, so a trial stays within 10% of keeping every sum
+    g = rn.Geometric(0.5)
+    J = 2 ** 18
+
+    def peak():
+        tracemalloc.start()
+        try:
+            lt.walk_counts(lt.walk_sample(g, spawn(1, 0), J=J), J)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    peak()  # the first run also holds one-time allocations of NumPy
+    assert peak() <= 1.1 * _WALK_TRIAL_PEAK
+
+
 def test_walk_sample_validation():
     with pytest.raises(ConfigError, match="J must be >= 1"):
         lt.walk_sample(rn.Geometric(0.5), 0, J=0)
@@ -255,15 +281,57 @@ def test_walk_counts_monotone_in_horizon():
 
 
 def test_walk_counts_equal_direct_scan():
-    # interarrival counting equals the direct box scan, exactly
+    # interarrival counting equals the direct box scan, exactly; at J = 5000
+    # each side keeps about 2,500 steps, over several blocks
     g = rn.Geometric(0.5)
-    for seed in range(8):
-        walk = lt.walk_sample(g, spawn(13, seed), J=300)
-        fwd, bwd = _replay(g, spawn(13, seed), 300)
-        _check_kept(walk, (fwd, bwd))
-        count = lt.walk_counts(walk, 300)
-        s_vals = np.concatenate([-bwd[::-1], [0], fwd])  # s_k, k in [-300, 300]
-        assert count == int(np.count_nonzero(np.abs(s_vals) <= 300))
+    for J in (300, 5000):
+        for seed in range(8):
+            walk = lt.walk_sample(g, spawn(13, seed), J=J)
+            fwd, bwd = _replay(g, spawn(13, seed), J)
+            _check_kept(walk, (fwd, bwd))
+            count = lt.walk_counts(walk, J)
+            s_vals = np.concatenate([-bwd[::-1], [0], fwd])  # s_k, k in [-J, J]
+            assert count == int(np.count_nonzero(np.abs(s_vals) <= J)), (J, seed)
+
+
+# step counts around one and two full blocks, and several blocks
+_BLOCK_LENGTHS = [0, 1, 1023, 1024, 1025, 2047, 2048, 2049, 5000]
+
+
+@settings(max_examples=60, deadline=None)
+@given(length=st.one_of(st.sampled_from(_BLOCK_LENGTHS), st.integers(0, 5000)),
+       seed=st.integers(0, 2 ** 32 - 1), low=st.integers(0, 1),
+       high=st.sampled_from([1, 2, 3, 100, 2 ** 40]),
+       start=st.integers(0, 2 ** 20), extra=st.integers(-2 ** 52, 2 ** 52))
+@example(length=0, seed=0, low=1, high=3, start=0, extra=0)
+@example(length=1, seed=0, low=1, high=3, start=5, extra=0)
+@example(length=1023, seed=1, low=1, high=3, start=0, extra=0)
+@example(length=1024, seed=2, low=1, high=1, start=0, extra=0)
+@example(length=1025, seed=3, low=1, high=3, start=7, extra=0)
+@example(length=2047, seed=4, low=1, high=3, start=0, extra=0)
+@example(length=2048, seed=5, low=0, high=2, start=0, extra=0)
+@example(length=2049, seed=6, low=1, high=100, start=3, extra=0)
+@example(length=5000, seed=7, low=1, high=2 ** 40, start=2 ** 20, extra=0)
+def test_count_sums_at_most_matches_cumsum(length, seed, low, high, start, extra):
+    # the block count equals a search over every running sum: below the
+    # first sum, at each block's last sum and one past it, past the total,
+    # and at one arbitrary bound
+    steps = np.random.default_rng(seed).integers(low, high, length, endpoint=True)
+    sums = start + np.cumsum(steps)
+    ends = sums[lt._BLOCK - 1::lt._BLOCK].tolist()
+    first = int(sums[0]) if length else start
+    total = int(sums[-1]) if length else start
+    bounds = [start - 1, first - 1, *ends, *(e + 1 for e in ends), total, total + 1,
+              start + extra]
+    for bound in bounds:
+        want = int(np.searchsorted(sums, bound, side="right"))
+        assert lt._count_sums_at_most(steps, start, bound) == want, bound
+
+
+def test_walk_counts_validation():
+    walk = lt.walk_sample(rn.Geometric(0.5), 0, J=10)
+    with pytest.raises(ConfigError, match="box radius must be >= 0"):
+        lt.walk_counts(walk, -1)
 
 
 def test_walk_counts_coverage_error():

@@ -197,7 +197,10 @@ def test_sampling_matches_tail(f, checks):
         assert abs(emp - tail) <= 4 * se + 1e-9, (n, emp, tail)
 
 
-@pytest.mark.parametrize("p", [1 / 3, 0.3333333333333334, 0.4, 0.5, 0.7, 0.9, 0.999, 1.0])
+_SEARCH_PS = [1 / 3, 0.3333333333333334, 0.4, 0.5, 0.7, 0.9, 0.999, 1.0]
+
+
+@pytest.mark.parametrize("p", _SEARCH_PS)
 def test_geometric_search_matches_numpy(p):
     # the guide-table search gives NumPy's draws from the same uniforms
     f = rn.Geometric(p)
@@ -221,6 +224,41 @@ def test_geometric_search_at_its_sums():
     # and guide cuts, and 1 - 2^-53 is the largest uniform
     u = _Uniforms(0.0, 0.5, 0.5000000000000001, 0.75, 1.0 - 2.0 ** -53)
     assert rn.Geometric(0.5).sample(u, 5).tolist() == [1, 1, 2, 2, 53]
+
+
+def _numpy_geometric_search(p, u):
+    """NumPy's ``random_geometric_search`` on one uniform, in Python floats;
+    None where its sums stop changing below u and its loop never ends."""
+    x, total, prod, q = 1, p, p, 1.0 - p
+    while u > total:
+        prod *= q
+        if total + prod == total:
+            return None
+        total += prod
+        x += 1
+    return x
+
+
+@pytest.mark.parametrize("p", _SEARCH_PS)
+def test_geometric_guide_at_bucket_ends_and_sums(p):
+    # the uniforms where a guide entry could settle a draw wrongly: each
+    # bucket's lowest and highest (as a multiple of 2^-53, and as any
+    # float), and each CDF sum and the next float above it
+    f = rn.Geometric(p)
+    b = np.arange(rn._GUIDE_SIZE)
+    sums = f._sums[1:-1]
+    values = np.concatenate([
+        b / rn._GUIDE_SIZE, ((b + 1) * 2 ** 41 - 1) * 2.0 ** -53,
+        np.nextafter((b + 1) / rn._GUIDE_SIZE, 0.0), sums, np.nextafter(sums, 2.0)])
+    values = values[values < 1.0]
+    want = [_numpy_geometric_search(p, u) for u in values.tolist()]
+    ends = np.array([w is not None for w in want])
+    drawn = f.sample(_Uniforms(*values[ends]), int(ends.sum()))
+    assert drawn.tolist() == [w for w in want if w is not None]
+    # where NumPy's search never returns, the sampler refuses
+    for u in values[~ends].tolist():
+        with pytest.raises(ResourceLimitError, match="above its last CDF sum"):
+            f.sample(_Uniforms(u), 1)
 
 
 def test_geometric_uniform_above_last_sum():
