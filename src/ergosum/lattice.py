@@ -10,9 +10,12 @@ counted from the sampled steps by block sums: the prefix sums of
 1,024-step block totals locate the block where the monotone partial sums
 pass the horizon, and only that block is summed step by step.  Each side
 of a walk draws from its own stream, the backward one jumped from the
-forward one, and only the steps its horizon reads, up to the first
-partial sum past it; neither side depends on the horizon, so a trial is
-one orbit at every horizon.  A walk count is a plain integer; its
+forward one, and keeps exactly the steps its horizon reads, those whose
+partial sums stay at or below it; neither side depends on the horizon, so
+a trial is one orbit at every horizon.  A chunk of draws holds at most
+(2^63 - 1) // (J + 1) of them, and each draw past J is cut to J + 1
+before the chunk is summed, so every sum a walk forms fits int64 by
+construction.  A walk count is a plain integer; its
 normalizer, the renewal prefix sum a_u(N) of the step distribution, is one
 number per run, read once by the caller.
 """
@@ -28,7 +31,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import ConfigError, PrecisionWarning, ResourceLimitError
-from .renewal import INT64_SUM_LIMIT, LifetimeDistribution, int64_sum_may_overflow
+from .renewal import LifetimeDistribution
 from .streams import normalize
 
 # a ratio within _RATIONAL_PRECISION of a rational with denominator at most
@@ -195,16 +198,16 @@ def _count_sums_at_most(steps: np.ndarray, start: int, bound: int) -> int:
 
 @dataclass(frozen=True)
 class WalkSample:
-    """Two-sided i.i.d. steps omega_j: on each side, those up to and including
-    the one whose partial sum is the first past J, at most J of them.
+    """Two-sided i.i.d. steps omega_j: on each side, those whose partial sums
+    stay at or below J, at most J of them.
 
     The partial sums s_k follow the three-case definition: sum of
     omega_0..omega_{k-1} for k >= 1, zero at k = 0, and
     -(omega_{-1} + ... + omega_{-|k|}) for k <= -1.  Steps are >= 1, so s
     is strictly increasing in k, and the kept steps reach every s_k with
-    |s_k| <= J.  Only the steps are kept; ``walk_counts`` counts from them
-    without forming every sum, and ``s_forward`` and ``s_backward_mag``
-    form the sums on each call.
+    |s_k| <= J and no other.  Only the steps are kept; ``walk_counts``
+    counts from them without forming every sum, and ``s_forward`` and
+    ``s_backward_mag`` form the sums on each call.
     """
 
     J: int
@@ -221,34 +224,32 @@ class WalkSample:
 
 
 def _kept_steps(f: LifetimeDistribution, rng, J: int) -> np.ndarray:
-    """Draws from ``rng`` up to and including the one whose partial sum is
-    the first past J, at most J of them.
+    """The first draws from ``rng`` whose partial sums stay at or below J,
+    at most J of them.
 
     The draws come in chunks, and the concatenated chunks are the first
-    draws of the stream.
+    draws of the stream.  A chunk holds at most (2^63 - 1) // (J + 1)
+    draws, a cap above J while J < 2^31, and a draw past J is cut to
+    J + 1; a cut draw still ends the walk and no kept draw changes, so a
+    chunk's int64 sum cannot overflow.
     """
+    cap = (2 ** 63 - 1) // (J + 1)
     parts, total, drawn = [], 0, 0
-    size = min(J, _FIRST_CHUNK)
+    size = min(J, _FIRST_CHUNK, cap)
     while True:
         steps = f.sample(rng, size)
         drawn += size
-        may_overflow = int64_sum_may_overflow(steps, total)
-        if may_overflow:
-            # keep the steps whose float sums stay below the limit; unless
-            # one of those sums passes J, the first that does may overflow
-            below = total + np.cumsum(steps, dtype=np.float64) < INT64_SUM_LIMIT
-            steps = steps[:int(np.count_nonzero(below))]
+        if steps.max() > J:
+            np.minimum(steps, J + 1, out=steps)
         chunk = int(steps.sum())
         if total + chunk > J:
-            parts.append(steps[:_count_sums_at_most(steps, total, J) + 1])
+            parts.append(steps[:_count_sums_at_most(steps, total, J)])
             break
-        if may_overflow:
-            raise ResourceLimitError("walk partial sums would overflow int64")
         parts.append(steps)
         if drawn == J:
             break
         total += chunk
-        size = min(J - drawn, 4 * drawn,
+        size = min(J - drawn, 4 * drawn, cap,
                    max(_FIRST_CHUNK, -(-(J - total) * drawn // total)))
     return np.concatenate(parts)
 
@@ -259,10 +260,13 @@ def walk_sample(f: LifetimeDistribution, seed, J: int) -> WalkSample:
     The forward steps omega_0, omega_1, ... are the draws of the trial's
     stream; the backward steps omega_{-1}, omega_{-2}, ... those of the
     stream its bit generator's ``jumped()`` starts.  Neither depends on J,
-    so a smaller J keeps a prefix of the same steps.
+    so a smaller J keeps a prefix of the same steps.  J + 1 must fit
+    int64.
     """
     if J < 1:
         raise ConfigError("J must be >= 1")
+    if J >= 2 ** 63 - 1:
+        raise ConfigError(f"J must be below 2**63 - 1, got {J}")
     rng = normalize(seed)
     backward = np.random.Generator(rng.bit_generator.jumped())
     return WalkSample(J, _kept_steps(f, rng, J), _kept_steps(f, backward, J))

@@ -36,8 +36,6 @@ _HEAD = 2
 _FLUSH = 2.0 ** -511
 
 _INT64_VALUE_LIMIT = 2 ** 62
-# a float sum of int64 draws at or above this may overflow its int64 cumsum
-INT64_SUM_LIMIT = 4.0e18
 # NumPy refuses an array of more than sys.maxsize bytes
 _MAX_TABLE_LEN = sys.maxsize // 8
 # NumPy draws geometric lifetimes from p = 1/3 up by a search over one uniform
@@ -338,19 +336,6 @@ class FiniteSupport(LifetimeDistribution):
             return f"delta:{self.points[0]}"
         atoms = ",".join(f"{k}:{p!r}" for k, p in zip(self.points, self.weights))
         return f"finite[{atoms}]"
-
-
-def int64_sum_may_overflow(draws: np.ndarray, start: int = 0) -> bool:
-    """Whether the int64 partial sums of a block of lifetime draws, added to
-    ``start``, may overflow.
-
-    Below the exact bound start + max * len < 2^61 no float sum reaches
-    INT64_SUM_LIMIT; above it the float64 sum decides, accumulated in place
-    with no float copy of the block.
-    """
-    if start + int(draws.max()) * len(draws) < 2 ** 61:
-        return False
-    return start + float(draws.sum(dtype=np.float64)) >= INT64_SUM_LIMIT
 
 
 # -- renewal sequences ----------------------------------------------------
@@ -654,7 +639,8 @@ def trimmed_sum_trials(f: LifetimeDistribution, n: int, trials: int,
     """Monte Carlo for the maximally trimmed partial sum, normalized by b(n).
 
     Trial i uses the stream spawned from (seed, i), so any single trial is
-    reproducible in isolation.
+    reproducible in isolation.  S_n - M_n is exact: the int64 sum is taken
+    where max * n bounds it below 2^63, and a sum of Python ints elsewhere.
     """
     if n < 2:
         raise ConfigError("n must be >= 2")
@@ -665,10 +651,9 @@ def trimmed_sum_trials(f: LifetimeDistribution, n: int, trials: int,
     ratios = np.empty(trials)
     for i in range(trials):
         nu = f.sample(spawn(seed, i), n)
-        if int64_sum_may_overflow(nu):
-            raise ResourceLimitError(
-                "partial sums would overflow int64; reduce n or lighten the tail")
-        ratios[i] = (int(nu.sum()) - int(nu.max())) / b_n
+        top = int(nu.max())
+        total = int(nu.sum()) if top * n < 2 ** 63 else int(nu.sum(dtype=object))
+        ratios[i] = (total - top) / b_n
     qs = np.quantile(ratios, _QUANTILE_LEVELS)
     quantiles = {f"q{int(100 * lvl):02d}": float(v)
                  for lvl, v in zip(_QUANTILE_LEVELS, qs)}

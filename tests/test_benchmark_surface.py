@@ -97,15 +97,24 @@ def test_walk_and_renewal_oracle_surface():
     f = cli.parse_distribution("geometric:0.5")
     sample = lattice.walk_sample(f, spawn(5, 0), J=64)
     assert sample.J == 64
-    # the oracle recounts from the steps: each side's, up to the first
-    # partial sum past J, are the first draws of its stream, the trial's
-    # own forward and the one jumped from it backward
+    # the oracle recounts from the steps: each side's, those whose partial
+    # sums stay at or below J, are the first draws of its stream, the
+    # trial's own forward and the one jumped from it backward
     rng = spawn(5, 0)
     backward = np.random.Generator(rng.bit_generator.jumped())
     blocks = f.sample(rng, 64), f.sample(backward, 64)
     for steps, block in zip((sample.omega_forward, sample.omega_backward), blocks):
-        kept = min(int(np.count_nonzero(np.cumsum(block) <= 64)) + 1, 64)
+        kept = int(np.count_nonzero(np.cumsum(block) <= 64))
         assert np.array_equal(steps, block[:kept])
+    # its recount forms the int64 sums of the kept steps only, and equals
+    # walk_counts, also where the draws past them sum beyond int64
+    far = renewal.FiniteSupport(((1, 0.5), (2 ** 62, 0.5)))
+    for dist in (f, far):
+        for i in range(3):
+            sample = lattice.walk_sample(dist, spawn(5, i), J=1000)
+            recount = 1 + sum(int(np.count_nonzero(np.cumsum(steps) <= 1000))
+                              for steps in (sample.omega_forward, sample.omega_backward))
+            assert recount == lattice.walk_counts(sample, 1000), (dist.label, i)
     seq = renewal.renewal_sequence(f, 64)
     assert len(seq.u) == 65
     # the tracer keys the renewal spans and counters by the engine's name

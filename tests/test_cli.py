@@ -183,9 +183,9 @@ def test_walk_table(tmp_path):
 
 
 def test_walk_reads_only_its_steps(tmp_path):
-    # a heavy-tailed walk stops each side at its first partial sum past N;
-    # test_walk_sample_overflow_guard covers an overflow among the draws
-    # after it
+    # a heavy-tailed walk keeps, on each side, the steps whose partial sums
+    # stay at or below N; test_walk_sample_far_atom_exact covers draws past
+    # them whose sums pass int64
     n_box = 262144
     code, out = run_cli(["walk", "--dist", "power:0.5", "--N", str(n_box),
                          "--seeds", "40", "--seed", "4"], tmp_path)

@@ -4,6 +4,7 @@ import math
 import tracemalloc
 import warnings
 from fractions import Fraction
+from itertools import accumulate
 
 import numpy as np
 import pytest
@@ -141,12 +142,10 @@ def _replay(f, rng, J):
 
 
 def _check_kept(walk, replay):
-    """Each side keeps the replayed sums up to and including the first one
-    past J, and at most J of them."""
+    """Each side keeps exactly the replayed sums at or below J; the replay
+    has J sums, so at most J of them."""
     for kept, full in zip((walk.s_forward, walk.s_backward_mag), replay):
-        assert np.all(kept[:-1] <= walk.J)
-        assert kept[-1] > walk.J or len(kept) == walk.J
-        assert np.array_equal(kept, full[:len(kept)])
+        assert np.array_equal(kept, full[:int(np.count_nonzero(full <= walk.J))])
 
 
 def test_walk_sample_delta_identity():
@@ -242,21 +241,122 @@ def test_walk_sample_validation():
         lt.walk_sample(rn.Geometric(0.5), 0, J=0)
 
 
-def test_walk_sample_overflow_guard():
+def test_walk_sample_sums_exact_near_int64():
     class HugeSteps(rn.Geometric):
-        # every step is 2**60: three sum below INT64_SUM_LIMIT, four above
+        # every step is 2**60, so eight steps sum to 2**63
         def sample(self, rng, size):
             return np.full(size, 2 ** 60, dtype=np.int64)
 
     f = HugeSteps(0.5)
-    # the third sum is the first past J and is kept; the draws after it
-    # would overflow, but no sum reads them
-    walk = lt.walk_sample(f, 0, J=3 * 2 ** 60 - 1)
-    sums = [2 ** 60, 2 * 2 ** 60, 3 * 2 ** 60]
-    assert walk.s_forward.tolist() == walk.s_backward_mag.tolist() == sums
-    # here the first sum past J is the fourth, which overflows
-    with pytest.raises(ResourceLimitError, match="walk partial sums would overflow int64"):
-        lt.walk_sample(f, 0, J=3 * 2 ** 60)
+    for J, kept in ((3 * 2 ** 60 - 1, 2), (3 * 2 ** 60, 3), (2 ** 62, 4),
+                    (2 ** 63 - 2, 7)):
+        walk = lt.walk_sample(f, 0, J=J)
+        sums = [k * 2 ** 60 for k in range(1, kept + 1)]
+        assert walk.s_forward.tolist() == walk.s_backward_mag.tolist() == sums, J
+        assert lt.walk_counts(walk, J) == 2 * kept + 1
+    # J + 1 must fit int64
+    with pytest.raises(ConfigError, match=r"J must be below 2\*\*63 - 1"):
+        lt.walk_sample(f, 0, J=2 ** 63 - 1)
+
+
+def _replay_exact(f, seed, size):
+    """Python-int partial sums of the first ``size`` draws of the trial's
+    stream and of the stream jumped from it."""
+    rng = spawn(*seed)
+    backward = np.random.Generator(rng.bit_generator.jumped())
+    return [list(accumulate(int(v) for v in f.sample(side, size)))
+            for side in (rng, backward)]
+
+
+def test_walk_sample_far_atom_exact():
+    # {1: 1/2, 2^62: 1/2}: a side's sums pass J at its first far step, and
+    # the far step is never kept; the sums the draws past it reach need not
+    # fit int64, and no count reads them
+    f = rn.FiniteSupport(((1, 0.5), (2 ** 62, 0.5)))
+    J = 1000
+    for i in range(8):
+        walk = lt.walk_sample(f, spawn(1, i), J=J)
+        replay = _replay_exact(f, (1, i), 64)
+        for steps, sums in zip((walk.omega_forward, walk.omega_backward), replay):
+            assert sums[-1] > J, i  # the replay reaches past J
+            assert list(accumulate(steps.tolist())) == [s for s in sums if s <= J], i
+        count = 1 + sum(s <= J for sums in replay for s in sums)
+        assert lt.walk_counts(walk, J) == count, i
+
+
+# -- the exact law of a walk count --------------------------------------------------
+
+
+def _side_count_law(f, N):
+    """P(K_N = k) for one side's count K_N = #{k >= 1 : s_k <= N}.
+
+    P(K_N >= k) = P(s_k <= N) is the mass at most N of the k-th
+    convolution power of the masses f_m = F(m) - F(m + 1) cut at N
+    (Feller, vol. 1, ch. XIII).  The powers are FFT products, with the
+    rounding below 0 and below m = k, where s_k >= k, set to 0; the last
+    one kept is the last whose mass at most N is 1e-18 or more, and at most
+    the N-th, as K_N <= N.
+    """
+    tails = np.asarray(f.tail(np.arange(1, N + 2)), dtype=np.float64)
+    masses = np.zeros(N + 1)
+    masses[1:] = tails[:-1] - tails[1:]
+    size = 1 << (2 * N + 1).bit_length()
+    step = np.fft.rfft(masses, size)
+    power = np.zeros(N + 1)
+    power[0] = 1.0
+    at_least = [1.0]
+    for k in range(1, N + 1):
+        power = np.fft.irfft(np.fft.rfft(power, size) * step, size)[:N + 1]
+        power[:k] = 0.0
+        np.maximum(power, 0.0, out=power)
+        mass = float(power.sum())
+        if mass < 1e-18:
+            break
+        at_least.append(mass)
+    return -np.diff(at_least + [0.0])
+
+
+def walk_count_law(f, N):
+    """The law of the walk count 1 + K+ + K- at horizon N, as an array
+    indexed by the count; the sides are independent copies of K_N."""
+    side = _side_count_law(f, N)
+    law = np.zeros(2 * len(side))
+    law[1:] = np.convolve(side, side)
+    return law
+
+
+def test_walk_count_law_is_binomial_for_geometric():
+    # geometric renewal indicators are i.i.d. Bernoulli(p), so K_N is
+    # Binomial(N, p)
+    for p, N in ((0.5, 2 ** 10), (0.1, 300)):
+        side = _side_count_law(rn.Geometric(p), N)
+        k = np.arange(len(side))
+        log_pmf = np.array([math.lgamma(N + 1) - math.lgamma(j + 1) - math.lgamma(N - j + 1)
+                            for j in k]) + k * math.log(p) + (N - k) * math.log1p(-p)
+        assert np.max(np.abs(side - np.exp(log_pmf))) < 1e-13, p
+
+
+@pytest.mark.parametrize("f,N,seed", [
+    (rn.Geometric(0.5), 2 ** 10, 401),
+    (rn.PowerTail(0.75), 2 ** 12, 402),
+    (rn.FiniteSupport(((1, 0.9), (2 ** 62, 0.1))), 2 ** 10, 403),
+], ids=lambda v: v.label if isinstance(v, rn.LifetimeDistribution) else str(v))
+def test_walk_counts_follow_the_exact_law(f, N, seed):
+    # the Kolmogorov-Smirnov distance of 2,000 trials' counts from the
+    # exact law stays under the 1% critical value 1.63 / sqrt(trials); a
+    # sampler fault that keeps the mean still moves the law
+    trials = 2000
+    law = walk_count_law(f, N)
+    assert abs(law.sum() - 1.0) < 1e-12
+    mean = float(np.arange(len(law)) @ law)
+    a_u = float(rn.renewal_sequence(f, N).a_u[N])
+    assert mean == pytest.approx(1 + 2 * a_u, rel=1e-12)
+    counts = [lt.walk_counts(lt.walk_sample(f, spawn(seed, i), J=N), N)
+              for i in range(trials)]
+    assert max(counts) < len(law)
+    empirical = np.cumsum(np.bincount(counts, minlength=len(law))) / trials
+    distance = float(np.max(np.abs(empirical - np.cumsum(law))))
+    assert distance < 1.63 / math.sqrt(trials), (distance, np.mean(counts), mean)
 
 
 # -- walk counts --------------------------------------------------------------------

@@ -14,6 +14,7 @@ from ergosum import cli
 from ergosum import renewal as rn
 from ergosum.errors import ConfigError, ResourceLimitError
 from ergosum.regvar import invert_scaling
+from ergosum.streams import spawn
 
 ALL_KINDS = [
     rn.Geometric(0.5),
@@ -814,41 +815,54 @@ def test_trimmed_validation_and_horizon():
         rn.trimmed_sum_trials(g, 10, 0, seed=0)
 
 
-def test_trimmed_sum_overflow_guard():
+def _exact_ratio(nu, b_n):
+    """(S_n - M_n) / b(n) over Python ints."""
+    values = [int(v) for v in nu]
+    return (sum(values) - max(values)) / b_n
+
+
+def test_trimmed_sums_past_int64_are_exact():
     class HugeLifetimes(rn.Geometric):
-        # every draw is 2**60: three sum below INT64_SUM_LIMIT, four above
+        # eight draws in [2**61, 2**62) sum to at least 2**64
         def sample(self, rng, size):
-            return np.full(size, 2 ** 60, dtype=np.int64)
+            return rng.integers(2 ** 61, 2 ** 62, size)
 
     f = HugeLifetimes(0.5)
-    res = rn.trimmed_sum_trials(f, 3, 2, seed=0)
-    assert res.b_n == 6
-    assert np.all(res.ratios == 2 ** 61 / 6)
-    with pytest.raises(ResourceLimitError, match="partial sums would overflow int64"):
-        rn.trimmed_sum_trials(f, 4, 2, seed=0)
+    res = rn.trimmed_sum_trials(f, 8, 4, seed=3)
+    for i in range(4):
+        nu = f.sample(spawn(3, i), 8)
+        assert sum(int(v) for v in nu) >= 2 ** 64
+        assert res.ratios[i] == _exact_ratio(nu, res.b_n), i
 
 
-@pytest.mark.parametrize("start,size,step", [
-    (0, 1024, 2 ** 51 - 1),  # max * len one block under 2^61
-    (0, 1024, 2 ** 51),  # max * len at 2^61
-    (2 ** 61 - 1024, 1, 1023),  # under, by a start
-    (2 ** 61 - 1024, 1, 1024),
-    (4 * 10 ** 18 - 2 ** 40, 2, 2 ** 39),  # far over: the float sum decides
-    (4 * 10 ** 18 - 2 ** 40, 2, 2 ** 39 - 2 ** 20),
+class _SumDtypes(np.ndarray):
+    """An int64 array that records the dtype asked of each of its sums."""
+
+    seen: list = []
+
+    def sum(self, *args, **kwargs):
+        _SumDtypes.seen.append(kwargs.get("dtype"))
+        return super().sum(*args, **kwargs)
+
+
+@pytest.mark.parametrize("draws,dtype", [
+    ([2 ** 62 - 1] * 2, None),  # max * n = 2^63 - 2: the int64 sum
+    ([2 ** 62, 2 ** 62 - 1], object),  # 2^63, though the sum fits int64
+    ([2 ** 62] * 2, object),  # the sum is 2^63
+    ([(2 ** 63 - 1) // 3] * 3, None),  # max * n = 2^63 - 2
+    ([(2 ** 63 - 1) // 3 + 1, 1, 1], object),  # max * n = 2^63 + 1
 ])
-def test_overflow_bound_agrees_with_the_float_sum(start, size, step):
-    class Counted(np.ndarray):
-        sums = 0
+def test_trimmed_sum_branches_agree_at_2_63(draws, dtype):
+    # where max * n is just below 2^63 the int64 sum is taken, and from
+    # 2^63 a sum of Python ints; both give the exact ratio
+    class Fixed(rn.Geometric):
+        def sample(self, rng, size):
+            return np.array(draws, dtype=np.int64).view(_SumDtypes)
 
-        def sum(self, *args, **kwargs):
-            Counted.sums += 1
-            return super().sum(*args, **kwargs)
-
-    draws = np.full(size, step, dtype=np.int64).view(Counted)
-    float_sum = start + float(np.asarray(draws).sum(dtype=np.float64))
-    assert rn.int64_sum_may_overflow(draws, start) == (float_sum >= rn.INT64_SUM_LIMIT)
-    # the float pass runs only where the exact bound does not decide
-    assert Counted.sums == (start + step * size >= 2 ** 61)
+    _SumDtypes.seen = []
+    res = rn.trimmed_sum_trials(Fixed(0.5), len(draws), 1, seed=0)
+    assert _SumDtypes.seen == [dtype]
+    assert res.ratios[0] == _exact_ratio(draws, res.b_n)
 
 
 def test_power_tail_overflow_guard():
