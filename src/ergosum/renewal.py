@@ -34,6 +34,8 @@ _NEWTON_BASE = 64
 _HEAD = 2
 # residual terms below this are set to 0 (see _reciprocal)
 _FLUSH = 2.0 ** -511
+# reals of the blocks that one batched transform of an update takes
+_BATCH = 2 ** 16
 
 _INT64_VALUE_LIMIT = 2 ** 62
 # NumPy refuses an array of more than sys.maxsize bytes
@@ -244,7 +246,8 @@ class PowerTail(LifetimeDistribution):
 
     def tail(self, n):
         n = np.asarray(n, dtype=np.float64)
-        return np.power(n, -self.gamma)
+        # n^-1 as a division, which rounds once on every CPU
+        return np.divide(1.0, n) if self.gamma == 1.0 else np.power(n, -self.gamma)
 
     def truncated_mean(self, n: int) -> float:
         if n <= _POWER_SUM_HEAD:
@@ -255,10 +258,14 @@ class PowerTail(LifetimeDistribution):
 
     def sample(self, rng, size: int) -> np.ndarray:
         # U = 1 - uniform is in (0, 1], bounded away from 0; nu >= n iff
-        # U < n^-gamma, so nu = max(1, ceil(U^(-1/gamma) - 1)), in one buffer
+        # U < n^-gamma, so nu = max(1, ceil(U^(-1/gamma) - 1)), in one buffer;
+        # U^-1 as a division, as in ``tail``
         nu = rng.random(size)
         np.subtract(1.0, nu, out=nu)
-        np.power(nu, -1.0 / self.gamma, out=nu)
+        if self.gamma == 1.0:
+            np.divide(1.0, nu, out=nu)
+        else:
+            np.power(nu, -1.0 / self.gamma, out=nu)
         np.subtract(nu, 1.0, out=nu)
         np.ceil(nu, out=nu)
         np.maximum(nu, 1.0, out=nu)
@@ -375,6 +382,46 @@ def _next_fast_len(n: int) -> int:
     return best
 
 
+def _overlap_add(x, e, n, rows, area_a, area_b, out):
+    """out = (x e)[:len(out)] for len(x) = len(out) by overlap-add
+    (Stockham, "High-speed convolution and correlation", 1966).
+
+    x is cut into blocks of n - k + 1 terms, k = len(e), whose products
+    with e fill a transform of length n without wrapping, and each block's
+    k - 1 overflow terms are added onto the head of the next, which must
+    be as long (n >= 2k - 1) unless x is one block.  Batches of up
+    to ``rows`` whole blocks, then a last, shorter one, are transformed at a
+    time: their spectra in area_a, e's spectrum at the head of area_b and
+    their products past it, or over it in the last batch.  One block is
+    one product, laid out as the shared-transform update's.
+    """
+    k, h, lo = len(e), n // 2 + 1, 0
+    step = n - k + 1
+    fe = np.fft.rfft(e, n, out=area_b.view(np.complex128)[:h])
+    while lo < len(out):
+        r = min(rows, (len(out) - lo) // step) or 1
+        width = min(step, len(out) - lo)
+        last = lo + r * width == len(out)
+        spec = area_a.view(np.complex128)[:r * h].reshape(r, h)
+        fs = np.fft.rfft(x[lo:lo + r * width].reshape(r, width), n, axis=1, out=spec)
+        real = area_b[0 if last else 2 * h:][:r * n].reshape(r, n)
+        p = np.fft.irfft(np.multiply(fs, fe, out=fs), n, axis=1, out=real)
+        # the overflow of the previous batch, left in out
+        if lo:
+            c = min(k - 1, width)
+            p[0, :c] += out[lo:lo + c]
+        blocks = out[lo:lo + r * width].reshape(r, width)
+        blocks[...] = p[:, :width]
+        if r > 1:
+            # added from p into out: within p, NumPy would first copy the
+            # operand, whose extent overlaps the rows it is added to
+            blocks[1:, :k - 1] += p[:-1, step:]
+        lo += r * width
+        tail = min(k - 1, len(out) - lo)
+        out[lo:lo + tail] = p[-1, step:step + tail]
+    return out
+
+
 def _reciprocal(g: np.ndarray) -> np.ndarray:
     """Power-series reciprocal v of g (g[0] = 1) mod z^len(g).
 
@@ -388,20 +435,26 @@ def _reciprocal(g: np.ndarray) -> np.ndarray:
     "The middle product algorithm I", 2004): its cyclic wrap-around falls
     on coefficients it discards.  Only g's nonzero prefix, of length L,
     enters: where L > m a step shares one transform of v between its two
-    products, at length about m2; where L < m the residual takes about 2L
-    and the update about m2 - m + L.  The head v_0 = 1, v_1 = -g_1 enters
+    products, at length about m2; where L < m the residual takes one
+    transform of about 2L, and the update v e, with e at most L - 1 terms
+    long, is added up from blocks of about 4L terms of v by overlap-add
+    (``_overlap_add``), each at a transform length of about 5L.  Tails with
+    a short nonzero prefix are thus inverted in O(n log L), as geometric
+    ones are (L = 619 at p = 0.7).  The head v_0 = 1, v_1 = -g_1 enters
     both products by direct sums, since the transforms round in proportion
     to their operands: without it the new terms kept each level's
     transform noise, and geometric:0.01 at n = 2**18 read 261 ulps of p
-    against the full Newton step's 82 (now 69).  Every step runs in prefixes of one work area: a
-    real buffer of about 1.5 len(g) at most, holding v and the residual,
-    and two spectra of about len(g) reals at most; v is returned as a view
-    of the real buffer.
+    against the full Newton step's 82 (now 69).  Every step runs in
+    prefixes of one work area: a real buffer of about 1.5 len(g) at most,
+    holding v and the residual, and two areas of spectra and products of
+    about len(g) reals at most where L is long; for a short L they hold a
+    batch of blocks, about _BATCH reals or two blocks' transforms if
+    those are longer.  v is returned as a view of the real buffer.
     """
     sizes = [len(g)]
     while sizes[-1] > _NEWTON_BASE:
         sizes.append(-(-sizes[-1] // 2))
-    nz = int(np.flatnonzero(g)[-1]) + 1  # L: g_j = 0 for j >= nz
+    nz = len(g) - int(np.argmax(g[::-1] != 0.0))  # L: g_j = 0 for j >= nz
     m = sizes.pop()
     steps = []
     for m2 in reversed(sizes):
@@ -414,22 +467,36 @@ def _reciprocal(g: np.ndarray) -> np.ndarray:
         # update v[_HEAD:m] e not at all; with a = _HEAD the middle length
         # covers both, and one transform of v[_HEAD:m] serves both
         mid = _next_fast_len(max(m - a - 1 + k, min(nz, m2) - 1))
-        up = mid if a == _HEAD else _next_fast_len(m - _HEAD + k - 1)
+        # reals of the middle product's spectra, one in each area
+        spec = 2 * (mid // 2 + 1)
+        need = m2 - m - _HEAD
+        if a == _HEAD:
+            up, rows, areas = mid, 0, (spec, spec)
+        else:
+            # the update's terms of v in the fewest blocks of at most 4k,
+            # each times e at length up without wrapping, rows at a time;
+            # e's spectrum is kept beside the products while more follow
+            width = -(-need // -(-need // (4 * k)))
+            up = _next_fast_len(width + k - 1)
+            rows = max(1, min(need // (up - k + 1), _BATCH // up))
+            block = 2 * (up // 2 + 1)
+            areas = (max(spec, rows * block),
+                     max(spec, (rows + (need > up - k + 1)) * block))
         # the middle product lands at buf[at:], so that e starts at or past m2
         at = max(m, m2 - m + a + 1)
-        steps.append((m, m2, s, k, a, mid, up, at))
+        steps.append((m, m2, s, k, a, mid, up, rows, at, areas))
         m = m2
-    buf = np.empty(max((at + mid for *_, mid, _, at in steps), default=len(g)))
+    buf = np.empty(max((at + mid for *_, mid, _, _, at, _ in steps), default=len(g)))
     m = steps[0][0] if steps else len(g)
     v = buf[:m]
     v[0] = 1.0
     for i in range(1, m):
         v[i] = -np.dot(g[1:i + 1], v[i - 1::-1])
-    # two areas, each holding a spectrum or, as reals, a product
-    area = 2 * max((up // 2 + 1 for *_, up, _ in steps), default=0)
-    area_a, area_b = np.empty(area), np.empty(area)
+    # two areas, each holding spectra or, as reals, products
+    area_a = np.empty(max((areas[0] for *_, areas in steps), default=0))
+    area_b = np.empty(max((areas[1] for *_, areas in steps), default=0))
     spec_a, spec_b = area_a.view(np.complex128), area_b.view(np.complex128)
-    for m, m2, s, k, a, mid, up, at in steps:
+    for m, m2, s, k, a, mid, up, rows, at, _ in steps:
         # Each product is formed in place with its operand order spelled
         # out, since complex products are not bitwise commutative.
         w = buf[m:m2]
@@ -444,12 +511,14 @@ def _reciprocal(g: np.ndarray) -> np.ndarray:
         # set to 0, they keep the products clear of subnormal floats, on
         # which x86 arithmetic runs many times slower
         e[np.abs(e, out=area_b[:k]) < _FLUSH] = 0.0
-        fv = fa if a == _HEAD else np.fft.rfft(buf[_HEAD:m], up, out=spec_a[:up // 2 + 1])
-        fe = np.fft.rfft(e, up, out=spec_b[:up // 2 + 1])
-        prod = np.fft.irfft(np.multiply(fv, fe, out=fe), up, out=area_a[:up])
+        if a == _HEAD:
+            fe = np.fft.rfft(e, up, out=spec_b[:up // 2 + 1])
+            prod = np.fft.irfft(np.multiply(fa, fe, out=fe), up, out=area_a[:up])
+            w[_HEAD:] = prod[:m2 - m - _HEAD]
+        else:
+            _overlap_add(buf[_HEAD:m2 - m], e, up, rows, area_a, area_b, w[_HEAD:])
         # w = -(e + v_1 z e + z^2 v[_HEAD:m] e) mod z^(m2 - m)
         w[:_HEAD] = 0.0
-        w[_HEAD:] = prod[:m2 - m - _HEAD]
         w[:k] += e
         e *= buf[1]
         w[1:k + 1] += e[:m2 - m - 1]
@@ -475,8 +544,10 @@ def renewal_sequence(f: LifetimeDistribution, n_max: int) -> RenewalSequence:
     divides n, and u_{dm} is the renewal sequence of nu/d, whose tails are
     T_{dm}.  One support point left after that reduction makes u the
     indicator of dZ, exactly; otherwise the reduced T is inverted by Newton
-    steps of sizes ceil(n/2^k), O(n log n), each appending only its new
-    terms over T's nonzero prefix (``_reciprocal``).  The constant
+    steps of sizes ceil(n/2^k), each appending only its new terms over T's
+    nonzero prefix (``_reciprocal``): O(n log n), or O(n log L) where T
+    vanishes past its first L terms.  The scans that find d and L keep one
+    byte per term, freed before the inversion.  The constant
     1/(1 - z) anchors the limit 1/mu, so rounding does not build up along
     it: geometric:0.7 gives u_n = 0.7 exactly at n = 2**18 - 1, 2**18,
     2**20 - 1 and 2**20, the largest |u_n - p| for p from 0.002 to 0.99 and
@@ -491,16 +562,30 @@ def renewal_sequence(f: LifetimeDistribution, n_max: int) -> RenewalSequence:
     The inversion runs in one work area, so at n = 2**20 the arrays that
     NumPy allocates peak at about 4.5 times n float64 values for tails
     without zeros (harmonic: the tails, the real buffer and the two
-    spectra) and at 4 for geometric:0.7, whose short products leave the
-    peak to v, u, a_u and the prefix sum's one temporary.
+    spectra) and at 4 for geometric:0.7, whose inversion takes 1.15 beside
+    the tails (its update products run in blocks), so that the peak falls
+    to v, u, a_u and the prefix sum's one temporary.
     """
     if n_max < 0:
         raise ConfigError("n_max must be >= 0")
     _check_horizon(n_max)
     tails = np.asarray(f.tail(np.arange(1, n_max + 2, dtype=np.int64)),
                        dtype=np.float64)
-    # gcd of the k <= n_max with f_k != 0; n_max + 1 if there are none
-    d = int(np.gcd.reduce(np.flatnonzero(tails[:-1] != tails[1:]) + 1)) or n_max + 1
+    # d: the gcd of the k <= n_max with f_k != 0 (atom[k - 1]), n_max + 1 if
+    # there are none.  From the least such k, only the next atom that d does
+    # not divide can lower it, so the multiples of d are struck out first
+    atom = tails[:-1] != tails[1:]
+    d = n_max + 1
+    if atom.any():
+        j = int(np.argmax(atom))
+        d = j + 1
+        while d > 1:
+            atom[d - 1::d] = False
+            j += int(np.argmax(atom[j:]))
+            if not atom[j]:
+                break
+            d = math.gcd(d, j + 1)
+    del atom
     tails[0] = 1.0
     reduced = tails[::d]
     # None where nu = d within the window, and u is the indicator of dZ

@@ -514,6 +514,26 @@ def test_zero_prefix_boundaries(weights, bound_u, bound_a_u):
             assert np.max(np.abs(seq.a_u[1:] - oracle_a_u)) <= bound_a_u, (n_max, length)
 
 
+@pytest.mark.parametrize("atoms,bound_u,bound_a_u", [
+    # measured 1.11e-16 on u and 2.04e-10 on a_u, both with one update
+    # product per Newton step and with the blocked ones
+    (((2, 0.25), (3, 0.25), (5, 0.5)), 2.2e-16, 4e-10),
+    # measured 7.89e-11 and 3.65e-6 with one update product per step,
+    # 7.67e-11 and 3.61e-6 with the blocked ones
+    (((1, 0.3), (2, 0.3), (4096, 0.4)), 1.6e-10, 7.3e-6),
+], ids=["near-atoms", "far-atom"])
+def test_short_prefix_finite_supports(atoms, bound_u, bound_a_u):
+    # L = 5 and 4096 tails against 2**18: all but the first Newton steps
+    # form their updates in blocks of about 4L
+    f = rn.FiniteSupport(atoms)
+    n_max = 2 ** 18
+    seq = rn.renewal_sequence(f, n_max)
+    oracle = _sparse_recursion(f, n_max)
+    oracle_a_u = np.cumsum(oracle[1:], dtype=np.longdouble).astype(np.float64)
+    assert np.max(np.abs(seq.u - oracle)) <= bound_u
+    assert np.max(np.abs(seq.a_u[1:] - oracle_a_u)) <= bound_a_u
+
+
 def test_zero_prefix_boundaries_geometric_and_lattice():
     # geometric tails end at L = 619 (p = 0.7) and 2090 (p = 0.3)
     top = 2 ** 15 + 1
@@ -542,8 +562,10 @@ def test_sparse_recursion_is_the_direct_recursion():
 def test_newton_transforms_span_the_nonzero_prefix(monkeypatch):
     # every transform writes into the work area.  Over tails without zeros
     # (harmonic) a step from m to m2 terms transforms at about m2, never
-    # past L = 2**15 + 1 terms; behind a nonzero prefix of 619 tails
-    # (geometric:0.7) the last step transforms at about m2 - m + 619
+    # past L = 2**15 + 1 terms; behind a nonzero prefix of L = 619 tails
+    # (geometric:0.7) the update products run in blocks of about 4L, so no
+    # transform exceeds 8L, where one update product at about m2 - m + L
+    # did (17,280 here)
     lengths = []
 
     def recording(transform):
@@ -562,24 +584,51 @@ def test_newton_transforms_span_the_nonzero_prefix(monkeypatch):
     lengths.clear()
     assert np.count_nonzero(rn.Geometric(0.7).tail(np.arange(1, length + 1))) == 619
     rn.renewal_sequence(rn.Geometric(0.7), n_max)
-    assert lengths and max(lengths) <= rn._next_fast_len(-(-length // 2) + 619)
+    assert lengths and max(lengths) <= rn._next_fast_len(8 * 619)
+
+
+def _traced_peak(fn, *args):
+    """The peak of NumPy's allocations while fn runs, in bytes."""
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("size,k,n,rows", [
+    (1, 1, 4, 1), (30, 5, 24, 1), (30, 5, 24, 3), (97, 12, 50, 2),
+    (97, 12, 50, 8), (200, 40, 81, 4), (16, 40, 60, 2),
+])
+def test_overlap_add_matches_convolution(size, k, n, rows):
+    # whole batches, a last shorter block, and one block shorter than e;
+    # the areas start as NaN, so a read of a slot not written shows
+    rng = np.random.default_rng(size * k)
+    x, e = rng.standard_normal(size), rng.standard_normal(k)
+    h = n // 2 + 1
+    area_a, area_b = np.full(2 * rows * h, np.nan), np.full(2 * (rows + 1) * h, np.nan)
+    out = rn._overlap_add(x, e, n, rows, area_a, area_b, np.full(size, np.nan))
+    assert np.max(np.abs(out - np.convolve(x, e)[:size])) <= 1e-13
 
 
 def test_renewal_peak_memory():
     # one work area (a real buffer of about 1.5 n and two spectra of about
-    # n reals each, at most) beside the tails: 4.0 arrays of n + 1 at peak
-    # for geometric:0.7, whose zero tails shorten the products, and 4.56
-    # for harmonic
+    # n reals each, at most) beside the tails: 4.56 arrays of n + 1 at peak
+    # for harmonic.  geometric:0.7 peaks at 4.001 in the prefix sums (v, u,
+    # a_u and one temporary): its inversion, whose update products run in
+    # blocks, takes 1.15 beside the tails (2.02 with one update product at
+    # about half of n per Newton step)
     n_max = 2 ** 20
-    for f in (rn.Geometric(0.7), rn.PowerTail(1.0)):
+    size = 8 * (n_max + 1)
+    for f, bound in ((rn.Geometric(0.7), 4.1), (rn.PowerTail(1.0), 6)):
         rn.renewal_sequence(f, 64)
-        tracemalloc.start()
-        try:
-            rn.renewal_sequence(f, n_max)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak <= 6 * 8 * (n_max + 1), (f.label, peak / (8 * (n_max + 1)))
+        peak = _traced_peak(rn.renewal_sequence, f, n_max)
+        assert peak <= bound * size, (f.label, peak / size)
+    tails = rn.Geometric(0.7).tail(np.arange(1, n_max + 2))
+    tails[0] = 1.0
+    peak = _traced_peak(rn._reciprocal, tails)
+    assert peak <= 1.25 * size, peak / size
 
 
 @pytest.mark.parametrize("p", [1.0, 0.999999, 0.7, 0.5, 0.3, 0.1, 1e-3, 1e-300])
